@@ -146,7 +146,6 @@ def run(command: str, args) -> int:
         "tool": f"bottlab {__version__}",
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": command,
-        "threads": workers,
         "suites": {sid: {**reports[sid].params, "tol": reports[sid].tol} for sid in sorted(reports)},
         "outputs": outputs,
     }
@@ -162,7 +161,8 @@ def run(command: str, args) -> int:
         status = "PASS" if rep.passed else "FAIL"
         print(f"{sid:<{width}}  {status:6}  {final:12.3e}  {expo:>9}")
     all_pass = all(r.passed for r in reports.values())
-    print(f"overall: {'PASS' if all_pass else 'FAIL'} ({len(reports)} suites, reports in {args.out})")
+    print(f"overall: {'PASS' if all_pass else 'FAIL'} ({len(reports)} suites, "
+          f"{workers} worker{'s' if workers > 1 else ''}, reports in {args.out})")
     return 0 if all_pass else 1
 
 

@@ -10,6 +10,7 @@ tensor constructions.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,26 +86,71 @@ def scale(f: GradedFunction, t: float) -> GradedFunction:
     return GradedFunction(lambda x: fn(x / t), f.parity, f"{f.name}@t={t:g}")
 
 
-def matrix_function(f: GradedFunction, a, sym_tol: float = 1e-10):
-    """Apply f to a symmetric matrix through its eigendecomposition.
-
-    Accepts a plain ndarray or a GradedMatrix.  When the input has definite
-    operator parity and f has definite parity, the result's parity is
-    forced exactly: an odd matrix maps to an operator of f's parity, an
-    even matrix always to an even one.  Projecting onto that parity part
-    strips the eigensolver's rounding noise from the forbidden entries.
-    """
-    graded = isinstance(a, GradedMatrix)
-    m = a.mat if graded else np.asarray(a, dtype=float)
+def _check_symmetric(m: np.ndarray, sym_tol: float) -> float:
+    """Raise unless m is symmetric; return the scale its tolerances refer to."""
     scale_ref = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.T).max() > sym_tol * scale_ref:
         raise ValueError("matrix functional calculus requires a symmetric matrix")
-    w, q = np.linalg.eigh(m)
-    out = (q * f(w)) @ q.T
-    if not graded:
-        return out
-    result = GradedMatrix(out, a.parity)
-    pa = a.operator_parity(tol=sym_tol * scale_ref)
+    return scale_ref
+
+
+def spectral_apply(q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Q diag(values) Q^T: the functional-calculus kernel on an eigenbasis Q."""
+    return (q * values) @ q.T
+
+
+class SpectralMatrix(GradedMatrix):
+    """A read-only symmetric graded matrix that is diagonalised at most once.
+
+    Symmetry and operator parity are checked once, at construction, on a
+    private copy of the input.  The eigendecomposition ``(w, q)`` is
+    computed on first use under a lock, so threads sharing the matrix share
+    one eigensolve and one result.  Every array it holds is read-only.
+    """
+
+    def __init__(self, mat, parity, sym_tol: float = 1e-10):
+        super().__init__(np.array(mat, dtype=float), np.array(parity, dtype=np.uint8))
+        scale_ref = _check_symmetric(self.mat, sym_tol)
+        self.op_parity = self.operator_parity(tol=sym_tol * scale_ref)
+        self.mat.flags.writeable = False
+        self.parity.flags.writeable = False
+        self._lock = threading.Lock()
+        self._eig = None
+
+    @property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and orthonormal eigenvectors (read-only, computed once)."""
+        with self._lock:
+            if self._eig is None:
+                w, q = np.linalg.eigh(self.mat)
+                w.flags.writeable = False
+                q.flags.writeable = False
+                self._eig = (w, q)
+        return self._eig
+
+
+def matrix_function(f: GradedFunction, a, sym_tol: float = 1e-10):
+    """Apply f to a symmetric matrix through its eigendecomposition.
+
+    Accepts a plain ndarray, a GradedMatrix, or a SpectralMatrix, whose
+    cached eigensystem and construction-time checks are reused (``sym_tol``
+    does not apply to it).  When the input has definite operator parity and
+    f has definite parity, the result's parity is forced exactly: an odd
+    matrix maps to an operator of f's parity, an even matrix always to an
+    even one.  Projecting onto that parity part strips the eigensolver's
+    rounding noise from the forbidden entries.
+    """
+    if isinstance(a, SpectralMatrix):
+        w, q = a.eig
+        pa = a.op_parity
+    else:
+        m = a.mat if isinstance(a, GradedMatrix) else np.asarray(a, dtype=float)
+        scale_ref = _check_symmetric(m, sym_tol)
+        w, q = np.linalg.eigh(m)
+        if not isinstance(a, GradedMatrix):
+            return spectral_apply(q, f(w))
+        pa = a.operator_parity(tol=sym_tol * scale_ref)
+    result = GradedMatrix(spectral_apply(q, f(w)), a.parity)
     if pa is not None and f.parity is not None:
         result = result.parity_part(f.parity if pa == 1 else 0)
     return result
@@ -164,9 +210,13 @@ def delta_via_xr_check(level: int, which: str = "u") -> DeltaCheck:
     target = gaussian() if which == "u" else x_gaussian()
     direct = matrix_function(target, xt).mat
 
+    # each generator applied to X once, however many terms it appears in
+    terms = delta_on_generators()[which]
+    generators = {f.name: f for pair in terms for f in pair}
+    on_x = {name: matrix_function(f, xg) for name, f in generators.items()}
     expansion = np.zeros_like(direct)
-    for f, g in delta_on_generators()[which]:
-        expansion += graded_tensor(matrix_function(f, xg), matrix_function(g, xg)).mat
+    for f, g in terms:
+        expansion += graded_tensor(on_x[f.name], on_x[g.name]).mat
 
     diff = direct - expansion
     residual_full = float(np.linalg.norm(diff, 2))

@@ -46,8 +46,6 @@ class GradedMatrix:
         mix = self.parity[:, None] ^ self.parity[None, :]
         even_mass = float(np.abs(np.where(mix == 0, self.mat, 0.0)).max(initial=0.0))
         odd_mass = float(np.abs(np.where(mix == 1, self.mat, 0.0)).max(initial=0.0))
-        if odd_mass <= tol and even_mass <= tol:
-            return 0
         if odd_mass <= tol:
             return 0
         if even_mass <= tol:

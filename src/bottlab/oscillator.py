@@ -18,6 +18,7 @@ effects appear, which is why every spectral statement here is windowed.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -31,7 +32,7 @@ from .clifford import (
     left_mult_operator,
     number_operator,
 )
-from .funcalc import GradedFunction, matrix_function
+from .funcalc import GradedFunction, SpectralMatrix, matrix_function
 from .graded import GradedMatrix
 
 
@@ -191,24 +192,39 @@ def axis_derivative(basis: HermiteBasis, axis: int) -> np.ndarray:
 # operator assembly
 
 
-@dataclass
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
 class OscillatorRep:
-    """Assembled operator family on one truncated basis."""
+    """Immutable operator context on one truncated basis.
+
+    C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: read-only,
+    checked once for symmetry and parity, and diagonalised at most once, on
+    first use, for every suite thread that shares the context.  ``windows``
+    holds, for every depth 0..level, the read-only interior mask and its
+    ``np.ix_`` index pair.
+    """
 
     basis: HermiteBasis
-    clifford: GradedMatrix  # position part C
-    dirac: GradedMatrix     # derivative part D
-    bott: GradedMatrix      # supercharge B = C + D
-    number: GradedMatrix    # blade number operator N
+    clifford: SpectralMatrix  # position part C
+    dirac: SpectralMatrix     # derivative part D
+    bott: SpectralMatrix      # supercharge B = C + D
+    number: GradedMatrix      # blade number operator N
+    harmonic: SpectralMatrix  # H = C^2 + D^2
+    windows: tuple            # depth -> (mask, index pair)
 
     @property
     def interior(self) -> np.ndarray:
-        return self.basis.interior_mask()
+        return self.windows[2][0]
 
     def restricted(self, mat: np.ndarray, depth: int = 2) -> np.ndarray:
-        """Interior block of a full-space matrix."""
-        mask = self.basis.interior_mask(depth)
-        return mat[np.ix_(mask, mask)]
+        """Interior block (total level <= level - depth) of a full-space matrix."""
+        if not 0 <= depth <= self.basis.level:
+            raise ValueError(f"window depth must lie in 0..{self.basis.level}, got {depth}")
+        return mat[self.windows[depth][1]]
 
 
 def clifford_operator(basis: HermiteBasis) -> GradedMatrix:
@@ -247,11 +263,44 @@ def blade_number_operator(basis: HermiteBasis) -> GradedMatrix:
 
 
 @lru_cache(maxsize=8)
-def oscillator_rep(dim: int, level: int) -> OscillatorRep:
+def _context(dim: int, level: int) -> OscillatorRep:
     basis = HermiteBasis(dim, level)
+    par = basis.parity()
     c = clifford_operator(basis)
     d = dirac_operator(basis)
-    return OscillatorRep(basis, c, d, c + d, blade_number_operator(basis))
+    number = blade_number_operator(basis)
+    _read_only(number.mat, number.parity)
+    windows = []
+    for depth in range(level + 1):
+        mask = basis.interior_mask(depth)
+        ix = np.ix_(mask, mask)
+        _read_only(mask, *ix)
+        windows.append((mask, ix))
+    return OscillatorRep(
+        basis,
+        SpectralMatrix(c.mat, par),
+        SpectralMatrix(d.mat, par),
+        SpectralMatrix((c + d).mat, par),
+        number,
+        SpectralMatrix((c @ c + d @ d).mat, par),
+        tuple(windows),
+    )
+
+
+_CONTEXT_LOCK = threading.Lock()
+
+
+def oscillator_rep(dim: int, level: int) -> OscillatorRep:
+    """The shared operator context for (dim, level), built once.
+
+    The lock makes concurrent first calls share one context, and with it
+    one eigendecomposition per operator; the LRU bounds the number kept.
+    """
+    with _CONTEXT_LOCK:
+        return _context(dim, level)
+
+
+oscillator_rep.cache_clear = _context.cache_clear
 
 
 def b_squared_identity_check(rep: OscillatorRep) -> float:
@@ -301,7 +350,7 @@ def spectrum(rep: OscillatorRep, operator: str = "bott-squared",
     if operator == "bott-squared":
         full = (rep.bott @ rep.bott).mat
     elif operator == "harmonic":
-        full = (rep.clifford @ rep.clifford).mat + (rep.dirac @ rep.dirac).mat
+        full = rep.harmonic.mat
     elif operator == "number":
         full = rep.number.mat
     else:
@@ -321,9 +370,8 @@ def spectrum(rep: OscillatorRep, operator: str = "bott-squared",
     overlap = None
     if operator == "bott-squared":
         # ground state: the Gaussian times the scalar blade
-        mask = rep.basis.interior_mask()
         ground_full = rep.basis.mindex_position((0,) * rep.basis.dim) * rep.basis.blade_count
-        ground = int(np.cumsum(mask)[ground_full] - 1)
+        ground = int(np.cumsum(rep.interior)[ground_full] - 1)
         kernel_vec = vecs[:, int(np.argmin(vals))]
         overlap = float(abs(kernel_vec[ground]) / np.linalg.norm(kernel_vec))
 

@@ -30,10 +30,12 @@ from .clifford import (
 )
 from .funcalc import (
     GradedFunction,
+    SpectralMatrix,
     delta_via_xr_check,
     gaussian,
     matrix_function,
     scale,
+    spectral_apply,
     x_gaussian,
 )
 from .graded import (
@@ -48,7 +50,6 @@ from .graded import (
 )
 from .oscillator import (
     CliffFunction,
-    HermiteBasis,
     OscillatorRep,
     b_squared_identity_check,
     compactness_profile,
@@ -192,11 +193,10 @@ def _crosscheck_norms(samples: list) -> tuple[bool, str]:
     return ok, f"norm cross-check (svd vs power iteration, {len(picks)} samples): max deviation {worst:.2e}"
 
 
-def windowed_norm(mat, basis: HermiteBasis, depth: int = 2) -> float:
+def windowed_norm(mat, rep: OscillatorRep, depth: int = 2) -> float:
     """Spectral norm of the interior block (total level <= level - depth)."""
     m = mat.mat if isinstance(mat, GradedMatrix) else np.asarray(mat)
-    mask = basis.interior_mask(depth)
-    return float(np.linalg.norm(m[np.ix_(mask, mask)], 2))
+    return float(np.linalg.norm(rep.restricted(m, depth), 2))
 
 
 def decay_fit(ts: Sequence[float], vals: Sequence[float]) -> tuple | None:
@@ -392,36 +392,37 @@ def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
 
 def _commutator_suite(cfg: SweepConfig, suite_id: str, use_cd: bool) -> VerificationReport:
     rep = oscillator_rep(cfg.dim, cfg.level)
-    u, v = gaussian(), x_gaussian()
+    gens = (("u", gaussian()), ("v", x_gaussian()))
     rel = cfg.tol if cfg.tol is not None else 0.25
+    hs = [] if use_cd else resolve_h_choices(cfg)
 
-    curves: dict[str, list[float]] = {}
-    samples = []
+    # each f(X/t) and M_{h_t} is built once per t and shared by its curves;
+    # curves and norm samples keep the f-major order of the curve names
     if use_cd:
-        pairs = [(f, g) for f in (("u", u), ("v", v)) for g in (("u", u), ("v", v))]
-        for (fname, f), (gname, g) in pairs:
-            vals = []
-            for t in cfg.t_grid:
-                fc = matrix_function(scale(f, t), rep.clifford)
-                gd = matrix_function(scale(g, t), rep.dirac)
-                comm = graded_commutator(fc, gd)
-                vals.append(windowed_norm(comm, rep.basis))
-                if t in (cfg.t_grid[0], cfg.t_grid[-1]):
-                    samples.append(comm.mat)
-            curves[f"[{fname}(C/t),{gname}(D/t)]"] = vals
+        names = [f"[{a}(C/t),{b}(D/t)]" for a, _ in gens for b, _ in gens]
     else:
-        hs = resolve_h_choices(cfg)
-        for fname, f in (("u", u), ("v", v)):
+        names = [f"[{a}(D/t),M_{h.name}]" for a, _ in gens for h in hs]
+    curves: dict[str, list[float]] = {name: [] for name in names}
+    picked: dict[str, list] = {name: [] for name in names}
+
+    def record(name: str, t: float, comm: GradedMatrix):
+        curves[name].append(windowed_norm(comm, rep))
+        if t in (cfg.t_grid[0], cfg.t_grid[-1]):
+            picked[name].append(comm.mat)
+
+    for t in cfg.t_grid:
+        fd = {a: matrix_function(scale(f, t), rep.dirac) for a, f in gens}
+        if use_cd:
+            for a, f in gens:
+                fc = matrix_function(scale(f, t), rep.clifford)
+                for b, _ in gens:
+                    record(f"[{a}(C/t),{b}(D/t)]", t, graded_commutator(fc, fd[b]))
+        else:
             for h in hs:
-                vals = []
-                for t in cfg.t_grid:
-                    fd = matrix_function(scale(f, t), rep.dirac)
-                    mh = multiplication_operator(rescale(h, t), rep.basis)
-                    comm = graded_commutator(fd, mh)
-                    vals.append(windowed_norm(comm, rep.basis))
-                    if t in (cfg.t_grid[0], cfg.t_grid[-1]):
-                        samples.append(comm.mat)
-                curves[f"[{fname}(D/t),M_{h.name}]"] = vals
+                mh = multiplication_operator(rescale(h, t), rep.basis)
+                for a, _ in gens:
+                    record(f"[{a}(D/t),M_{h.name}]", t, graded_commutator(fd[a], mh))
+    samples = [m for name in names for m in picked[name]]
 
     ts = list(cfg.t_grid)
     envelope = [max(c[i] for c in curves.values()) for i in range(len(ts))]
@@ -474,12 +475,6 @@ def mehler_coefficients(s: float) -> tuple[float, float]:
     return s1, s2
 
 
-def _gaussian_of(a: float, mat: np.ndarray) -> np.ndarray:
-    """exp(-a * mat^2) for symmetric mat, via one eigendecomposition."""
-    w, q = np.linalg.eigh(mat)
-    return (q * np.exp(-a * w * w)) @ q.T
-
-
 def suite_mehler(cfg: SweepConfig) -> VerificationReport:
     """Sandwich factorization of the harmonic semigroup at small s.
 
@@ -494,24 +489,27 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
     depth = cfg.level - window_cap
     tol = cfg.tol if cfg.tol is not None else _mehler_default_tol(cfg.level)
 
-    c_mat, d_mat = rep.clifford.mat, rep.dirac.mat
-    h_mat = c_mat @ c_mat + d_mat @ d_mat
-    wh, qh = np.linalg.eigh(h_mat)
+    wh, qh = rep.harmonic.eig
+
+    def heat(a: float, op: SpectralMatrix) -> np.ndarray:
+        """exp(-a X^2) on the context's spectrum of X."""
+        w, q = op.eig
+        return spectral_apply(q, np.exp(-a * w * w))
 
     s_values = tuple(sorted(cfg.mehler_s, reverse=True))
     curves = {"c-outside": [], "d-outside": []}
     samples = []
     for s in s_values:
         s1, s2 = mehler_coefficients(s)
-        direct = (qh * np.exp(-s * wh)) @ qh.T
-        ec = _gaussian_of(s1 / 2.0, c_mat)
-        ed = _gaussian_of(s2, d_mat)
+        direct = spectral_apply(qh, np.exp(-s * wh))
+        ec = heat(s1 / 2.0, rep.clifford)
+        ed = heat(s2, rep.dirac)
         route_c = ec @ ed @ ec
-        ec2 = _gaussian_of(s2, c_mat)
-        ed2 = _gaussian_of(s1 / 2.0, d_mat)
+        ec2 = heat(s2, rep.clifford)
+        ed2 = heat(s1 / 2.0, rep.dirac)
         route_d = ed2 @ ec2 @ ed2
-        curves["c-outside"].append(windowed_norm(direct - route_c, rep.basis, depth))
-        curves["d-outside"].append(windowed_norm(direct - route_d, rep.basis, depth))
+        curves["c-outside"].append(windowed_norm(direct - route_c, rep, depth))
+        curves["d-outside"].append(windowed_norm(direct - route_d, rep, depth))
         samples.append(direct - route_c)
 
     envelope = [max(curves["c-outside"][i], curves["d-outside"][i]) for i in range(len(s_values))]
@@ -542,21 +540,19 @@ def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
     """
     rep = oscillator_rep(cfg.dim, cfg.level)
     tol = cfg.tol if cfg.tol is not None else 1e-3
-    mats = {"C": rep.clifford.mat, "D": rep.dirac.mat}
-
     curves: dict[str, list[float]] = {}
     samples = []
-    for xname, x in mats.items():
-        wx, qx = np.linalg.eigh(x)
+    for xname, op in (("C", rep.clifford), ("D", rep.dirac)):
+        wx, qx = op.eig
         for cname, pick in (("s1", 0), ("s2", 1)):
             plain, weighted = [], []
             for t in cfg.t_grid:
                 coef = mehler_coefficients(t ** -2)[pick]
                 diag = np.exp(-coef / 2.0 * wx * wx) - np.exp(-(t ** -2) / 2.0 * wx * wx)
-                diff = (qx * diag) @ qx.T
-                wdiff = (qx * (wx / t * diag)) @ qx.T
-                plain.append(windowed_norm(diff, rep.basis))
-                weighted.append(windowed_norm(wdiff, rep.basis))
+                diff = spectral_apply(qx, diag)
+                wdiff = spectral_apply(qx, wx / t * diag)
+                plain.append(windowed_norm(diff, rep))
+                weighted.append(windowed_norm(wdiff, rep))
                 if t == cfg.t_grid[-1]:
                     samples.append(diff)
             curves[f"{xname}:{cname}"] = plain
@@ -611,8 +607,8 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
         prod = uc @ ud
         vb = matrix_function(scale(v, t), rep.bott).mat
         rhs_v = (b_mat / t) @ prod
-        curves["gamma-u"].append(windowed_norm(ub - prod, rep.basis))
-        curves["gamma-v"].append(windowed_norm(vb - rhs_v, rep.basis))
+        curves["gamma-u"].append(windowed_norm(ub - prod, rep))
+        curves["gamma-v"].append(windowed_norm(vb - rhs_v, rep))
         if t in (cfg.t_grid[0], cfg.t_grid[-1]):
             samples.append(ub - prod)
 
@@ -629,7 +625,7 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
     m_identity = float(np.linalg.norm(m_matched.mat - uc1.mat, 2))
     m_conv = multiplication_operator(hu, rep.basis)
     m_conv_full = float(np.linalg.norm(m_conv.mat - uc1.mat, 2))
-    m_conv_win = windowed_norm(m_conv.mat - uc1.mat, rep.basis)
+    m_conv_win = windowed_norm(m_conv.mat - uc1.mat, rep)
 
     ratios = {k: (c[-1] / c[0] if c[0] > 0 else 0.0) for k, c in curves.items()}
     cross_ok, cross_note = _crosscheck_norms(samples)
@@ -645,7 +641,7 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
         f"multiplication vs position calculus (matched {cfg.level + 1} nodes): {m_identity:.3e}",
         f"same comparison with converged quadrature: {m_conv_full:.3e} full, "
         f"{m_conv_win:.3e} on interior window (difference concentrates at the cut)",
-        f"largest-t norms: lhs {operator_norm(matrix_function(scale(u, ts[-1]), rep.bott)):.6f} "
+        f"largest-t norms: lhs {operator_norm(ub):.6f} "
         "(tends to the kernel-projection-dominated limit)",
         cross_note,
     ]
@@ -675,20 +671,17 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
     for s in cfg.s_grid:
         ub = matrix_function(scale(u, s), rep.bott).mat
         vb = matrix_function(scale(v, s), rep.bott).mat
-        curves["u-to-projection"].append(windowed_norm(ub - p, rep.basis))
-        curves["v-to-zero"].append(windowed_norm(vb, rep.basis))
+        curves["u-to-projection"].append(windowed_norm(ub - p, rep))
+        curves["v-to-zero"].append(windowed_norm(vb, rep))
         samples.append(ub - p)
 
     ss = list(cfg.s_grid)
     envelope = [max(curves["u-to-projection"][i], curves["v-to-zero"][i]) for i in range(len(ss))]
     datapoints = list(zip(ss, envelope))
 
-    # exact endpoint identities on the full space
-    s_min = ss[-1]
-    ub_min = matrix_function(scale(u, s_min), rep.bott).mat
-    vb_min = matrix_function(scale(v, s_min), rep.bott).mat
-    kernel_fixed = float(np.linalg.norm(ub_min @ g_vec - g_vec))
-    v_kills_kernel = float(np.linalg.norm(vb_min @ g_vec))
+    # exact endpoint identities on the full space, at the last (smallest) s
+    kernel_fixed = float(np.linalg.norm(ub @ g_vec - g_vec))
+    v_kills_kernel = float(np.linalg.norm(vb @ g_vec))
 
     cross_ok, cross_note = _crosscheck_norms(samples)
     passed = (

@@ -52,8 +52,8 @@ def test_windowed_norm_matches_manual_restriction():
     m = (rep.bott @ rep.bott).mat
     mask = rep.basis.interior_mask()
     manual = np.linalg.norm(m[np.ix_(mask, mask)], 2)
-    assert windowed_norm(m, rep.basis) == manual
-    assert windowed_norm(rep.bott @ rep.bott, rep.basis) == manual
+    assert windowed_norm(m, rep) == manual
+    assert windowed_norm(rep.bott @ rep.bott, rep) == manual
 
 
 def test_decay_fit_recovers_power_law():
@@ -211,7 +211,6 @@ def test_alpha_is_asymptotically_multiplicative():
     # the homomorphism defect on products of the comultiplied generators
     # decays along the parameter grid
     rep = oscillator_rep(1, 12)
-    basis = rep.basis
     u, v = gaussian(), x_gaussian()
     uP, vP = bott_map(u, 1), bott_map(v, 1)
     du = [(1.0, u, uP)]
@@ -234,7 +233,7 @@ def test_alpha_is_asymptotically_multiplicative():
         for t in ts:
             lhs = alpha_of(product(e1, e2), t)
             rhs = alpha_of(e1, t) @ alpha_of(e2, t)
-            defects.append(windowed_norm(lhs - rhs, basis))
+            defects.append(windowed_norm(lhs - rhs, rep))
         assert defects[-1] <= 1e-2, f"{name}: {defects}"
         assert defects[-1] <= 0.05 * defects[0], f"{name}: {defects}"
         assert monotone_after(ts, defects), f"{name}: {defects}"
