@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import GradedMatrix, graded_tensor, identity_like
+from .graded import GradedMatrix, from_parity_blocks, graded_tensor, identity_like, parity_index
 
 
 @dataclass
@@ -136,9 +136,10 @@ def matrix_function(f: GradedFunction, a, sym_tol: float = 1e-10):
     cached eigensystem and construction-time checks are reused (``sym_tol``
     does not apply to it).  When the input has definite operator parity and
     f has definite parity, the result's parity is forced exactly: an odd
-    matrix maps to an operator of f's parity, an even matrix always to an
-    even one.  Projecting onto that parity part strips the eigensolver's
-    rounding noise from the forbidden entries.
+    matrix maps to an operator of f's parity d, an even matrix always to an
+    even one.  Only the two allowed parity blocks ``(r, r ^ d)`` of
+    ``Q f(w) Q^T`` are computed; the forbidden ones, which would hold only
+    the eigensolver's rounding noise, are exact zeros.
     """
     if isinstance(a, SpectralMatrix):
         w, q = a.eig
@@ -150,10 +151,14 @@ def matrix_function(f: GradedFunction, a, sym_tol: float = 1e-10):
         if not isinstance(a, GradedMatrix):
             return spectral_apply(q, f(w))
         pa = a.operator_parity(tol=sym_tol * scale_ref)
-    result = GradedMatrix(spectral_apply(q, f(w)), a.parity)
-    if pa is not None and f.parity is not None:
-        result = result.parity_part(f.parity if pa == 1 else 0)
-    return result
+    if pa is None or f.parity is None:
+        return GradedMatrix(spectral_apply(q, f(w)), a.parity)
+    d = f.parity if pa == 1 else 0
+    index = parity_index(a.parity)
+    fw = f(w)
+    rows = [q.take(i, axis=0) for i in index]
+    blocks = {(r, r ^ d): (rows[r] * fw) @ rows[r ^ d].T for r in (0, 1)}
+    return GradedMatrix(from_parity_blocks(blocks, index), a.parity)
 
 
 def delta_on_generators() -> dict[str, list[tuple[GradedFunction, GradedFunction]]]:

@@ -128,25 +128,57 @@ def graded_tensor_mixed(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     return graded_tensor(a, b.even_part()) + graded_tensor(a, b.odd_part())
 
 
+def parity_index(parity) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the even and of the odd basis vectors, in basis order."""
+    p = np.asarray(parity)
+    return np.flatnonzero(p == 0), np.flatnonzero(p == 1)
+
+
+def parity_blocks(mat: np.ndarray, index) -> list[list[np.ndarray]]:
+    """The four blocks ``mat[index[r], index[c]]``, nested as ``[r][c]``.
+
+    ``index`` is a pair of even and odd index arrays.  An operator of degree
+    d lives in the blocks ``(r, r ^ d)``.
+    """
+    slabs = [mat.take(rows, axis=0) for rows in index]
+    return [[slab.take(cols, axis=1) for cols in index] for slab in slabs]
+
+
+def from_parity_blocks(blocks: dict, index) -> np.ndarray:
+    """The full matrix holding ``blocks[r, c]`` at ``(index[r], index[c])``, zero elsewhere."""
+    dim = len(index[0]) + len(index[1])
+    out = np.zeros((dim, dim))
+    for (r, c), block in blocks.items():
+        out[np.ix_(index[r], index[c])] = block
+    return out
+
+
+def _degrees(blocks: list[list[np.ndarray]]) -> list[int]:
+    """Operator degrees d whose blocks (0, d) and (1, 1 ^ d) are not all zero."""
+    return [d for d in (0, 1) if blocks[0][d].any() or blocks[1][1 ^ d].any()]
+
+
 def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """[a, b] = ab - (-1)^{deg a deg b} ba, extended bilinearly.
 
     Odd-odd pairs get the anticommutator; everything else the plain
-    commutator.  Mixed-parity inputs are split first.
+    commutator.  Both inputs are split into parity blocks, and each nonzero
+    pair of parts ``a_pa``, ``b_pb`` is multiplied blockwise: row block r of
+    the result is ``a[r, r^pa] b[r^pa, c] - sign b[r, r^pb] a[r^pb, c]`` with
+    ``c = r ^ pa ^ pb``, a quarter of the dense flops.
     """
     a._check_compatible(b)
-    out = np.zeros_like(a.mat)
-    for pa in (0, 1):
-        ap = a.parity_part(pa).mat
-        if not np.any(ap):
-            continue
-        for pb in (0, 1):
-            bp = b.parity_part(pb).mat
-            if not np.any(bp):
-                continue
+    index = parity_index(a.parity)
+    ab, bb = parity_blocks(a.mat, index), parity_blocks(b.mat, index)
+    out: dict = {}
+    for pa in _degrees(ab):
+        for pb in _degrees(bb):
             sign = -1.0 if (pa and pb) else 1.0
-            out += ap @ bp - sign * (bp @ ap)
-    return GradedMatrix(out, a.parity)
+            for r in (0, 1):
+                c = r ^ pa ^ pb
+                block = ab[r][r ^ pa] @ bb[r ^ pa][c] - sign * (bb[r][r ^ pb] @ ab[r ^ pb][c])
+                out[r, c] = out.get((r, c), 0.0) + block
+    return GradedMatrix(from_parity_blocks(out, index), a.parity)
 
 
 def involution(a: GradedMatrix) -> GradedMatrix:

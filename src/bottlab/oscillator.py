@@ -21,7 +21,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -197,6 +197,14 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+class Window(NamedTuple):
+    """The states of total level <= level - depth, as read-only index data."""
+
+    mask: np.ndarray         # boolean mask over the full basis
+    ix: tuple                # np.ix_(mask, mask)
+    parity_index: tuple      # (even, odd) full-basis indices inside the window
+
+
 @dataclass(frozen=True, eq=False)
 class OscillatorRep:
     """Immutable operator context on one truncated basis.
@@ -204,8 +212,7 @@ class OscillatorRep:
     C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: read-only,
     checked once for symmetry and parity, and diagonalised at most once, on
     first use, for every suite thread that shares the context.  ``windows``
-    holds, for every depth 0..level, the read-only interior mask and its
-    ``np.ix_`` index pair.
+    holds a read-only :class:`Window` for every depth 0..level.
     """
 
     basis: HermiteBasis
@@ -214,17 +221,21 @@ class OscillatorRep:
     bott: SpectralMatrix      # supercharge B = C + D
     number: GradedMatrix      # blade number operator N
     harmonic: SpectralMatrix  # H = C^2 + D^2
-    windows: tuple            # depth -> (mask, index pair)
+    windows: tuple            # depth -> Window
 
     @property
     def interior(self) -> np.ndarray:
-        return self.windows[2][0]
+        return self.windows[2].mask
+
+    def window(self, depth: int = 2) -> Window:
+        """Index data of the window of total level <= level - depth."""
+        if not 0 <= depth <= self.basis.level:
+            raise ValueError(f"window depth must lie in 0..{self.basis.level}, got {depth}")
+        return self.windows[depth]
 
     def restricted(self, mat: np.ndarray, depth: int = 2) -> np.ndarray:
         """Interior block (total level <= level - depth) of a full-space matrix."""
-        if not 0 <= depth <= self.basis.level:
-            raise ValueError(f"window depth must lie in 0..{self.basis.level}, got {depth}")
-        return mat[self.windows[depth][1]]
+        return mat[self.window(depth).ix]
 
 
 def clifford_operator(basis: HermiteBasis) -> GradedMatrix:
@@ -274,8 +285,9 @@ def _context(dim: int, level: int) -> OscillatorRep:
     for depth in range(level + 1):
         mask = basis.interior_mask(depth)
         ix = np.ix_(mask, mask)
-        _read_only(mask, *ix)
-        windows.append((mask, ix))
+        index = tuple(np.flatnonzero(mask & (par == p)) for p in (0, 1))
+        _read_only(mask, *ix, *index)
+        windows.append(Window(mask, ix, index))
     return OscillatorRep(
         basis,
         SpectralMatrix(c.mat, par),

@@ -47,6 +47,7 @@ from .graded import (
     grading_signs,
     involution,
     iota,
+    parity_blocks,
 )
 from .oscillator import (
     CliffFunction,
@@ -179,11 +180,16 @@ def power_iteration_norm(mat, max_iter: int = 1000, tol: float = 1e-14, seed: in
     return sigma
 
 
+def _crosscheck_picks(count: int) -> list[int]:
+    """Indices of the samples the norm cross-check reads: first, middle, last."""
+    return sorted({0, count // 2, count - 1}) if count else []
+
+
 def _crosscheck_norms(samples: list) -> tuple[bool, str]:
     """SVD norm vs power iteration on up to 3 sampled matrices."""
     if not samples:
         return True, "norm cross-check: no samples"
-    picks = [samples[0], samples[len(samples) // 2], samples[-1]][: len(samples)]
+    picks = [samples[i] for i in _crosscheck_picks(len(samples))]
     worst = 0.0
     for m in picks:
         a = operator_norm(m)
@@ -194,9 +200,21 @@ def _crosscheck_norms(samples: list) -> tuple[bool, str]:
 
 
 def windowed_norm(mat, rep: OscillatorRep, depth: int = 2) -> float:
-    """Spectral norm of the interior block (total level <= level - depth)."""
+    """Spectral norm of the interior block (total level <= level - depth).
+
+    A parity-homogeneous window is, up to a permutation, the direct sum of
+    its two nonzero parity blocks, so its norm is the larger of theirs.
+    Only a window with entries of both parities takes the dense SVD.
+    """
     m = mat.mat if isinstance(mat, GradedMatrix) else np.asarray(mat)
-    return float(np.linalg.norm(rep.restricted(m, depth), 2))
+    (ee, eo), (oe, oo) = parity_blocks(m, rep.window(depth).parity_index)
+    if not (eo.any() or oe.any()):
+        nonzero = (ee, oo)
+    elif not (ee.any() or oo.any()):
+        nonzero = (eo, oe)
+    else:
+        return float(np.linalg.norm(rep.restricted(m, depth), 2))
+    return max(float(np.linalg.norm(block, 2)) for block in nonzero)
 
 
 def decay_fit(ts: Sequence[float], vals: Sequence[float]) -> tuple | None:
@@ -403,12 +421,16 @@ def _commutator_suite(cfg: SweepConfig, suite_id: str, use_cd: bool) -> Verifica
     else:
         names = [f"[{a}(D/t),M_{h.name}]" for a, _ in gens for h in hs]
     curves: dict[str, list[float]] = {name: [] for name in names}
-    picked: dict[str, list] = {name: [] for name in names}
+    # the norm samples are each curve's first and last commutator; only the
+    # ones the cross-check reads are kept
+    ends = [(name, t) for name in names for t in (cfg.t_grid[0], cfg.t_grid[-1])]
+    wanted = {ends[i] for i in _crosscheck_picks(len(ends))}
+    picked: dict[tuple, np.ndarray] = {}
 
     def record(name: str, t: float, comm: GradedMatrix):
         curves[name].append(windowed_norm(comm, rep))
-        if t in (cfg.t_grid[0], cfg.t_grid[-1]):
-            picked[name].append(comm.mat)
+        if (name, t) in wanted:
+            picked[name, t] = comm.mat
 
     for t in cfg.t_grid:
         fd = {a: matrix_function(scale(f, t), rep.dirac) for a, f in gens}
@@ -422,7 +444,7 @@ def _commutator_suite(cfg: SweepConfig, suite_id: str, use_cd: bool) -> Verifica
                 mh = multiplication_operator(rescale(h, t), rep.basis)
                 for a, _ in gens:
                     record(f"[{a}(D/t),M_{h.name}]", t, graded_commutator(fd[a], mh))
-    samples = [m for name in names for m in picked[name]]
+    samples = [picked[end] for end in ends if end in picked]
 
     ts = list(cfg.t_grid)
     envelope = [max(c[i] for c in curves.values()) for i in range(len(ts))]
@@ -798,18 +820,21 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
         routed = swap @ graded_tensor(a, b).mat @ swap.T
         return float(np.abs(direct - routed).max())
 
+    gam = np.kron(np.eye(rep.basis.size), np.diag(grading_signs(par)))
     curves: dict[str, list[float]] = {h.name: [] for h in hs}
     for t in cfg.t_grid:
+        ud = matrix_function(scale(u, t), rep.dirac)
+        vd = matrix_function(scale(v, t), rep.dirac)
         for h in hs:
-            a_even = alpha(u, h, t, rep)
-            a_odd = alpha(v, h, t, rep)
+            # alpha(u, h, t, rep) and alpha(v, h, t, rep), sharing one M_{h_t}
+            mh = multiplication_operator(rescale(h, t), rep.basis)
+            a_even, a_odd = ud @ mh, vd @ mh
             worst = 0.0
             for left in (a_even, a_odd):
                 for right in (uc, vc):
                     worst = max(worst, flip_route_residual(left, right))
             # the grading automorphism is invisible on the even second leg
             f_mat = graded_tensor(a_even, uc).mat
-            gam = np.kron(np.eye(rep.basis.size), np.diag(grading_signs(par)))
             worst = max(worst, float(np.abs(gam @ f_mat @ gam - f_mat).max()))
             curves[h.name].append(worst)
 

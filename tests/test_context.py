@@ -21,10 +21,12 @@ def _context_arrays(rep) -> dict:
     for name, op in ops.items():
         arrays[name] = op.mat
         arrays[f"{name}.parity"] = op.parity
-    for depth, (mask, (rows, cols)) in enumerate(rep.windows):
+    for depth, (mask, (rows, cols), (even, odd)) in enumerate(rep.windows):
         arrays[f"mask{depth}"] = mask
         arrays[f"rows{depth}"] = rows
         arrays[f"cols{depth}"] = cols
+        arrays[f"even{depth}"] = even
+        arrays[f"odd{depth}"] = odd
     for name in ("C", "D", "B", "H"):
         arrays[f"w{name}"], arrays[f"Q{name}"] = ops[name].eig
     return arrays
@@ -88,6 +90,18 @@ def test_spectral_matrix_rejects_asymmetric_input():
         SpectralMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), [0, 0])
 
 
+@pytest.mark.parametrize("dim,level", [(1, 6), (2, 5)])
+def test_window_parity_index_lists_the_window_states_by_parity(dim, level):
+    rep = oscillator_rep(dim, level)
+    par = rep.basis.parity()
+    for depth in range(level + 1):
+        window = rep.window(depth)
+        even, odd = window.parity_index
+        assert np.array_equal(even, np.flatnonzero(window.mask & (par == 0)))
+        assert np.array_equal(odd, np.flatnonzero(window.mask & (par == 1)))
+        assert len(even) and len(odd)
+
+
 def test_window_depth_is_range_checked():
     rep = oscillator_rep(1, 6)
     m = np.zeros((rep.basis.size, rep.basis.size))
@@ -95,6 +109,8 @@ def test_window_depth_is_range_checked():
         rep.restricted(m, depth=7)
     with pytest.raises(ValueError, match="depth"):
         rep.restricted(m, depth=-1)
+    with pytest.raises(ValueError, match="depth"):
+        rep.window(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +198,14 @@ def test_concurrent_first_calls_share_one_context(monkeypatch):
     results = _race(lambda: oscillator_rep(2, 5))
     oscillator_rep.cache_clear()
     assert all(r is results[0] for r in results)
+
+
+def test_window_parity_index_is_shared_by_every_caller():
+    oscillator_rep.cache_clear()
+    results = _race(lambda: [w.parity_index for w in oscillator_rep(2, 5).windows])
+    later = [w.parity_index for w in oscillator_rep(2, 5).windows]
+    oscillator_rep.cache_clear()
+    for indices in results:
+        for (even, odd), (even0, odd0) in zip(indices, later):
+            assert even is even0 and odd is odd0
+            assert not (even.flags.writeable or odd.flags.writeable)

@@ -121,6 +121,45 @@ def test_parity_covariance_is_exact():
     assert matrix_function(x_gaussian(), b2).odd_part().norm() == 0.0
 
 
+def _dense_matrix_function(f, m, parity, degree):
+    """Reference: the dense Q f(w) Q^T, masked to the parity the result must have."""
+    w, q = np.linalg.eigh(m)
+    dense = (q * f(w)) @ q.T
+    if f.parity is None:
+        return dense
+    mix = parity[:, None] ^ parity[None, :]
+    return np.where(mix == (f.parity if degree else 0), dense, 0.0)
+
+
+_FUNCTIONS = [gaussian(), x_gaussian(), gaussian() + x_gaussian()]
+
+
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(1, 12),
+       kind=st.sampled_from(["random", "even", "odd"]), degree=st.sampled_from([0, 1]),
+       f=st.sampled_from(_FUNCTIONS), t=st.floats(0.5, 20.0))
+@settings(max_examples=60, deadline=None)
+def test_matrix_function_blocks_match_dense_product(seed, dim, kind, degree, f, t):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        par = rng.integers(0, 2, size=dim).astype(np.uint8)
+    else:
+        par = np.full(dim, kind == "odd", dtype=np.uint8)
+    m = _random_symmetric(rng, dim) * ((par[:, None] ^ par[None, :]) == degree)
+    got = matrix_function(scale(f, t), GradedMatrix(m, par)).mat
+    want = _dense_matrix_function(scale(f, t), m, par, degree)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["clifford", "dirac", "bott", "harmonic"])
+@pytest.mark.parametrize("f", _FUNCTIONS, ids=["even", "odd", "mixed"])
+def test_context_matrix_function_blocks_match_dense_product(name, f):
+    op = getattr(oscillator_rep(2, 6), name)
+    for t in (1.0, 4.0, 32.0):
+        got = matrix_function(scale(f, t), op).mat
+        want = _dense_matrix_function(scale(f, t), op.mat, op.parity, op.op_parity)
+        assert np.abs(got - want).max() <= 1e-13, t
+
+
 def test_scale_composes_with_functional_calculus():
     rng = np.random.default_rng(3)
     t = _random_symmetric(rng, 6)

@@ -39,6 +39,33 @@ def random_homogeneous(rng, parity, op_parity):
     return GradedMatrix(rng.standard_normal((dim, dim)) * mask, parity)
 
 
+def parity_vector(rng, dim, kind):
+    """Random (interleaved) parities, or all even, or all odd."""
+    if kind == "random":
+        return random_parity(rng, dim)
+    return np.full(dim, kind == "odd", dtype=np.uint8)
+
+
+def random_graded(rng, parity, degree):
+    """Homogeneous of the given degree, or dense (mixed) when degree is None."""
+    if degree is None:
+        return GradedMatrix(rng.standard_normal((len(parity),) * 2), parity)
+    return random_homogeneous(rng, parity, degree)
+
+
+def dense_graded_commutator(a, b):
+    """Reference: split both factors with full-size masks, sum the dense products."""
+    mix = a.parity[:, None] ^ a.parity[None, :]
+    out = np.zeros_like(a.mat)
+    for pa in (0, 1):
+        ap = np.where(mix == pa, a.mat, 0.0)
+        for pb in (0, 1):
+            bp = np.where(mix == pb, b.mat, 0.0)
+            sign = -1.0 if (pa and pb) else 1.0
+            out += ap @ bp - sign * (bp @ ap)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # parity bookkeeping
 # ---------------------------------------------------------------------------
@@ -189,6 +216,26 @@ def test_graded_commutator_bilinear_on_mixed_inputs():
         for y in (b0, b1)
     )
     assert np.allclose(whole, parts)
+
+
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(1, 12),
+       kind=st.sampled_from(["random", "even", "odd"]),
+       deg_a=st.sampled_from([0, 1, None]), deg_b=st.sampled_from([0, 1, None]))
+@settings(max_examples=80, deadline=None)
+def test_graded_commutator_matches_dense_formula(seed, dim, kind, deg_a, deg_b):
+    rng = np.random.default_rng(seed)
+    par = parity_vector(rng, dim, kind)
+    a, b = random_graded(rng, par, deg_a), random_graded(rng, par, deg_b)
+    got = graded_commutator(a, b)
+    if deg_a is None or deg_b is None:
+        want = dense_graded_commutator(a, b)
+    else:
+        sign = (-1.0) ** (deg_a * deg_b)
+        want = a.mat @ b.mat - sign * (b.mat @ a.mat)
+    # componentwise bound on the rounding of both products
+    scale = (np.abs(a.mat) @ np.abs(b.mat) + np.abs(b.mat) @ np.abs(a.mat)).max()
+    assert np.abs(got.mat - want).max() <= 1e-13 * scale
+    assert np.array_equal(got.parity, par)
 
 
 # ---------------------------------------------------------------------------

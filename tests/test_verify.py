@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bottlab import verify
 from bottlab.clifford import MultiVector, Signature, mv_multiply, regular_representation
@@ -54,6 +55,27 @@ def test_windowed_norm_matches_manual_restriction():
     manual = np.linalg.norm(m[np.ix_(mask, mask)], 2)
     assert windowed_norm(m, rep) == manual
     assert windowed_norm(rep.bott @ rep.bott, rep) == manual
+
+
+@given(seed=st.integers(0, 2**31 - 1), config=st.sampled_from([(1, 6), (2, 8)]),
+       depth=st.sampled_from([0, 2, "level"]),
+       degree=st.sampled_from([0, 1, "mixed", "mixed outside the window"]),
+       graded=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_windowed_norm_matches_dense_window_norm(seed, config, depth, degree, graded):
+    rep = oscillator_rep(*config)
+    depth = rep.basis.level if depth == "level" else depth
+    rng = np.random.default_rng(seed)
+    par = rep.basis.parity()
+    mask = rep.basis.interior_mask(depth)
+    m = rng.standard_normal((rep.basis.size, rep.basis.size))
+    if degree in (0, 1):
+        m *= (par[:, None] ^ par[None, :]) == degree
+    elif degree == "mixed outside the window":
+        m *= ((par[:, None] ^ par[None, :]) == 1) | ~np.outer(mask, mask)
+    want = np.linalg.norm(m[np.ix_(mask, mask)], 2)
+    got = windowed_norm(GradedMatrix(m, par) if graded else m, rep, depth)
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_decay_fit_recovers_power_law():
