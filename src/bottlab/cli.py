@@ -64,10 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> SweepConfig:
-    if args.dim < 1:
-        raise ValueError("dim must be >= 1")
-    if args.levels < 4:
-        raise ValueError("levels must be >= 4")
     if args.t_min < 1.0:
         raise ValueError("t-min must be >= 1")
     if args.t_max <= args.t_min:
@@ -120,12 +116,9 @@ def run(command: str, args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if workers == 1:
-        reports = {sid: run_suite(sid, cfg) for sid in suite_ids}
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {sid: pool.submit(run_suite, sid, cfg) for sid in suite_ids}
-            reports = {sid: fut.result() for sid, fut in futures.items()}
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {sid: pool.submit(run_suite, sid, cfg) for sid in suite_ids}
+        reports = {sid: fut.result() for sid, fut in futures.items()}
 
     os.makedirs(args.out, exist_ok=True)
     outputs = {}

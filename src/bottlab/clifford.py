@@ -282,15 +282,6 @@ def regular_representation(sig: Signature) -> list[np.ndarray]:
     return [left_mult_operator(MultiVector.generator(sig, i)) for i in range(1, sig.n + 1)]
 
 
-def spanned_matrix_dimension(sig: Signature) -> int:
-    """Rank of the span of all blade images in the regular representation."""
-    dim = sig.blade_count
-    mats = np.empty((dim, dim * dim))
-    for m in range(dim):
-        mats[m] = left_mult_operator(MultiVector.blade(sig, m)).ravel()
-    return int(np.linalg.matrix_rank(mats))
-
-
 def blade_square_sign(mask: int, sig: Signature) -> int:
     """Sign of (blade)^2: (-1)^{k(k-1)/2} times the product of generator squares."""
     k = blade_grade(mask)

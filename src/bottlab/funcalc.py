@@ -86,14 +86,6 @@ def scale(f: GradedFunction, t: float) -> GradedFunction:
     return GradedFunction(lambda x: fn(x / t), f.parity, f"{f.name}@t={t:g}")
 
 
-def _check_symmetric(m: np.ndarray, sym_tol: float) -> float:
-    """Raise unless m is symmetric; return the scale its tolerances refer to."""
-    scale_ref = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > sym_tol * scale_ref:
-        raise ValueError("matrix functional calculus requires a symmetric matrix")
-    return scale_ref
-
-
 def spectral_apply(q: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Q diag(values) Q^T: the functional-calculus kernel on an eigenbasis Q."""
     return (q * values) @ q.T
@@ -108,10 +100,12 @@ class SpectralMatrix(GradedMatrix):
     one eigensolve and one result.  Every array it holds is read-only.
     """
 
-    def __init__(self, mat, parity, sym_tol: float = 1e-10):
+    def __init__(self, mat, parity):
         super().__init__(np.array(mat, dtype=float), np.array(parity, dtype=np.uint8))
-        scale_ref = _check_symmetric(self.mat, sym_tol)
-        self.op_parity = self.operator_parity(tol=sym_tol * scale_ref)
+        scale_ref = max(1.0, float(np.abs(self.mat).max()))
+        if np.abs(self.mat - self.mat.T).max() > 1e-10 * scale_ref:
+            raise ValueError("matrix functional calculus requires a symmetric matrix")
+        self.op_parity = self.operator_parity(tol=1e-10 * scale_ref)
         self.mat.flags.writeable = False
         self.parity.flags.writeable = False
         self._lock = threading.Lock()
@@ -129,28 +123,22 @@ class SpectralMatrix(GradedMatrix):
         return self._eig
 
 
-def matrix_function(f: GradedFunction, a, sym_tol: float = 1e-10):
-    """Apply f to a symmetric matrix through its eigendecomposition.
+def matrix_function(f: GradedFunction, a: GradedMatrix) -> GradedMatrix:
+    """Apply f to a symmetric graded matrix through its eigendecomposition.
 
-    Accepts a plain ndarray, a GradedMatrix, or a SpectralMatrix, whose
-    cached eigensystem and construction-time checks are reused (``sym_tol``
-    does not apply to it).  When the input has definite operator parity and
-    f has definite parity, the result's parity is forced exactly: an odd
-    matrix maps to an operator of f's parity d, an even matrix always to an
-    even one.  Only the two allowed parity blocks ``(r, r ^ d)`` of
-    ``Q f(w) Q^T`` are computed; the forbidden ones, which would hold only
-    the eigensolver's rounding noise, are exact zeros.
+    A :class:`SpectralMatrix` reuses its cached eigensystem and its
+    construction-time checks; any other graded matrix is wrapped in one
+    first.  When the input has definite operator parity and f has definite
+    parity, the result's parity is forced exactly: an odd matrix maps to an
+    operator of f's parity d, an even matrix always to an even one.  Only
+    the two allowed parity blocks ``(r, r ^ d)`` of ``Q f(w) Q^T`` are
+    computed; the forbidden ones, which would hold only the eigensolver's
+    rounding noise, are exact zeros.
     """
-    if isinstance(a, SpectralMatrix):
-        w, q = a.eig
-        pa = a.op_parity
-    else:
-        m = a.mat if isinstance(a, GradedMatrix) else np.asarray(a, dtype=float)
-        scale_ref = _check_symmetric(m, sym_tol)
-        w, q = np.linalg.eigh(m)
-        if not isinstance(a, GradedMatrix):
-            return spectral_apply(q, f(w))
-        pa = a.operator_parity(tol=sym_tol * scale_ref)
+    if not isinstance(a, SpectralMatrix):
+        a = SpectralMatrix(a.mat, a.parity)
+    w, q = a.eig
+    pa = a.op_parity
     if pa is None or f.parity is None:
         return GradedMatrix(spectral_apply(q, f(w)), a.parity)
     d = f.parity if pa == 1 else 0

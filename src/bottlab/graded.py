@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import MultiVector, Signature, blade_parities, mv_multiply
+from .clifford import MultiVector, Signature, blade_parities
 
 
 @dataclass
@@ -97,11 +97,6 @@ def grading_signs(parity: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(parity, dtype=float)
 
 
-def grading_operator(g: GradedMatrix) -> GradedMatrix:
-    """The diagonal matrix acting by (-1)^deg on the basis."""
-    return GradedMatrix(np.diag(grading_signs(g.parity)), g.parity)
-
-
 def tensor_parity(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Parity vector of the tensor product space, a-major ordering."""
     return (np.asarray(pa, dtype=np.uint8)[:, None] ^ np.asarray(pb, dtype=np.uint8)[None, :]).ravel()
@@ -121,11 +116,6 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
                          "split it with even_part()/odd_part() first")
     left = a.mat * grading_signs(a.parity)[None, :] if pb else a.mat
     return GradedMatrix(np.kron(left, b.mat), tensor_parity(a.parity, b.parity))
-
-
-def graded_tensor_mixed(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """Graded tensor with an arbitrary second factor, by parity decomposition."""
-    return graded_tensor(a, b.even_part()) + graded_tensor(a, b.odd_part())
 
 
 def parity_index(parity) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +212,7 @@ def iota(m: MultiVector) -> MultiVector:
     return MultiVector(m.sig, m.coeffs * signs)
 
 
-def tensor_product_witness(sig1: Signature, sig2: Signature, tol: float = 1e-10):
+def tensor_product_witness(sig1: Signature, sig2: Signature):
     """Realize the joined algebra inside the graded tensor of two regular reps.
 
     The generator images are ``e_i (x) 1`` from the first factor and

@@ -262,10 +262,6 @@ def dirac_operator(basis: HermiteBasis) -> GradedMatrix:
     return GradedMatrix(out, basis.parity())
 
 
-def bott_operator(basis: HermiteBasis) -> GradedMatrix:
-    return clifford_operator(basis) + dirac_operator(basis)
-
-
 def blade_number_operator(basis: HermiteBasis) -> GradedMatrix:
     """N = 1 (x) sum_i rho~(e_i) lambda(e_i); diagonal, eigenvalue 2d - n."""
     n_blades = number_operator(basis.sig)
@@ -333,9 +329,6 @@ class SpectrumResult:
     clusters: list[tuple[float, int]]
     window: float
     kernel_overlap: float | None = None
-
-    def cluster_dict(self) -> dict[float, int]:
-        return dict(self.clusters)
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
@@ -436,18 +429,6 @@ class CliffFunction:
         return float(np.linalg.norm(self(pts), axis=1).max())
 
 
-def cliff_scalar(fn: Callable[[np.ndarray], np.ndarray], dim: int, name: str,
-                 parity: int | None = 0) -> CliffFunction:
-    """Scalar-blade-valued function from a map (m, dim) -> (m,)."""
-
-    def coeffs(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((pts.shape[0], 1 << dim))
-        out[:, 0] = fn(pts)
-        return out
-
-    return CliffFunction(dim, coeffs, name, parity)
-
-
 def rescale(h: CliffFunction, t: float) -> CliffFunction:
     """Flattened function v -> h(v / t); defined for t >= 1."""
     if not t >= 1:
@@ -510,10 +491,6 @@ class CompactnessProfile:
         """Index of the first singular value below tol (len if none is)."""
         below = np.nonzero(self.singular_values < self.tol)[0]
         return int(below[0]) if len(below) else len(self.singular_values)
-
-    @property
-    def decayed(self) -> bool:
-        return bool(self.singular_values[-1] < self.tol)
 
 
 def compactness_profile(f: GradedFunction, h: CliffFunction, rep: OscillatorRep,

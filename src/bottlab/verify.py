@@ -5,7 +5,8 @@ decay of the asymptotic morphism, the Mehler factorization of the harmonic
 semigroup, the composition/homotopy behaviour of the supercharge calculus,
 and the algebraic endpoint identities.  A suite produces a
 :class:`VerificationReport` with a datapoint curve, an optional fitted decay
-exponent, and explicit pass criteria.
+exponent, and a verdict: the suite declares each pass criterion as a
+:class:`Gate`, passes when every gate does, and notes each gate's outcome.
 
 Truncation policy: operator-norm claims are evaluated on interior windows
 (total Hermite level bounded away from the cut) because the truncated
@@ -16,7 +17,7 @@ level; see the notes emitted by the affected suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ from .graded import (
     involution,
     iota,
     parity_blocks,
+    tensor_product_witness,
 )
 from .oscillator import (
     CliffFunction,
@@ -147,6 +149,46 @@ class VerificationReport:
         return rows
 
 
+@dataclass(frozen=True)
+class Gate:
+    """One pass criterion of a suite.
+
+    With a bound the gate passes when ``value <= bound``; a sequence value
+    passes when every entry does, so a NaN entry fails it.  Without a bound
+    ``value`` is the outcome of a check that has no single margin.
+    """
+
+    name: str
+    value: float | bool | Sequence[float]
+    bound: float | None = None
+
+    @property
+    def ok(self) -> bool:
+        if self.bound is None:
+            return bool(self.value)
+        return all(v <= self.bound for v in np.atleast_1d(self.value))
+
+    def note(self) -> str:
+        verdict = "ok" if self.ok else "FAIL"
+        if self.bound is None:
+            return f"gate {self.name}: {verdict}"
+        worst = float(np.max(self.value, initial=-np.inf))
+        return f"gate {self.name}: {worst:.3e} <= {self.bound:.3e} {verdict}"
+
+
+def _envelope(curves: dict) -> list:
+    """Pointwise maximum over the curves."""
+    return [max(vals) for vals in zip(*curves.values())]
+
+
+def _report(suite: str, params: dict, xs: Sequence[float], curves: dict, tol: float,
+            gates: list, notes: Sequence[str] = (), fit: tuple | None = None) -> VerificationReport:
+    """The report of a suite: envelope datapoints, and a verdict and a note per gate."""
+    return VerificationReport(suite, params, list(zip(xs, _envelope(curves))), curves, fit,
+                              all(g.ok for g in gates), tol,
+                              [*notes, *(g.note() for g in gates)])
+
+
 # ---------------------------------------------------------------------------
 # numerical helpers
 
@@ -185,18 +227,14 @@ def _crosscheck_picks(count: int) -> list[int]:
     return sorted({0, count // 2, count - 1}) if count else []
 
 
-def _crosscheck_norms(samples: list) -> tuple[bool, str]:
+def _crosscheck_gate(samples: list) -> Gate:
     """SVD norm vs power iteration on up to 3 sampled matrices."""
-    if not samples:
-        return True, "norm cross-check: no samples"
     picks = [samples[i] for i in _crosscheck_picks(len(samples))]
     worst = 0.0
     for m in picks:
         a = operator_norm(m)
-        b = power_iteration_norm(m)
-        worst = max(worst, abs(a - b) / max(1.0, a))
-    ok = worst <= 1e-8
-    return ok, f"norm cross-check (svd vs power iteration, {len(picks)} samples): max deviation {worst:.2e}"
+        worst = max(worst, abs(a - power_iteration_norm(m)) / max(1.0, a))
+    return Gate(f"norm cross-check (svd vs power iteration, {len(picks)} samples)", worst, 1e-8)
 
 
 def windowed_norm(mat, rep: OscillatorRep, depth: int = 2) -> float:
@@ -336,43 +374,34 @@ def suite_spectrum(cfg: SweepConfig) -> VerificationReport:
     rep = oscillator_rep(cfg.dim, cfg.level)
     tol = cfg.tol if cfg.tol is not None else 1e-8
     sp = spectrum(rep)
-    b2 = b_squared_identity_check(rep)
 
-    datapoints = []
     deviations = []
     for val, mult in sp.clusters:
         half = round(val / 2.0)
         dev = abs(val - 2.0 * half) + abs(mult - level_multiplicity(cfg.dim, int(half)))
-        datapoints.append((float(val), float(dev)))
         deviations.append(float(dev))
 
-    zero_ok = bool(sp.clusters and sp.clusters[0] == (0.0, 1))
-    overlap_ok = sp.kernel_overlap is not None and sp.kernel_overlap >= 1.0 - 1e-10
-    passed = (
-        all(d <= tol for d in deviations)
-        and zero_ok
-        and overlap_ok
-        and b2 <= 1e-12
-    )
+    overlap = sp.kernel_overlap
+    gates = [
+        Gate("cluster deviation from the even-integer ladder", deviations, tol),
+        Gate("lowest cluster is a simple zero", sp.clusters and sp.clusters[0] == (0.0, 1)),
+        Gate("kernel overlap >= 1 - 1e-10", overlap is not None and overlap >= 1.0 - 1e-10),
+        Gate("squared-supercharge identity residual on interior",
+             b_squared_identity_check(rep), 1e-12),
+    ]
     cluster_str = ", ".join(f"{v:g}:{m}" for v, m in sp.clusters)
     notes = [
         f"clusters (eigenvalue:multiplicity): {cluster_str}",
-        f"kernel eigenvector overlap with Gaussian ground state: {sp.kernel_overlap:.12f}",
-        f"squared-supercharge identity residual on interior: {b2:.3e}",
+        f"kernel eigenvector overlap with Gaussian ground state: {overlap:.12f}",
         f"eigenvalues reported up to the truncation level {cfg.level}",
     ]
-    return VerificationReport(
-        "spectrum", cfg.params_dict(), datapoints,
-        {"cluster-deviation": deviations}, None, passed, tol, notes,
-    )
+    return _report("spectrum", cfg.params_dict(), [float(v) for v, _ in sp.clusters],
+                   {"cluster-deviation": deviations}, tol, gates, notes)
 
 
 def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
     """Generator relations at low rank plus two explicit embedding witnesses."""
-    from .graded import tensor_product_witness
-
     tol = cfg.tol if cfg.tol is not None else 1e-10
-    datapoints = []
     values = []
     for n in range(1, 6):
         worst = 0.0
@@ -384,28 +413,20 @@ def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
                 for j, gj in enumerate(gens):
                     target = 2.0 * sig.square_sign(i + 1) * eye if i == j else 0.0
                     worst = max(worst, float(np.abs(gi @ gj + gj @ gi - target).max()))
-        datapoints.append((float(n), worst))
         values.append(worst)
 
     wit = algebra_isomorphism_check(Signature(8, 0), Signature(4, 4))
-    gens2, worst2, span2 = tensor_product_witness(Signature(1, 0), Signature(1, 0))
-
-    passed = (
-        all(v <= tol for v in values)
-        and wit.found and wit.max_residual <= tol
-        and worst2 <= tol and span2 == 4
-    )
-    notes = [
-        f"relations exact for all signatures with rank <= 5 (max residual {max(values):.1e})",
-        f"rank-8 Euclidean algebra inside signature (4,4): found={wit.found}, "
-        f"residual {wit.max_residual:.1e}, images {wit.image_labels()}",
-        f"graded tensor square of rank-1 algebras realizes rank 2: residual {worst2:.1e}, "
-        f"spanned dimension {span2}",
+    _, worst2, span2 = tensor_product_witness(Signature(1, 0), Signature(1, 0))
+    gates = [
+        Gate("relation residual for every signature of rank <= 5", values, tol),
+        Gate("rank-8 Euclidean algebra found inside signature (4,4)", wit.found),
+        Gate("rank-8 embedding residual", wit.max_residual, tol),
+        Gate("graded tensor square of rank-1 algebras: relation residual", worst2, tol),
+        Gate(f"graded tensor square spans rank 2 (dimension {span2} == 4)", span2 == 4),
     ]
-    return VerificationReport(
-        "clifford-iso", cfg.params_dict(), datapoints,
-        {"relation-residual": values}, None, passed, tol, notes,
-    )
+    notes = [f"rank-8 embedding images {wit.image_labels()}"]
+    return _report("clifford-iso", cfg.params_dict(), [float(n) for n in range(1, 6)],
+                   {"relation-residual": values}, tol, gates, notes)
 
 
 def _commutator_suite(cfg: SweepConfig, suite_id: str, use_cd: bool) -> VerificationReport:
@@ -446,36 +467,21 @@ def _commutator_suite(cfg: SweepConfig, suite_id: str, use_cd: bool) -> Verifica
                     record(f"[{a}(D/t),M_{h.name}]", t, graded_commutator(fd[a], mh))
     samples = [picked[end] for end in ends if end in picked]
 
-    ts = list(cfg.t_grid)
-    envelope = [max(c[i] for c in curves.values()) for i in range(len(ts))]
-    datapoints = list(zip(ts, envelope))
+    ts = cfg.t_grid
+    envelope = _envelope(curves)
     fit = decay_fit(ts, envelope)
     tol_abs = rel * envelope[0]
-
-    ratio_notes = []
-    per_curve_ok = True
-    for name in sorted(curves):
-        c = curves[name]
-        ratio = c[-1] / c[0] if c[0] > 0 else 0.0
-        ok = ratio <= rel and monotone_after(ts, c)
-        per_curve_ok = per_curve_ok and ok
-        ratio_notes.append(f"{name}: final/initial = {ratio:.3e}")
-
-    cross_ok, cross_note = _crosscheck_norms(samples)
-    passed = (
-        per_curve_ok
-        and envelope[-1] <= tol_abs
-        and monotone_after(ts, envelope)
-        and fit is not None and fit[0] < 0
-        and cross_ok
-    )
-    notes = [
-        f"pass threshold: final <= {rel:g} x initial per curve, norms on interior window",
-        *ratio_notes,
-        cross_note,
+    gates = [
+        *(Gate(f"{name} final/initial", c[-1] / c[0] if c[0] > 0 else 0.0, rel)
+          for name, c in sorted(curves.items())),
+        Gate("every curve non-increasing after t=2", all(monotone_after(ts, c) for c in curves.values())),
+        Gate("envelope final", envelope[-1], tol_abs),
+        Gate("envelope non-increasing after t=2", monotone_after(ts, envelope)),
+        Gate("decay exponent < 0", fit is not None and fit[0] < 0),
+        _crosscheck_gate(samples),
     ]
-    return VerificationReport(suite_id, cfg.params_dict(), datapoints, curves,
-                              fit, passed, tol_abs, notes)
+    return _report(suite_id, cfg.params_dict(), ts, curves, tol_abs, gates,
+                   ["norms on interior window"], fit)
 
 
 def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
@@ -534,24 +540,21 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
         curves["d-outside"].append(windowed_norm(direct - route_d, rep, depth))
         samples.append(direct - route_c)
 
-    envelope = [max(curves["c-outside"][i], curves["d-outside"][i]) for i in range(len(s_values))]
-    datapoints = list(zip(s_values, envelope))
-    cross_ok, cross_note = _crosscheck_norms(samples)
+    envelope = _envelope(curves)
     # datapoints are ordered s descending: values must fall in stored order
-    passed = (
-        all(v <= tol for v in envelope)
-        and monotone_after(range(len(envelope)), envelope, start=0.0)
-        and cross_ok
-    )
+    gates = [
+        Gate("factorization residual at every s", envelope, tol),
+        Gate("residual non-increasing as s falls",
+             monotone_after(range(len(envelope)), envelope, start=0.0)),
+        _crosscheck_gate(samples),
+    ]
     s1_top, s2_top = mehler_coefficients(s_values[0])
     notes = [
         f"observation window: total level <= {window_cap}; residual is truncation-limited",
         f"coefficients at s={s_values[0]:g}: s1={s1_top:.12f}, s2={s2_top:.12f}",
         "datapoints ordered by decreasing s; both sides tend to the identity as s -> 0",
-        cross_note,
     ]
-    return VerificationReport("mehler", cfg.params_dict(), datapoints, curves,
-                              None, passed, tol, notes)
+    return _report("mehler", cfg.params_dict(), s_values, curves, tol, gates, notes)
 
 
 def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
@@ -580,28 +583,19 @@ def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
             curves[f"{xname}:{cname}"] = plain
             curves[f"{xname}:{cname}:weighted"] = weighted
 
-    ts = list(cfg.t_grid)
-    envelope = [max(c[i] for c in curves.values()) for i in range(len(ts))]
-    datapoints = list(zip(ts, envelope))
-    fit = decay_fit(ts, envelope)
-    cross_ok, cross_note = _crosscheck_norms(samples)
-
+    ts = cfg.t_grid
+    envelope = _envelope(curves)
     # scalar sanity: the coefficient defect shrinks like t^-6
     t_ref = ts[-1]
-    s1_defect = abs(mehler_coefficients(t_ref ** -2)[0] - t_ref ** -2)
-    passed = (
-        all(c[-1] <= tol for c in curves.values())
-        and monotone_after(ts, envelope)
-        and cross_ok
-        and s1_defect <= t_ref ** -6
-    )
-    notes = [
-        f"coefficient defect at t={t_ref:g}: |s1 - t^-2| = {s1_defect:.3e} (<= t^-6 = {t_ref ** -6:.3e})",
-        "t=1 datapoint recorded without any claim",
-        cross_note,
+    gates = [
+        Gate("final value of every curve", [c[-1] for c in curves.values()], tol),
+        Gate("envelope non-increasing after t=2", monotone_after(ts, envelope)),
+        _crosscheck_gate(samples),
+        Gate(f"coefficient defect |s1 - t^-2| at t={t_ref:g} (bound t^-6)",
+             abs(mehler_coefficients(t_ref ** -2)[0] - t_ref ** -2), t_ref ** -6),
     ]
-    return VerificationReport("s1s2-asymptotics", cfg.params_dict(), datapoints,
-                              curves, fit, passed, tol, notes)
+    return _report("s1s2-asymptotics", cfg.params_dict(), ts, curves, tol, gates,
+                   ["t=1 datapoint recorded without any claim"], decay_fit(ts, envelope))
 
 
 def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
@@ -634,11 +628,9 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
         if t in (cfg.t_grid[0], cfg.t_grid[-1]):
             samples.append(ub - prod)
 
-    ts = list(cfg.t_grid)
-    envelope = [max(curves["gamma-u"][i], curves["gamma-v"][i]) for i in range(len(ts))]
-    datapoints = list(zip(ts, envelope))
+    ts = cfg.t_grid
+    envelope = _envelope(curves)
     fit = decay_fit(ts, envelope)
-    tol_abs = rel * envelope[0]
 
     # multiplication operator vs position functional calculus, matched nodes
     hu = bott_map(u, cfg.dim)
@@ -649,26 +641,22 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
     m_conv_full = float(np.linalg.norm(m_conv.mat - uc1.mat, 2))
     m_conv_win = windowed_norm(m_conv.mat - uc1.mat, rep)
 
-    ratios = {k: (c[-1] / c[0] if c[0] > 0 else 0.0) for k, c in curves.items()}
-    cross_ok, cross_note = _crosscheck_norms(samples)
-    passed = (
-        all(r <= rel for r in ratios.values())
-        and all(monotone_after(ts, c) for c in curves.values())
-        and fit is not None and fit[0] < 0
-        and m_identity <= 1e-6
-        and cross_ok
-    )
+    gates = [
+        *(Gate(f"{name} final/initial", c[-1] / c[0] if c[0] > 0 else 0.0, rel)
+          for name, c in sorted(curves.items())),
+        Gate("every curve non-increasing after t=2", all(monotone_after(ts, c) for c in curves.values())),
+        Gate("decay exponent < 0", fit is not None and fit[0] < 0),
+        Gate(f"multiplication = position calculus ({cfg.level + 1} nodes)", m_identity, 1e-6),
+        _crosscheck_gate(samples),
+    ]
     notes = [
-        f"final/initial ratios: gamma-u {ratios['gamma-u']:.3e}, gamma-v {ratios['gamma-v']:.3e}",
-        f"multiplication vs position calculus (matched {cfg.level + 1} nodes): {m_identity:.3e}",
         f"same comparison with converged quadrature: {m_conv_full:.3e} full, "
         f"{m_conv_win:.3e} on interior window (difference concentrates at the cut)",
         f"largest-t norms: lhs {operator_norm(ub):.6f} "
         "(tends to the kernel-projection-dominated limit)",
-        cross_note,
     ]
-    return VerificationReport("composition-gamma", cfg.params_dict(), datapoints,
-                              curves, fit, passed, tol_abs, notes)
+    return _report("composition-gamma", cfg.params_dict(), ts, curves, rel * envelope[0],
+                   gates, notes, fit)
 
 
 def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
@@ -697,32 +685,23 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
         curves["v-to-zero"].append(windowed_norm(vb, rep))
         samples.append(ub - p)
 
-    ss = list(cfg.s_grid)
-    envelope = [max(curves["u-to-projection"][i], curves["v-to-zero"][i]) for i in range(len(ss))]
-    datapoints = list(zip(ss, envelope))
-
+    ss = cfg.s_grid
+    envelope = _envelope(curves)
     # exact endpoint identities on the full space, at the last (smallest) s
-    kernel_fixed = float(np.linalg.norm(ub @ g_vec - g_vec))
-    v_kills_kernel = float(np.linalg.norm(vb @ g_vec))
-
-    cross_ok, cross_note = _crosscheck_norms(samples)
-    passed = (
-        envelope[-1] <= tol
-        and monotone_after(range(len(envelope)), envelope, start=0.0)
-        and kernel_fixed <= 1e-12
-        and v_kills_kernel <= 1e-12
-        and cross_ok
-    )
+    gates = [
+        Gate("envelope at the smallest s", envelope[-1], tol),
+        Gate("envelope non-increasing as s falls",
+             monotone_after(range(len(envelope)), envelope, start=0.0)),
+        Gate("kernel vector fixed by u(s^-1 B)", float(np.linalg.norm(ub @ g_vec - g_vec)), 1e-12),
+        Gate("odd generator annihilates the kernel vector", float(np.linalg.norm(vb @ g_vec)), 1e-12),
+        _crosscheck_gate(samples),
+    ]
     gap_val = math.exp(-2.0 / (ss[-1] ** 2)) if 2.0 / ss[-1] ** 2 < 700 else 0.0
     notes = [
         "norms on interior window; datapoints ordered by decreasing s",
-        f"kernel vector fixed by u(s^-1 B): deviation {kernel_fixed:.3e}",
-        f"odd generator annihilates the kernel vector: {v_kills_kernel:.3e}",
         f"spectral-gap prediction exp(-2/s^2) at s={ss[-1]:g}: {gap_val:.3e}",
-        cross_note,
     ]
-    return VerificationReport("homotopy-projection", cfg.params_dict(), datapoints,
-                              curves, None, passed, tol, notes)
+    return _report("homotopy-projection", cfg.params_dict(), ss, curves, tol, gates, notes)
 
 
 def suite_delta_xr(cfg: SweepConfig) -> VerificationReport:
@@ -733,30 +712,27 @@ def suite_delta_xr(cfg: SweepConfig) -> VerificationReport:
     monotonicity requirement only applies above the noise floor.
     """
     tol = cfg.tol if cfg.tol is not None else 1e-8
-    levels = DELTA_LEVELS
+    levels = [float(lev) for lev in DELTA_LEVELS]
     curves = {"u": [], "v": []}
     radii = []
-    for lev in levels:
+    for lev in DELTA_LEVELS:
         cu = delta_via_xr_check(lev, "u")
         cv = delta_via_xr_check(lev, "v")
         curves["u"].append(cu.residual)
         curves["v"].append(cv.residual)
         radii.append(cu.effective_radius)
 
-    envelope = [max(curves["u"][i], curves["v"][i]) for i in range(len(levels))]
-    datapoints = [(float(l), envelope[i]) for i, l in enumerate(levels)]
-    passed = (
-        all(r <= 1e-10 for r in curves["u"])
-        and all(r <= 1e-8 for r in curves["v"])
-        and monotone_after([float(l) for l in levels], envelope, start=0.0)
-    )
-    notes = [
-        f"truncation levels {list(levels)}; effective radii {[round(r, 3) for r in radii]}",
-        "even-generator residual gated at 1e-10 (full norm), odd at 1e-8 (interior)",
-        f"residuals are at rounding noise; monotonicity enforced above {NOISE_FLOOR:g} only",
+    gates = [
+        Gate("even-generator residual (full norm)", curves["u"], 1e-10),
+        Gate("odd-generator residual (interior)", curves["v"], 1e-8),
+        Gate(f"envelope non-increasing above {NOISE_FLOOR:g}",
+             monotone_after(levels, _envelope(curves), start=0.0)),
     ]
-    return VerificationReport("delta-xr", cfg.params_dict(), datapoints, curves,
-                              None, passed, tol, notes)
+    notes = [
+        f"truncation levels {list(DELTA_LEVELS)}; effective radii {[round(r, 3) for r in radii]}",
+        "residuals are at rounding noise",
+    ]
+    return _report("delta-xr", cfg.params_dict(), levels, curves, tol, gates, notes)
 
 
 def suite_compactness(cfg: SweepConfig) -> VerificationReport:
@@ -774,18 +750,29 @@ def suite_compactness(cfg: SweepConfig) -> VerificationReport:
         tails[h.name] = prof.tail_start
 
     count = len(next(iter(curves.values())))
-    envelope = [max(c[i] for c in curves.values()) for i in range(count)]
-    datapoints = [(float(i), envelope[i]) for i in range(count)]
-    passed = all(c[-1] <= tol for c in curves.values()) and all(
-        t < count for t in tails.values()
-    )
+    gates = [
+        Gate("smallest singular value of every symbol", [c[-1] for c in curves.values()], tol),
+        Gate(f"every symbol has a singular value below {tol:g}", all(t < count for t in tails.values())),
+    ]
     notes = [
         f"first singular value below {tol:g}, per symbol: "
         + ", ".join(f"{k}: {v}/{count}" for k, v in sorted(tails.items())),
         "singular values sorted descending; finite-rank shadow of compactness",
     ]
-    return VerificationReport("compactness", cfg.params_dict(), datapoints, curves,
-                              None, passed, tol, notes)
+    return _report("compactness", cfg.params_dict(), [float(i) for i in range(count)],
+                   curves, tol, gates, notes)
+
+
+def _conjugator(u: np.ndarray):
+    """x -> u @ x @ u.T for a signed permutation matrix u, by indexing.
+
+    Each entry of the product is one entry of x times two signs, so the
+    result equals the matrix product exactly.
+    """
+    perm = np.abs(u).argmax(axis=1)
+    sign = u[np.arange(len(perm)), perm]
+    signs, ix = sign[:, None] * sign[None, :], np.ix_(perm, perm)
+    return lambda x: signs * x[ix]
 
 
 def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
@@ -810,6 +797,7 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
 
     par = rep.basis.parity()
     swap = flip_unitary(par, par)
+    conj = _conjugator(swap)
     uc = matrix_function(u, rep.clifford)
     vc = matrix_function(v, rep.clifford)
     sub = SweepConfig(dim=1, level=level, t_grid=cfg.t_grid, h_choices=cfg.h_choices)
@@ -817,10 +805,11 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
 
     def flip_route_residual(a: GradedMatrix, b: GradedMatrix) -> float:
         direct = flip_simple(a, b).mat
-        routed = swap @ graded_tensor(a, b).mat @ swap.T
+        routed = conj(graded_tensor(a, b).mat)
         return float(np.abs(direct - routed).max())
 
-    gam = np.kron(np.eye(rep.basis.size), np.diag(grading_signs(par)))
+    # the grading operator on the tensor square, as the diagonal of its matrix
+    gam = np.tile(grading_signs(par), rep.basis.size)
     curves: dict[str, list[float]] = {h.name: [] for h in hs}
     for t in cfg.t_grid:
         ud = matrix_function(scale(u, t), rep.dirac)
@@ -835,12 +824,8 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
                     worst = max(worst, flip_route_residual(left, right))
             # the grading automorphism is invisible on the even second leg
             f_mat = graded_tensor(a_even, uc).mat
-            worst = max(worst, float(np.abs(gam @ f_mat @ gam - f_mat).max()))
+            worst = max(worst, float(np.abs(gam[:, None] * f_mat * gam[None, :] - f_mat).max()))
             curves[h.name].append(worst)
-
-    ts = list(cfg.t_grid)
-    envelope = [max(c[i] for c in curves.values()) for i in range(len(ts))]
-    datapoints = list(zip(ts, envelope))
 
     # l o l = id as signed permutations
     ll = float(np.abs(swap.T @ swap - np.eye(swap.shape[0])).max())
@@ -854,12 +839,12 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
                 for y2 in (uc, vc):
                     t1 = graded_tensor(x1, y1)
                     t2 = graded_tensor(x2, y2)
-                    lhs = swap @ (t1 @ t2).mat @ swap.T
-                    rhs = (swap @ t1.mat @ swap.T) @ (swap @ t2.mat @ swap.T)
+                    lhs = conj((t1 @ t2).mat)
+                    rhs = conj(t1.mat) @ conj(t2.mat)
                     mult_worst = max(mult_worst, float(np.abs(lhs - rhs).max()))
             z = graded_tensor(x1, y1)
-            lhs = involution(GradedMatrix(swap @ z.mat @ swap.T, z.parity)).mat
-            rhs = swap @ involution(z).mat @ swap.T
+            lhs = involution(GradedMatrix(conj(z.mat), z.parity)).mat
+            rhs = conj(involution(z).mat)
             inv_worst = max(inv_worst, float(np.abs(lhs - rhs).max()))
 
     # grading automorphism is multiplicative: oracle = direct Clifford products
@@ -875,23 +860,15 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
             back = iota(iota(m1))
             iota_worst = max(iota_worst, (back - m1).norm())
 
-    passed = (
-        all(val <= tol for c in curves.values() for val in c)
-        and ll <= 1e-14
-        and mult_worst <= tol
-        and inv_worst <= tol
-        and iota_worst <= tol
-    )
-    notes += [
-        f"two assembly routes agree at every t (worst {max(envelope):.3e})",
-        f"double flip deviation from identity: {ll:.1e}",
-        f"flip multiplicativity on 16 sampled products: worst {mult_worst:.3e}",
-        f"flip respects the involution on sampled tensors: worst {inv_worst:.3e}",
-        f"grading automorphism multiplicative on 24 sampled pairs: worst {iota_worst:.3e}",
+    gates = [
+        Gate("two assembly routes agree at every t", [val for c in curves.values() for val in c], tol),
+        Gate("double flip deviation from identity", ll, 1e-14),
+        Gate("flip multiplicativity on 16 sampled products", mult_worst, tol),
+        Gate("flip respects the involution on sampled tensors", inv_worst, tol),
+        Gate("grading automorphism multiplicative on 24 sampled pairs", iota_worst, tol),
     ]
     # params describe what was actually computed; the notes record coercion
-    return VerificationReport("flip-endpoints", sub.params_dict(), datapoints, curves,
-                              None, passed, tol, notes)
+    return _report("flip-endpoints", sub.params_dict(), cfg.t_grid, curves, tol, gates, notes)
 
 
 SUITES = {

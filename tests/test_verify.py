@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 from bottlab import verify
 from bottlab.clifford import MultiVector, Signature, mv_multiply, regular_representation
 from bottlab.funcalc import gaussian, x_gaussian
-from bottlab.graded import GradedMatrix
+from bottlab.graded import GradedMatrix, flip_unitary
 from bottlab.oscillator import CliffFunction, oscillator_rep
 from bottlab.verify import (
     DEFAULT_T_GRID,
     SUITES,
+    Gate,
     SweepConfig,
     alpha,
     bott_map,
@@ -336,6 +337,50 @@ def test_flip_endpoints_suite_coerces_dimension():
     assert rep.passed
     assert any("dim" in note for note in rep.notes)
     assert rep.params["dim"] == 1
+
+
+def test_gate_compares_value_to_bound():
+    assert Gate("g", 1e-9, 1e-8).ok
+    assert Gate("g", 1e-8, 1e-8).note() == "gate g: 1.000e-08 <= 1.000e-08 ok"
+    assert not Gate("g", 2e-8, 1e-8).ok
+    assert not Gate("g", math.nan, 1e-8).ok
+    # every entry of a sequence must pass, and a NaN anywhere fails it
+    assert Gate("g", [0.5, 1.0], 1.0).ok
+    assert not Gate("g", [math.nan, 0.5], 1.0).ok
+    assert not Gate("g", [0.5, math.nan], 1.0).ok
+    assert Gate("g", [0.5, math.nan], 1.0).note() == "gate g: nan <= 1.000e+00 FAIL"
+    # no bound: a plain check
+    assert Gate("g", True).note() == "gate g: ok"
+    assert Gate("g", False).note() == "gate g: FAIL"
+
+
+@pytest.mark.parametrize("config", [(1, 8), (2, 6)])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verdict_is_the_conjunction_of_the_gate_notes(suite, config):
+    rep = run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
+    gates = [n for n in rep.notes if n.startswith("gate ")]
+    assert gates, rep.notes
+    assert all(n.endswith(" ok") or n.endswith(" FAIL") for n in gates), gates
+    assert rep.passed == all(n.endswith(" ok") for n in gates)
+
+
+@pytest.mark.parametrize("suite,config,gate", [
+    ("composition-gamma", (2, 6), "gate multiplication = position calculus (7 nodes): "),
+    ("mehler", (1, 6), "gate factorization residual at every s: "),
+])
+def test_known_failures_trip_one_named_gate(suite, config, gate):
+    rep = run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
+    failed = [n for n in rep.notes if n.startswith("gate ") and n.endswith(" FAIL")]
+    assert not rep.passed
+    assert len(failed) == 1 and failed[0].startswith(gate), failed
+
+
+def test_conjugation_by_index_equals_the_signed_swap_product():
+    rng = np.random.default_rng(5)
+    for pa, pb in (([0, 1, 0], [1, 0]), ([0, 1, 1, 0], [0, 1, 1, 0])):
+        swap = flip_unitary(np.array(pa), np.array(pb))
+        x = rng.standard_normal(swap.shape)
+        assert np.array_equal(verify._conjugator(swap)(x), swap @ x @ swap.T)
 
 
 # ---------------------------------------------------------------------------
