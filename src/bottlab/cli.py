@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .verify import SUITES, SweepConfig, run_suite
+from .verify import DEFAULT_T_GRID, SUITES, SweepConfig, run_suite
 
 SUBCOMMANDS = {
     "spectrum": ["spectrum"],
@@ -35,10 +35,12 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--dim", type=int, default=1, help="spatial dimension n (default 1)")
     p.add_argument("--levels", type=int, default=12,
                    help="Hermite truncation level K (default 12)")
-    p.add_argument("--t-min", type=float, default=1.0, help="sweep start (default 1)")
-    p.add_argument("--t-max", type=float, default=16.0, help="sweep end (default 16)")
-    p.add_argument("--t-points", type=int, default=9,
-                   help="geometric grid size (default 9)")
+    p.add_argument("--t-min", type=float, default=DEFAULT_T_GRID[0],
+                   help="sweep start (default %(default)g)")
+    p.add_argument("--t-max", type=float, default=DEFAULT_T_GRID[-1],
+                   help="sweep end (default %(default)g)")
+    p.add_argument("--t-points", type=int, default=len(DEFAULT_T_GRID),
+                   help="geometric grid size (default %(default)d)")
     p.add_argument("--tol", type=float, default=None,
                    help="override the pass threshold (relative to the initial norm "
                         "for equivalence suites, absolute otherwise)")

@@ -74,29 +74,6 @@ def blade_label(mask: int) -> str:
     return "*".join(f"e{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
-    """Multiply two blades; returns ``(sign, mask)`` with sign in {+1, -1}.
-
-    The sign counts, for each generator of ``b`` taken in increasing order,
-    the generators of ``a`` it has to jump over (each jump a transposition),
-    and picks up the square ``e_i^2 = +-1`` whenever a generator occurs in
-    both factors.
-    """
-    if a >> sig.n or b >> sig.n:
-        raise ValueError("blade mask uses generators outside the signature")
-    sign = 1
-    rest = b
-    while rest:
-        low = rest & -rest
-        j = low.bit_length() - 1  # 0-based generator index
-        rest ^= low
-        if ((a >> (j + 1)).bit_count()) & 1:
-            sign = -sign
-        if a >> j & 1 and j >= sig.p:
-            sign = -sign
-    return sign, a ^ b
-
-
 @lru_cache(maxsize=32)
 def _tables(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(sign, index) Cayley tables for all blade pairs of R_{p,q}."""

@@ -86,11 +86,6 @@ def scale(f: GradedFunction, t: float) -> GradedFunction:
     return GradedFunction(lambda x: fn(x / t), f.parity, f"{f.name}@t={t:g}")
 
 
-def spectral_apply(q: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Q diag(values) Q^T: the functional-calculus kernel on an eigenbasis Q."""
-    return (q * values) @ q.T
-
-
 class SpectralMatrix(GradedMatrix):
     """A read-only symmetric graded matrix that is diagonalised at most once.
 
@@ -124,26 +119,25 @@ class SpectralMatrix(GradedMatrix):
 
 
 def matrix_function(f: GradedFunction, a: GradedMatrix) -> GradedMatrix:
-    """Apply f to a symmetric graded matrix through its eigendecomposition.
+    """Apply f to a symmetric graded matrix: ``Q f(w) Q^T`` on its eigensystem.
 
     A :class:`SpectralMatrix` reuses its cached eigensystem and its
     construction-time checks; any other graded matrix is wrapped in one
-    first.  When the input has definite operator parity and f has definite
-    parity, the result's parity is forced exactly: an odd matrix maps to an
-    operator of f's parity d, an even matrix always to an even one.  Only
-    the two allowed parity blocks ``(r, r ^ d)`` of ``Q f(w) Q^T`` are
-    computed; the forbidden ones, which would hold only the eigensolver's
-    rounding noise, are exact zeros.
+    first.  The result's parity d is forced exactly where it is known: an
+    even matrix commutes with the grading, so f of it is even for any f,
+    and an odd matrix maps to an operator of f's parity.  Then only the two
+    allowed parity blocks ``(r, r ^ d)`` are computed; the forbidden ones,
+    which would hold only the eigensolver's rounding noise, are exact zeros.
+    A mixed matrix, or an odd one under a mixed f, takes the dense product.
     """
     if not isinstance(a, SpectralMatrix):
         a = SpectralMatrix(a.mat, a.parity)
     w, q = a.eig
-    pa = a.op_parity
-    if pa is None or f.parity is None:
-        return GradedMatrix(spectral_apply(q, f(w)), a.parity)
-    d = f.parity if pa == 1 else 0
-    index = parity_index(a.parity)
     fw = f(w)
+    d = 0 if a.op_parity == 0 else f.parity if a.op_parity == 1 else None
+    if d is None:
+        return GradedMatrix((q * fw) @ q.T, a.parity)
+    index = parity_index(a.parity)
     rows = [q.take(i, axis=0) for i in index]
     blocks = {(r, r ^ d): (rows[r] * fw) @ rows[r ^ d].T for r in (0, 1)}
     return GradedMatrix(from_parity_blocks(blocks, index), a.parity)

@@ -48,18 +48,6 @@ def position_matrix(level: int) -> np.ndarray:
     return np.diag(off, 1) + np.diag(off, -1)
 
 
-def derivative_matrix(level: int) -> np.ndarray:
-    """d/dx on Hermite functions 0..level (antisymmetric tridiagonal).
-
-    Column k holds +sqrt(k/2) at row k-1 and -sqrt((k+1)/2) at row k+1,
-    from d/dx psi_k = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1}.
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    off = np.sqrt((np.arange(level) + 1) / 2.0)
-    return np.diag(off, 1) - np.diag(off, -1)
-
-
 @lru_cache(maxsize=64)
 def _gh_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes/weights for the weight exp(-x^2)."""
@@ -314,7 +302,7 @@ oscillator_rep.cache_clear = _context.cache_clear
 def b_squared_identity_check(rep: OscillatorRep) -> float:
     """Interior-windowed residual of B^2 = C^2 + D^2 + N (spectral norm)."""
     lhs = (rep.bott @ rep.bott).mat
-    rhs = (rep.clifford @ rep.clifford).mat + (rep.dirac @ rep.dirac).mat + rep.number.mat
+    rhs = rep.harmonic.mat + rep.number.mat
     return float(np.linalg.norm(rep.restricted(lhs - rhs), 2))
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from bottlab import cli
+from bottlab.verify import SweepConfig
 
 
 def run_cli(args, **kw):
@@ -51,12 +52,20 @@ def test_invalid_dim_exits_2(tmp_path, capsys):
     (["spectrum", "--t-min", "4", "--t-max", "2"], "t-max must exceed t-min"),
     (["spectrum", "--t-points", "1"], "t-points must be >= 2"),
     (["report-all", "--suite", "nonsense"], "unknown suite ids"),
+    (["commutators", "--t-max", "nan"], "t_grid values must be finite"),
+    (["spectrum", "--t-min", "nan"], "t_grid values must be finite"),
 ])
 def test_config_errors_exit_2(args, fragment, tmp_path, capsys):
     code = run_cli(args + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert fragment in err
+    assert f"error: {fragment}" in err
+    assert "Traceback" not in err
+
+
+def test_default_grid_is_the_library_default():
+    args = cli.build_parser().parse_args(["report-all"])
+    assert cli._config_from_args(args).t_grid == SweepConfig().t_grid
 
 
 def test_unreachable_tolerance_exits_1(tmp_path, capsys):

@@ -21,7 +21,6 @@ from bottlab.clifford import (
     blade_label,
     blade_parities,
     blade_parity,
-    blade_product,
     blade_square_sign,
     left_mult_operator,
     mv_multiply,
@@ -37,6 +36,27 @@ SMALL_SIGS = [Signature(p, q) for p in range(6) for q in range(6) if 1 <= p + q 
 # ---------------------------------------------------------------------------
 # blade products
 # ---------------------------------------------------------------------------
+
+def blade_product(a: int, b: int, sig: Signature) -> tuple[int, int]:
+    """Scalar oracle for the sign tables: ``(sign, mask)`` of a blade product.
+
+    The sign counts, for each generator of ``b`` taken in increasing order,
+    the generators of ``a`` it has to jump over (each jump a transposition),
+    and picks up the square ``e_i^2 = +-1`` whenever a generator occurs in
+    both factors.
+    """
+    sign = 1
+    rest = b
+    while rest:
+        low = rest & -rest
+        j = low.bit_length() - 1  # 0-based generator index
+        rest ^= low
+        if ((a >> (j + 1)).bit_count()) & 1:
+            sign = -sign
+        if a >> j & 1 and j >= sig.p:
+            sign = -sign
+    return sign, a ^ b
+
 
 def test_blade_product_hand_cases():
     s20 = Signature(2, 0)

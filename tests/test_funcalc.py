@@ -126,14 +126,26 @@ def test_parity_covariance_is_exact():
     assert matrix_function(x_gaussian(), b2).odd_part().norm() == 0.0
 
 
+@pytest.mark.parametrize("f", [
+    gaussian() + x_gaussian(),
+    GradedFunction(lambda x: np.exp(-0.3 * x), None, "exp(-0.3 x)"),
+])
+def test_mixed_function_of_an_even_matrix_is_exactly_even(f):
+    # an even matrix commutes with the grading, so f of it is even for any f
+    assert f.parity is None
+    h = oscillator_rep(2, 6).harmonic
+    assert matrix_function(f, h).odd_part().norm() == 0.0
+
+
 def _dense_matrix_function(f, m, parity, degree):
     """Reference: the dense Q f(w) Q^T, masked to the parity the result must have."""
     w, q = np.linalg.eigh(m)
     dense = (q * f(w)) @ q.T
-    if f.parity is None:
+    d = f.parity if degree else 0
+    if d is None:
         return dense
     mix = parity[:, None] ^ parity[None, :]
-    return np.where(mix == (f.parity if degree else 0), dense, 0.0)
+    return np.where(mix == d, dense, 0.0)
 
 
 _FUNCTIONS = [gaussian(), x_gaussian(), gaussian() + x_gaussian()]

@@ -22,7 +22,6 @@ from bottlab.oscillator import (
     axis_position,
     b_squared_identity_check,
     compactness_profile,
-    derivative_matrix,
     hermite_rows,
     level_multiplicity,
     multiplication_operator,
@@ -37,6 +36,16 @@ from bottlab.verify import bott_map
 # ---------------------------------------------------------------------------
 # one-dimensional building blocks
 # ---------------------------------------------------------------------------
+
+def derivative_matrix(level: int) -> np.ndarray:
+    """d/dx on Hermite functions 0..level (antisymmetric tridiagonal).
+
+    Column k holds +sqrt(k/2) at row k-1 and -sqrt((k+1)/2) at row k+1,
+    from d/dx psi_k = sqrt(k/2) psi_{k-1} - sqrt((k+1)/2) psi_{k+1}.
+    """
+    off = np.sqrt((np.arange(level) + 1) / 2.0)
+    return np.diag(off, 1) - np.diag(off, -1)
+
 
 def test_position_matrix_hand_values():
     x = position_matrix(4)

@@ -17,7 +17,7 @@ from bottlab import verify
 from bottlab.clifford import MultiVector, Signature, mv_multiply, regular_representation
 from bottlab.funcalc import gaussian, x_gaussian
 from bottlab.graded import GradedMatrix, flip_unitary
-from bottlab.oscillator import CliffFunction, oscillator_rep
+from bottlab.oscillator import CliffFunction, OscillatorRep, oscillator_rep
 from bottlab.verify import (
     DEFAULT_T_GRID,
     SUITES,
@@ -28,7 +28,6 @@ from bottlab.verify import (
     decay_fit,
     mehler_coefficients,
     monotone_after,
-    operator_norm,
     power_iteration_norm,
     resolve_h_choices,
     run_suite,
@@ -45,7 +44,7 @@ def test_operator_norm_agrees_with_power_iteration():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((30, 30))
-        a, b = operator_norm(m), power_iteration_norm(m)
+        a, b = np.linalg.norm(m, 2), power_iteration_norm(m)
         assert abs(a - b) <= 1e-8 * a, f"seed {seed}: {a} vs {b}"
 
 
@@ -275,6 +274,15 @@ def test_sweep_config_validation_messages():
         SweepConfig(dim=1, level=8, t_grid=(2.0, 1.0))
     with pytest.raises(ValueError, match="start at t >= 1"):
         SweepConfig(dim=1, level=8, t_grid=(0.5, 2.0))
+    # comparisons with NaN are false, so no ordering check can catch it
+    with pytest.raises(ValueError, match="t_grid values must be finite"):
+        SweepConfig(dim=1, level=8, t_grid=(1.0, float("nan")))
+    with pytest.raises(ValueError, match="t_grid values must be finite"):
+        SweepConfig(dim=1, level=8, t_grid=(float("nan"), 2.0))
+    with pytest.raises(ValueError, match="t_grid values must be finite"):
+        SweepConfig(dim=1, level=8, t_grid=(1.0, math.inf))
+    with pytest.raises(ValueError, match="s_grid values must be finite"):
+        SweepConfig(dim=1, level=8, s_grid=(1.0, float("nan"), 0.1))
     with pytest.raises(ValueError, match="strictly decreasing"):
         SweepConfig(dim=1, level=8, s_grid=(0.1, 0.5))
     with pytest.raises(ValueError, match="tol must be positive"):
@@ -373,6 +381,22 @@ def test_known_failures_trip_one_named_gate(suite, config, gate):
     failed = [n for n in rep.notes if n.startswith("gate ") and n.endswith(" FAIL")]
     assert not rep.passed
     assert len(failed) == 1 and failed[0].startswith(gate), failed
+
+
+CURVE_SUITES = ["cd-commutator", "composition-gamma", "dirac-commutator",
+                "homotopy-projection", "mehler", "s1s2-asymptotics"]
+
+
+@pytest.mark.parametrize("config", [(1, 8), (2, 6)])
+@pytest.mark.parametrize("suite", CURVE_SUITES)
+def test_curve_suites_never_take_the_dense_window_norm(suite, config, monkeypatch):
+    # windowed_norm restricts the full matrix only on its dense branch
+    calls = []
+    restricted = OscillatorRep.restricted
+    monkeypatch.setattr(OscillatorRep, "restricted",
+                        lambda self, *args: calls.append(args) or restricted(self, *args))
+    run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
+    assert not calls
 
 
 def test_conjugation_by_index_equals_the_signed_swap_product():
