@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 
@@ -66,6 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> SweepConfig:
+    # checked before np.geomspace, which would warn on a non-finite endpoint
+    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
+        raise ValueError("t_grid values must be finite")
     if args.t_min < 1.0:
         raise ValueError("t-min must be >= 1")
     if args.t_max <= args.t_min:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import GradedMatrix, from_parity_blocks, graded_tensor, identity_like, parity_index
+from .graded import GradedMatrix, graded_tensor, identity_like, parity_index
 
 
 @dataclass
@@ -92,7 +92,8 @@ class SpectralMatrix(GradedMatrix):
     Symmetry and operator parity are checked once, at construction, on a
     private copy of the input.  The eigendecomposition ``(w, q)`` is
     computed on first use under a lock, so threads sharing the matrix share
-    one eigensolve and one result.  Every array it holds is read-only.
+    one eigensolve and one result.  Every array it holds is read-only,
+    including its parity index.
     """
 
     def __init__(self, mat, parity):
@@ -103,6 +104,9 @@ class SpectralMatrix(GradedMatrix):
         self.op_parity = self.operator_parity(tol=1e-10 * scale_ref)
         self.mat.flags.writeable = False
         self.parity.flags.writeable = False
+        self._index = parity_index(self.parity)
+        for i in self._index:
+            i.flags.writeable = False
         self._lock = threading.Lock()
         self._eig = None
 
@@ -127,8 +131,9 @@ def matrix_function(f: GradedFunction, a: GradedMatrix) -> GradedMatrix:
     even matrix commutes with the grading, so f of it is even for any f,
     and an odd matrix maps to an operator of f's parity.  Then only the two
     allowed parity blocks ``(r, r ^ d)`` are computed; the forbidden ones,
-    which would hold only the eigensolver's rounding noise, are exact zeros.
-    A mixed matrix, or an odd one under a mixed f, takes the dense product.
+    which would hold only the eigensolver's rounding noise, are never formed:
+    the result holds just those two blocks (see :class:`GradedMatrix`).  A
+    mixed matrix, or an odd one under a mixed f, takes the dense product.
     """
     if not isinstance(a, SpectralMatrix):
         a = SpectralMatrix(a.mat, a.parity)
@@ -137,10 +142,9 @@ def matrix_function(f: GradedFunction, a: GradedMatrix) -> GradedMatrix:
     d = 0 if a.op_parity == 0 else f.parity if a.op_parity == 1 else None
     if d is None:
         return GradedMatrix((q * fw) @ q.T, a.parity)
-    index = parity_index(a.parity)
-    rows = [q.take(i, axis=0) for i in index]
-    blocks = {(r, r ^ d): (rows[r] * fw) @ rows[r ^ d].T for r in (0, 1)}
-    return GradedMatrix(from_parity_blocks(blocks, index), a.parity)
+    rows = [q.take(i, axis=0) for i in a.index]
+    blocks = [(rows[r] * fw) @ rows[r ^ d].T for r in (0, 1)]
+    return GradedMatrix.from_parts({d: blocks}, a.parity, a.index)
 
 
 def delta_on_generators() -> dict[str, list[tuple[GradedFunction, GradedFunction]]]:
@@ -195,20 +199,21 @@ def delta_via_xr_check(level: int, which: str = "u") -> DeltaCheck:
     xt = graded_tensor(xg, ig) + graded_tensor(ig, xg)
 
     target = gaussian() if which == "u" else x_gaussian()
-    direct = matrix_function(target, xt).mat
+    direct = matrix_function(target, xt)
 
     # each generator applied to X once, however many terms it appears in
     terms = delta_on_generators()[which]
     generators = {f.name: f for pair in terms for f in pair}
     on_x = {name: matrix_function(f, xg) for name, f in generators.items()}
-    expansion = np.zeros_like(direct)
+    expansion = np.zeros((xt.dim, xt.dim))
     for f, g in terms:
         expansion += graded_tensor(on_x[f.name], on_x[g.name]).mat
 
-    diff = direct - expansion
-    residual_full = float(np.linalg.norm(diff, 2))
+    # the residual has the parity of the generator, so both norms take the block kernel
+    diff = direct - GradedMatrix(expansion, xt.parity)
+    residual_full = diff.norm()
     interior = np.arange(level + 1) <= level - 2
     mask = np.kron(interior, interior).astype(bool)
-    residual_interior = float(np.linalg.norm(diff[np.ix_(mask, mask)], 2))
+    residual_interior = GradedMatrix(diff.mat[np.ix_(mask, mask)], xt.parity[mask]).norm()
     radius = float(np.abs(np.linalg.eigvalsh(x)).max())
     return DeltaCheck(which, level, residual_full, residual_interior, radius)

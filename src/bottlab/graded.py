@@ -9,33 +9,78 @@ sign laws here (commutators, involution, flip) reduce to that one rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .clifford import MultiVector, Signature, blade_parities
 
 
-@dataclass
 class GradedMatrix:
-    """A square real matrix with a 0/1 parity per basis index."""
+    """A square real matrix with a 0/1 parity per basis index.
 
-    mat: np.ndarray
-    parity: np.ndarray
+    It is held in one of two forms.  Built from an array it is dense.  Built
+    by a block kernel (:meth:`from_parts`) it is parity-homogeneous of some
+    degree d and holds only its two nonzero half-size blocks ``X[0, d]`` and
+    ``X[1, 1 ^ d]``, where ``X[r, c]`` collects the rows of parity r and the
+    columns of parity c in basis order.  ``@``, ``+``, ``-``, scalar
+    multiples, :func:`graded_commutator` and :meth:`norm` work on the blocks
+    when an operand holds them; two dense operands give a dense result.
+    ``mat`` assembles the dense matrix on first access, and from then on it
+    is the only source of truth: the blocks are dropped, so a caller who
+    writes into ``mat`` never meets stale blocks.
+    """
 
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=float)
-        self.parity = np.asarray(self.parity, dtype=np.uint8)
-        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
-            raise ValueError(f"graded matrix must be square, got shape {self.mat.shape}")
-        if self.parity.shape != (self.mat.shape[0],):
+    def __init__(self, mat, parity):
+        self._mat = np.asarray(mat, dtype=float)
+        self.parity = np.asarray(parity, dtype=np.uint8)
+        self._degree = self._blocks = self._index = None
+        if self._mat.ndim != 2 or self._mat.shape[0] != self._mat.shape[1]:
+            raise ValueError(f"graded matrix must be square, got shape {self._mat.shape}")
+        if self.parity.shape != (self._mat.shape[0],):
             raise ValueError("parity vector length must match matrix dimension")
         if np.any(self.parity > 1):
             raise ValueError("parities must be 0 or 1")
 
+    @staticmethod
+    def from_parts(parts: dict, parity, index=None) -> "GradedMatrix":
+        """The matrix whose degree-d part has the blocks ``parts[d] = (X[0, d], X[1, 1 ^ d])``.
+
+        With one degree it is held as those two blocks, with both it is
+        dense, and with none it is zero.  ``index`` is
+        ``parity_index(parity)``; callers that hold it pass it on.
+        """
+        parity = np.asarray(parity, dtype=np.uint8)
+        index = parity_index(parity) if index is None else index
+        if len(parts) == 2:
+            return GradedMatrix(_assemble(parts, index), parity)
+        if not parts:
+            parts = {0: [np.zeros((len(i), len(i))) for i in index]}
+        (degree, blocks), = parts.items()
+        blocks = tuple(blocks)
+        for r, block in enumerate(blocks):
+            if block.shape != (len(index[r]), len(index[r ^ degree])):
+                raise ValueError(f"block {r} has shape {block.shape}, which does not fit the parities")
+        out = object.__new__(GradedMatrix)
+        out._mat, out.parity, out._index = None, parity, index
+        out._degree, out._blocks = degree, blocks
+        return out
+
+    @property
+    def mat(self) -> np.ndarray:
+        if self._mat is None:
+            self._mat = _assemble({self._degree: self._blocks}, self._index)
+            self._degree = self._blocks = None
+        return self._mat
+
+    @property
+    def index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the even and of the odd basis vectors."""
+        return parity_index(self.parity) if self._index is None else self._index
+
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return len(self.parity)
 
     def operator_parity(self, tol: float = 0.0) -> int | None:
         """0 if the matrix preserves basis parity, 1 if it reverses it.
@@ -43,9 +88,12 @@ class GradedMatrix:
         Measured from the sparsity pattern: entry (i, j) belongs to the
         parity-(p_i + p_j) part.  Returns None for genuinely mixed operators.
         """
+        if self._blocks is not None:
+            mass = max(float(np.abs(b).max(initial=0.0)) for b in self._blocks)
+            return 1 if self._degree and mass > tol else 0
         mix = self.parity[:, None] ^ self.parity[None, :]
-        even_mass = float(np.abs(np.where(mix == 0, self.mat, 0.0)).max(initial=0.0))
-        odd_mass = float(np.abs(np.where(mix == 1, self.mat, 0.0)).max(initial=0.0))
+        even_mass = float(np.abs(np.where(mix == 0, self._mat, 0.0)).max(initial=0.0))
+        odd_mass = float(np.abs(np.where(mix == 1, self._mat, 0.0)).max(initial=0.0))
         if odd_mass <= tol:
             return 0
         if even_mass <= tol:
@@ -63,29 +111,117 @@ class GradedMatrix:
         return self.parity_part(1)
 
     def _check_compatible(self, other: "GradedMatrix"):
+        if self.parity is other.parity:
+            return
         if self.dim != other.dim or np.any(self.parity != other.parity):
             raise ValueError("graded matrices live on different graded spaces")
 
-    def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
+    def _parts(self) -> list[tuple[int, tuple[np.ndarray, np.ndarray]]]:
+        """``(d, (X[0, d], X[1, 1 ^ d]))`` for each degree d with a nonzero part."""
+        if self._blocks is not None:
+            return [(self._degree, self._blocks)]
+        blocks = parity_blocks(self._mat, self.index)
+        return [(d, (blocks[0][d], blocks[1][1 ^ d])) for d in (0, 1)
+                if blocks[0][d].any() or blocks[1][1 ^ d].any()]
+
+    def _linear(self, other: "GradedMatrix", op) -> "GradedMatrix":
+        """``op`` (np.add or np.subtract) entrywise, on blocks when an operand holds them."""
         self._check_compatible(other)
-        return GradedMatrix(self.mat + other.mat, self.parity)
+        if self._blocks is None and other._blocks is None:
+            return GradedMatrix(op(self._mat, other._mat), self.parity)
+        out = dict(self._parts())
+        for d, blocks in other._parts():
+            out[d] = tuple(op(x, y) for x, y in zip(out.get(d, (0.0, 0.0)), blocks))
+        return GradedMatrix.from_parts(out, self.parity, _shared_index(self, other))
+
+    def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
+        return self._linear(other, np.add)
 
     def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
-        self._check_compatible(other)
-        return GradedMatrix(self.mat - other.mat, self.parity)
+        return self._linear(other, np.subtract)
 
     def __neg__(self) -> "GradedMatrix":
-        return GradedMatrix(-self.mat, self.parity)
+        return -1.0 * self
 
     def __rmul__(self, scalar: float) -> "GradedMatrix":
-        return GradedMatrix(float(scalar) * self.mat, self.parity)
+        if self._blocks is None:
+            return GradedMatrix(float(scalar) * self._mat, self.parity)
+        return GradedMatrix.from_parts({self._degree: [float(scalar) * b for b in self._blocks]},
+                                       self.parity, self._index)
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
+        """Row block r of a degree-da by degree-db product is ``A[r, r^da] @ B[r^da, r^da^db]``."""
         self._check_compatible(other)
-        return GradedMatrix(self.mat @ other.mat, self.parity)
+        if self._blocks is None and other._blocks is None:
+            return GradedMatrix(self._mat @ other._mat, self.parity)
+        out: dict = {}
+        for da, a in self._parts():
+            for db, b in other._parts():
+                _accumulate(out, da ^ db, (a[0] @ b[da], a[1] @ b[1 ^ da]))
+        return GradedMatrix.from_parts(out, self.parity, _shared_index(self, other))
+
+    def nonzero_blocks(self, leading: tuple[int, int] | None = None) -> tuple | None:
+        """The nonzero parity blocks, or None when the matrix is mixed.
+
+        With ``leading = (k0, k1)`` only the window of the first k0 even and
+        the first k1 odd basis vectors is read, and "mixed" refers to it.
+        """
+        if self._blocks is not None:
+            if leading is None:
+                return self._blocks
+            d = self._degree
+            return tuple(b[:leading[r], :leading[r ^ d]] for r, b in enumerate(self._blocks))
+        index = self.index if leading is None else tuple(i[:k] for i, k in zip(self.index, leading))
+        (ee, eo), (oe, oo) = parity_blocks(self._mat, index)
+        if not (eo.any() or oe.any()):
+            return ee, oo
+        if not (ee.any() or oo.any()):
+            return eo, oe
+        return None
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mat, 2))
+        """Spectral norm: :func:`block_norm` of the nonzero blocks, a dense SVD if mixed."""
+        blocks = self.nonzero_blocks()
+        return float(np.linalg.norm(self.mat, 2)) if blocks is None else block_norm(blocks)
+
+
+def _shared_index(a: GradedMatrix, b: GradedMatrix):
+    """The parity index of two compatible operands, reusing one that is held."""
+    return a._index if a._index is not None else b.index
+
+
+def _accumulate(out: dict, degree: int, blocks: tuple):
+    """Add the blocks of a degree-d part into ``out[d]``."""
+    out[degree] = tuple(x + y for x, y in zip(out[degree], blocks)) if degree in out else blocks
+
+
+def _assemble(parts: dict, index) -> np.ndarray:
+    """The dense matrix holding the blocks ``parts[d] = (X[0, d], X[1, 1 ^ d])``, zero elsewhere."""
+    dim = len(index[0]) + len(index[1])
+    out = np.zeros((dim, dim))
+    for d, blocks in parts.items():
+        for r, block in enumerate(blocks):
+            out[np.ix_(index[r], index[r ^ d])] = block
+    return out
+
+
+def block_norm(blocks) -> float:
+    """The largest singular value over the blocks; 0 for none.
+
+    Each block's is ``s * sqrt(lambda_max(Y^T Y))`` with ``Y = X / s`` and
+    ``s = max |X|`` (the scaling keeps the Gram matrix clear of underflow),
+    using the Gram matrix on the shorter side and ``eigvalsh``, which is
+    cheaper than the SVD and as accurate for the largest singular value.
+    """
+    out = 0.0
+    for x in blocks:
+        s = float(np.abs(x).max(initial=0.0))
+        if s == 0.0:
+            continue
+        y = x / s
+        gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
+        out = max(out, s * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
+    return out
 
 
 def identity_like(g: GradedMatrix) -> GradedMatrix:
@@ -134,41 +270,24 @@ def parity_blocks(mat: np.ndarray, index) -> list[list[np.ndarray]]:
     return [[slab.take(cols, axis=1) for cols in index] for slab in slabs]
 
 
-def from_parity_blocks(blocks: dict, index) -> np.ndarray:
-    """The full matrix holding ``blocks[r, c]`` at ``(index[r], index[c])``, zero elsewhere."""
-    dim = len(index[0]) + len(index[1])
-    out = np.zeros((dim, dim))
-    for (r, c), block in blocks.items():
-        out[np.ix_(index[r], index[c])] = block
-    return out
-
-
-def _degrees(blocks: list[list[np.ndarray]]) -> list[int]:
-    """Operator degrees d whose blocks (0, d) and (1, 1 ^ d) are not all zero."""
-    return [d for d in (0, 1) if blocks[0][d].any() or blocks[1][1 ^ d].any()]
-
-
 def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """[a, b] = ab - (-1)^{deg a deg b} ba, extended bilinearly.
 
     Odd-odd pairs get the anticommutator; everything else the plain
-    commutator.  Both inputs are split into parity blocks, and each nonzero
-    pair of parts ``a_pa``, ``b_pb`` is multiplied blockwise: row block r of
-    the result is ``a[r, r^pa] b[r^pa, c] - sign b[r, r^pb] a[r^pb, c]`` with
-    ``c = r ^ pa ^ pb``, a quarter of the dense flops.
+    commutator.  Each pair of nonzero parts ``a_pa``, ``b_pb`` is multiplied
+    blockwise: row block r of the result is
+    ``a[r, r^pa] b[r^pa, c] - sign b[r, r^pb] a[r^pb, c]`` with
+    ``c = r ^ pa ^ pb``, a quarter of the dense flops.  Block-held operands
+    are used as they are; a dense one is split into its parts first.
     """
     a._check_compatible(b)
-    index = parity_index(a.parity)
-    ab, bb = parity_blocks(a.mat, index), parity_blocks(b.mat, index)
     out: dict = {}
-    for pa in _degrees(ab):
-        for pb in _degrees(bb):
+    for pa, ab in a._parts():
+        for pb, bb in b._parts():
             sign = -1.0 if (pa and pb) else 1.0
-            for r in (0, 1):
-                c = r ^ pa ^ pb
-                block = ab[r][r ^ pa] @ bb[r ^ pa][c] - sign * (bb[r][r ^ pb] @ ab[r ^ pb][c])
-                out[r, c] = out.get((r, c), 0.0) + block
-    return GradedMatrix(from_parity_blocks(out, index), a.parity)
+            _accumulate(out, pa ^ pb, tuple(ab[r] @ bb[r ^ pa] - sign * (bb[r] @ ab[r ^ pb])
+                                            for r in (0, 1)))
+    return GradedMatrix.from_parts(out, a.parity, _shared_index(a, b))
 
 
 def involution(a: GradedMatrix) -> GradedMatrix:

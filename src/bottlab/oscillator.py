@@ -33,7 +33,7 @@ from .clifford import (
     number_operator,
 )
 from .funcalc import GradedFunction, SpectralMatrix, matrix_function
-from .graded import GradedMatrix
+from .graded import GradedMatrix, parity_index
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +186,22 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 class Window(NamedTuple):
-    """The states of total level <= level - depth, as read-only index data."""
+    """The states of total level <= level - depth, as read-only index data.
+
+    The basis is ordered by total level, so a window is a leading segment of
+    it, and its even (odd) states are the leading ones of all even (odd)
+    states: inside a parity block the window is the leading
+    ``block_sizes[r]`` rows or columns of parity r.
+    """
 
     mask: np.ndarray         # boolean mask over the full basis
     ix: tuple                # np.ix_(mask, mask)
     parity_index: tuple      # (even, odd) full-basis indices inside the window
+
+    @property
+    def block_sizes(self) -> tuple[int, int]:
+        """Number of even and of odd states in the window."""
+        return len(self.parity_index[0]), len(self.parity_index[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,11 +276,14 @@ def _context(dim: int, level: int) -> OscillatorRep:
     d = dirac_operator(basis)
     number = blade_number_operator(basis)
     _read_only(number.mat, number.parity)
+    full_index = parity_index(par)
     windows = []
     for depth in range(level + 1):
         mask = basis.interior_mask(depth)
         ix = np.ix_(mask, mask)
         index = tuple(np.flatnonzero(mask & (par == p)) for p in (0, 1))
+        if not all(np.array_equal(i, f[:len(i)]) for i, f in zip(index, full_index)):
+            raise RuntimeError("window is not a leading segment of the basis order")
         _read_only(mask, *ix, *index)
         windows.append(Window(mask, ix, index))
     return OscillatorRep(
@@ -394,13 +408,18 @@ class CliffFunction:
 
     ``coeff_fn`` maps an (m, dim) array of points to an (m, 2^dim) array of
     blade coefficients.  ``parity`` is the blade parity of the values (0, 1,
-    or None when mixed).
+    or None when mixed).  ``factors``, when given, is the same function as
+    a sum of separable terms: each entry ``(blade, (g_1, .., g_dim))`` puts
+    ``g_1(x_1) .. g_dim(x_dim)`` on that blade, every ``g_i`` a function of
+    one variable on arrays.  :func:`multiplication_operator` then works
+    from one-dimensional quadratures instead of the dim-dimensional grid.
     """
 
     dim: int
     coeff_fn: Callable[[np.ndarray], np.ndarray]
     name: str
     parity: int | None = None
+    factors: tuple | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -422,24 +441,15 @@ def rescale(h: CliffFunction, t: float) -> CliffFunction:
     if not t >= 1:
         raise ValueError(f"rescaling parameter must be >= 1, got {t}")
     fn = h.coeff_fn
-    return CliffFunction(h.dim, lambda pts: fn(pts / t), f"{h.name}@t={t:g}", h.parity)
+    factors = None
+    if h.factors is not None:
+        factors = tuple((blade, tuple((lambda x, g=g: g(x / t)) for g in axis_fns))
+                        for blade, axis_fns in h.factors)
+    return CliffFunction(h.dim, lambda pts: fn(pts / t), f"{h.name}@t={t:g}", h.parity, factors)
 
 
-def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
-                            nodes: int | None = None) -> GradedMatrix:
-    """Gauss-Hermite discretization of pointwise multiplication by h.
-
-    Each blade coefficient contributes kron(Gram, lambda(blade)) where the
-    Gram matrix pairs truncated Hermite functions against the coefficient.
-    The default node count (2 * level + 16 per axis) is converged for the
-    Gaussian-type symbols used here; passing ``nodes=level + 1`` instead
-    reproduces functional calculus of the position operator exactly, since
-    the quadrature built on the eigenvalues of the truncated position matrix
-    *is* evaluation at those eigenvalues.
-    """
-    if h.dim != basis.dim:
-        raise ValueError(f"function dimension {h.dim} != basis dimension {basis.dim}")
-    q = nodes if nodes is not None else 2 * basis.level + 16
+def _grid_grams(h: CliffFunction, basis: HermiteBasis, q: int) -> dict[int, np.ndarray]:
+    """Spatial Gram matrix of every nonzero blade of h, on the q^dim-point grid."""
     x, w = _gh_nodes(q)
     rows = hermite_rows(basis.level, x)
 
@@ -456,15 +466,61 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
         psi *= rows[k_of_m][:, node_idx[:, axis]]
 
     values = h(pts)  # (points, blades)
-    out = np.zeros((basis.size, basis.size))
-    for c in range(basis.blade_count):
-        col = values[:, c]
-        if not np.any(col):
-            continue
-        gram = (psi * (weights * col)) @ psi.T
-        blade_op = left_mult_operator(MultiVector.blade(basis.sig, c))
-        out += np.kron(gram, blade_op)
-    return GradedMatrix(out, basis.parity())
+    return {c: (psi * (weights * values[:, c])) @ psi.T
+            for c in range(basis.blade_count) if np.any(values[:, c])}
+
+
+def _separable_grams(h: CliffFunction, basis: HermiteBasis, q: int) -> dict[int, np.ndarray]:
+    """Spatial Gram matrix of every blade of h, from its separable factors.
+
+    The Gram entry of multi-indices m, m' of a term ``g_1(x_1) .. g_n(x_n)``
+    is the product over axes of the 1-D Gram entries ``G_i[m_i, m'_i]``, so
+    each term costs n (K+1)x(K+1) quadratures and n gathers of size S^2.
+    """
+    x, w = _gh_nodes(q)
+    rows = hermite_rows(basis.level, x)
+    k = np.array(basis.mindices).T  # (dim, spatial size)
+    grams: dict[int, np.ndarray] = {}
+    for blade, axis_fns in h.factors:
+        gram = 1.0
+        for axis, g in enumerate(axis_fns):
+            gram = gram * ((rows * (w * g(x))) @ rows.T)[k[axis][:, None], k[axis][None, :]]
+        grams[blade] = grams[blade] + gram if blade in grams else gram
+    return grams
+
+
+def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
+                            nodes: int | None = None) -> GradedMatrix:
+    """Gauss-Hermite discretization of pointwise multiplication by h.
+
+    Each blade coefficient contributes kron(Gram, lambda(blade)) where the
+    Gram matrix pairs truncated Hermite functions against the coefficient.
+    The default node count (2 * level + 16 per axis) is converged for the
+    Gaussian-type symbols used here; passing ``nodes=level + 1`` instead
+    reproduces functional calculus of the position operator exactly, since
+    the quadrature built on the eigenvalues of the truncated position matrix
+    *is* evaluation at those eigenvalues.
+
+    A symbol with ``factors`` gets its Grams from 1-D quadratures; any other
+    is evaluated on the full tensor grid.  Blades of parity d make up the
+    degree-d part, whose parity blocks are the sums
+    ``kron(Gram_c, lambda(c)[rows of parity r, columns of parity r ^ d])``;
+    when every nonzero blade has the same parity the result holds just
+    those two blocks.
+    """
+    if h.dim != basis.dim:
+        raise ValueError(f"function dimension {h.dim} != basis dimension {basis.dim}")
+    q = nodes if nodes is not None else 2 * basis.level + 16
+    grams = (_grid_grams if h.factors is None else _separable_grams)(h, basis, q)
+    blade_par = blade_parities(basis.sig)
+    blades = parity_index(blade_par)
+    parts: dict = {}
+    for c, gram in grams.items():
+        d = int(blade_par[c])
+        lam = left_mult_operator(MultiVector.blade(basis.sig, c))
+        blocks = tuple(np.kron(gram, lam[np.ix_(blades[r], blades[r ^ d])]) for r in (0, 1))
+        parts[d] = tuple(x + y for x, y in zip(parts[d], blocks)) if d in parts else blocks
+    return GradedMatrix.from_parts(parts, basis.parity())
 
 
 @dataclass

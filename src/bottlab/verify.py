@@ -17,7 +17,7 @@ level; see the notes emitted by the affected suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +39,7 @@ from .funcalc import (
 )
 from .graded import (
     GradedMatrix,
+    block_norm,
     flip_simple,
     flip_unitary,
     graded_commutator,
@@ -46,7 +47,6 @@ from .graded import (
     grading_signs,
     involution,
     iota,
-    parity_blocks,
     tensor_product_witness,
 )
 from .oscillator import (
@@ -225,33 +225,31 @@ def _crosscheck_picks(count: int) -> list[int]:
 
 
 def _crosscheck_gate(samples: list, rep: OscillatorRep) -> Gate:
-    """Block SVD norm on the whole space vs power iteration on up to 3 sampled matrices."""
+    """Block norm on the whole space vs power iteration on up to 3 sampled matrices."""
     picks = [samples[i] for i in _crosscheck_picks(len(samples))]
     worst = 0.0
     for m in picks:
         a = windowed_norm(m, rep, 0)
         worst = max(worst, abs(a - power_iteration_norm(m)) / max(1.0, a))
-    return Gate(f"norm cross-check (svd vs power iteration, {len(picks)} samples)", worst, 1e-8)
+    return Gate(f"norm cross-check (block norm vs power iteration, {len(picks)} samples)", worst, 1e-8)
 
 
 def windowed_norm(mat, rep: OscillatorRep, depth: int = 2) -> float:
     """Spectral norm of the interior block (total level <= level - depth).
 
     A parity-homogeneous window is, up to a permutation, the direct sum of
-    its two nonzero parity blocks, so its norm is the larger of theirs.
-    Only a window with entries of both parities takes the dense SVD; the
-    suites build every operator they measure with exact-zero forbidden
-    blocks, so they never reach it.  Depth 0 is the whole space.
+    its two nonzero parity blocks, so its norm is the larger of theirs: the
+    window is the leading ``block_sizes`` rows and columns of each parity
+    block, and :func:`block_norm` takes it from there.  Only a window with
+    entries of both parities takes the dense SVD; the suites build every
+    operator they measure with exact-zero forbidden blocks, so they never
+    reach it.  Depth 0 is the whole space.
     """
-    m = mat.mat if isinstance(mat, GradedMatrix) else np.asarray(mat)
-    (ee, eo), (oe, oo) = parity_blocks(m, rep.window(depth).parity_index)
-    if not (eo.any() or oe.any()):
-        nonzero = (ee, oo)
-    elif not (ee.any() or oo.any()):
-        nonzero = (eo, oe)
-    else:
-        return float(np.linalg.norm(rep.restricted(m, depth), 2))
-    return max(float(np.linalg.norm(block, 2)) for block in nonzero)
+    g = mat if isinstance(mat, GradedMatrix) else GradedMatrix(mat, rep.basis.parity())
+    blocks = g.nonzero_blocks(rep.window(depth).block_sizes)
+    if blocks is None:
+        return float(np.linalg.norm(rep.restricted(g.mat, depth), 2))
+    return block_norm(blocks)
 
 
 def decay_fit(ts: Sequence[float], vals: Sequence[float]) -> tuple | None:
@@ -320,14 +318,36 @@ def shifted_bump(dim: int, center: float = 0.8, width: float = 1.0) -> CliffFunc
         out[:, 1] = np.exp(-(shifted ** 2).sum(axis=1) / width)
         return out
 
-    return CliffFunction(dim, coeffs, "bump*e1", 1)
+    # exp(-|x - c e_1|^2 / w) is a product of one Gaussian per axis
+    def first(x):
+        return np.exp(-(x - center) ** 2 / width)
+
+    def other(x):
+        return np.exp(-x * x / width)
+
+    return CliffFunction(dim, coeffs, "bump*e1", 1, ((1, (first,) + (other,) * (dim - 1)),))
+
+
+def _gaussian_bott_map(dim: int, odd: bool) -> CliffFunction:
+    """``bott_map`` of u (odd=False) or v (odd=True), with its separable factors.
+
+    exp(-|x|^2) is the product of exp(-x_i^2) over the axes: it is the
+    scalar-blade coefficient of u's image, and x_i times it is the e_i
+    coefficient of v's.
+    """
+    u, v = gaussian(), x_gaussian()
+    if odd:
+        factors = tuple((1 << i, tuple(v if j == i else u for j in range(dim))) for i in range(dim))
+    else:
+        factors = ((0, (u,) * dim),)
+    return replace(bott_map(v if odd else u, dim), factors=factors)
 
 
 def resolve_h_choices(cfg: SweepConfig) -> list:
     """Named defaults or caller-provided CliffFunction objects."""
     named = {
-        "uP": lambda: bott_map(gaussian(), cfg.dim),
-        "vP": lambda: bott_map(x_gaussian(), cfg.dim),
+        "uP": lambda: _gaussian_bott_map(cfg.dim, odd=False),
+        "vP": lambda: _gaussian_bott_map(cfg.dim, odd=True),
         "bump": lambda: shifted_bump(cfg.dim),
     }
     out = []
@@ -445,12 +465,12 @@ def _commutator_suite(cfg: SweepConfig, suite_id: str, use_cd: bool) -> Verifica
     # ones the cross-check reads are kept
     ends = [(name, t) for name in names for t in (cfg.t_grid[0], cfg.t_grid[-1])]
     wanted = {ends[i] for i in _crosscheck_picks(len(ends))}
-    picked: dict[tuple, np.ndarray] = {}
+    picked: dict[tuple, GradedMatrix] = {}
 
     def record(name: str, t: float, comm: GradedMatrix):
         curves[name].append(windowed_norm(comm, rep))
         if (name, t) in wanted:
-            picked[name, t] = comm.mat
+            picked[name, t] = comm
 
     for t in cfg.t_grid:
         fd = {a: matrix_function(scale(f, t), rep.dirac) for a, f in gens}
@@ -611,16 +631,13 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
     u, v = gaussian(), x_gaussian()
     rel = cfg.tol if cfg.tol is not None else 1e-2
 
-    b_mat = rep.bott.mat
     curves = {"gamma-u": [], "gamma-v": []}
     samples = []
     for t in cfg.t_grid:
-        ub = matrix_function(scale(u, t), rep.bott).mat
-        uc = matrix_function(scale(u, t), rep.clifford).mat
-        ud = matrix_function(scale(u, t), rep.dirac).mat
-        prod = uc @ ud
-        vb = matrix_function(scale(v, t), rep.bott).mat
-        rhs_v = (b_mat / t) @ prod
+        ub = matrix_function(scale(u, t), rep.bott)
+        prod = matrix_function(scale(u, t), rep.clifford) @ matrix_function(scale(u, t), rep.dirac)
+        vb = matrix_function(scale(v, t), rep.bott)
+        rhs_v = GradedMatrix(rep.bott.mat / t, rep.bott.parity) @ prod
         curves["gamma-u"].append(windowed_norm(ub - prod, rep))
         curves["gamma-v"].append(windowed_norm(vb - rhs_v, rep))
         if t in (cfg.t_grid[0], cfg.t_grid[-1]):
@@ -631,7 +648,7 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
     fit = decay_fit(ts, envelope)
 
     # multiplication operator vs position functional calculus, matched nodes
-    hu = bott_map(u, cfg.dim)
+    hu = _gaussian_bott_map(cfg.dim, odd=False)
     m_matched = multiplication_operator(hu, rep.basis, nodes=cfg.level + 1)
     uc1 = matrix_function(u, rep.clifford)
     m_identity = windowed_norm(m_matched - uc1, rep, 0)

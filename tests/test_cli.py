@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -54,13 +55,20 @@ def test_invalid_dim_exits_2(tmp_path, capsys):
     (["report-all", "--suite", "nonsense"], "unknown suite ids"),
     (["commutators", "--t-max", "nan"], "t_grid values must be finite"),
     (["spectrum", "--t-min", "nan"], "t_grid values must be finite"),
+    (["spectrum", "--t-max", "inf"], "t_grid values must be finite"),
+    (["spectrum", "--t-min", "inf"], "t_grid values must be finite"),
 ])
 def test_config_errors_exit_2(args, fragment, tmp_path, capsys):
-    code = run_cli(args + ["--out", str(tmp_path)])
+    # pytest would hold back a warning from stderr, so record warnings as well
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(args + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
     assert f"error: {fragment}" in err
     assert "Traceback" not in err
+    assert "Warning" not in err
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_default_grid_is_the_library_default():

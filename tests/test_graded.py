@@ -20,9 +20,12 @@ from bottlab.graded import (
     identity_like,
     involution,
     iota,
+    parity_index,
     tensor_parity,
     tensor_product_witness,
 )
+from bottlab.oscillator import oscillator_rep
+from bottlab.verify import windowed_norm
 
 
 def random_parity(rng, dim):
@@ -231,6 +234,77 @@ def test_graded_commutator_matches_dense_formula(seed, dim, kind, deg_a, deg_b):
     scale = (np.abs(a.mat) @ np.abs(b.mat) + np.abs(b.mat) @ np.abs(a.mat)).max()
     assert np.abs(got.mat - want).max() <= 1e-13 * scale
     assert np.array_equal(got.parity, par)
+
+
+# ---------------------------------------------------------------------------
+# block-held matrices
+# ---------------------------------------------------------------------------
+
+def block_held(rng, parity, degree):
+    """A random matrix of the given degree held as its two blocks (dense when
+    degree is None), and its dense matrix built here."""
+    dense = rng.standard_normal((len(parity),) * 2)
+    if degree is None:
+        return GradedMatrix(dense.copy(), parity), dense
+    index = parity_index(parity)
+    blocks = [rng.standard_normal((len(index[r]), len(index[r ^ degree]))) for r in (0, 1)]
+    dense[:] = 0.0
+    for r in (0, 1):
+        dense[np.ix_(index[r], index[r ^ degree])] = blocks[r]
+    return GradedMatrix.from_parts({degree: blocks}, parity), dense
+
+
+def assert_close(got, want, scale):
+    assert np.abs(got.mat - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("config", [(1, 6), (2, 6)])
+@pytest.mark.parametrize("deg_a", [0, 1, None], ids=["a-even", "a-odd", "a-mixed"])
+@pytest.mark.parametrize("deg_b", [0, 1, None], ids=["b-even", "b-odd", "b-mixed"])
+def test_block_held_arithmetic_matches_dense(config, deg_a, deg_b):
+    rep = oscillator_rep(*config)
+    par = rep.basis.parity()
+    rng = np.random.default_rng([config[0], 3 if deg_a is None else deg_a, 3 if deg_b is None else deg_b])
+    a, am = block_held(rng, par, deg_a)
+    b, bm = block_held(rng, par, deg_b)
+    ab = np.abs(am) @ np.abs(bm)
+    ba = np.abs(bm) @ np.abs(am)
+    entries = np.abs(am).max() + np.abs(bm).max()
+    assert_close(a @ b, am @ bm, ab.max())
+    assert_close(a + b, am + bm, entries)
+    assert_close(a - b, am - bm, entries)
+    assert_close(2.5 * a, 2.5 * am, entries)
+    assert_close(-b, -bm, entries)
+    want = dense_graded_commutator(GradedMatrix(am, par), GradedMatrix(bm, par))
+    assert_close(graded_commutator(a, b), want, (ab + ba).max())
+    norm = np.linalg.norm(am, 2)
+    assert abs(a.norm() - norm) <= 1e-13 * norm
+    for depth in (0, 2, rep.basis.level):
+        mask = rep.basis.interior_mask(depth)
+        norm = np.linalg.norm(am[np.ix_(mask, mask)], 2)
+        assert abs(windowed_norm(a, rep, depth) - norm) <= 1e-13 * norm, depth
+
+
+def test_mutating_an_assembled_matrix_reaches_later_operations():
+    rep = oscillator_rep(2, 6)
+    par = rep.basis.parity()
+    rng = np.random.default_rng(8)
+    a, am = block_held(rng, par, 1)
+    b, bm = block_held(rng, par, 0)
+    scale = 4.0 * (np.abs(am).max() + 1.0) * np.abs(bm).max() * len(par)
+    a.mat[0, :] += 1.0  # first access assembles; the write makes a mixed
+    am[0, :] += 1.0
+    assert_close(a @ b, am @ bm, scale)
+    assert_close(b @ a, bm @ am, scale)
+    want = dense_graded_commutator(GradedMatrix(am, par), GradedMatrix(bm, par))
+    assert_close(graded_commutator(a, b), want, scale)
+    x, _ = block_held(rng, par, 1)
+    c = graded_commutator(x, b)  # held as blocks until the next line
+    assert c.norm() > 1.0
+    c.mat[:] = 0.0
+    assert not (c @ x).mat.any()
+    assert not graded_commutator(c, x).mat.any()
+    assert c.norm() == 0.0 and windowed_norm(c, rep) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ matrix for the quadrature), and the operator identities are checked on
 the interior window where truncation cannot reach.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from bottlab.oscillator import (
     rescale,
     spectrum,
 )
-from bottlab.verify import bott_map
+from bottlab.verify import SweepConfig, bott_map, resolve_h_choices
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +293,37 @@ def test_dimension_mismatch_rejected():
     basis = HermiteBasis(2, 6)
     with pytest.raises(ValueError, match="dimension"):
         multiplication_operator(bott_map(gaussian(), 1), basis)
+
+
+@pytest.mark.parametrize("dim,level", [(1, 12), (2, 6), (3, 5)])
+@pytest.mark.parametrize("name", ["uP", "vP", "bump"])
+def test_separable_symbols_match_the_grid_route(name, dim, level):
+    # oracle: the same symbol with its factors stripped, evaluated on the full grid
+    basis = HermiteBasis(dim, level)
+    (h,) = resolve_h_choices(SweepConfig(dim=dim, level=level, h_choices=(name,)))
+    assert h.factors is not None
+    for t in (1.0, 4.0):
+        scaled = rescale(h, t)
+        grid = dataclasses.replace(scaled, factors=None)
+        for nodes in (None, level + 1):
+            got = multiplication_operator(scaled, basis, nodes=nodes)
+            want = multiplication_operator(grid, basis, nodes=nodes)
+            assert got.operator_parity() == want.operator_parity() == h.parity
+            assert np.abs(got.mat - want.mat).max() <= 1e-13, (t, nodes)
+
+
+def test_factorless_mixed_symbol_is_the_sum_of_its_parts():
+    # a caller's symbol without factors, with values of both blade parities
+    basis = HermiteBasis(1, 8)
+    const = CliffFunction(1, lambda p: np.column_stack([np.full(len(p), 2.5), np.zeros(len(p))]),
+                          "const", 0)
+    odd = CliffFunction(1, lambda p: np.column_stack([np.zeros(len(p)), np.exp(-p[:, 0] ** 2)]),
+                        "odd", 1)
+    both = CliffFunction(1, lambda p: const.coeff_fn(p) + odd.coeff_fn(p), "both")
+    m = multiplication_operator(both, basis)
+    assert m.operator_parity() is None
+    want = multiplication_operator(const, basis).mat + multiplication_operator(odd, basis).mat
+    assert np.abs(m.mat - want).max() <= 1e-14
 
 
 def test_cliff_function_shape_validation():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bottlab import verify
+from bottlab import graded, oscillator, verify
 from bottlab.clifford import MultiVector, Signature, mv_multiply, regular_representation
 from bottlab.funcalc import gaussian, x_gaussian
 from bottlab.graded import GradedMatrix, flip_unitary
@@ -397,6 +397,38 @@ def test_curve_suites_never_take_the_dense_window_norm(suite, config, monkeypatc
                         lambda self, *args: calls.append(args) or restricted(self, *args))
     run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
     assert not calls
+
+
+@pytest.mark.parametrize("config", [(1, 8), (2, 6)])
+@pytest.mark.parametrize("suite", ["dirac-commutator", "cd-commutator"])
+def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
+    # no named symbol is evaluated on the n-D quadrature grid, and a full-size
+    # matrix is formed only for the norm cross-check's (at most 3) samples
+    rep = oscillator_rep(*config)
+    size = rep.basis.size
+
+    def grid(h, *args):
+        raise AssertionError(f"{h.name} evaluated on the quadrature grid")
+
+    full = []
+    assemble = graded._assemble
+    init = GradedMatrix.__init__
+
+    def counting_assemble(parts, index):
+        out = assemble(parts, index)
+        full.append(out.shape)
+        return out
+
+    def counting_init(self, mat, parity):
+        init(self, mat, parity)
+        full.append(self.mat.shape)
+
+    monkeypatch.setattr(oscillator, "_grid_grams", grid)
+    monkeypatch.setattr(graded, "_assemble", counting_assemble)
+    monkeypatch.setattr(GradedMatrix, "__init__", counting_init)
+    report = run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
+    assert report.passed
+    assert len([s for s in full if s == (size, size)]) <= 3, full
 
 
 def test_conjugation_by_index_equals_the_signed_swap_product():
