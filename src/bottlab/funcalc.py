@@ -34,18 +34,6 @@ class GradedFunction:
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
-    def even_part(self) -> "GradedFunction":
-        if self.parity == 0:
-            return self
-        f = self.fn
-        return GradedFunction(lambda x: 0.5 * (f(x) + f(-x)), 0, f"even[{self.name}]")
-
-    def odd_part(self) -> "GradedFunction":
-        if self.parity == 1:
-            return self
-        f = self.fn
-        return GradedFunction(lambda x: 0.5 * (f(x) - f(-x)), 1, f"odd[{self.name}]")
-
     def __mul__(self, other: "GradedFunction") -> "GradedFunction":
         f, g = self.fn, other.fn
         if self.parity is None or other.parity is None:
@@ -62,10 +50,6 @@ class GradedFunction:
     def __rmul__(self, c: float) -> "GradedFunction":
         f = self.fn
         return GradedFunction(lambda x: float(c) * f(x), self.parity, f"{c}*{self.name}")
-
-    def sup_norm(self, radius: float = 10.0, samples: int = 2001) -> float:
-        grid = np.linspace(-radius, radius, samples)
-        return float(np.abs(self(grid)).max())
 
 
 def gaussian() -> GradedFunction:

@@ -21,7 +21,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .clifford import (
     MultiVector,
     Signature,
     blade_parities,
+    blade_parity,
     left_mult_operator,
     number_operator,
 )
@@ -180,13 +181,8 @@ def axis_derivative(basis: HermiteBasis, axis: int) -> np.ndarray:
 # operator assembly
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 class Window(NamedTuple):
-    """The states of total level <= level - depth, as read-only index data.
+    """The states of total level <= level - depth, as two counts.
 
     The basis is ordered by total level, so a window is a leading segment of
     it, and its even (odd) states are the leading ones of all even (odd)
@@ -194,14 +190,8 @@ class Window(NamedTuple):
     ``block_sizes[r]`` rows or columns of parity r.
     """
 
-    mask: np.ndarray         # boolean mask over the full basis
-    ix: tuple                # np.ix_(mask, mask)
-    parity_index: tuple      # (even, odd) full-basis indices inside the window
-
-    @property
-    def block_sizes(self) -> tuple[int, int]:
-        """Number of even and of odd states in the window."""
-        return len(self.parity_index[0]), len(self.parity_index[1])
+    size: int                     # number of states in the window
+    block_sizes: tuple[int, int]  # number of even and of odd states in it
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +201,7 @@ class OscillatorRep:
     C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: read-only,
     checked once for symmetry and parity, and diagonalised at most once, on
     first use, for every suite thread that shares the context.  ``windows``
-    holds a read-only :class:`Window` for every depth 0..level.
+    holds a :class:`Window` for every depth 0..level.
     """
 
     basis: HermiteBasis
@@ -222,19 +212,16 @@ class OscillatorRep:
     harmonic: SpectralMatrix  # H = C^2 + D^2
     windows: tuple            # depth -> Window
 
-    @property
-    def interior(self) -> np.ndarray:
-        return self.windows[2].mask
-
     def window(self, depth: int = 2) -> Window:
-        """Index data of the window of total level <= level - depth."""
+        """The window of total level <= level - depth."""
         if not 0 <= depth <= self.basis.level:
             raise ValueError(f"window depth must lie in 0..{self.basis.level}, got {depth}")
         return self.windows[depth]
 
     def restricted(self, mat: np.ndarray, depth: int = 2) -> np.ndarray:
         """Interior block (total level <= level - depth) of a full-space matrix."""
-        return mat[self.window(depth).ix]
+        n = self.window(depth).size
+        return mat[:n, :n]
 
 
 def clifford_operator(basis: HermiteBasis) -> GradedMatrix:
@@ -275,17 +262,12 @@ def _context(dim: int, level: int) -> OscillatorRep:
     c = clifford_operator(basis)
     d = dirac_operator(basis)
     number = blade_number_operator(basis)
-    _read_only(number.mat, number.parity)
-    full_index = parity_index(par)
+    number.mat.flags.writeable = number.parity.flags.writeable = False
     windows = []
     for depth in range(level + 1):
-        mask = basis.interior_mask(depth)
-        ix = np.ix_(mask, mask)
-        index = tuple(np.flatnonzero(mask & (par == p)) for p in (0, 1))
-        if not all(np.array_equal(i, f[:len(i)]) for i, f in zip(index, full_index)):
-            raise RuntimeError("window is not a leading segment of the basis order")
-        _read_only(mask, *ix, *index)
-        windows.append(Window(mask, ix, index))
+        size = int(np.count_nonzero(basis.interior_mask(depth)))
+        odd = int(np.count_nonzero(par[:size]))
+        windows.append(Window(size, (size - odd, odd)))
     return OscillatorRep(
         basis,
         SpectralMatrix(c.mat, par),
@@ -377,10 +359,10 @@ def spectrum(rep: OscillatorRep, operator: str = "bott-squared",
     overlap = None
     if operator == "bott-squared":
         # ground state: the Gaussian times the scalar blade
+        # (the window is a leading segment, so it keeps the full-basis index)
         ground_full = rep.basis.mindex_position((0,) * rep.basis.dim) * rep.basis.blade_count
-        ground = int(np.cumsum(rep.interior)[ground_full] - 1)
         kernel_vec = vecs[:, int(np.argmin(vals))]
-        overlap = float(abs(kernel_vec[ground]) / np.linalg.norm(kernel_vec))
+        overlap = float(abs(kernel_vec[ground_full]) / np.linalg.norm(kernel_vec))
 
     return SpectrumResult(operator, vals, clusters, window, overlap)
 
@@ -402,76 +384,48 @@ def level_multiplicity(dim: int, half_eigenvalue: int) -> int:
 # Clifford-valued multiplication operators
 
 
-@dataclass
+@dataclass(frozen=True)
 class CliffFunction:
     """Function on R^dim with values in the Euclidean Clifford algebra.
 
-    ``coeff_fn`` maps an (m, dim) array of points to an (m, 2^dim) array of
-    blade coefficients.  ``parity`` is the blade parity of the values (0, 1,
-    or None when mixed).  ``factors``, when given, is the same function as
-    a sum of separable terms: each entry ``(blade, (g_1, .., g_dim))`` puts
-    ``g_1(x_1) .. g_dim(x_dim)`` on that blade, every ``g_i`` a function of
-    one variable on arrays.  :func:`multiplication_operator` then works
-    from one-dimensional quadratures instead of the dim-dimensional grid.
+    It is a sum of separable terms: each entry ``(blade, (g_1, .., g_dim))``
+    of ``terms`` puts ``g_1(x_1) .. g_dim(x_dim)`` on that blade, every
+    ``g_i`` a function of one variable on arrays.  The symbols of the
+    asymptotic morphism, the Gaussian generator pair and a bump, all
+    factor this way, and :func:`multiplication_operator` works from
+    one-dimensional quadratures of the terms.
     """
 
     dim: int
-    coeff_fn: Callable[[np.ndarray], np.ndarray]
     name: str
-    parity: int | None = None
-    factors: tuple | None = None
+    terms: tuple
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = self.coeff_fn(pts)
-        expected = (pts.shape[0], 1 << self.dim)
-        if vals.shape != expected:
-            raise ValueError(f"coefficient array has shape {vals.shape}, expected {expected}")
-        return vals
+    def __post_init__(self):
+        for blade, axis_fns in self.terms:
+            if not 0 <= blade < 1 << self.dim:
+                raise ValueError(f"blade {blade} outside 0..{(1 << self.dim) - 1} at dim {self.dim}")
+            if len(axis_fns) != self.dim:
+                raise ValueError(f"term on blade {blade} has {len(axis_fns)} axis functions, "
+                                 f"expected {self.dim}")
 
-    def sup_norm(self, radius: float = 10.0, samples: int = 101) -> float:
-        """Max Euclidean length of the coefficient vector on an axis grid."""
-        grids = np.meshgrid(*([np.linspace(-radius, radius, samples)] * self.dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        return float(np.linalg.norm(self(pts), axis=1).max())
+    @property
+    def parity(self) -> int | None:
+        """Blade parity of the values: 0, 1, or None when the terms mix both."""
+        parities = {blade_parity(blade) for blade, _ in self.terms}
+        return None if len(parities) > 1 else max(parities, default=0)
 
 
 def rescale(h: CliffFunction, t: float) -> CliffFunction:
     """Flattened function v -> h(v / t); defined for t >= 1."""
     if not t >= 1:
         raise ValueError(f"rescaling parameter must be >= 1, got {t}")
-    fn = h.coeff_fn
-    factors = None
-    if h.factors is not None:
-        factors = tuple((blade, tuple((lambda x, g=g: g(x / t)) for g in axis_fns))
-                        for blade, axis_fns in h.factors)
-    return CliffFunction(h.dim, lambda pts: fn(pts / t), f"{h.name}@t={t:g}", h.parity, factors)
-
-
-def _grid_grams(h: CliffFunction, basis: HermiteBasis, q: int) -> dict[int, np.ndarray]:
-    """Spatial Gram matrix of every nonzero blade of h, on the q^dim-point grid."""
-    x, w = _gh_nodes(q)
-    rows = hermite_rows(basis.level, x)
-
-    # tensor grid of node indices; points and weights follow from it
-    idx_grids = np.meshgrid(*([np.arange(q)] * basis.dim), indexing="ij")
-    node_idx = np.stack([g.ravel() for g in idx_grids], axis=-1)  # (points, dim)
-    pts = x[node_idx]
-    weights = w[node_idx].prod(axis=1)
-
-    # spatial basis values on the grid, one row per multi-index
-    psi = np.ones((basis.spatial_size, len(pts)))
-    for axis in range(basis.dim):
-        k_of_m = np.array([m[axis] for m in basis.mindices])
-        psi *= rows[k_of_m][:, node_idx[:, axis]]
-
-    values = h(pts)  # (points, blades)
-    return {c: (psi * (weights * values[:, c])) @ psi.T
-            for c in range(basis.blade_count) if np.any(values[:, c])}
+    terms = tuple((blade, tuple((lambda x, g=g: g(x / t)) for g in axis_fns))
+                  for blade, axis_fns in h.terms)
+    return CliffFunction(h.dim, f"{h.name}@t={t:g}", terms)
 
 
 def _separable_grams(h: CliffFunction, basis: HermiteBasis, q: int) -> dict[int, np.ndarray]:
-    """Spatial Gram matrix of every blade of h, from its separable factors.
+    """Spatial Gram matrix of every blade of h, from its separable terms.
 
     The Gram entry of multi-indices m, m' of a term ``g_1(x_1) .. g_n(x_n)``
     is the product over axes of the 1-D Gram entries ``G_i[m_i, m'_i]``, so
@@ -481,7 +435,7 @@ def _separable_grams(h: CliffFunction, basis: HermiteBasis, q: int) -> dict[int,
     rows = hermite_rows(basis.level, x)
     k = np.array(basis.mindices).T  # (dim, spatial size)
     grams: dict[int, np.ndarray] = {}
-    for blade, axis_fns in h.factors:
+    for blade, axis_fns in h.terms:
         gram = 1.0
         for axis, g in enumerate(axis_fns):
             gram = gram * ((rows * (w * g(x))) @ rows.T)[k[axis][:, None], k[axis][None, :]]
@@ -501,17 +455,16 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     the quadrature built on the eigenvalues of the truncated position matrix
     *is* evaluation at those eigenvalues.
 
-    A symbol with ``factors`` gets its Grams from 1-D quadratures; any other
-    is evaluated on the full tensor grid.  Blades of parity d make up the
-    degree-d part, whose parity blocks are the sums
-    ``kron(Gram_c, lambda(c)[rows of parity r, columns of parity r ^ d])``;
+    The Grams come from 1-D quadratures of the symbol's separable terms.
+    Blades of parity d make up the degree-d part, whose parity blocks are
+    the sums ``kron(Gram_c, lambda(c)[rows of parity r, columns of parity r ^ d])``;
     when every nonzero blade has the same parity the result holds just
     those two blocks.
     """
     if h.dim != basis.dim:
         raise ValueError(f"function dimension {h.dim} != basis dimension {basis.dim}")
     q = nodes if nodes is not None else 2 * basis.level + 16
-    grams = (_grid_grams if h.factors is None else _separable_grams)(h, basis, q)
+    grams = _separable_grams(h, basis, q)
     blade_par = blade_parities(basis.sig)
     blades = parity_index(blade_par)
     parts: dict = {}

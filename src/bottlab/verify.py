@@ -17,7 +17,7 @@ level; see the notes emitted by the affected suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -112,7 +112,7 @@ class SweepConfig:
             "levels": self.level,
             "t_grid": [round(t, 12) for t in self.t_grid],
             "s_grid": [round(s, 12) for s in self.s_grid],
-            "h_choices": list(self.h_choices),
+            "h_choices": [h.name if isinstance(h, CliffFunction) else h for h in self.h_choices],
         }
 
 
@@ -285,62 +285,35 @@ def monotone_after(ts: Sequence[float], vals: Sequence[float], start: float = 2.
 # test-function constructions
 
 
-def bott_map(f: GradedFunction, dim: int) -> CliffFunction:
-    """Radial Clifford-valued extension of a scalar function.
-
-    At a point v one applies f to the odd element sum_i v_i e_i, whose
-    square is ||v||^2: functional calculus on the two eigenvalues +-||v||
-    gives f_even(r) on the scalar blade plus (f_odd(r)/r) v_i on each e_i,
-    smooth through r = 0 for the Gaussian generators.
-    """
-    fe, fo = f.even_part(), f.odd_part()
-
-    def coeffs(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((pts.shape[0], 1 << dim))
-        r = np.linalg.norm(pts, axis=1)
-        out[:, 0] = fe(r)
-        safe = np.maximum(r, 1e-12)
-        ratio = fo(safe) / safe
-        for i in range(dim):
-            out[:, 1 << i] = ratio * pts[:, i]
-        return out
-
-    return CliffFunction(dim, coeffs, f"cliff[{f.name}]", f.parity)
-
-
 def shifted_bump(dim: int, center: float = 0.8, width: float = 1.0) -> CliffFunction:
-    """Off-center Gaussian bump times the first generator (odd values)."""
+    """Off-center Gaussian bump times the first generator (odd values).
 
-    def coeffs(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((pts.shape[0], 1 << dim))
-        shifted = pts.copy()
-        shifted[:, 0] -= center
-        out[:, 1] = np.exp(-(shifted ** 2).sum(axis=1) / width)
-        return out
+    exp(-|x - c e_1|^2 / w) is a product of one Gaussian per axis.
+    """
 
-    # exp(-|x - c e_1|^2 / w) is a product of one Gaussian per axis
     def first(x):
         return np.exp(-(x - center) ** 2 / width)
 
     def other(x):
         return np.exp(-x * x / width)
 
-    return CliffFunction(dim, coeffs, "bump*e1", 1, ((1, (first,) + (other,) * (dim - 1)),))
+    return CliffFunction(dim, "bump", ((1, (first,) + (other,) * (dim - 1)),))
 
 
 def _gaussian_bott_map(dim: int, odd: bool) -> CliffFunction:
-    """``bott_map`` of u (odd=False) or v (odd=True), with its separable factors.
+    """The radial Clifford extension of u (odd=False) or v (odd=True).
 
-    exp(-|x|^2) is the product of exp(-x_i^2) over the axes: it is the
-    scalar-blade coefficient of u's image, and x_i times it is the e_i
-    coefficient of v's.
+    At a point x the generator is applied to the odd element sum_i x_i e_i,
+    whose square is |x|^2: u gives exp(-|x|^2) on the scalar blade and v
+    gives x_i exp(-|x|^2) on each e_i.  exp(-|x|^2) is the product of
+    exp(-x_i^2) over the axes, so both are sums of separable terms.
     """
     u, v = gaussian(), x_gaussian()
     if odd:
-        factors = tuple((1 << i, tuple(v if j == i else u for j in range(dim))) for i in range(dim))
+        terms = tuple((1 << i, tuple(v if j == i else u for j in range(dim))) for i in range(dim))
     else:
-        factors = ((0, (u,) * dim),)
-    return replace(bott_map(v if odd else u, dim), factors=factors)
+        terms = ((0, (u,) * dim),)
+    return CliffFunction(dim, "vP" if odd else "uP", terms)
 
 
 def resolve_h_choices(cfg: SweepConfig) -> list:
@@ -355,21 +328,10 @@ def resolve_h_choices(cfg: SweepConfig) -> list:
         if isinstance(h, CliffFunction):
             out.append(h)
         elif h in named:
-            fn = named[h]()
-            fn.name = h
-            out.append(fn)
+            out.append(named[h]())
         else:
             raise ValueError(f"unknown test function {h!r}; expected one of {sorted(named)}")
     return out
-
-
-def alpha(f: GradedFunction, h: CliffFunction, t: float, rep: OscillatorRep) -> GradedMatrix:
-    """The asymptotic-morphism image f(t^{-1} D) M_{h(./t)} at parameter t >= 1."""
-    if not t >= 1:
-        raise ValueError(f"morphism parameter must be >= 1, got {t}")
-    fd = matrix_function(scale(f, t), rep.dirac)
-    mh = multiplication_operator(rescale(h, t), rep.basis)
-    return fd @ mh
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +792,7 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
         ud = matrix_function(scale(u, t), rep.dirac)
         vd = matrix_function(scale(v, t), rep.dirac)
         for h in hs:
-            # alpha(u, h, t, rep) and alpha(v, h, t, rep), sharing one M_{h_t}
+            # the morphism images u(D/t) M_{h_t} and v(D/t) M_{h_t}, sharing one M_{h_t}
             mh = multiplication_operator(rescale(h, t), rep.basis)
             a_even, a_odd = ud @ mh, vd @ mh
             worst = 0.0

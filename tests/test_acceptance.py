@@ -22,7 +22,7 @@ from bottlab.oscillator import (
     oscillator_rep,
     spectrum,
 )
-from bottlab.verify import SweepConfig, bott_map, monotone_after, run_suite
+from bottlab.verify import SweepConfig, _gaussian_bott_map, monotone_after, run_suite
 
 
 def _report(line: str, elapsed: float, budget: float):
@@ -137,7 +137,7 @@ def test_criterion_6_composition_against_morphism():
 
     osc = oscillator_rep(1, 20)
     direct = matrix_function(gaussian(), osc.clifford).mat
-    quad = multiplication_operator(bott_map(gaussian(), 1), osc.basis, nodes=21).mat
+    quad = multiplication_operator(_gaussian_bott_map(1, odd=False), osc.basis, nodes=21).mat
     mdiff = float(np.linalg.norm(direct - quad, 2))
     assert mdiff <= 1e-6, f"position-calculus identity: {mdiff:.3e}"
     _report(f"criterion 6 PASS: composition residuals {ratios} at K=20; "

@@ -21,12 +21,6 @@ def _context_arrays(rep) -> dict:
     for name, op in ops.items():
         arrays[name] = op.mat
         arrays[f"{name}.parity"] = op.parity
-    for depth, (mask, (rows, cols), (even, odd)) in enumerate(rep.windows):
-        arrays[f"mask{depth}"] = mask
-        arrays[f"rows{depth}"] = rows
-        arrays[f"cols{depth}"] = cols
-        arrays[f"even{depth}"] = even
-        arrays[f"odd{depth}"] = odd
     for name in ("C", "D", "B", "H"):
         arrays[f"w{name}"], arrays[f"Q{name}"] = ops[name].eig
     return arrays
@@ -90,16 +84,23 @@ def test_spectral_matrix_rejects_asymmetric_input():
         SpectralMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), [0, 0])
 
 
-@pytest.mark.parametrize("dim,level", [(1, 6), (2, 5)])
-def test_window_parity_index_lists_the_window_states_by_parity(dim, level):
+@pytest.mark.parametrize("dim,level", [(1, 6), (2, 5), (1, 12), (2, 10), (3, 6)])
+def test_window_is_a_leading_segment(dim, level):
+    # the basis is sorted by total level, so slicing equals mask indexing, and
+    # inside each parity block the window is the leading block_sizes[r] states
     rep = oscillator_rep(dim, level)
     par = rep.basis.parity()
+    full = np.arange(rep.basis.size)
+    m = np.add.outer(full, 1000 * full).astype(float)
     for depth in range(level + 1):
+        mask = rep.basis.interior_mask(depth)
         window = rep.window(depth)
-        even, odd = window.parity_index
-        assert np.array_equal(even, np.flatnonzero(window.mask & (par == 0)))
-        assert np.array_equal(odd, np.flatnonzero(window.mask & (par == 1)))
-        assert len(even) and len(odd)
+        assert np.array_equal(rep.restricted(m, depth), m[np.ix_(mask, mask)])
+        assert window.size == np.count_nonzero(mask)
+        for p, count in enumerate(window.block_sizes):
+            in_window = np.flatnonzero(mask & (par == p))
+            assert count == len(in_window) > 0
+            assert np.array_equal(in_window, np.flatnonzero(par == p)[:count])
 
 
 def test_window_depth_is_range_checked():
@@ -198,14 +199,3 @@ def test_concurrent_first_calls_share_one_context(monkeypatch):
     results = _race(lambda: oscillator_rep(2, 5))
     oscillator_rep.cache_clear()
     assert all(r is results[0] for r in results)
-
-
-def test_window_parity_index_is_shared_by_every_caller():
-    oscillator_rep.cache_clear()
-    results = _race(lambda: [w.parity_index for w in oscillator_rep(2, 5).windows])
-    later = [w.parity_index for w in oscillator_rep(2, 5).windows]
-    oscillator_rep.cache_clear()
-    for indices in results:
-        for (even, odd), (even0, odd0) in zip(indices, later):
-            assert even is even0 and odd is odd0
-            assert not (even.flags.writeable or odd.flags.writeable)

@@ -7,7 +7,6 @@ matrix for the quadrature), and the operator identities are checked on
 the interior window where truncation cannot reach.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 from numpy.polynomial import hermite as np_hermite
 
 from bottlab.clifford import blade_grade, blade_parities
-from bottlab.funcalc import gaussian, matrix_function
+from bottlab.funcalc import gaussian, matrix_function, x_gaussian
 from bottlab.oscillator import (
     CliffFunction,
     HermiteBasis,
@@ -31,7 +30,8 @@ from bottlab.oscillator import (
     rescale,
     spectrum,
 )
-from bottlab.verify import SweepConfig, bott_map, resolve_h_choices
+from bottlab.verify import SweepConfig, _gaussian_bott_map, resolve_h_choices
+from oracles import bott_map, bump_coeffs, grid_multiplication_operator, symbol_values
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +245,19 @@ def test_spectrum_number_operator_and_bad_name():
 # multiplication operators
 # ---------------------------------------------------------------------------
 
+def _constant(value: float, blade: int = 0) -> CliffFunction:
+    return CliffFunction(1, f"{value}", ((blade, (lambda x: np.full_like(x, value),)),))
+
+
 def test_constant_symbol_gives_identity():
     basis = HermiteBasis(1, 10)
-    h = CliffFunction(1, lambda pts: np.column_stack([np.full(len(pts), 2.5), np.zeros(len(pts))]),
-                      "const", 0)
-    m = multiplication_operator(h, basis)
+    m = multiplication_operator(_constant(2.5), basis)
     assert np.allclose(m.mat, 2.5 * np.eye(basis.size), atol=1e-12)
 
 
 def test_multiplication_operator_is_a_contraction_for_contractive_symbols():
     basis = HermiteBasis(1, 12)
-    h = bott_map(gaussian(), 1)   # sup norm 1, attained at the origin
+    h = _gaussian_bott_map(1, odd=False)   # sup norm 1, attained at the origin
     m = multiplication_operator(h, basis)
     nrm = np.linalg.norm(m.mat, 2)
     assert nrm <= 1.0 + 1e-10
@@ -269,13 +271,13 @@ def test_matched_nodes_reproduce_position_functional_calculus():
     rep = oscillator_rep(1, level)
     basis = rep.basis
     direct = matrix_function(gaussian(), rep.clifford).mat
-    quad = multiplication_operator(bott_map(gaussian(), 1), basis, nodes=level + 1).mat
+    quad = multiplication_operator(_gaussian_bott_map(1, odd=False), basis, nodes=level + 1).mat
     assert np.abs(direct - quad).max() <= 1e-12
 
 
 def test_multiplication_operator_node_convergence():
     basis = HermiteBasis(1, 12)
-    h = bott_map(gaussian(), 1)
+    h = _gaussian_bott_map(1, odd=False)
     m40 = multiplication_operator(h, basis, nodes=40).mat
     m80 = multiplication_operator(h, basis, nodes=80).mat
     assert np.abs(m40 - m80).max() <= 1e-7
@@ -283,8 +285,7 @@ def test_multiplication_operator_node_convergence():
 
 def test_odd_symbol_gives_exactly_odd_operator():
     basis = HermiteBasis(1, 8)
-    from bottlab.funcalc import x_gaussian
-    m = multiplication_operator(bott_map(x_gaussian(), 1), basis)
+    m = multiplication_operator(_gaussian_bott_map(1, odd=True), basis)
     assert m.even_part().norm() == 0.0
     assert m.operator_parity() == 1
 
@@ -292,34 +293,50 @@ def test_odd_symbol_gives_exactly_odd_operator():
 def test_dimension_mismatch_rejected():
     basis = HermiteBasis(2, 6)
     with pytest.raises(ValueError, match="dimension"):
-        multiplication_operator(bott_map(gaussian(), 1), basis)
+        multiplication_operator(_gaussian_bott_map(1, odd=False), basis)
+
+
+# the named symbols, each as one formula written independently of its terms
+REFERENCE_COEFFS = {
+    "uP": lambda dim: bott_map(gaussian(), dim),
+    "vP": lambda dim: bott_map(x_gaussian(), dim),
+    "bump": bump_coeffs,
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name", ["uP", "vP", "bump"])
+def test_named_symbol_terms_match_their_reference_formulas(name, dim):
+    (h,) = resolve_h_choices(SweepConfig(dim=dim, level=6, h_choices=(name,)))
+    pts = np.random.default_rng(11).uniform(-2.5, 2.5, size=(40, dim))
+    pts[0] = 0.0
+    want = REFERENCE_COEFFS[name](dim)(pts)
+    assert np.allclose(symbol_values(h, pts), want, rtol=1e-13, atol=0.0)
+    assert h.parity == {"uP": 0, "vP": 1, "bump": 1}[name]
 
 
 @pytest.mark.parametrize("dim,level", [(1, 12), (2, 6), (3, 5)])
 @pytest.mark.parametrize("name", ["uP", "vP", "bump"])
 def test_separable_symbols_match_the_grid_route(name, dim, level):
-    # oracle: the same symbol with its factors stripped, evaluated on the full grid
+    # oracle: the symbol's reference formula evaluated on the full q^dim grid
     basis = HermiteBasis(dim, level)
     (h,) = resolve_h_choices(SweepConfig(dim=dim, level=level, h_choices=(name,)))
-    assert h.factors is not None
+    coeffs = REFERENCE_COEFFS[name](dim)
     for t in (1.0, 4.0):
-        scaled = rescale(h, t)
-        grid = dataclasses.replace(scaled, factors=None)
         for nodes in (None, level + 1):
-            got = multiplication_operator(scaled, basis, nodes=nodes)
-            want = multiplication_operator(grid, basis, nodes=nodes)
-            assert got.operator_parity() == want.operator_parity() == h.parity
-            assert np.abs(got.mat - want.mat).max() <= 1e-13, (t, nodes)
+            got = multiplication_operator(rescale(h, t), basis, nodes=nodes)
+            want = grid_multiplication_operator(lambda p: coeffs(p / t), basis, nodes=nodes)
+            assert got.operator_parity() == h.parity
+            assert np.abs(got.mat - want).max() <= 1e-13, (t, nodes)
 
 
-def test_factorless_mixed_symbol_is_the_sum_of_its_parts():
-    # a caller's symbol without factors, with values of both blade parities
+def test_mixed_symbol_is_the_sum_of_its_parts():
+    # a caller's symbol with terms of both blade parities
     basis = HermiteBasis(1, 8)
-    const = CliffFunction(1, lambda p: np.column_stack([np.full(len(p), 2.5), np.zeros(len(p))]),
-                          "const", 0)
-    odd = CliffFunction(1, lambda p: np.column_stack([np.zeros(len(p)), np.exp(-p[:, 0] ** 2)]),
-                        "odd", 1)
-    both = CliffFunction(1, lambda p: const.coeff_fn(p) + odd.coeff_fn(p), "both")
+    const = _constant(2.5)
+    odd = CliffFunction(1, "odd", ((1, (lambda x: np.exp(-x * x),)),))
+    both = CliffFunction(1, "both", const.terms + odd.terms)
+    assert both.parity is None
     m = multiplication_operator(both, basis)
     assert m.operator_parity() is None
     want = multiplication_operator(const, basis).mat + multiplication_operator(odd, basis).mat
@@ -327,23 +344,37 @@ def test_factorless_mixed_symbol_is_the_sum_of_its_parts():
 
 
 def test_cliff_function_shape_validation():
-    bad = CliffFunction(1, lambda pts: np.zeros((pts.shape[0], 3)), "bad")
-    with pytest.raises(ValueError, match="shape"):
-        bad(np.zeros((4, 1)))
+    # every term carries exactly one function per axis: a missing axis is
+    # not taken as the constant 1
+    u = gaussian()
+    with pytest.raises(ValueError, match="axis functions"):
+        CliffFunction(2, "short", ((0, (u,)),))
+    with pytest.raises(ValueError, match="axis functions"):
+        CliffFunction(1, "long", ((0, (u, u)),))
+
+
+def test_cliff_function_rejects_blades_outside_the_algebra():
+    u = gaussian()
+    with pytest.raises(ValueError, match="blade 9"):
+        CliffFunction(2, "far", ((9, (u, u)),))
+    with pytest.raises(ValueError, match="blade -1"):
+        CliffFunction(2, "negative", ((-1, (u, u)),))
+    assert CliffFunction(2, "top", ((3, (u, u)),)).parity == 0
 
 
 def test_rescale_flattens_and_validates():
-    h = bott_map(gaussian(), 1)
+    h = _gaussian_bott_map(1, odd=True)
     wide = rescale(h, 4.0)
     pts = np.array([[2.0]])
-    assert np.allclose(wide(pts), h(pts / 4.0))
+    assert np.allclose(symbol_values(wide, pts), symbol_values(h, pts / 4.0))
+    assert wide.parity == h.parity
     with pytest.raises(ValueError):
         rescale(h, 0.5)
 
 
 def test_compactness_singular_value_decay():
     rep = oscillator_rep(1, 10)
-    prof = compactness_profile(gaussian(), bott_map(gaussian(), 1), rep)
+    prof = compactness_profile(gaussian(), _gaussian_bott_map(1, odd=False), rep)
     sv = prof.singular_values
     assert np.all(np.diff(sv) <= 1e-14), "singular values must be sorted descending"
     assert sv[-1] < prof.tol
