@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import GradedMatrix, graded_tensor, identity_like, parity_index
+from .graded import GradedMatrix, graded_tensor, identity_like
 
 
 @dataclass
@@ -33,23 +33,6 @@ class GradedFunction:
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
-
-    def __mul__(self, other: "GradedFunction") -> "GradedFunction":
-        f, g = self.fn, other.fn
-        if self.parity is None or other.parity is None:
-            parity = None
-        else:
-            parity = self.parity ^ other.parity
-        return GradedFunction(lambda x: f(x) * g(x), parity, f"{self.name}*{other.name}")
-
-    def __add__(self, other: "GradedFunction") -> "GradedFunction":
-        f, g = self.fn, other.fn
-        parity = self.parity if self.parity == other.parity else None
-        return GradedFunction(lambda x: f(x) + g(x), parity, f"{self.name}+{other.name}")
-
-    def __rmul__(self, c: float) -> "GradedFunction":
-        f = self.fn
-        return GradedFunction(lambda x: float(c) * f(x), self.parity, f"{c}*{self.name}")
 
 
 def gaussian() -> GradedFunction:
@@ -76,8 +59,8 @@ class SpectralMatrix(GradedMatrix):
     Symmetry and operator parity are checked once, at construction, on a
     private copy of the input.  The eigendecomposition ``(w, q)`` is
     computed on first use under a lock, so threads sharing the matrix share
-    one eigensolve and one result.  Every array it holds is read-only,
-    including its parity index.
+    one eigensolve and one result.  Like every graded matrix it holds only
+    read-only arrays.
     """
 
     def __init__(self, mat, parity):
@@ -86,11 +69,6 @@ class SpectralMatrix(GradedMatrix):
         if np.abs(self.mat - self.mat.T).max() > 1e-10 * scale_ref:
             raise ValueError("matrix functional calculus requires a symmetric matrix")
         self.op_parity = self.operator_parity(tol=1e-10 * scale_ref)
-        self.mat.flags.writeable = False
-        self.parity.flags.writeable = False
-        self._index = parity_index(self.parity)
-        for i in self._index:
-            i.flags.writeable = False
         self._lock = threading.Lock()
         self._eig = None
 

@@ -17,66 +17,72 @@ from .clifford import MultiVector, Signature, blade_parities
 
 
 class GradedMatrix:
-    """A square real matrix with a 0/1 parity per basis index.
+    """A read-only square real matrix with a 0/1 parity per basis index.
 
-    It is held in one of two forms.  Built from an array it is dense.  Built
-    by a block kernel (:meth:`from_parts`) it is parity-homogeneous of some
-    degree d and holds only its two nonzero half-size blocks ``X[0, d]`` and
-    ``X[1, 1 ^ d]``, where ``X[r, c]`` collects the rows of parity r and the
-    columns of parity c in basis order.  ``@``, ``+``, ``-``, scalar
-    multiples, :func:`graded_commutator` and :meth:`norm` work on the blocks
-    when an operand holds them; two dense operands give a dense result.
-    ``mat`` assembles the dense matrix on first access, and from then on it
-    is the only source of truth: the blocks are dropped, so a caller who
-    writes into ``mat`` never meets stale blocks.
+    It is its degree parts: ``parts[d] = (X[0, d], X[1, 1 ^ d])`` for each
+    degree d present, where ``X[r, c]`` collects the rows of parity r and
+    the columns of parity c in basis order.  Built from an array, it splits
+    the array into the parts of the degrees with a nonzero entry on first
+    use; built by :meth:`from_parts`, it assembles ``mat`` on first access.
+    Both are cached (threads that race on a first use compute equal
+    values), and every array held is read-only: the constructor marks the
+    array it is given read-only without copying it.  ``@``, ``+``,
+    ``-``, scalar multiples, :func:`graded_commutator`,
+    :meth:`operator_parity`, :meth:`nonzero_blocks` and :meth:`norm` work
+    on the parts.
     """
 
     def __init__(self, mat, parity):
-        self._mat = np.asarray(mat, dtype=float)
-        self.parity = np.asarray(parity, dtype=np.uint8)
-        self._degree = self._blocks = self._index = None
-        if self._mat.ndim != 2 or self._mat.shape[0] != self._mat.shape[1]:
-            raise ValueError(f"graded matrix must be square, got shape {self._mat.shape}")
-        if self.parity.shape != (self._mat.shape[0],):
+        mat = np.asarray(mat, dtype=float)
+        parity = np.asarray(parity, dtype=np.uint8)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"graded matrix must be square, got shape {mat.shape}")
+        if parity.shape != (mat.shape[0],):
             raise ValueError("parity vector length must match matrix dimension")
-        if np.any(self.parity > 1):
+        if np.any(parity > 1):
             raise ValueError("parities must be 0 or 1")
+        self._mat, self.parity = _frozen(mat), _frozen(parity)
+        self._parts = self._index = None
 
     @staticmethod
     def from_parts(parts: dict, parity, index=None) -> "GradedMatrix":
         """The matrix whose degree-d part has the blocks ``parts[d] = (X[0, d], X[1, 1 ^ d])``.
 
-        With one degree it is held as those two blocks, with both it is
-        dense, and with none it is zero.  ``index`` is
-        ``parity_index(parity)``; callers that hold it pass it on.
+        No parts is the zero matrix.  ``index`` is ``parity_index(parity)``;
+        callers that hold it pass it on.
         """
-        parity = np.asarray(parity, dtype=np.uint8)
+        parity = _frozen(np.asarray(parity, dtype=np.uint8))
         index = parity_index(parity) if index is None else index
-        if len(parts) == 2:
-            return GradedMatrix(_assemble(parts, index), parity)
-        if not parts:
-            parts = {0: [np.zeros((len(i), len(i))) for i in index]}
-        (degree, blocks), = parts.items()
-        blocks = tuple(blocks)
-        for r, block in enumerate(blocks):
-            if block.shape != (len(index[r]), len(index[r ^ degree])):
-                raise ValueError(f"block {r} has shape {block.shape}, which does not fit the parities")
+        for d, blocks in parts.items():
+            for r, block in enumerate(blocks):
+                if block.shape != (len(index[r]), len(index[r ^ d])):
+                    raise ValueError(f"block {r} has shape {block.shape}, which does not fit the parities")
         out = object.__new__(GradedMatrix)
         out._mat, out.parity, out._index = None, parity, index
-        out._degree, out._blocks = degree, blocks
+        out._parts = {d: tuple(_frozen(b) for b in blocks) for d, blocks in parts.items()}
         return out
+
+    @property
+    def parts(self) -> dict:
+        """``{d: (X[0, d], X[1, 1 ^ d])}`` for each degree d present."""
+        if self._parts is None:
+            blocks = parity_blocks(self._mat, self.index)
+            self._parts = {d: (_frozen(blocks[0][d]), _frozen(blocks[1][1 ^ d])) for d in (0, 1)
+                           if blocks[0][d].any() or blocks[1][1 ^ d].any()}
+        return self._parts
 
     @property
     def mat(self) -> np.ndarray:
         if self._mat is None:
-            self._mat = _assemble({self._degree: self._blocks}, self._index)
-            self._degree = self._blocks = None
+            self._mat = _frozen(_assemble(self._parts, self._index))
         return self._mat
 
     @property
     def index(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the even and of the odd basis vectors."""
-        return parity_index(self.parity) if self._index is None else self._index
+        if self._index is None:
+            self._index = parity_index(self.parity)
+        return self._index
 
     @property
     def dim(self) -> int:
@@ -85,30 +91,17 @@ class GradedMatrix:
     def operator_parity(self, tol: float = 0.0) -> int | None:
         """0 if the matrix preserves basis parity, 1 if it reverses it.
 
-        Measured from the sparsity pattern: entry (i, j) belongs to the
-        parity-(p_i + p_j) part.  Returns None for genuinely mixed operators.
+        A part counts when an entry exceeds ``tol`` in size; the zero
+        matrix is even, and None means genuinely mixed.
         """
-        if self._blocks is not None:
-            mass = max(float(np.abs(b).max(initial=0.0)) for b in self._blocks)
-            return 1 if self._degree and mass > tol else 0
-        mix = self.parity[:, None] ^ self.parity[None, :]
-        even_mass = float(np.abs(np.where(mix == 0, self._mat, 0.0)).max(initial=0.0))
-        odd_mass = float(np.abs(np.where(mix == 1, self._mat, 0.0)).max(initial=0.0))
-        if odd_mass <= tol:
-            return 0
-        if even_mass <= tol:
-            return 1
-        return None
+        present = [d for d, blocks in self.parts.items()
+                   if max(float(np.abs(b).max(initial=0.0)) for b in blocks) > tol]
+        return None if len(present) > 1 else max(present, default=0)
 
     def parity_part(self, p: int) -> "GradedMatrix":
-        mix = self.parity[:, None] ^ self.parity[None, :]
-        return GradedMatrix(np.where(mix == p, self.mat, 0.0), self.parity)
-
-    def even_part(self) -> "GradedMatrix":
-        return self.parity_part(0)
-
-    def odd_part(self) -> "GradedMatrix":
-        return self.parity_part(1)
+        """The degree-p part as a matrix of its own."""
+        parts = {p: self.parts[p]} if p in self.parts else {}
+        return GradedMatrix.from_parts(parts, self.parity, self.index)
 
     def _check_compatible(self, other: "GradedMatrix"):
         if self.parity is other.parity:
@@ -116,23 +109,13 @@ class GradedMatrix:
         if self.dim != other.dim or np.any(self.parity != other.parity):
             raise ValueError("graded matrices live on different graded spaces")
 
-    def _parts(self) -> list[tuple[int, tuple[np.ndarray, np.ndarray]]]:
-        """``(d, (X[0, d], X[1, 1 ^ d]))`` for each degree d with a nonzero part."""
-        if self._blocks is not None:
-            return [(self._degree, self._blocks)]
-        blocks = parity_blocks(self._mat, self.index)
-        return [(d, (blocks[0][d], blocks[1][1 ^ d])) for d in (0, 1)
-                if blocks[0][d].any() or blocks[1][1 ^ d].any()]
-
     def _linear(self, other: "GradedMatrix", op) -> "GradedMatrix":
-        """``op`` (np.add or np.subtract) entrywise, on blocks when an operand holds them."""
+        """``op`` (np.add or np.subtract) entrywise, part by part."""
         self._check_compatible(other)
-        if self._blocks is None and other._blocks is None:
-            return GradedMatrix(op(self._mat, other._mat), self.parity)
-        out = dict(self._parts())
-        for d, blocks in other._parts():
+        out = dict(self.parts)
+        for d, blocks in other.parts.items():
             out[d] = tuple(op(x, y) for x, y in zip(out.get(d, (0.0, 0.0)), blocks))
-        return GradedMatrix.from_parts(out, self.parity, _shared_index(self, other))
+        return GradedMatrix.from_parts(out, self.parity, self.index)
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         return self._linear(other, np.add)
@@ -144,40 +127,31 @@ class GradedMatrix:
         return -1.0 * self
 
     def __rmul__(self, scalar: float) -> "GradedMatrix":
-        if self._blocks is None:
-            return GradedMatrix(float(scalar) * self._mat, self.parity)
-        return GradedMatrix.from_parts({self._degree: [float(scalar) * b for b in self._blocks]},
-                                       self.parity, self._index)
+        parts = {d: tuple(float(scalar) * b for b in blocks) for d, blocks in self.parts.items()}
+        return GradedMatrix.from_parts(parts, self.parity, self.index)
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         """Row block r of a degree-da by degree-db product is ``A[r, r^da] @ B[r^da, r^da^db]``."""
         self._check_compatible(other)
-        if self._blocks is None and other._blocks is None:
-            return GradedMatrix(self._mat @ other._mat, self.parity)
         out: dict = {}
-        for da, a in self._parts():
-            for db, b in other._parts():
+        for da, a in self.parts.items():
+            for db, b in other.parts.items():
                 _accumulate(out, da ^ db, (a[0] @ b[da], a[1] @ b[1 ^ da]))
-        return GradedMatrix.from_parts(out, self.parity, _shared_index(self, other))
+        return GradedMatrix.from_parts(out, self.parity, self.index)
 
     def nonzero_blocks(self, leading: tuple[int, int] | None = None) -> tuple | None:
-        """The nonzero parity blocks, or None when the matrix is mixed.
+        """The blocks of the one part, none for zero, or None when the matrix is mixed.
 
         With ``leading = (k0, k1)`` only the window of the first k0 even and
-        the first k1 odd basis vectors is read, and "mixed" refers to it.
+        the first k1 odd basis vectors is returned.
         """
-        if self._blocks is not None:
-            if leading is None:
-                return self._blocks
-            d = self._degree
-            return tuple(b[:leading[r], :leading[r ^ d]] for r, b in enumerate(self._blocks))
-        index = self.index if leading is None else tuple(i[:k] for i, k in zip(self.index, leading))
-        (ee, eo), (oe, oo) = parity_blocks(self._mat, index)
-        if not (eo.any() or oe.any()):
-            return ee, oo
-        if not (ee.any() or oo.any()):
-            return eo, oe
-        return None
+        parts = self.parts
+        if len(parts) != 1:
+            return None if parts else ()
+        (d, blocks), = parts.items()
+        if leading is None:
+            return blocks
+        return tuple(b[:leading[r], :leading[r ^ d]] for r, b in enumerate(blocks))
 
     def norm(self) -> float:
         """Spectral norm: :func:`block_norm` of the nonzero blocks, a dense SVD if mixed."""
@@ -185,9 +159,10 @@ class GradedMatrix:
         return float(np.linalg.norm(self.mat, 2)) if blocks is None else block_norm(blocks)
 
 
-def _shared_index(a: GradedMatrix, b: GradedMatrix):
-    """The parity index of two compatible operands, reusing one that is held."""
-    return a._index if a._index is not None else b.index
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _accumulate(out: dict, degree: int, blocks: tuple):
@@ -249,7 +224,7 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     pb = b.operator_parity()
     if pb is None:
         raise ValueError("graded tensor needs a parity-homogeneous second factor; "
-                         "split it with even_part()/odd_part() first")
+                         "split it with parity_part() first")
     left = a.mat * grading_signs(a.parity)[None, :] if pb else a.mat
     return GradedMatrix(np.kron(left, b.mat), tensor_parity(a.parity, b.parity))
 
@@ -257,7 +232,7 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 def parity_index(parity) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the even and of the odd basis vectors, in basis order."""
     p = np.asarray(parity)
-    return np.flatnonzero(p == 0), np.flatnonzero(p == 1)
+    return _frozen(np.flatnonzero(p == 0)), _frozen(np.flatnonzero(p == 1))
 
 
 def parity_blocks(mat: np.ndarray, index) -> list[list[np.ndarray]]:
@@ -277,17 +252,16 @@ def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     commutator.  Each pair of nonzero parts ``a_pa``, ``b_pb`` is multiplied
     blockwise: row block r of the result is
     ``a[r, r^pa] b[r^pa, c] - sign b[r, r^pb] a[r^pb, c]`` with
-    ``c = r ^ pa ^ pb``, a quarter of the dense flops.  Block-held operands
-    are used as they are; a dense one is split into its parts first.
+    ``c = r ^ pa ^ pb``, a quarter of the dense flops.
     """
     a._check_compatible(b)
     out: dict = {}
-    for pa, ab in a._parts():
-        for pb, bb in b._parts():
+    for pa, ab in a.parts.items():
+        for pb, bb in b.parts.items():
             sign = -1.0 if (pa and pb) else 1.0
             _accumulate(out, pa ^ pb, tuple(ab[r] @ bb[r ^ pa] - sign * (bb[r] @ ab[r ^ pb])
                                             for r in (0, 1)))
-    return GradedMatrix.from_parts(out, a.parity, _shared_index(a, b))
+    return GradedMatrix.from_parts(out, a.parity, a.index)
 
 
 def involution(a: GradedMatrix) -> GradedMatrix:
@@ -296,12 +270,14 @@ def involution(a: GradedMatrix) -> GradedMatrix:
 
 
 def flip_simple(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """Flip on a simple graded tensor: a (x) b -> (-1)^{deg a deg b} b (x) a."""
+    """Flip on a simple graded tensor: a (x) b -> (-1)^{deg a deg b} b (x) a.
+
+    The sign is applied to the small factor b, not to the tensor.
+    """
     pa, pb = a.operator_parity(), b.operator_parity()
     if pa is None or pb is None:
         raise ValueError("flip of a simple tensor needs parity-homogeneous factors")
-    sign = -1.0 if (pa and pb) else 1.0
-    return sign * graded_tensor(b, a)
+    return graded_tensor(-b if (pa and pb) else b, a)
 
 
 def flip_unitary(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:

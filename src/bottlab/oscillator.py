@@ -262,7 +262,6 @@ def _context(dim: int, level: int) -> OscillatorRep:
     c = clifford_operator(basis)
     d = dirac_operator(basis)
     number = blade_number_operator(basis)
-    number.mat.flags.writeable = number.parity.flags.writeable = False
     windows = []
     for depth in range(level + 1):
         size = int(np.count_nonzero(basis.interior_mask(depth)))
@@ -308,11 +307,13 @@ def b_squared_identity_check(rep: OscillatorRep) -> float:
 
 @dataclass
 class SpectrumResult:
-    operator: str
     eigenvalues: np.ndarray
     clusters: list[tuple[float, int]]
     window: float
-    kernel_overlap: float | None = None
+    kernel_overlap: float
+
+
+_CLUSTER_TOL = 1e-8
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
@@ -327,44 +328,25 @@ def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     return clusters
 
 
-def spectrum(rep: OscillatorRep, operator: str = "bott-squared",
-             cluster_tol: float = 1e-8) -> SpectrumResult:
-    """Interior-windowed eigenvalues with multiplicities.
+def spectrum(rep: OscillatorRep) -> SpectrumResult:
+    """Interior-windowed eigenvalues of B^2 with multiplicities.
 
     Only eigenvalues up to the truncation level are reported: the interior
     block of B^2 is exactly diagonal, but levels near the cut have no room
     left for the full multiplet structure, so clusters above the window mix
-    truncated and untruncated states.
+    truncated and untruncated states.  ``kernel_overlap`` is the weight of
+    the Gaussian ground state in the lowest eigenvector.
     """
-    if operator == "bott-squared":
-        full = (rep.bott @ rep.bott).mat
-    elif operator == "harmonic":
-        full = rep.harmonic.mat
-    elif operator == "number":
-        full = rep.number.mat
-    else:
-        raise ValueError(f"unknown operator {operator!r}")
+    vals, vecs = np.linalg.eigh(rep.restricted((rep.bott @ rep.bott).mat))
+    window = float(rep.basis.level)
+    clusters = _cluster(vals[vals <= window + _CLUSTER_TOL], _CLUSTER_TOL)
 
-    block = rep.restricted(full)
-    vals, vecs = np.linalg.eigh(block)
-
-    if operator == "number":
-        window = float(rep.basis.dim)
-        keep = vals <= window + cluster_tol
-    else:
-        window = float(rep.basis.level)
-        keep = vals <= window + cluster_tol
-    clusters = _cluster(vals[keep], cluster_tol)
-
-    overlap = None
-    if operator == "bott-squared":
-        # ground state: the Gaussian times the scalar blade
-        # (the window is a leading segment, so it keeps the full-basis index)
-        ground_full = rep.basis.mindex_position((0,) * rep.basis.dim) * rep.basis.blade_count
-        kernel_vec = vecs[:, int(np.argmin(vals))]
-        overlap = float(abs(kernel_vec[ground_full]) / np.linalg.norm(kernel_vec))
-
-    return SpectrumResult(operator, vals, clusters, window, overlap)
+    # ground state: the Gaussian times the scalar blade
+    # (the window is a leading segment, so it keeps the full-basis index)
+    ground_full = rep.basis.mindex_position((0,) * rep.basis.dim) * rep.basis.blade_count
+    kernel_vec = vecs[:, int(np.argmin(vals))]
+    overlap = float(abs(kernel_vec[ground_full]) / np.linalg.norm(kernel_vec))
+    return SpectrumResult(vals, clusters, window, overlap)
 
 
 def level_multiplicity(dim: int, half_eigenvalue: int) -> int:

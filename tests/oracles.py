@@ -11,6 +11,10 @@ same objects another way:
   the full ``q^dim`` Gauss-Hermite grid and assembles the dense operator; it
   is the oracle for the separable route.
 - :func:`symbol_values` evaluates a term-built symbol pointwise.
+
+The package builds every scalar function directly; the combinators
+:func:`fsum`, :func:`fprod` and :func:`fmul` compose them here, keeping the
+parity bookkeeping.
 """
 
 import numpy as np
@@ -18,6 +22,23 @@ import numpy as np
 from bottlab.clifford import MultiVector, left_mult_operator
 from bottlab.funcalc import GradedFunction
 from bottlab.oscillator import CliffFunction, HermiteBasis, hermite_rows
+
+
+def fsum(f: GradedFunction, g: GradedFunction) -> GradedFunction:
+    """x -> f(x) + g(x); of one parity only when both summands have it."""
+    parity = f.parity if f.parity == g.parity else None
+    return GradedFunction(lambda x: f.fn(x) + g.fn(x), parity, f"{f.name}+{g.name}")
+
+
+def fprod(f: GradedFunction, g: GradedFunction) -> GradedFunction:
+    """x -> f(x) g(x); parities add."""
+    parity = None if f.parity is None or g.parity is None else f.parity ^ g.parity
+    return GradedFunction(lambda x: f.fn(x) * g.fn(x), parity, f"{f.name}*{g.name}")
+
+
+def fmul(c: float, f: GradedFunction) -> GradedFunction:
+    """x -> c f(x)."""
+    return GradedFunction(lambda x: float(c) * f.fn(x), f.parity, f"{c}*{f.name}")
 
 
 def even_part(f: GradedFunction) -> GradedFunction:

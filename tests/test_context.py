@@ -60,17 +60,6 @@ def test_context_fields_cannot_be_rebound():
         rep.clifford = rep.dirac
 
 
-@pytest.mark.parametrize("f", [gaussian(), x_gaussian(), gaussian() + x_gaussian()],
-                         ids=["even", "odd", "mixed"])
-def test_results_are_writable_and_private(f):
-    rep = oscillator_rep(2, 6)
-    first = matrix_function(scale(f, 2.0), rep.dirac)
-    assert first.mat.flags.writeable
-    expected = first.mat.copy()
-    first.mat[:] = 7.0
-    assert np.array_equal(matrix_function(scale(f, 2.0), rep.dirac).mat, expected)
-
-
 def test_spectral_matrix_keeps_a_private_copy():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
     op = SpectralMatrix(m, [0, 1])

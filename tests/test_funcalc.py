@@ -18,7 +18,7 @@ from bottlab.funcalc import (
 )
 from bottlab.graded import GradedMatrix
 from bottlab.oscillator import oscillator_rep
-from oracles import even_part, odd_part, sup_norm
+from oracles import even_part, fmul, fprod, fsum, odd_part, sup_norm
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +44,7 @@ def test_generator_sup_norms():
 def test_even_and_odd_parts():
     u, v = gaussian(), x_gaussian()
     x = np.linspace(-5, 5, 101)
-    mixed = u + v
+    mixed = fsum(u, v)
     assert mixed.parity is None
     assert np.allclose(even_part(mixed)(x), u(x), atol=1e-15)
     assert np.allclose(odd_part(mixed)(x), v(x), atol=1e-15)
@@ -54,12 +54,12 @@ def test_even_and_odd_parts():
 def test_products_compose_parity():
     u, v = gaussian(), x_gaussian()
     x = np.linspace(-3, 3, 61)
-    uv = u * v
+    uv = fprod(u, v)
     assert uv.parity == 1
     assert np.allclose(uv(x), x * np.exp(-2 * x * x))
-    assert (v * v).parity == 0
-    assert (2.0 * u).parity == 0
-    assert np.allclose((2.0 * u)(x), 2 * np.exp(-x * x))
+    assert fprod(v, v).parity == 0
+    assert fmul(2.0, u).parity == 0
+    assert np.allclose(fmul(2.0, u)(x), 2 * np.exp(-x * x))
 
 
 def test_scale_values_and_validation():
@@ -110,7 +110,7 @@ def test_matrix_function_multiplicative(seed):
     rng = np.random.default_rng(seed)
     t = _even(_random_symmetric(rng, 5))
     u, v = gaussian(), x_gaussian()
-    lhs = matrix_function(u * v, t)
+    lhs = matrix_function(fprod(u, v), t)
     rhs = matrix_function(u, t) @ matrix_function(v, t)
     assert np.abs(lhs.mat - rhs.mat).max() <= 1e-12
 
@@ -120,22 +120,22 @@ def test_parity_covariance_is_exact():
     b = rep.bott  # odd, symmetric
     odd_result = matrix_function(x_gaussian(), b)
     even_result = matrix_function(gaussian(), b)
-    assert odd_result.even_part().norm() == 0.0
-    assert even_result.odd_part().norm() == 0.0
+    assert set(odd_result.parts) == {1}
+    assert set(even_result.parts) == {0}
     # even input: any f lands in the even part
     b2 = b @ b
-    assert matrix_function(x_gaussian(), b2).odd_part().norm() == 0.0
+    assert set(matrix_function(x_gaussian(), b2).parts) == {0}
 
 
 @pytest.mark.parametrize("f", [
-    gaussian() + x_gaussian(),
+    fsum(gaussian(), x_gaussian()),
     GradedFunction(lambda x: np.exp(-0.3 * x), None, "exp(-0.3 x)"),
 ])
 def test_mixed_function_of_an_even_matrix_is_exactly_even(f):
     # an even matrix commutes with the grading, so f of it is even for any f
     assert f.parity is None
     h = oscillator_rep(2, 6).harmonic
-    assert matrix_function(f, h).odd_part().norm() == 0.0
+    assert set(matrix_function(f, h).parts) == {0}
 
 
 def _dense_matrix_function(f, m, parity, degree):
@@ -149,7 +149,7 @@ def _dense_matrix_function(f, m, parity, degree):
     return np.where(mix == d, dense, 0.0)
 
 
-_FUNCTIONS = [gaussian(), x_gaussian(), gaussian() + x_gaussian()]
+_FUNCTIONS = [gaussian(), x_gaussian(), fsum(gaussian(), x_gaussian())]
 
 
 @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(1, 12),
@@ -238,5 +238,5 @@ def test_delta_validation():
 
 def test_graded_function_name_threading():
     u, v = gaussian(), x_gaussian()
-    assert "*" in (u * v).name
+    assert "*" in fprod(u, v).name
     assert "@t=" in scale(u, 3.0).name

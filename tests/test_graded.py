@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bottlab.clifford import MultiVector, Signature, blade_parities, mv_multiply
+from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, x_gaussian
 from bottlab.graded import (
     GradedMatrix,
     flip_simple,
@@ -26,6 +27,7 @@ from bottlab.graded import (
 )
 from bottlab.oscillator import oscillator_rep
 from bottlab.verify import windowed_norm
+from oracles import fsum
 
 
 def random_parity(rng, dim):
@@ -81,9 +83,11 @@ def test_operator_parity_detection():
     mixed = even + odd
     assert mixed.operator_parity() is None
     # decomposition is exact and idempotent
-    assert np.array_equal(mixed.even_part().mat + mixed.odd_part().mat, mixed.mat)
-    assert np.array_equal(mixed.even_part().even_part().mat, even.mat)
-    assert np.array_equal(mixed.odd_part().mat, odd.mat)
+    assert set(mixed.parts) == {0, 1}
+    assert np.array_equal(mixed.parity_part(0).mat + mixed.parity_part(1).mat, mixed.mat)
+    assert np.array_equal(mixed.parity_part(0).parity_part(0).mat, even.mat)
+    assert np.array_equal(mixed.parity_part(1).mat, odd.mat)
+    assert mixed.parity_part(0).parity_part(1).parts == {}
 
 
 def test_operator_parity_with_tolerance():
@@ -285,26 +289,51 @@ def test_block_held_arithmetic_matches_dense(config, deg_a, deg_b):
         assert abs(windowed_norm(a, rep, depth) - norm) <= 1e-13 * norm, depth
 
 
-def test_mutating_an_assembled_matrix_reaches_later_operations():
-    rep = oscillator_rep(2, 6)
-    par = rep.basis.parity()
-    rng = np.random.default_rng(8)
-    a, am = block_held(rng, par, 1)
-    b, bm = block_held(rng, par, 0)
-    scale = 4.0 * (np.abs(am).max() + 1.0) * np.abs(bm).max() * len(par)
-    a.mat[0, :] += 1.0  # first access assembles; the write makes a mixed
-    am[0, :] += 1.0
-    assert_close(a @ b, am @ bm, scale)
-    assert_close(b @ a, bm @ am, scale)
-    want = dense_graded_commutator(GradedMatrix(am, par), GradedMatrix(bm, par))
-    assert_close(graded_commutator(a, b), want, scale)
-    x, _ = block_held(rng, par, 1)
-    c = graded_commutator(x, b)  # held as blocks until the next line
-    assert c.norm() > 1.0
-    c.mat[:] = 0.0
-    assert not (c @ x).mat.any()
-    assert not graded_commutator(c, x).mat.any()
-    assert c.norm() == 0.0 and windowed_norm(c, rep) == 0.0
+def symmetric_operand(rng, parity, degree, from_parts):
+    """A random symmetric matrix of the given degree (both degrees when None),
+    built by from_parts or from its dense array."""
+    index = parity_index(parity)
+    parts = {}
+    for d in (0, 1) if degree is None else (degree,):
+        x = rng.standard_normal((len(index[0]), len(index[d])))
+        if d == 0:
+            y = rng.standard_normal((len(index[1]),) * 2)
+            parts[d] = (x + x.T, y + y.T)
+        else:
+            parts[d] = (x, x.T)
+    m = GradedMatrix.from_parts(parts, parity)
+    return m if from_parts else GradedMatrix(m.mat.copy(), parity)
+
+
+def assert_read_only(m):
+    arrays = [m.mat, m.parity, *(b for blocks in m.parts.values() for b in blocks)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
+@pytest.mark.parametrize("from_parts", [False, True], ids=["array", "parts"])
+@pytest.mark.parametrize("degree", [0, 1, None], ids=["even", "odd", "mixed"])
+def test_every_result_is_read_only(degree, from_parts):
+    rng = np.random.default_rng([3 if degree is None else degree, from_parts])
+    par = np.array([0, 1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8)
+    given = rng.standard_normal((len(par), len(par)))
+    assert GradedMatrix(given, par).mat is given  # frozen, not copied
+    assert not given.flags.writeable
+    a = symmetric_operand(rng, par, degree, from_parts)
+    results = [a, 2.5 * a, -a]
+    for d in (0, 1, None):
+        b = symmetric_operand(rng, par, d, from_parts)
+        results += [a @ b, b @ a, a + b, a - b, graded_commutator(a, b)]
+    op = SpectralMatrix(a.mat, par)
+    for f in (gaussian(), x_gaussian(), fsum(gaussian(), x_gaussian())):
+        first = matrix_function(f, op)
+        results.append(first)
+        expected = first.mat.copy()
+        assert_read_only(first)
+        assert np.array_equal(matrix_function(f, op).mat, expected), f.name
+    for r in results:
+        assert_read_only(r)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from bottlab.verify import (
     shifted_bump,
     windowed_norm,
 )
-from oracles import bott_map, sup_norm, symbol_values
+from oracles import bott_map, fmul, fprod, fsum, sup_norm, symbol_values
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +60,15 @@ def test_windowed_norm_matches_manual_restriction():
     m = (rep.bott @ rep.bott).mat
     mask = rep.basis.interior_mask()
     manual = np.linalg.norm(m[np.ix_(mask, mask)], 2)
-    assert windowed_norm(m, rep) == manual
+    assert windowed_norm(GradedMatrix(m, rep.basis.parity()), rep) == manual
     assert windowed_norm(rep.bott @ rep.bott, rep) == manual
 
 
 @given(seed=st.integers(0, 2**31 - 1), config=st.sampled_from([(1, 6), (2, 8)]),
        depth=st.sampled_from([0, 2, "level"]),
-       degree=st.sampled_from([0, 1, "mixed", "mixed outside the window"]),
-       graded=st.booleans())
+       degree=st.sampled_from([0, 1, "mixed", "mixed outside the window"]))
 @settings(max_examples=60, deadline=None)
-def test_windowed_norm_matches_dense_window_norm(seed, config, depth, degree, graded):
+def test_windowed_norm_matches_dense_window_norm(seed, config, depth, degree):
     rep = oscillator_rep(*config)
     depth = rep.basis.level if depth == "level" else depth
     rng = np.random.default_rng(seed)
@@ -81,7 +80,7 @@ def test_windowed_norm_matches_dense_window_norm(seed, config, depth, degree, gr
     elif degree == "mixed outside the window":
         m *= ((par[:, None] ^ par[None, :]) == 1) | ~np.outer(mask, mask)
     want = np.linalg.norm(m[np.ix_(mask, mask)], 2)
-    got = windowed_norm(GradedMatrix(m, par) if graded else m, rep, depth)
+    got = windowed_norm(GradedMatrix(m, par), rep, depth)
     assert abs(got - want) <= 1e-13 * want
 
 
@@ -128,7 +127,7 @@ def test_bott_map_matches_functional_calculus_oracle(dim):
     gens = regular_representation(sig)
     rng = np.random.default_rng(17)
     pts = rng.uniform(-2, 2, size=(6, dim))
-    for f in (gaussian(), x_gaussian(), gaussian() + x_gaussian()):
+    for f in (gaussian(), x_gaussian(), fsum(gaussian(), x_gaussian())):
         values = bott_map(f, dim)(pts)
         for row, v in enumerate(pts):
             vmat = sum(vi * g for vi, g in zip(v, gens))
@@ -163,7 +162,7 @@ def test_bott_map_multiplicative_pointwise():
     dim = 2
     sig = Signature(dim, 0)
     u, v = gaussian(), x_gaussian()
-    fu, fv, fuv = bott_map(u, dim), bott_map(v, dim), bott_map(u * v, dim)
+    fu, fv, fuv = bott_map(u, dim), bott_map(v, dim), bott_map(fprod(u, v), dim)
     rng = np.random.default_rng(23)
     pts = rng.uniform(-1.5, 1.5, size=(5, dim))
     cu, cv, cuv = fu(pts), fv(pts), fuv(pts)
@@ -219,7 +218,7 @@ def test_alpha_validation_and_norm_bound():
 
 def test_alpha_zero_function_is_zero():
     rep = oscillator_rep(1, 8)
-    zero = gaussian() + (-1.0) * gaussian()
+    zero = fsum(gaussian(), fmul(-1.0, gaussian()))
     a = alpha(zero, _gaussian_bott_map(1, odd=False), 2.0, rep)
     assert np.abs(a.mat).max() <= 1e-15
 
@@ -252,7 +251,7 @@ def test_alpha_is_asymptotically_multiplicative():
         for c1, f1, h1 in e1:
             for c2, f2, h2 in e2:
                 sign = -1.0 if (h1.parity == 1 and f2.parity == 1) else 1.0
-                out.append((c1 * c2 * sign, f1 * f2, _symbol_product_1d(h1, h2)))
+                out.append((c1 * c2 * sign, fprod(f1, f2), _symbol_product_1d(h1, h2)))
         return out
 
     ts = np.geomspace(1.0, 32.0, 6)
@@ -261,7 +260,7 @@ def test_alpha_is_asymptotically_multiplicative():
         for t in ts:
             lhs = alpha_of(product(e1, e2), t)
             rhs = alpha_of(e1, t) @ alpha_of(e2, t)
-            defects.append(windowed_norm(lhs - rhs, rep))
+            defects.append(windowed_norm(GradedMatrix(lhs - rhs, rep.basis.parity()), rep))
         assert defects[-1] <= 1e-2, f"{name}: {defects}"
         assert defects[-1] <= 0.05 * defects[0], f"{name}: {defects}"
         assert monotone_after(ts, defects), f"{name}: {defects}"
@@ -387,6 +386,13 @@ def test_verdict_is_the_conjunction_of_the_gate_notes(suite, config):
     assert rep.passed == all(n.endswith(" ok") for n in gates)
 
 
+# failures that a fix has turned into passes; their named gate must now read ok
+MENDED_FAILURES = {
+    # the matched-node gate compares with the product of 1-D calculi, which holds at n >= 2
+    ("composition-gamma", (2, 6)),
+}
+
+
 @pytest.mark.parametrize("suite,config,gate", [
     ("composition-gamma", (2, 6), "gate multiplication = position calculus (7 nodes): "),
     ("mehler", (1, 6), "gate factorization residual at every s: "),
@@ -394,8 +400,12 @@ def test_verdict_is_the_conjunction_of_the_gate_notes(suite, config):
 def test_known_failures_trip_one_named_gate(suite, config, gate):
     rep = run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
     failed = [n for n in rep.notes if n.startswith("gate ") and n.endswith(" FAIL")]
-    assert not rep.passed
-    assert len(failed) == 1 and failed[0].startswith(gate), failed
+    (named,) = [n for n in rep.notes if n.startswith(gate)]
+    if (suite, config) in MENDED_FAILURES:
+        assert rep.passed and not failed and named.endswith(" ok"), rep.notes
+    else:
+        assert not rep.passed
+        assert failed == [named], failed
 
 
 # every suite's verdict on the library grid; a change here is a regression or
