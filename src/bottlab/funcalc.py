@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import GradedMatrix, graded_tensor, identity_like
+from .graded import GradedMatrix, _frozen, graded_tensor, identity_like
 
 
 @dataclass
@@ -54,59 +54,70 @@ def scale(f: GradedFunction, t: float) -> GradedFunction:
 
 
 class SpectralMatrix(GradedMatrix):
-    """A read-only symmetric graded matrix that is diagonalised at most once.
+    """A read-only symmetric graded matrix of one degree, diagonalised at most once.
 
-    Symmetry and operator parity are checked once, at construction, on a
-    private copy of the input.  The eigendecomposition ``(w, q)`` is
-    computed on first use under a lock, so threads sharing the matrix share
-    one eigensolve and one result.  Like every graded matrix it holds only
-    read-only arrays.
+    It copies and checks the two blocks of the matrix it is built from; threads
+    sharing it share one eigensolve, computed per parity block on first use.
     """
 
-    def __init__(self, mat, parity):
-        super().__init__(np.array(mat, dtype=float), np.array(parity, dtype=np.uint8))
-        scale_ref = max(1.0, float(np.abs(self.mat).max()))
-        if np.abs(self.mat - self.mat.T).max() > 1e-10 * scale_ref:
+    def __init__(self, g: GradedMatrix):
+        d = g.operator_parity()
+        if d is None:
+            raise ValueError("matrix functional calculus requires a parity-homogeneous matrix")
+        blocks = tuple(np.array(b, dtype=float) for b in g.parts.get(d) or  # zero blocks if g is 0
+                       (np.zeros((len(g.index[r]), len(g.index[r ^ d]))) for r in (0, 1)))
+        scale_ref = max(1.0, *(np.abs(b).max(initial=0.0) for b in blocks))
+        # block r is X[r, r ^ d], and its transpose is block r ^ d
+        asym = max(np.abs(b - blocks[r ^ d].T).max(initial=0.0) for r, b in enumerate(blocks))
+        if asym > 1e-10 * scale_ref:
             raise ValueError("matrix functional calculus requires a symmetric matrix")
-        self.op_parity = self.operator_parity(tol=1e-10 * scale_ref)
-        self._lock = threading.Lock()
-        self._eig = None
+        self._set_parts({d: blocks}, g.parity, g.index)
+        self.op_parity, self._lock, self._eig = d, threading.Lock(), None
 
     @property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and orthonormal eigenvectors (read-only, computed once)."""
+    def eig(self) -> tuple:
+        """The per-parity eigensystem, read-only and computed once.
+
+        Even: ``((w_0, Q_0), (w_1, Q_1))`` with ``X[r, r] = Q_r diag(w_r) Q_r^T``.
+        Odd: ``(U, s, V)`` with ``X[0, 1] = U diag(s) V^T``, U and V square.
+        """
         with self._lock:
             if self._eig is None:
-                w, q = np.linalg.eigh(self.mat)
-                w.flags.writeable = False
-                q.flags.writeable = False
-                self._eig = (w, q)
+                x0, x1 = self.parts[self.op_parity]
+                if self.op_parity == 0:
+                    self._eig = tuple(tuple(_frozen(a) for a in np.linalg.eigh(x)) for x in (x0, x1))
+                else:
+                    u, s, vt = np.linalg.svd(x0)
+                    self._eig = (_frozen(u), _frozen(s), _frozen(vt.T))
         return self._eig
 
 
 def matrix_function(f: GradedFunction, a: GradedMatrix) -> GradedMatrix:
-    """Apply f to a symmetric graded matrix: ``Q f(w) Q^T`` on its eigensystem.
+    """Apply f to a symmetric graded matrix through its per-parity eigensystem.
 
-    A :class:`SpectralMatrix` reuses its cached eigensystem and its
-    construction-time checks; any other graded matrix is wrapped in one
-    first.  The result's parity d is forced exactly where it is known: an
-    even matrix commutes with the grading, so f of it is even for any f,
-    and an odd matrix maps to an operator of f's parity.  Then only the two
-    allowed parity blocks ``(r, r ^ d)`` are computed; the forbidden ones,
-    which would hold only the eigensolver's rounding noise, are never formed:
-    the result holds just those two blocks (see :class:`GradedMatrix`).  A
-    mixed matrix, or an odd one under a mixed f, takes the dense product.
+    Any matrix but a :class:`SpectralMatrix` is wrapped in one first, so a
+    mixed one raises ``ValueError``.  Even: ``Q_r f(w_r) Q_r^T`` per block.
+    Odd, with ``X[0, 1] = U diag(s) V^T``: the even part f+ of f gives
+    ``U f+(s) U^T`` and ``V f+(s) V^T`` (s padded with zeros), the odd part
+    f- gives ``U f-(s) V^T`` and its transpose, each only where f's declared
+    parity allows it.
     """
     if not isinstance(a, SpectralMatrix):
-        a = SpectralMatrix(a.mat, a.parity)
-    w, q = a.eig
-    fw = f(w)
-    d = 0 if a.op_parity == 0 else f.parity if a.op_parity == 1 else None
-    if d is None:
-        return GradedMatrix((q * fw) @ q.T, a.parity)
-    rows = [q.take(i, axis=0) for i in a.index]
-    blocks = [(rows[r] * fw) @ rows[r ^ d].T for r in (0, 1)]
-    return GradedMatrix.from_parts({d: blocks}, a.parity, a.index)
+        a = SpectralMatrix(a)
+    if a.op_parity == 0:
+        return GradedMatrix.from_parts({0: tuple((q * f(w)) @ q.T for w, q in a.eig)}, a.parity, a.index)
+    u, s, v = a.eig
+    k = len(s)
+    x = np.concatenate([s, np.zeros(max(len(u), len(v)) - k)])
+    fx, fm = f(x), f(-x)
+    parts = {}
+    if f.parity != 1:
+        even = (fx + fm) / 2.0
+        parts[0] = ((u * even[:len(u)]) @ u.T, (v * even[:len(v)]) @ v.T)
+    if f.parity != 0:
+        x01 = (u[:, :k] * (fx - fm)[:k] / 2.0) @ v[:, :k].T
+        parts[1] = (x01, x01.T)
+    return GradedMatrix.from_parts(parts, a.parity, a.index)
 
 
 def delta_on_generators() -> dict[str, list[tuple[GradedFunction, GradedFunction]]]:
@@ -155,24 +166,17 @@ def delta_via_xr_check(level: int, which: str = "u") -> DeltaCheck:
     from .oscillator import position_matrix  # lazy: oscillator imports this module
 
     x = position_matrix(level)
-    par = (np.arange(level + 1) & 1).astype(np.uint8)
-    xg = GradedMatrix(x, par)
+    xg = GradedMatrix(x, np.arange(level + 1) & 1)
     ig = identity_like(xg)
     xt = graded_tensor(xg, ig) + graded_tensor(ig, xg)
 
-    target = gaussian() if which == "u" else x_gaussian()
-    direct = matrix_function(target, xt)
-
     # each generator applied to X once, however many terms it appears in
     terms = delta_on_generators()[which]
-    generators = {f.name: f for pair in terms for f in pair}
-    on_x = {name: matrix_function(f, xg) for name, f in generators.items()}
-    expansion = np.zeros((xt.dim, xt.dim))
+    on_x = {f.name: matrix_function(f, xg) for pair in terms for f in pair}
+    diff = matrix_function(gaussian() if which == "u" else x_gaussian(), xt)
     for f, g in terms:
-        expansion += graded_tensor(on_x[f.name], on_x[g.name]).mat
-
+        diff = diff - graded_tensor(on_x[f.name], on_x[g.name])
     # the residual has the parity of the generator, so both norms take the block kernel
-    diff = direct - GradedMatrix(expansion, xt.parity)
     residual_full = diff.norm()
     interior = np.arange(level + 1) <= level - 2
     mask = np.kron(interior, interior).astype(bool)

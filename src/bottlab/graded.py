@@ -26,10 +26,8 @@ class GradedMatrix:
     use; built by :meth:`from_parts`, it assembles ``mat`` on first access.
     Both are cached (threads that race on a first use compute equal
     values), and every array held is read-only: the constructor marks the
-    array it is given read-only without copying it.  ``@``, ``+``,
-    ``-``, scalar multiples, :func:`graded_commutator`,
-    :meth:`operator_parity`, :meth:`nonzero_blocks` and :meth:`norm` work
-    on the parts.
+    array it is given read-only without copying it.  ``@``, ``+``, ``-``,
+    scalar multiples, commutators and norms work on the parts.
     """
 
     def __init__(self, mat, parity):
@@ -51,22 +49,27 @@ class GradedMatrix:
         No parts is the zero matrix.  ``index`` is ``parity_index(parity)``;
         callers that hold it pass it on.
         """
+        out = object.__new__(GradedMatrix)
+        out._set_parts(parts, parity, index)
+        return out
+
+    def _set_parts(self, parts: dict, parity, index=None):
+        """Make this the matrix of :meth:`from_parts`; the blocks are frozen, not copied."""
         parity = _frozen(np.asarray(parity, dtype=np.uint8))
         index = parity_index(parity) if index is None else index
         for d, blocks in parts.items():
             for r, block in enumerate(blocks):
                 if block.shape != (len(index[r]), len(index[r ^ d])):
                     raise ValueError(f"block {r} has shape {block.shape}, which does not fit the parities")
-        out = object.__new__(GradedMatrix)
-        out._mat, out.parity, out._index = None, parity, index
-        out._parts = {d: tuple(_frozen(b) for b in blocks) for d, blocks in parts.items()}
-        return out
+        self._mat, self.parity, self._index = None, parity, index
+        self._parts = {d: tuple(_frozen(b) for b in blocks) for d, blocks in parts.items()}
 
     @property
     def parts(self) -> dict:
         """``{d: (X[0, d], X[1, 1 ^ d])}`` for each degree d present."""
         if self._parts is None:
-            blocks = parity_blocks(self._mat, self.index)
+            slabs = [self._mat.take(rows, axis=0) for rows in self.index]
+            blocks = [[slab.take(cols, axis=1) for cols in self.index] for slab in slabs]
             self._parts = {d: (_frozen(blocks[0][d]), _frozen(blocks[1][1 ^ d])) for d in (0, 1)
                            if blocks[0][d].any() or blocks[1][1 ^ d].any()}
         return self._parts
@@ -88,14 +91,13 @@ class GradedMatrix:
     def dim(self) -> int:
         return len(self.parity)
 
-    def operator_parity(self, tol: float = 0.0) -> int | None:
+    def operator_parity(self) -> int | None:
         """0 if the matrix preserves basis parity, 1 if it reverses it.
 
-        A part counts when an entry exceeds ``tol`` in size; the zero
-        matrix is even, and None means genuinely mixed.
+        A part counts when it has a nonzero entry; the zero matrix is even,
+        and None means mixed.
         """
-        present = [d for d, blocks in self.parts.items()
-                   if max(float(np.abs(b).max(initial=0.0)) for b in blocks) > tol]
+        present = [d for d, blocks in self.parts.items() if any(b.any() for b in blocks)]
         return None if len(present) > 1 else max(present, default=0)
 
     def parity_part(self, p: int) -> "GradedMatrix":
@@ -235,16 +237,6 @@ def parity_index(parity) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(np.flatnonzero(p == 0)), _frozen(np.flatnonzero(p == 1))
 
 
-def parity_blocks(mat: np.ndarray, index) -> list[list[np.ndarray]]:
-    """The four blocks ``mat[index[r], index[c]]``, nested as ``[r][c]``.
-
-    ``index`` is a pair of even and odd index arrays.  An operator of degree
-    d lives in the blocks ``(r, r ^ d)``.
-    """
-    slabs = [mat.take(rows, axis=0) for rows in index]
-    return [[slab.take(cols, axis=1) for cols in index] for slab in slabs]
-
-
 def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """[a, b] = ab - (-1)^{deg a deg b} ba, extended bilinearly.
 
@@ -286,14 +278,10 @@ def flip_unitary(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     Conjugation by this matrix carries ``graded_tensor(a, b)`` on the (a, b)
     ordering to ``flip_simple(a, b)`` on the (b, a) ordering.
     """
-    pa = np.asarray(pa, dtype=np.uint8)
-    pb = np.asarray(pb, dtype=np.uint8)
-    da, db = len(pa), len(pb)
-    out = np.zeros((da * db, da * db))
-    for i in range(da):
-        for j in range(db):
-            sign = -1.0 if (pa[i] and pb[j]) else 1.0
-            out[j * da + i, i * db + j] = sign
+    pa, pb = np.asarray(pa, dtype=np.uint8), np.asarray(pb, dtype=np.uint8)
+    i, j = np.divmod(np.arange(len(pa) * len(pb)), len(pb))  # xi_i (x) eta_j, a-major
+    out = np.zeros((len(i), len(i)))
+    out[j * len(pa) + i, i * len(pb) + j] = 1.0 - 2.0 * (pa[i] & pb[j])
     return out
 
 

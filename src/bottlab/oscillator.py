@@ -32,9 +32,10 @@ from .clifford import (
     blade_parity,
     left_mult_operator,
     number_operator,
+    twisted_right_mult_operator,
 )
 from .funcalc import GradedFunction, SpectralMatrix, matrix_function
-from .graded import GradedMatrix, parity_index
+from .graded import GradedMatrix, _accumulate, parity_index
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +199,8 @@ class Window(NamedTuple):
 class OscillatorRep:
     """Immutable operator context on one truncated basis.
 
-    C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: read-only,
-    checked once for symmetry and parity, and diagonalised at most once, on
+    C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: two
+    read-only parity blocks each, diagonalised per block at most once, on
     first use, for every suite thread that shares the context.  ``windows``
     holds a :class:`Window` for every depth 0..level.
     """
@@ -224,13 +225,25 @@ class OscillatorRep:
         return mat[:n, :n]
 
 
+def _spatial_blade_operator(basis: HermiteBasis, terms) -> GradedMatrix:
+    """The sum of ``kron(S, L)`` over ``terms = [(S, L, d), ..]``, L of degree d on the blades.
+
+    The basis is spatial-major, so block r of ``kron(S, L)`` is
+    ``kron(S, L[blades of parity r, blades of parity r ^ d])``.
+    """
+    blades = parity_index(blade_parities(basis.sig))
+    parts: dict = {}
+    for spatial, blade_op, d in terms:
+        _accumulate(parts, d, tuple(np.kron(spatial, blade_op[np.ix_(blades[r], blades[r ^ d])])
+                                    for r in (0, 1)))
+    return GradedMatrix.from_parts(parts, basis.parity())
+
+
 def clifford_operator(basis: HermiteBasis) -> GradedMatrix:
     """C = sum_i x_i (x) lambda(e_i); odd, symmetric."""
-    out = np.zeros((basis.size, basis.size))
-    for axis in range(basis.dim):
-        e = MultiVector.generator(basis.sig, axis + 1)
-        out += np.kron(axis_position(basis, axis), left_mult_operator(e))
-    return GradedMatrix(out, basis.parity())
+    return _spatial_blade_operator(basis, [
+        (axis_position(basis, i), left_mult_operator(MultiVector.generator(basis.sig, i + 1)), 1)
+        for i in range(basis.dim)])
 
 
 def dirac_operator(basis: HermiteBasis) -> GradedMatrix:
@@ -239,42 +252,31 @@ def dirac_operator(basis: HermiteBasis) -> GradedMatrix:
     Both factors of each summand are antisymmetric, so their Kronecker
     product is symmetric even though neither factor is.
     """
-    from .clifford import twisted_right_mult_operator
-
-    out = np.zeros((basis.size, basis.size))
-    for axis in range(basis.dim):
-        e = MultiVector.generator(basis.sig, axis + 1)
-        out += np.kron(axis_derivative(basis, axis), twisted_right_mult_operator(e))
-    return GradedMatrix(out, basis.parity())
+    return _spatial_blade_operator(basis, [
+        (axis_derivative(basis, i), twisted_right_mult_operator(MultiVector.generator(basis.sig, i + 1)), 1)
+        for i in range(basis.dim)])
 
 
 def blade_number_operator(basis: HermiteBasis) -> GradedMatrix:
     """N = 1 (x) sum_i rho~(e_i) lambda(e_i); diagonal, eigenvalue 2d - n."""
-    n_blades = number_operator(basis.sig)
-    out = np.kron(np.eye(basis.spatial_size), n_blades)
-    return GradedMatrix(out, basis.parity())
+    return _spatial_blade_operator(basis, [(np.eye(basis.spatial_size), number_operator(basis.sig), 0)])
 
 
 @lru_cache(maxsize=8)
 def _context(dim: int, level: int) -> OscillatorRep:
     basis = HermiteBasis(dim, level)
-    par = basis.parity()
     c = clifford_operator(basis)
     d = dirac_operator(basis)
-    number = blade_number_operator(basis)
-    windows = []
-    for depth in range(level + 1):
-        size = int(np.count_nonzero(basis.interior_mask(depth)))
-        odd = int(np.count_nonzero(par[:size]))
-        windows.append(Window(size, (size - odd, odd)))
+    # every spatial state carries as many even blades as odd ones
+    sizes = [int(np.count_nonzero(basis.interior_mask(depth))) for depth in range(level + 1)]
     return OscillatorRep(
         basis,
-        SpectralMatrix(c.mat, par),
-        SpectralMatrix(d.mat, par),
-        SpectralMatrix((c + d).mat, par),
-        number,
-        SpectralMatrix((c @ c + d @ d).mat, par),
-        tuple(windows),
+        SpectralMatrix(c),
+        SpectralMatrix(d),
+        SpectralMatrix(c + d),
+        blade_number_operator(basis),
+        SpectralMatrix(c @ c + d @ d),
+        tuple(Window(size, (size // 2, size // 2)) for size in sizes),
     )
 
 
@@ -296,9 +298,9 @@ oscillator_rep.cache_clear = _context.cache_clear
 
 def b_squared_identity_check(rep: OscillatorRep) -> float:
     """Interior-windowed residual of B^2 = C^2 + D^2 + N (spectral norm)."""
-    lhs = (rep.bott @ rep.bott).mat
-    rhs = rep.harmonic.mat + rep.number.mat
-    return float(np.linalg.norm(rep.restricted(lhs - rhs), 2))
+    from .verify import windowed_norm  # lazy: verify imports this module
+
+    return windowed_norm(rep.bott @ rep.bott - rep.harmonic - rep.number, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +448,9 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     if h.dim != basis.dim:
         raise ValueError(f"function dimension {h.dim} != basis dimension {basis.dim}")
     q = nodes if nodes is not None else 2 * basis.level + 16
-    grams = _separable_grams(h, basis, q)
-    blade_par = blade_parities(basis.sig)
-    blades = parity_index(blade_par)
-    parts: dict = {}
-    for c, gram in grams.items():
-        d = int(blade_par[c])
-        lam = left_mult_operator(MultiVector.blade(basis.sig, c))
-        blocks = tuple(np.kron(gram, lam[np.ix_(blades[r], blades[r ^ d])]) for r in (0, 1))
-        parts[d] = tuple(x + y for x, y in zip(parts[d], blocks)) if d in parts else blocks
-    return GradedMatrix.from_parts(parts, basis.parity())
+    return _spatial_blade_operator(basis, [
+        (gram, left_mult_operator(MultiVector.blade(basis.sig, c)), blade_parity(c))
+        for c, gram in _separable_grams(h, basis, q).items()])
 
 
 @dataclass
@@ -478,8 +473,12 @@ def compactness_profile(f: GradedFunction, h: CliffFunction, rep: OscillatorRep,
 
     For vanishing-at-infinity symbols this product is a compact operator in
     the untruncated model; finitely many singular values above any
-    threshold is the finite-dimensional shadow of that.
+    threshold is the finite-dimensional shadow of that.  The product has
+    one part, and its singular values are those of the part's two blocks;
+    a mixed symbol or f raises ``ValueError``.
     """
-    op = matrix_function(f, rep.bott).mat @ multiplication_operator(h, rep.basis).mat
-    svals = np.linalg.svd(op, compute_uv=False)
-    return CompactnessProfile(svals, tol)
+    blocks = (matrix_function(f, rep.bott) @ multiplication_operator(h, rep.basis)).nonzero_blocks()
+    if blocks is None:
+        raise ValueError("the compactness profile needs a parity-homogeneous symbol and function")
+    svals = np.concatenate([np.zeros(0), *(np.linalg.svd(b, compute_uv=False) for b in blocks)])
+    return CompactnessProfile(np.sort(svals)[::-1], tol)

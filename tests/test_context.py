@@ -12,32 +12,36 @@ import bottlab.oscillator as oscillator
 from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, scale, x_gaussian
 from bottlab.graded import GradedMatrix
 from bottlab.oscillator import oscillator_rep
-from bottlab.verify import SweepConfig, run_suite
+from bottlab.verify import SUITES, SweepConfig, run_suite
 
 
 def _context_arrays(rep) -> dict:
     ops = {"C": rep.clifford, "D": rep.dirac, "B": rep.bott, "N": rep.number, "H": rep.harmonic}
     arrays = {}
     for name, op in ops.items():
-        arrays[name] = op.mat
+        for d, blocks in op.parts.items():
+            arrays[f"{name}[{d}]0"], arrays[f"{name}[{d}]1"] = blocks
         arrays[f"{name}.parity"] = op.parity
     for name in ("C", "D", "B", "H"):
-        arrays[f"w{name}"], arrays[f"Q{name}"] = ops[name].eig
+        eig = ops[name].eig  # ((w0, Q0), (w1, Q1)) when even, (U, s, V) when odd
+        flat = [a for part in eig for a in part] if ops[name].op_parity == 0 else list(eig)
+        arrays.update({f"eig{name}{i}": a for i, a in enumerate(flat)})
     return arrays
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Fresh contexts, and the shapes of every numpy.linalg.eigh call."""
+def eigensolves(monkeypatch):
+    """Fresh contexts, and (caller module, shape) of every numpy eigh, eigvalsh and svd call."""
     oscillator_rep.cache_clear()
     calls = []
-    real = np.linalg.eigh
+    for name in ("eigh", "eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
+        def counting(a, *args, real=real, **kwargs):
+            calls.append((sys._getframe(1).f_globals.get("__name__"), np.shape(a)))
+            return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     yield calls
     oscillator_rep.cache_clear()
 
@@ -61,16 +65,24 @@ def test_context_fields_cannot_be_rebound():
 
 
 def test_spectral_matrix_keeps_a_private_copy():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    op = SpectralMatrix(m, [0, 1])
-    m[0, 1] = 5.0
-    assert op.mat[0, 1] == 1.0
+    x = np.array([[1.0]])
+    alias = x[:]  # a view taken before the graded matrix freezes x
+    op = SpectralMatrix(GradedMatrix.from_parts({1: (x, x.T)}, [0, 1]))
+    alias[0, 0] = 5.0
+    assert op.mat[0, 1] == op.mat[1, 0] == 1.0
     assert op.op_parity == 1
 
 
 def test_spectral_matrix_rejects_asymmetric_input():
     with pytest.raises(ValueError, match="symmetric"):
-        SpectralMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), [0, 0])
+        SpectralMatrix(GradedMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), [0, 0]))
+    with pytest.raises(ValueError, match="symmetric"):
+        SpectralMatrix(GradedMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), [0, 1]))
+
+
+def test_spectral_matrix_rejects_mixed_input():
+    with pytest.raises(ValueError, match="parity-homogeneous"):
+        SpectralMatrix(GradedMatrix(np.ones((2, 2)), [0, 1]))
 
 
 @pytest.mark.parametrize("dim,level", [(1, 6), (2, 5), (1, 12), (2, 10), (3, 6)])
@@ -108,12 +120,31 @@ def test_window_depth_is_range_checked():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("suite,expected", [("cd-commutator", 2), ("dirac-commutator", 1)])
-def test_commutator_suites_diagonalise_each_operator_once(eigh_calls, suite, expected):
+def test_commutator_suites_diagonalise_each_operator_once(eigensolves, suite, expected):
+    # C and D are odd: one SVD of a parity block each
     cfg = SweepConfig(dim=2, level=8, t_grid=tuple(np.geomspace(1.0, 16.0, 5)))
+
+    def funcalc_solves():
+        return [shape for caller, shape in eigensolves if caller == "bottlab.funcalc"]
+
     run_suite(suite, cfg)
-    assert len(eigh_calls) == expected
+    assert len(funcalc_solves()) == expected
     run_suite(suite, cfg)  # a second run reuses the context's spectra
-    assert len(eigh_calls) == expected
+    assert len(funcalc_solves()) == expected
+
+
+def test_suites_keep_the_context_on_parity_blocks(eigensolves):
+    # no context operator assembles its dense matrix, and no eigensolve or
+    # SVD sees a full-size matrix
+    cfg = SweepConfig(dim=2, level=6)
+    for suite in SUITES:
+        run_suite(suite, cfg)
+    rep = oscillator_rep(2, 6)
+    ops = {"C": rep.clifford, "D": rep.dirac, "B": rep.bott, "H": rep.harmonic, "N": rep.number}
+    assert [name for name, op in ops.items() if op._mat is not None] == []
+    size = rep.basis.size
+    assert [c for c in eigensolves if c[1][-2:] == (size, size)] == []
+    assert any(c[1][-2:] == (size // 2, size // 2) for c in eigensolves)
 
 
 @pytest.mark.parametrize("name", ["clifford", "dirac", "bott"])
@@ -159,9 +190,11 @@ def _race(fn, count=8) -> list:
 
 
 def test_concurrent_spectrum_requests_share_one_eigensolve(monkeypatch):
+    # an even matrix: one eigh per parity block, shared by every thread
     rng = np.random.default_rng(5)
     a = rng.standard_normal((40, 40))
-    op = SpectralMatrix(a + a.T, np.zeros(40))
+    par = np.arange(40) & 1
+    op = SpectralMatrix(GradedMatrix((a + a.T) * (par[:, None] == par[None, :]), par))
     calls = []
     real = np.linalg.eigh
 
@@ -172,7 +205,7 @@ def test_concurrent_spectrum_requests_share_one_eigensolve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", slow)
     results = _race(lambda: op.eig)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert all(r is results[0] for r in results)
 
 

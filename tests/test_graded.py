@@ -90,13 +90,6 @@ def test_operator_parity_detection():
     assert mixed.parity_part(0).parity_part(1).parts == {}
 
 
-def test_operator_parity_with_tolerance():
-    par = np.array([0, 1], dtype=np.uint8)
-    m = GradedMatrix(np.array([[1.0, 1e-13], [0.0, 2.0]]), par)
-    assert m.operator_parity() is None          # strict: the stray entry counts
-    assert m.operator_parity(tol=1e-10) == 0    # tolerant: it is noise
-
-
 def test_grading_operator_conjugation():
     rng = np.random.default_rng(1)
     par = random_parity(rng, 6)
@@ -325,7 +318,13 @@ def test_every_result_is_read_only(degree, from_parts):
     for d in (0, 1, None):
         b = symmetric_operand(rng, par, d, from_parts)
         results += [a @ b, b @ a, a + b, a - b, graded_commutator(a, b)]
-    op = SpectralMatrix(a.mat, par)
+    if degree is None:
+        with pytest.raises(ValueError, match="parity-homogeneous"):
+            SpectralMatrix(a)
+        with pytest.raises(ValueError, match="parity-homogeneous"):
+            matrix_function(gaussian(), a)
+        a = a.parity_part(0)
+    op = SpectralMatrix(a)
     for f in (gaussian(), x_gaussian(), fsum(gaussian(), x_gaussian())):
         first = matrix_function(f, op)
         results.append(first)

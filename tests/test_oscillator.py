@@ -17,6 +17,7 @@ from bottlab.clifford import blade_grade, blade_parities
 from bottlab.funcalc import gaussian, matrix_function, x_gaussian
 from bottlab.oscillator import (
     CliffFunction,
+    CompactnessProfile,
     HermiteBasis,
     axis_derivative,
     axis_position,
@@ -366,6 +367,28 @@ def test_compactness_singular_value_decay():
     assert np.all(np.diff(sv) <= 1e-14), "singular values must be sorted descending"
     assert sv[-1] < prof.tol
     assert prof.tail_start < len(sv)
+
+
+@pytest.mark.parametrize("name", ["uP", "vP", "bump"])
+def test_compactness_profile_matches_the_dense_svd(name):
+    # the singular values of the product's two parity blocks, together, are
+    # those of the full-size product
+    rep = oscillator_rep(2, 6)
+    (h,) = resolve_h_choices(SweepConfig(dim=2, level=6, h_choices=(name,)))
+    prof = compactness_profile(gaussian(), h, rep)
+    dense = matrix_function(gaussian(), rep.bott).mat @ multiplication_operator(h, rep.basis).mat
+    want = np.linalg.svd(dense, compute_uv=False)
+    assert prof.singular_values.shape == want.shape
+    assert np.abs(prof.singular_values - want).max() <= 1e-14
+    assert prof.tail_start == CompactnessProfile(want, prof.tol).tail_start
+
+
+def test_compactness_profile_rejects_a_mixed_symbol():
+    rep = oscillator_rep(2, 6)
+    u = gaussian()
+    mixed = CliffFunction(2, "mixed", ((0, (u, u)), (1, (u, u))))
+    with pytest.raises(ValueError, match="parity-homogeneous"):
+        compactness_profile(u, mixed, rep)
 
 
 def test_oscillator_rep_is_cached():
