@@ -1,14 +1,17 @@
 """Command-line driver: run verification suites, write reports.
 
 Reports are deterministic byte-for-byte for a fixed configuration: JSON and
-CSV artifacts contain no timestamps (the run manifest carries those) and
-suite execution is pure, so thread scheduling cannot change the output.
+CSV artifacts contain no timestamps (the run manifest carries those), suite
+execution is pure and BLAS runs on one thread, so neither thread scheduling
+nor thread counts can change the output.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
+import glob
 import json
 import math
 import os
@@ -94,6 +97,21 @@ def _worker_count(n_suites: int) -> int:
     return max(1, min(cap, n_suites))
 
 
+def _pin_blas_threads() -> bool:
+    """Set numpy's bundled OpenBLAS, whose sums depend on its thread count, to one thread;
+    False if there is none."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+        return True
+    return False
+
+
 def _atomic_write(path: str, data: str):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -122,6 +140,9 @@ def run(command: str, args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    if not _pin_blas_threads():
+        print("note: no bundled OpenBLAS to set to one thread; reports can differ in the last "
+              "digits between BLAS thread counts", file=sys.stderr)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {sid: pool.submit(run_suite, sid, cfg) for sid in suite_ids}
         reports = {sid: fut.result() for sid, fut in futures.items()}

@@ -24,7 +24,8 @@ class GradedFunction:
     """A real function of one variable with a declared parity.
 
     ``fn`` must accept numpy arrays.  ``parity`` is 0 for even, 1 for odd,
-    None when mixed.
+    None when undeclared; only a function of declared parity applies to an
+    odd matrix.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -61,18 +62,14 @@ class SpectralMatrix(GradedMatrix):
     """
 
     def __init__(self, g: GradedMatrix):
-        d = g.operator_parity()
-        if d is None:
-            raise ValueError("matrix functional calculus requires a parity-homogeneous matrix")
-        blocks = tuple(np.array(b, dtype=float) for b in g.parts.get(d) or  # zero blocks if g is 0
-                       (np.zeros((len(g.index[r]), len(g.index[r ^ d]))) for r in (0, 1)))
+        blocks = tuple(np.array(b, dtype=float) for b in g.blocks)
         scale_ref = max(1.0, *(np.abs(b).max(initial=0.0) for b in blocks))
         # block r is X[r, r ^ d], and its transpose is block r ^ d
-        asym = max(np.abs(b - blocks[r ^ d].T).max(initial=0.0) for r, b in enumerate(blocks))
+        asym = max(np.abs(b - blocks[r ^ g.degree].T).max(initial=0.0) for r, b in enumerate(blocks))
         if asym > 1e-10 * scale_ref:
             raise ValueError("matrix functional calculus requires a symmetric matrix")
-        self._set_parts({d: blocks}, g.parity, g.index)
-        self.op_parity, self._lock, self._eig = d, threading.Lock(), None
+        self._set_blocks(g.degree, blocks, g.parity, g.index)
+        self._lock, self._eig = threading.Lock(), None
 
     @property
     def eig(self) -> tuple:
@@ -83,8 +80,8 @@ class SpectralMatrix(GradedMatrix):
         """
         with self._lock:
             if self._eig is None:
-                x0, x1 = self.parts[self.op_parity]
-                if self.op_parity == 0:
+                x0, x1 = self.blocks
+                if self.degree == 0:
                     self._eig = tuple(tuple(_frozen(a) for a in np.linalg.eigh(x)) for x in (x0, x1))
                 else:
                     u, s, vt = np.linalg.svd(x0)
@@ -95,29 +92,29 @@ class SpectralMatrix(GradedMatrix):
 def matrix_function(f: GradedFunction, a: GradedMatrix) -> GradedMatrix:
     """Apply f to a symmetric graded matrix through its per-parity eigensystem.
 
-    Any matrix but a :class:`SpectralMatrix` is wrapped in one first, so a
-    mixed one raises ``ValueError``.  Even: ``Q_r f(w_r) Q_r^T`` per block.
-    Odd, with ``X[0, 1] = U diag(s) V^T``: the even part f+ of f gives
-    ``U f+(s) U^T`` and ``V f+(s) V^T`` (s padded with zeros), the odd part
-    f- gives ``U f-(s) V^T`` and its transpose, each only where f's declared
-    parity allows it.
+    Any matrix but a :class:`SpectralMatrix` is wrapped in one first.  Even:
+    ``Q_r f(w_r) Q_r^T`` per block, for any f.  Odd, with
+    ``X[0, 1] = U diag(s) V^T``: an even f gives ``U f(s) U^T`` and
+    ``V f(s) V^T`` (s padded with zeros), an odd f gives ``U f(s) V^T`` and
+    its transpose; f of no declared parity raises ``ValueError``.
     """
     if not isinstance(a, SpectralMatrix):
         a = SpectralMatrix(a)
-    if a.op_parity == 0:
-        return GradedMatrix.from_parts({0: tuple((q * f(w)) @ q.T for w, q in a.eig)}, a.parity, a.index)
+    if a.degree == 0:
+        return GradedMatrix.from_blocks(0, tuple((q * f(w)) @ q.T for w, q in a.eig), a.parity, a.index)
+    if f.parity is None:
+        raise ValueError(f"{f.name} has no declared parity, so of an odd matrix it has both degrees; "
+                         "apply its even part and its odd part separately")
     u, s, v = a.eig
     k = len(s)
     x = np.concatenate([s, np.zeros(max(len(u), len(v)) - k)])
     fx, fm = f(x), f(-x)
-    parts = {}
-    if f.parity != 1:
+    if f.parity == 0:
         even = (fx + fm) / 2.0
-        parts[0] = ((u * even[:len(u)]) @ u.T, (v * even[:len(v)]) @ v.T)
-    if f.parity != 0:
-        x01 = (u[:, :k] * (fx - fm)[:k] / 2.0) @ v[:, :k].T
-        parts[1] = (x01, x01.T)
-    return GradedMatrix.from_parts(parts, a.parity, a.index)
+        return GradedMatrix.from_blocks(0, ((u * even[:len(u)]) @ u.T, (v * even[:len(v)]) @ v.T),
+                                        a.parity, a.index)
+    x01 = (u[:, :k] * (fx - fm)[:k] / 2.0) @ v[:, :k].T
+    return GradedMatrix.from_blocks(1, (x01, x01.T), a.parity, a.index)
 
 
 def delta_on_generators() -> dict[str, list[tuple[GradedFunction, GradedFunction]]]:

@@ -17,17 +17,18 @@ from .clifford import MultiVector, Signature, blade_parities
 
 
 class GradedMatrix:
-    """A read-only square real matrix with a 0/1 parity per basis index.
+    """A read-only square real matrix of one degree, with a 0/1 parity per basis index.
 
-    It is its degree parts: ``parts[d] = (X[0, d], X[1, 1 ^ d])`` for each
-    degree d present, where ``X[r, c]`` collects the rows of parity r and
-    the columns of parity c in basis order.  Built from an array, it splits
-    the array into the parts of the degrees with a nonzero entry on first
-    use; built by :meth:`from_parts`, it assembles ``mat`` on first access.
-    Both are cached (threads that race on a first use compute equal
-    values), and every array held is read-only: the constructor marks the
-    array it is given read-only without copying it.  ``@``, ``+``, ``-``,
-    scalar multiples, commutators and norms work on the parts.
+    It is its degree d (0 if it preserves basis parity, 1 if it reverses it)
+    and its ``blocks = (X[0, d], X[1, 1 ^ d])``, where ``X[r, c]`` collects
+    the rows of parity r and the columns of parity c in basis order; every
+    other entry is zero.  Built from an array, it splits the array and raises
+    ``ValueError`` when both degrees have a nonzero entry (the zero matrix is
+    even); built by :meth:`from_blocks`, it assembles ``mat`` on first access
+    (threads that race on it compute equal values).  Every array held is
+    read-only: the constructor marks the array it is given read-only without
+    copying it.  Products, sums of equal degrees, scalar multiples,
+    commutators and norms work on the blocks.
     """
 
     def __init__(self, mat, parity):
@@ -39,45 +40,52 @@ class GradedMatrix:
             raise ValueError("parity vector length must match matrix dimension")
         if np.any(parity > 1):
             raise ValueError("parities must be 0 or 1")
-        self._mat, self.parity = _frozen(mat), _frozen(parity)
-        self._parts = self._index = None
+        self.parity, self._index = parity, None
+        split = [_split(mat, self.index, d) for d in (0, 1)]
+        present = [d for d in (0, 1) if any(b.any() for b in split[d])]
+        if len(present) > 1:
+            raise ValueError("the matrix has nonzero entries of both degrees; build one graded matrix from "
+                             "its even part (rows and columns of equal parity) and one from its odd part")
+        self._mat, self.parity, self.degree = _frozen(mat), _frozen(parity), max(present, default=0)
+        self._blocks = split[self.degree]
 
     @staticmethod
-    def from_parts(parts: dict, parity, index=None) -> "GradedMatrix":
-        """The matrix whose degree-d part has the blocks ``parts[d] = (X[0, d], X[1, 1 ^ d])``.
-
-        No parts is the zero matrix.  ``index`` is ``parity_index(parity)``;
-        callers that hold it pass it on.
-        """
+    def from_blocks(degree: int, blocks, parity, index=None) -> "GradedMatrix":
+        """The degree-d matrix with ``blocks = (X[0, d], X[1, 1 ^ d])``; ``index`` is
+        ``parity_index(parity)``, passed on by callers that hold it."""
         out = object.__new__(GradedMatrix)
-        out._set_parts(parts, parity, index)
+        out._set_blocks(degree, blocks, parity, index)
         return out
 
-    def _set_parts(self, parts: dict, parity, index=None):
-        """Make this the matrix of :meth:`from_parts`; the blocks are frozen, not copied."""
+    def _set_blocks(self, degree: int, blocks, parity, index=None):
+        """Make this the matrix of :meth:`from_blocks`; the blocks are frozen, not copied."""
         parity = _frozen(np.asarray(parity, dtype=np.uint8))
         index = parity_index(parity) if index is None else index
-        for d, blocks in parts.items():
-            for r, block in enumerate(blocks):
-                if block.shape != (len(index[r]), len(index[r ^ d])):
-                    raise ValueError(f"block {r} has shape {block.shape}, which does not fit the parities")
-        self._mat, self.parity, self._index = None, parity, index
-        self._parts = {d: tuple(_frozen(b) for b in blocks) for d, blocks in parts.items()}
+        for r, block in enumerate(blocks):
+            if block.shape != (len(index[r]), len(index[r ^ degree])):
+                raise ValueError(f"block {r} has shape {block.shape}, which does not fit the parities")
+        self._mat, self.parity, self._index, self.degree = None, parity, index, degree
+        self._blocks = tuple(_frozen(b) for b in blocks)
+
+    @staticmethod
+    def _of_degree(mat: np.ndarray, parity, degree: int) -> "GradedMatrix":
+        """``mat`` as a matrix of the degree its construction fixes: unchecked, split on first use."""
+        out = object.__new__(GradedMatrix)
+        out._mat, out.parity, out._index = _frozen(mat), _frozen(parity), None
+        out.degree, out._blocks = degree, None
+        return out
 
     @property
-    def parts(self) -> dict:
-        """``{d: (X[0, d], X[1, 1 ^ d])}`` for each degree d present."""
-        if self._parts is None:
-            slabs = [self._mat.take(rows, axis=0) for rows in self.index]
-            blocks = [[slab.take(cols, axis=1) for cols in self.index] for slab in slabs]
-            self._parts = {d: (_frozen(blocks[0][d]), _frozen(blocks[1][1 ^ d])) for d in (0, 1)
-                           if blocks[0][d].any() or blocks[1][1 ^ d].any()}
-        return self._parts
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(X[0, d], X[1, 1 ^ d])`` for the degree d."""
+        if self._blocks is None:
+            self._blocks = _split(self._mat, self.index, self.degree)
+        return self._blocks
 
     @property
     def mat(self) -> np.ndarray:
         if self._mat is None:
-            self._mat = _frozen(_assemble(self._parts, self._index))
+            self._mat = _frozen(_assemble(self.degree, self._blocks, self._index))
         return self._mat
 
     @property
@@ -91,19 +99,16 @@ class GradedMatrix:
     def dim(self) -> int:
         return len(self.parity)
 
-    def operator_parity(self) -> int | None:
-        """0 if the matrix preserves basis parity, 1 if it reverses it.
-
-        A part counts when it has a nonzero entry; the zero matrix is even,
-        and None means mixed.
-        """
-        present = [d for d, blocks in self.parts.items() if any(b.any() for b in blocks)]
-        return None if len(present) > 1 else max(present, default=0)
+    def operator_parity(self) -> int:
+        """The degree: 0 if the matrix preserves basis parity, 1 if it reverses it."""
+        return self.degree
 
     def parity_part(self, p: int) -> "GradedMatrix":
-        """The degree-p part as a matrix of its own."""
-        parts = {p: self.parts[p]} if p in self.parts else {}
-        return GradedMatrix.from_parts(parts, self.parity, self.index)
+        """The degree-p part as a matrix of its own: this matrix, or zero."""
+        if p == self.degree:
+            return self
+        zero = tuple(np.zeros((len(self.index[r]), len(self.index[r ^ p]))) for r in (0, 1))
+        return GradedMatrix.from_blocks(p, zero, self.parity, self.index)
 
     def _check_compatible(self, other: "GradedMatrix"):
         if self.parity is other.parity:
@@ -112,12 +117,13 @@ class GradedMatrix:
             raise ValueError("graded matrices live on different graded spaces")
 
     def _linear(self, other: "GradedMatrix", op) -> "GradedMatrix":
-        """``op`` (np.add or np.subtract) entrywise, part by part."""
+        """``op`` (np.add or np.subtract) entrywise, block by block."""
         self._check_compatible(other)
-        out = dict(self.parts)
-        for d, blocks in other.parts.items():
-            out[d] = tuple(op(x, y) for x, y in zip(out.get(d, (0.0, 0.0)), blocks))
-        return GradedMatrix.from_parts(out, self.parity, self.index)
+        if other.degree != self.degree:
+            raise ValueError(f"cannot add graded matrices of degrees {self.degree} and {other.degree}: "
+                             "the result would have both; keep the two degrees as separate matrices")
+        blocks = tuple(op(x, y) for x, y in zip(self.blocks, other.blocks))
+        return GradedMatrix.from_blocks(self.degree, blocks, self.parity, self.index)
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         return self._linear(other, np.add)
@@ -129,36 +135,20 @@ class GradedMatrix:
         return -1.0 * self
 
     def __rmul__(self, scalar: float) -> "GradedMatrix":
-        parts = {d: tuple(float(scalar) * b for b in blocks) for d, blocks in self.parts.items()}
-        return GradedMatrix.from_parts(parts, self.parity, self.index)
+        blocks = tuple(float(scalar) * b for b in self.blocks)
+        return GradedMatrix.from_blocks(self.degree, blocks, self.parity, self.index)
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         """Row block r of a degree-da by degree-db product is ``A[r, r^da] @ B[r^da, r^da^db]``."""
-        self._check_compatible(other)
-        out: dict = {}
-        for da, a in self.parts.items():
-            for db, b in other.parts.items():
-                _accumulate(out, da ^ db, (a[0] @ b[da], a[1] @ b[1 ^ da]))
-        return GradedMatrix.from_parts(out, self.parity, self.index)
+        return _product(self, other, lambda a, b, r: a[r] @ b[r ^ self.degree])
 
-    def nonzero_blocks(self, leading: tuple[int, int] | None = None) -> tuple | None:
-        """The blocks of the one part, none for zero, or None when the matrix is mixed.
-
-        With ``leading = (k0, k1)`` only the window of the first k0 even and
-        the first k1 odd basis vectors is returned.
-        """
-        parts = self.parts
-        if len(parts) != 1:
-            return None if parts else ()
-        (d, blocks), = parts.items()
-        if leading is None:
-            return blocks
-        return tuple(b[:leading[r], :leading[r ^ d]] for r, b in enumerate(blocks))
+    def window_blocks(self, sizes: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks restricted to the first ``sizes[0]`` even and ``sizes[1]`` odd basis vectors."""
+        return tuple(b[:sizes[r], :sizes[r ^ self.degree]] for r, b in enumerate(self.blocks))
 
     def norm(self) -> float:
-        """Spectral norm: :func:`block_norm` of the nonzero blocks, a dense SVD if mixed."""
-        blocks = self.nonzero_blocks()
-        return float(np.linalg.norm(self.mat, 2)) if blocks is None else block_norm(blocks)
+        """Spectral norm: :func:`block_norm` of the two blocks."""
+        return block_norm(self.blocks)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -167,19 +157,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _accumulate(out: dict, degree: int, blocks: tuple):
-    """Add the blocks of a degree-d part into ``out[d]``."""
-    out[degree] = tuple(x + y for x, y in zip(out[degree], blocks)) if degree in out else blocks
+def _split(mat: np.ndarray, index, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only blocks ``(X[0, d], X[1, 1 ^ d])`` of a dense matrix."""
+    return tuple(_frozen(mat.take(index[r], axis=0).take(index[r ^ degree], axis=1)) for r in (0, 1))
 
 
-def _assemble(parts: dict, index) -> np.ndarray:
-    """The dense matrix holding the blocks ``parts[d] = (X[0, d], X[1, 1 ^ d])``, zero elsewhere."""
+def _assemble(degree: int, blocks, index) -> np.ndarray:
+    """The dense matrix holding ``blocks = (X[0, d], X[1, 1 ^ d])``, zero elsewhere."""
     dim = len(index[0]) + len(index[1])
     out = np.zeros((dim, dim))
-    for d, blocks in parts.items():
-        for r, block in enumerate(blocks):
-            out[np.ix_(index[r], index[r ^ d])] = block
+    for r, block in enumerate(blocks):
+        out[np.ix_(index[r], index[r ^ degree])] = block
     return out
+
+
+def _product(a: GradedMatrix, b: GradedMatrix, row_block) -> GradedMatrix:
+    """The degree ``deg a + deg b`` matrix whose block r is ``row_block(a.blocks, b.blocks, r)``."""
+    a._check_compatible(b)
+    blocks = tuple(row_block(a.blocks, b.blocks, r) for r in (0, 1))
+    return GradedMatrix.from_blocks(a.degree ^ b.degree, blocks, a.parity, a.index)
 
 
 def block_norm(blocks) -> float:
@@ -218,17 +214,14 @@ def tensor_parity(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
 def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """Graded tensor product of graded matrices (a-major basis ordering).
 
-    Requires ``b`` of definite operator parity; the Koszul sign
-    ``(-1)^{deg b * deg xi}`` only involves the parity of ``b`` and of the
-    first-leg basis vector, so it is absorbed by scaling the columns of the
-    first factor before taking the Kronecker product.
+    The Koszul sign ``(-1)^{deg b * deg xi}`` only involves the degree of
+    ``b`` and the parity of the first-leg basis vector, so it is absorbed by
+    scaling the columns of the first factor before taking the Kronecker
+    product.  The degrees add.
     """
-    pb = b.operator_parity()
-    if pb is None:
-        raise ValueError("graded tensor needs a parity-homogeneous second factor; "
-                         "split it with parity_part() first")
-    left = a.mat * grading_signs(a.parity)[None, :] if pb else a.mat
-    return GradedMatrix(np.kron(left, b.mat), tensor_parity(a.parity, b.parity))
+    left = a.mat * grading_signs(a.parity)[None, :] if b.degree else a.mat
+    parity = tensor_parity(a.parity, b.parity)
+    return GradedMatrix._of_degree(np.kron(left, b.mat), parity, a.degree ^ b.degree)
 
 
 def parity_index(parity) -> tuple[np.ndarray, np.ndarray]:
@@ -238,22 +231,16 @@ def parity_index(parity) -> tuple[np.ndarray, np.ndarray]:
 
 
 def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """[a, b] = ab - (-1)^{deg a deg b} ba, extended bilinearly.
+    """[a, b] = ab - (-1)^{deg a deg b} ba.
 
     Odd-odd pairs get the anticommutator; everything else the plain
-    commutator.  Each pair of nonzero parts ``a_pa``, ``b_pb`` is multiplied
-    blockwise: row block r of the result is
+    commutator.  Row block r of the result is
     ``a[r, r^pa] b[r^pa, c] - sign b[r, r^pb] a[r^pb, c]`` with
     ``c = r ^ pa ^ pb``, a quarter of the dense flops.
     """
-    a._check_compatible(b)
-    out: dict = {}
-    for pa, ab in a.parts.items():
-        for pb, bb in b.parts.items():
-            sign = -1.0 if (pa and pb) else 1.0
-            _accumulate(out, pa ^ pb, tuple(ab[r] @ bb[r ^ pa] - sign * (bb[r] @ ab[r ^ pb])
-                                            for r in (0, 1)))
-    return GradedMatrix.from_parts(out, a.parity, a.index)
+    pa, pb = a.degree, b.degree
+    sign = -1.0 if (pa and pb) else 1.0
+    return _product(a, b, lambda ab, bb, r: ab[r] @ bb[r ^ pa] - sign * (bb[r] @ ab[r ^ pb]))
 
 
 def involution(a: GradedMatrix) -> GradedMatrix:
@@ -266,10 +253,7 @@ def flip_simple(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 
     The sign is applied to the small factor b, not to the tensor.
     """
-    pa, pb = a.operator_parity(), b.operator_parity()
-    if pa is None or pb is None:
-        raise ValueError("flip of a simple tensor needs parity-homogeneous factors")
-    return graded_tensor(-b if (pa and pb) else b, a)
+    return graded_tensor(-b if (a.degree and b.degree) else b, a)
 
 
 def flip_unitary(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .clifford import (
     twisted_right_mult_operator,
 )
 from .funcalc import GradedFunction, SpectralMatrix, matrix_function
-from .graded import GradedMatrix, _accumulate, parity_index
+from .graded import GradedMatrix, parity_index
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +181,6 @@ def axis_derivative(basis: HermiteBasis, axis: int) -> np.ndarray:
 # operator assembly
 
 
-class Window(NamedTuple):
-    """The states of total level <= level - depth, as two counts.
-
-    The basis is ordered by total level, so a window is a leading segment of
-    it, and its even (odd) states are the leading ones of all even (odd)
-    states: inside a parity block the window is the leading
-    ``block_sizes[r]`` rows or columns of parity r.
-    """
-
-    size: int                     # number of states in the window
-    block_sizes: tuple[int, int]  # number of even and of odd states in it
-
-
 @dataclass(frozen=True, eq=False)
 class OscillatorRep:
     """Immutable operator context on one truncated basis.
@@ -202,7 +188,7 @@ class OscillatorRep:
     C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: two
     read-only parity blocks each, diagonalised per block at most once, on
     first use, for every suite thread that shares the context.  ``windows``
-    holds a :class:`Window` for every depth 0..level.
+    holds the window sizes for every depth 0..level.
     """
 
     basis: HermiteBasis
@@ -211,38 +197,38 @@ class OscillatorRep:
     bott: SpectralMatrix      # supercharge B = C + D
     number: GradedMatrix      # blade number operator N
     harmonic: SpectralMatrix  # H = C^2 + D^2
-    windows: tuple            # depth -> Window
+    windows: tuple            # depth -> (even, odd) window sizes
 
-    def window(self, depth: int = 2) -> Window:
-        """The window of total level <= level - depth."""
+    def window(self, depth: int = 2) -> tuple[int, int]:
+        """The numbers of even and of odd states of total level <= level - depth.
+
+        The basis is ordered by total level, so inside a parity block of degree
+        d the window is the leading ``window[r]`` rows and ``window[r ^ d]``
+        columns of block r.
+        """
         if not 0 <= depth <= self.basis.level:
             raise ValueError(f"window depth must lie in 0..{self.basis.level}, got {depth}")
         return self.windows[depth]
 
-    def restricted(self, mat: np.ndarray, depth: int = 2) -> np.ndarray:
-        """Interior block (total level <= level - depth) of a full-space matrix."""
-        n = self.window(depth).size
-        return mat[:n, :n]
 
-
-def _spatial_blade_operator(basis: HermiteBasis, terms) -> GradedMatrix:
-    """The sum of ``kron(S, L)`` over ``terms = [(S, L, d), ..]``, L of degree d on the blades.
+def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms) -> GradedMatrix:
+    """The sum of ``kron(S, L)`` over ``terms = [(S, L), ..]``, every L of the given degree on the blades.
 
     The basis is spatial-major, so block r of ``kron(S, L)`` is
     ``kron(S, L[blades of parity r, blades of parity r ^ d])``.
     """
     blades = parity_index(blade_parities(basis.sig))
-    parts: dict = {}
-    for spatial, blade_op, d in terms:
-        _accumulate(parts, d, tuple(np.kron(spatial, blade_op[np.ix_(blades[r], blades[r ^ d])])
-                                    for r in (0, 1)))
-    return GradedMatrix.from_parts(parts, basis.parity())
+    blocks = None
+    for spatial, blade_op in terms:
+        term = [np.kron(spatial, blade_op[np.ix_(blades[r], blades[r ^ degree])]) for r in (0, 1)]
+        blocks = term if blocks is None else [x + y for x, y in zip(blocks, term)]
+    return GradedMatrix.from_blocks(degree, blocks, basis.parity())
 
 
 def clifford_operator(basis: HermiteBasis) -> GradedMatrix:
     """C = sum_i x_i (x) lambda(e_i); odd, symmetric."""
-    return _spatial_blade_operator(basis, [
-        (axis_position(basis, i), left_mult_operator(MultiVector.generator(basis.sig, i + 1)), 1)
+    return _spatial_blade_operator(basis, 1, [
+        (axis_position(basis, i), left_mult_operator(MultiVector.generator(basis.sig, i + 1)))
         for i in range(basis.dim)])
 
 
@@ -252,14 +238,14 @@ def dirac_operator(basis: HermiteBasis) -> GradedMatrix:
     Both factors of each summand are antisymmetric, so their Kronecker
     product is symmetric even though neither factor is.
     """
-    return _spatial_blade_operator(basis, [
-        (axis_derivative(basis, i), twisted_right_mult_operator(MultiVector.generator(basis.sig, i + 1)), 1)
+    return _spatial_blade_operator(basis, 1, [
+        (axis_derivative(basis, i), twisted_right_mult_operator(MultiVector.generator(basis.sig, i + 1)))
         for i in range(basis.dim)])
 
 
 def blade_number_operator(basis: HermiteBasis) -> GradedMatrix:
     """N = 1 (x) sum_i rho~(e_i) lambda(e_i); diagonal, eigenvalue 2d - n."""
-    return _spatial_blade_operator(basis, [(np.eye(basis.spatial_size), number_operator(basis.sig), 0)])
+    return _spatial_blade_operator(basis, 0, [(np.eye(basis.spatial_size), number_operator(basis.sig))])
 
 
 @lru_cache(maxsize=8)
@@ -276,7 +262,7 @@ def _context(dim: int, level: int) -> OscillatorRep:
         SpectralMatrix(c + d),
         blade_number_operator(basis),
         SpectralMatrix(c @ c + d @ d),
-        tuple(Window(size, (size // 2, size // 2)) for size in sizes),
+        tuple((size // 2, size // 2) for size in sizes),
     )
 
 
@@ -331,23 +317,21 @@ def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
 
 
 def spectrum(rep: OscillatorRep) -> SpectrumResult:
-    """Interior-windowed eigenvalues of B^2 with multiplicities.
+    """Interior-windowed eigenvalues of B^2 with multiplicities, one ``eigh`` per parity block.
 
     Only eigenvalues up to the truncation level are reported: the interior
     block of B^2 is exactly diagonal, but levels near the cut have no room
     left for the full multiplet structure, so clusters above the window mix
     truncated and untruncated states.  ``kernel_overlap`` is the weight of
-    the Gaussian ground state in the lowest eigenvector.
+    the Gaussian ground state, the first even basis vector, in the lowest
+    eigenvector.
     """
-    vals, vecs = np.linalg.eigh(rep.restricted((rep.bott @ rep.bott).mat))
+    blocks = (rep.bott @ rep.bott).window_blocks(rep.window())
+    (w0, q0), (w1, _) = (np.linalg.eigh(b) for b in blocks)
+    vals = np.sort(np.concatenate([w0, w1]))
     window = float(rep.basis.level)
     clusters = _cluster(vals[vals <= window + _CLUSTER_TOL], _CLUSTER_TOL)
-
-    # ground state: the Gaussian times the scalar blade
-    # (the window is a leading segment, so it keeps the full-basis index)
-    ground_full = rep.basis.mindex_position((0,) * rep.basis.dim) * rep.basis.blade_count
-    kernel_vec = vecs[:, int(np.argmin(vals))]
-    overlap = float(abs(kernel_vec[ground_full]) / np.linalg.norm(kernel_vec))
+    overlap = float(abs(q0[0, 0]) / np.linalg.norm(q0[:, 0])) if w0[0] <= w1[0] else 0.0
     return SpectrumResult(vals, clusters, window, overlap)
 
 
@@ -377,7 +361,8 @@ class CliffFunction:
     ``g_i`` a function of one variable on arrays.  The symbols of the
     asymptotic morphism, the Gaussian generator pair and a bump, all
     factor this way, and :func:`multiplication_operator` works from
-    one-dimensional quadratures of the terms.
+    one-dimensional quadratures of the terms.  There is at least one term,
+    and all blades share one parity, so the values are even or odd.
     """
 
     dim: int
@@ -391,12 +376,14 @@ class CliffFunction:
             if len(axis_fns) != self.dim:
                 raise ValueError(f"term on blade {blade} has {len(axis_fns)} axis functions, "
                                  f"expected {self.dim}")
+        if len({blade_parity(blade) for blade, _ in self.terms}) != 1:
+            raise ValueError(f"symbol {self.name!r} needs terms on blades of one parity; "
+                             "build one CliffFunction from its even terms and one from its odd terms")
 
     @property
-    def parity(self) -> int | None:
-        """Blade parity of the values: 0, 1, or None when the terms mix both."""
-        parities = {blade_parity(blade) for blade, _ in self.terms}
-        return None if len(parities) > 1 else max(parities, default=0)
+    def parity(self) -> int:
+        """Blade parity of the values."""
+        return blade_parity(self.terms[0][0])
 
 
 def rescale(h: CliffFunction, t: float) -> CliffFunction:
@@ -440,16 +427,15 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     *is* evaluation at those eigenvalues.
 
     The Grams come from 1-D quadratures of the symbol's separable terms.
-    Blades of parity d make up the degree-d part, whose parity blocks are
-    the sums ``kron(Gram_c, lambda(c)[rows of parity r, columns of parity r ^ d])``;
-    when every nonzero blade has the same parity the result holds just
-    those two blocks.
+    The blades all have the symbol's parity d, and the two blocks of the
+    degree-d result are the sums
+    ``kron(Gram_c, lambda(c)[rows of parity r, columns of parity r ^ d])``.
     """
     if h.dim != basis.dim:
         raise ValueError(f"function dimension {h.dim} != basis dimension {basis.dim}")
     q = nodes if nodes is not None else 2 * basis.level + 16
-    return _spatial_blade_operator(basis, [
-        (gram, left_mult_operator(MultiVector.blade(basis.sig, c)), blade_parity(c))
+    return _spatial_blade_operator(basis, h.parity, [
+        (gram, left_mult_operator(MultiVector.blade(basis.sig, c)))
         for c, gram in _separable_grams(h, basis, q).items()])
 
 
@@ -473,12 +459,9 @@ def compactness_profile(f: GradedFunction, h: CliffFunction, rep: OscillatorRep,
 
     For vanishing-at-infinity symbols this product is a compact operator in
     the untruncated model; finitely many singular values above any
-    threshold is the finite-dimensional shadow of that.  The product has
-    one part, and its singular values are those of the part's two blocks;
-    a mixed symbol or f raises ``ValueError``.
+    threshold is the finite-dimensional shadow of that.  The product's
+    singular values are those of its two blocks.
     """
-    blocks = (matrix_function(f, rep.bott) @ multiplication_operator(h, rep.basis)).nonzero_blocks()
-    if blocks is None:
-        raise ValueError("the compactness profile needs a parity-homogeneous symbol and function")
-    svals = np.concatenate([np.zeros(0), *(np.linalg.svd(b, compute_uv=False) for b in blocks)])
+    blocks = (matrix_function(f, rep.bott) @ multiplication_operator(h, rep.basis)).blocks
+    svals = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
     return CompactnessProfile(np.sort(svals)[::-1], tol)

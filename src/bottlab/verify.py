@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import (
+    _MAX_TABLE_N,
     MultiVector,
     Signature,
     algebra_isomorphism_check,
@@ -88,6 +89,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.dim > _MAX_TABLE_N:
+            raise ValueError(f"dim must be <= {_MAX_TABLE_N}, the largest Clifford algebra tabulated")
         if self.level < 4:
             raise ValueError("levels must be >= 4")
         ts = tuple(float(t) for t in self.t_grid)
@@ -246,18 +249,13 @@ def _crosscheck_gates(samples: list, rep: OscillatorRep) -> list[Gate]:
 def windowed_norm(g: GradedMatrix, rep: OscillatorRep, depth: int = 2) -> float:
     """Spectral norm of the interior block (total level <= level - depth).
 
-    A parity-homogeneous window is, up to a permutation, the direct sum of
-    its two nonzero parity blocks, so its norm is the larger of theirs: the
-    window is the leading ``block_sizes`` rows and columns of each parity
-    block, and :func:`block_norm` takes it from there.  Only a matrix with
-    parts of both degrees takes the dense SVD; every operator the suites
-    measure has one part, so they never reach it.  Depth 0 is the whole
-    space.
+    The window of a graded matrix is, up to a permutation, the direct sum of
+    the windows of its two parity blocks, so its norm is the larger of
+    theirs: the window is the leading ``rep.window(depth)`` rows and columns
+    of each parity block, and :func:`block_norm` takes it from there.  Depth
+    0 is the whole space.
     """
-    blocks = g.nonzero_blocks(rep.window(depth).block_sizes)
-    if blocks is None:
-        return float(np.linalg.norm(rep.restricted(g.mat, depth), 2))
-    return block_norm(blocks)
+    return block_norm(g.window_blocks(rep.window(depth)))
 
 
 def decay_fit(ts: Sequence[float], vals: Sequence[float]) -> tuple | None:
@@ -668,10 +666,12 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
     u, v = gaussian(), x_gaussian()
     tol = cfg.tol if cfg.tol is not None else 1e-6
 
-    ground = rep.basis.mindex_position((0,) * cfg.dim) * rep.basis.blade_count
-    g_vec = np.zeros(rep.basis.size)
-    g_vec[ground] = 1.0
-    p = GradedMatrix(np.outer(g_vec, g_vec), rep.bott.parity)  # an even part with one entry
+    # the ground state, the Gaussian times the scalar blade, is the first even basis vector
+    even, odd = (len(i) for i in rep.bott.index)
+    g_vec = np.zeros(even)
+    g_vec[0] = 1.0
+    p = GradedMatrix.from_blocks(0, (np.outer(g_vec, g_vec), np.zeros((odd, odd))),
+                                 rep.bott.parity, rep.bott.index)
 
     curves = {"u-to-projection": [], "v-to-zero": []}
     samples = []
@@ -689,8 +689,9 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
         Gate("envelope at the smallest s", envelope[-1], tol),
         Gate("envelope non-increasing as s falls",
              monotone_after(range(len(envelope)), envelope, start=0.0)),
-        Gate("kernel vector fixed by u(s^-1 B)", float(np.linalg.norm(ub.mat @ g_vec - g_vec)), 1e-12),
-        Gate("odd generator annihilates the kernel vector", float(np.linalg.norm(vb.mat @ g_vec)), 1e-12),
+        # the images of the ground state: column 0 of the block with even columns
+        Gate("kernel vector fixed by u(s^-1 B)", float(np.linalg.norm(ub.blocks[0][:, 0] - g_vec)), 1e-12),
+        Gate("odd generator annihilates the kernel vector", float(np.linalg.norm(vb.blocks[1][:, 0])), 1e-12),
         *_crosscheck_gates(samples, rep),
     ]
     gap_val = math.exp(-2.0 / (ss[-1] ** 2)) if 2.0 / ss[-1] ** 2 < 700 else 0.0
@@ -767,9 +768,35 @@ def _conjugator(u: np.ndarray):
     result equals the matrix product exactly.
     """
     perm = np.abs(u).argmax(axis=1)
-    sign = u[np.arange(len(perm)), perm]
-    signs, ix = sign[:, None] * sign[None, :], np.ix_(perm, perm)
-    return lambda x: signs * x[ix]
+    sign, ix = u[np.arange(len(perm)), perm], np.ix_(perm, perm)
+
+    def conjugate(x):
+        out = x[ix]
+        out *= sign[:, None]
+        out *= sign[None, :]
+        return out
+    return conjugate
+
+
+def _flip_product_residuals(gens: tuple, conj) -> tuple[float, float]:
+    """Flip involution and multiplicativity residuals on the four tensors ``x (x) y`` of the
+    generators, each formed and conjugated by the signed swap once."""
+    tensors, flipped, inv_worst = [], [], 0.0
+    for x in gens:
+        for y in gens:
+            z = graded_tensor(x, y)
+            flipped.append(conj(z.mat))
+            diff = involution(GradedMatrix(flipped[-1], z.parity)).mat - conj(involution(z).mat)
+            inv_worst = max(inv_worst, float(np.abs(diff, out=diff).max()))
+            # the products need only the blocks, so the dense tensor is not kept
+            tensors.append(GradedMatrix.from_blocks(z.degree, z.blocks, z.parity, z.index))
+    mult_worst = 0.0
+    for t1, c1 in zip(tensors, flipped):
+        for t2, c2 in zip(tensors, flipped):
+            diff = conj((t1 @ t2).mat)
+            diff -= c1 @ c2
+            mult_worst = max(mult_worst, float(np.abs(diff, out=diff).max()))
+    return mult_worst, inv_worst
 
 
 def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
@@ -794,20 +821,28 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
 
     par = rep.basis.parity()
     swap = flip_unitary(par, par)
+    # l o l = id as signed permutations
+    ll = float(np.abs(swap.T @ swap - np.eye(swap.shape[0])).max())
     conj = _conjugator(swap)
+    del swap  # the conjugator keeps only the permutation and its signs
     uc = matrix_function(u, rep.clifford)
     vc = matrix_function(v, rep.clifford)
     sub = SweepConfig(dim=1, level=level, t_grid=cfg.t_grid, h_choices=cfg.h_choices)
     hs = resolve_h_choices(sub)
 
-    def flip_route_residual(a: GradedMatrix, b: GradedMatrix) -> float:
-        # in place: each large temporary freed here may be trimmed from the heap and faulted back in
-        routed = conj(graded_tensor(a, b).mat)
-        routed -= flip_simple(a, b).mat
-        return float(np.abs(routed, out=routed).max())
-
     # the grading operator on the tensor square, as the diagonal of its matrix
     gam = np.tile(grading_signs(par), rep.basis.size)
+
+    def flip_route_residual(a: GradedMatrix, b: GradedMatrix, grading: bool) -> float:
+        """Both routes to the flip of ``a (x) b``; with ``grading`` (for an even second leg,
+        on which the grading automorphism is invisible) also how far the grading moves it."""
+        ab = graded_tensor(a, b).mat
+        worst = float(np.abs(gam[:, None] * ab * gam[None, :] - ab).max()) if grading else 0.0
+        # in place: each large temporary freed here may be trimmed from the heap and faulted back in
+        routed = conj(ab)
+        routed -= flip_simple(a, b).mat
+        return max(worst, float(np.abs(routed, out=routed).max()))
+
     curves: dict[str, list[float]] = {h.name: [] for h in hs}
     for t in cfg.t_grid:
         ud = matrix_function(scale(u, t), rep.dirac)
@@ -819,31 +854,10 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
             worst = 0.0
             for left in (a_even, a_odd):
                 for right in (uc, vc):
-                    worst = max(worst, flip_route_residual(left, right))
-            # the grading automorphism is invisible on the even second leg
-            f_mat = graded_tensor(a_even, uc).mat
-            worst = max(worst, float(np.abs(gam[:, None] * f_mat * gam[None, :] - f_mat).max()))
+                    worst = max(worst, flip_route_residual(left, right, left is a_even and right is uc))
             curves[h.name].append(worst)
 
-    # l o l = id as signed permutations
-    ll = float(np.abs(swap.T @ swap - np.eye(swap.shape[0])).max())
-
-    # flip multiplicativity: product-then-flip vs flip-then-product
-    mult_worst = 0.0
-    inv_worst = 0.0
-    for x1 in (uc, vc):
-        for y1 in (uc, vc):
-            for x2 in (uc, vc):
-                for y2 in (uc, vc):
-                    t1 = graded_tensor(x1, y1)
-                    t2 = graded_tensor(x2, y2)
-                    lhs = conj((t1 @ t2).mat)
-                    rhs = conj(t1.mat) @ conj(t2.mat)
-                    mult_worst = max(mult_worst, float(np.abs(lhs - rhs).max()))
-            z = graded_tensor(x1, y1)
-            lhs = involution(GradedMatrix(conj(z.mat), z.parity)).mat
-            rhs = conj(involution(z).mat)
-            inv_worst = max(inv_worst, float(np.abs(lhs - rhs).max()))
+    mult_worst, inv_worst = _flip_product_residuals((uc, vc), conj)
 
     # grading automorphism is multiplicative: oracle = direct Clifford products
     rng = np.random.default_rng(2024)

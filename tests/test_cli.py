@@ -8,6 +8,7 @@ runs the ``bottlab`` executable found on PATH, needs the package installed.
 
 import importlib.metadata
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -19,6 +20,9 @@ import pytest
 
 from bottlab import cli
 from bottlab.verify import SweepConfig
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, **kw):
@@ -57,6 +61,8 @@ def test_invalid_dim_exits_2(tmp_path, capsys):
     (["spectrum", "--t-min", "nan"], "t_grid values must be finite"),
     (["spectrum", "--t-max", "inf"], "t_grid values must be finite"),
     (["spectrum", "--t-min", "inf"], "t_grid values must be finite"),
+    # above the Clifford table limit, the suites could not build the algebra
+    (["spectrum", "--dim", "11", "--levels", "4"], "dim must be <= 10"),
 ])
 def test_config_errors_exit_2(args, fragment, tmp_path, capsys):
     # pytest would hold back a warning from stderr, so record warnings as well
@@ -190,6 +196,24 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys, monkeypatch):
     for name in a:
         assert a[name] == b[name], f"{name} differs between runs"
         assert a[name] == c[name], f"{name} differs with a single worker"
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # delta-xr is the cheapest suite whose reports changed with the BLAS
+    # thread count before the CLI pinned numpy's OpenBLAS to one thread
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "BOTTLAB_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "bottlab.cli", "delta", "--dim", "1", "--levels", "4",
+                               "--out", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        if "no bundled OpenBLAS" in proc.stderr:
+            pytest.skip("numpy has no bundled OpenBLAS to pin here")
+        reports.append({name: data for name, data in _snapshot(out).items() if name != "manifest.json"})
+    assert sorted(reports[0]) == ["delta-xr.csv", "delta-xr.json"]
+    assert reports[0] == reports[1]
 
 
 def test_no_timestamps_inside_reports(tmp_path, capsys):

@@ -19,12 +19,11 @@ def _context_arrays(rep) -> dict:
     ops = {"C": rep.clifford, "D": rep.dirac, "B": rep.bott, "N": rep.number, "H": rep.harmonic}
     arrays = {}
     for name, op in ops.items():
-        for d, blocks in op.parts.items():
-            arrays[f"{name}[{d}]0"], arrays[f"{name}[{d}]1"] = blocks
+        arrays[f"{name}.blocks0"], arrays[f"{name}.blocks1"] = op.blocks
         arrays[f"{name}.parity"] = op.parity
     for name in ("C", "D", "B", "H"):
         eig = ops[name].eig  # ((w0, Q0), (w1, Q1)) when even, (U, s, V) when odd
-        flat = [a for part in eig for a in part] if ops[name].op_parity == 0 else list(eig)
+        flat = [a for part in eig for a in part] if ops[name].degree == 0 else list(eig)
         arrays.update({f"eig{name}{i}": a for i, a in enumerate(flat)})
     return arrays
 
@@ -67,10 +66,10 @@ def test_context_fields_cannot_be_rebound():
 def test_spectral_matrix_keeps_a_private_copy():
     x = np.array([[1.0]])
     alias = x[:]  # a view taken before the graded matrix freezes x
-    op = SpectralMatrix(GradedMatrix.from_parts({1: (x, x.T)}, [0, 1]))
+    op = SpectralMatrix(GradedMatrix.from_blocks(1, (x, x.T), [0, 1]))
     alias[0, 0] = 5.0
     assert op.mat[0, 1] == op.mat[1, 0] == 1.0
-    assert op.op_parity == 1
+    assert op.degree == 1
 
 
 def test_spectral_matrix_rejects_asymmetric_input():
@@ -81,14 +80,16 @@ def test_spectral_matrix_rejects_asymmetric_input():
 
 
 def test_spectral_matrix_rejects_mixed_input():
-    with pytest.raises(ValueError, match="parity-homogeneous"):
+    # a matrix of both degrees is rejected before it reaches the calculus
+    with pytest.raises(ValueError, match="both degrees"):
         SpectralMatrix(GradedMatrix(np.ones((2, 2)), [0, 1]))
 
 
 @pytest.mark.parametrize("dim,level", [(1, 6), (2, 5), (1, 12), (2, 10), (3, 6)])
 def test_window_is_a_leading_segment(dim, level):
-    # the basis is sorted by total level, so slicing equals mask indexing, and
-    # inside each parity block the window is the leading block_sizes[r] states
+    # the basis is sorted by total level, so the window is a leading slice of
+    # the full matrix, and inside each parity block it is the leading
+    # window[r] states
     rep = oscillator_rep(dim, level)
     par = rep.basis.parity()
     full = np.arange(rep.basis.size)
@@ -96,9 +97,10 @@ def test_window_is_a_leading_segment(dim, level):
     for depth in range(level + 1):
         mask = rep.basis.interior_mask(depth)
         window = rep.window(depth)
-        assert np.array_equal(rep.restricted(m, depth), m[np.ix_(mask, mask)])
-        assert window.size == np.count_nonzero(mask)
-        for p, count in enumerate(window.block_sizes):
+        size = sum(window)
+        assert np.array_equal(m[:size, :size], m[np.ix_(mask, mask)])
+        assert size == np.count_nonzero(mask)
+        for p, count in enumerate(window):
             in_window = np.flatnonzero(mask & (par == p))
             assert count == len(in_window) > 0
             assert np.array_equal(in_window, np.flatnonzero(par == p)[:count])
@@ -106,11 +108,9 @@ def test_window_is_a_leading_segment(dim, level):
 
 def test_window_depth_is_range_checked():
     rep = oscillator_rep(1, 6)
-    m = np.zeros((rep.basis.size, rep.basis.size))
+    assert sum(rep.window(0)) == rep.basis.size and sum(rep.window(6)) > 0
     with pytest.raises(ValueError, match="depth"):
-        rep.restricted(m, depth=7)
-    with pytest.raises(ValueError, match="depth"):
-        rep.restricted(m, depth=-1)
+        rep.window(7)
     with pytest.raises(ValueError, match="depth"):
         rep.window(-1)
 

@@ -120,11 +120,11 @@ def test_parity_covariance_is_exact():
     b = rep.bott  # odd, symmetric
     odd_result = matrix_function(x_gaussian(), b)
     even_result = matrix_function(gaussian(), b)
-    assert set(odd_result.parts) == {1}
-    assert set(even_result.parts) == {0}
+    assert odd_result.degree == 1
+    assert even_result.degree == 0
     # even input: any f lands in the even part
     b2 = b @ b
-    assert set(matrix_function(x_gaussian(), b2).parts) == {0}
+    assert matrix_function(x_gaussian(), b2).degree == 0
 
 
 @pytest.mark.parametrize("f", [
@@ -135,11 +135,25 @@ def test_mixed_function_of_an_even_matrix_is_exactly_even(f):
     # an even matrix commutes with the grading, so f of it is even for any f
     assert f.parity is None
     h = oscillator_rep(2, 6).harmonic
-    assert set(matrix_function(f, h).parts) == {0}
+    assert matrix_function(f, h).degree == 0
+
+
+@pytest.mark.parametrize("name", ["clifford", "dirac", "bott"])
+def test_function_of_no_declared_parity_rejects_an_odd_matrix(name):
+    # of an odd matrix such an f has both degrees; its even and odd parts apply
+    op = getattr(oscillator_rep(1, 6), name)
+    f = fsum(gaussian(), x_gaussian())
+    with pytest.raises(ValueError, match="no declared parity"):
+        matrix_function(f, op)
+    parts = [matrix_function(part(f), op) for part in (even_part, odd_part)]
+    assert [p.degree for p in parts] == [0, 1]
+    want = _dense_matrix_function(f, op.mat, op.parity, 1)
+    assert np.abs(parts[0].mat + parts[1].mat - want).max() <= 1e-13
 
 
 def _dense_matrix_function(f, m, parity, degree):
-    """Reference: the dense Q f(w) Q^T, masked to the parity the result must have."""
+    """Reference: the dense Q f(w) Q^T, masked to the parity the result must have
+    (not masked for f of no declared parity on an odd matrix)."""
     w, q = np.linalg.eigh(m)
     dense = (q * f(w)) @ q.T
     d = f.parity if degree else 0
@@ -162,9 +176,13 @@ def test_matrix_function_blocks_match_dense_product(seed, dim, kind, degree, f, 
         par = rng.integers(0, 2, size=dim).astype(np.uint8)
     else:
         par = np.full(dim, kind == "odd", dtype=np.uint8)
-    m = _random_symmetric(rng, dim) * ((par[:, None] ^ par[None, :]) == degree)
-    got = matrix_function(scale(f, t), GradedMatrix(m, par)).mat
-    want = _dense_matrix_function(scale(f, t), m, par, degree)
+    m = GradedMatrix(_random_symmetric(rng, dim) * ((par[:, None] ^ par[None, :]) == degree), par)
+    if f.parity is None and m.degree == 1:
+        with pytest.raises(ValueError, match="no declared parity"):
+            matrix_function(scale(f, t), m)
+        return
+    got = matrix_function(scale(f, t), m).mat
+    want = _dense_matrix_function(scale(f, t), m.mat, par, m.degree)
     assert np.abs(got - want).max() <= 1e-13
 
 
@@ -173,8 +191,12 @@ def test_matrix_function_blocks_match_dense_product(seed, dim, kind, degree, f, 
 def test_context_matrix_function_blocks_match_dense_product(name, f):
     op = getattr(oscillator_rep(2, 6), name)
     for t in (1.0, 4.0, 32.0):
+        if f.parity is None and op.degree == 1:
+            with pytest.raises(ValueError, match="no declared parity"):
+                matrix_function(scale(f, t), op)
+            continue
         got = matrix_function(scale(f, t), op).mat
-        want = _dense_matrix_function(scale(f, t), op.mat, op.parity, op.op_parity)
+        want = _dense_matrix_function(scale(f, t), op.mat, op.parity, op.degree)
         assert np.abs(got - want).max() <= 1e-13, t
 
 

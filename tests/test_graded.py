@@ -36,10 +36,14 @@ def random_parity(rng, dim):
 
 
 def random_homogeneous(rng, parity, op_parity):
-    """Random matrix supported on the blocks of the given operator parity."""
+    """Random matrix supported on the blocks of the given operator parity.
+
+    Built from its array; when those blocks are empty the array is zero,
+    which is even, so the zero matrix of the asked degree is returned.
+    """
     dim = len(parity)
     mask = (parity[:, None] ^ parity[None, :]) == op_parity
-    return GradedMatrix(rng.standard_normal((dim, dim)) * mask, parity)
+    return GradedMatrix(rng.standard_normal((dim, dim)) * mask, parity).parity_part(op_parity)
 
 
 def parity_vector(rng, dim, kind):
@@ -49,24 +53,9 @@ def parity_vector(rng, dim, kind):
     return np.full(dim, kind == "odd", dtype=np.uint8)
 
 
-def random_graded(rng, parity, degree):
-    """Homogeneous of the given degree, or dense (mixed) when degree is None."""
-    if degree is None:
-        return GradedMatrix(rng.standard_normal((len(parity),) * 2), parity)
-    return random_homogeneous(rng, parity, degree)
-
-
-def dense_graded_commutator(a, b):
-    """Reference: split both factors with full-size masks, sum the dense products."""
-    mix = a.parity[:, None] ^ a.parity[None, :]
-    out = np.zeros_like(a.mat)
-    for pa in (0, 1):
-        ap = np.where(mix == pa, a.mat, 0.0)
-        for pb in (0, 1):
-            bp = np.where(mix == pb, b.mat, 0.0)
-            sign = -1.0 if (pa and pb) else 1.0
-            out += ap @ bp - sign * (bp @ ap)
-    return out
+def mixed_array(rng, parity):
+    """A dense array with nonzero entries of both degrees."""
+    return rng.standard_normal((len(parity),) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +67,38 @@ def test_operator_parity_detection():
     par = np.array([0, 1, 0, 1], dtype=np.uint8)
     even = random_homogeneous(rng, par, 0)
     odd = random_homogeneous(rng, par, 1)
-    assert even.operator_parity() == 0
-    assert odd.operator_parity() == 1
-    mixed = even + odd
-    assert mixed.operator_parity() is None
-    # decomposition is exact and idempotent
-    assert set(mixed.parts) == {0, 1}
-    assert np.array_equal(mixed.parity_part(0).mat + mixed.parity_part(1).mat, mixed.mat)
-    assert np.array_equal(mixed.parity_part(0).parity_part(0).mat, even.mat)
-    assert np.array_equal(mixed.parity_part(1).mat, odd.mat)
-    assert mixed.parity_part(0).parity_part(1).parts == {}
+    assert even.operator_parity() == even.degree == 0
+    assert odd.operator_parity() == odd.degree == 1
+    assert GradedMatrix(np.zeros((4, 4)), par).degree == 0  # the zero matrix is even
+    # the part of the other degree is zero; the part of its own is the matrix
+    assert even.parity_part(0) is even
+    assert odd.parity_part(0).degree == 0 and not odd.parity_part(0).mat.any()
+    assert even.parity_part(1).degree == 1 and not even.parity_part(1).mat.any()
+
+
+def test_a_matrix_of_both_degrees_cannot_be_built():
+    rng = np.random.default_rng(12)
+    par = np.array([0, 1, 0, 1, 1], dtype=np.uint8)
+    rejected = mixed_array(rng, par)
+    with pytest.raises(ValueError, match="both degrees"):
+        GradedMatrix(rejected, par)
+    assert rejected.flags.writeable and par.flags.writeable  # a rejected input is not frozen
+    # one entry of each degree is enough
+    with pytest.raises(ValueError, match="both degrees"):
+        GradedMatrix(np.diag([0.0, 0.0, 0.0, 0.0, 1.0]) + np.eye(5, k=1) * 1e-300, par)
+
+
+def test_sums_of_different_degrees_are_rejected():
+    rng = np.random.default_rng(13)
+    par = np.array([0, 1, 1, 0], dtype=np.uint8)
+    even, odd = random_homogeneous(rng, par, 0), random_homogeneous(rng, par, 1)
+    with pytest.raises(ValueError, match="degrees 0 and 1"):
+        even + odd
+    with pytest.raises(ValueError, match="degrees 1 and 0"):
+        odd - even
+    # the zero part of the other degree does not change that
+    with pytest.raises(ValueError, match="degrees 0 and 1"):
+        even + even.parity_part(1)
 
 
 def test_grading_operator_conjugation():
@@ -118,7 +129,7 @@ def test_graded_tensor_action_law(seed):
     rng = np.random.default_rng(seed)
     da, db = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     pa, pb = random_parity(rng, da), random_parity(rng, db)
-    a = GradedMatrix(rng.standard_normal((da, da)), pa)  # arbitrary first leg
+    a = random_homogeneous(rng, pa, int(rng.integers(0, 2)))
     opb = int(rng.integers(0, 2))
     b = random_homogeneous(rng, pb, opb)
     tp = graded_tensor(a, b)
@@ -155,7 +166,7 @@ def test_graded_tensor_associative(seed):
     rng = np.random.default_rng(seed)
     dims = [int(rng.integers(1, 9)) for _ in range(3)]
     pars = [random_parity(rng, d) for d in dims]
-    a = GradedMatrix(rng.standard_normal((dims[0], dims[0])), pars[0])
+    a = random_homogeneous(rng, pars[0], int(rng.integers(0, 2)))
     b = random_homogeneous(rng, pars[1], int(rng.integers(0, 2)))
     c = random_homogeneous(rng, pars[2], int(rng.integers(0, 2)))
     lhs = graded_tensor(graded_tensor(a, b), c)
@@ -165,11 +176,16 @@ def test_graded_tensor_associative(seed):
 
 
 def test_graded_tensor_rejects_mixed_second_factor():
+    # a mixed factor cannot be built; the tensors with its two parts can,
+    # and each has the degree of its part
     par = np.array([0, 1], dtype=np.uint8)
     a = GradedMatrix(np.eye(2), par)
-    mixed = GradedMatrix(np.ones((2, 2)), par)
-    with pytest.raises(ValueError, match="parity-homogeneous"):
-        graded_tensor(a, mixed)
+    with pytest.raises(ValueError, match="both degrees"):
+        GradedMatrix(np.ones((2, 2)), par)
+    for d, part in enumerate((np.eye(2), np.ones((2, 2)) - np.eye(2))):
+        tensor = graded_tensor(a, GradedMatrix(part, par))
+        assert tensor.degree == d
+        assert GradedMatrix(tensor.mat.copy(), tensor.parity).degree == d
 
 
 def test_identity_tensor_identity():
@@ -199,20 +215,6 @@ def test_graded_commutator_sign_table():
             assert np.allclose(got, want), (p1, p2)
 
 
-def test_graded_commutator_bilinear_on_mixed_inputs():
-    rng = np.random.default_rng(5)
-    par = random_parity(rng, 4)
-    a0, a1 = random_homogeneous(rng, par, 0), random_homogeneous(rng, par, 1)
-    b0, b1 = random_homogeneous(rng, par, 0), random_homogeneous(rng, par, 1)
-    whole = graded_commutator(a0 + a1, b0 + b1).mat
-    parts = sum(
-        graded_commutator(x, y).mat
-        for x in (a0, a1)
-        for y in (b0, b1)
-    )
-    assert np.allclose(whole, parts)
-
-
 @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(1, 12),
        kind=st.sampled_from(["random", "even", "odd"]),
        deg_a=st.sampled_from([0, 1, None]), deg_b=st.sampled_from([0, 1, None]))
@@ -220,13 +222,17 @@ def test_graded_commutator_bilinear_on_mixed_inputs():
 def test_graded_commutator_matches_dense_formula(seed, dim, kind, deg_a, deg_b):
     rng = np.random.default_rng(seed)
     par = parity_vector(rng, dim, kind)
-    a, b = random_graded(rng, par, deg_a), random_graded(rng, par, deg_b)
-    got = graded_commutator(a, b)
     if deg_a is None or deg_b is None:
-        want = dense_graded_commutator(a, b)
-    else:
-        sign = (-1.0) ** (deg_a * deg_b)
-        want = a.mat @ b.mat - sign * (b.mat @ a.mat)
+        # an operand of both degrees is rejected when it is built
+        if (par == 0).any() and (par == 1).any():
+            with pytest.raises(ValueError, match="both degrees"):
+                GradedMatrix(mixed_array(rng, par), par)
+        return
+    a, b = random_homogeneous(rng, par, deg_a), random_homogeneous(rng, par, deg_b)
+    got = graded_commutator(a, b)
+    assert got.degree == deg_a ^ deg_b
+    sign = (-1.0) ** (deg_a * deg_b)
+    want = a.mat @ b.mat - sign * (b.mat @ a.mat)
     # componentwise bound on the rounding of both products
     scale = (np.abs(a.mat) @ np.abs(b.mat) + np.abs(b.mat) @ np.abs(a.mat)).max()
     assert np.abs(got.mat - want).max() <= 1e-13 * scale
@@ -238,17 +244,14 @@ def test_graded_commutator_matches_dense_formula(seed, dim, kind, deg_a, deg_b):
 # ---------------------------------------------------------------------------
 
 def block_held(rng, parity, degree):
-    """A random matrix of the given degree held as its two blocks (dense when
-    degree is None), and its dense matrix built here."""
-    dense = rng.standard_normal((len(parity),) * 2)
-    if degree is None:
-        return GradedMatrix(dense.copy(), parity), dense
+    """A random matrix of the given degree held as its two blocks, and its
+    dense matrix built here."""
     index = parity_index(parity)
     blocks = [rng.standard_normal((len(index[r]), len(index[r ^ degree]))) for r in (0, 1)]
-    dense[:] = 0.0
+    dense = np.zeros((len(parity),) * 2)
     for r in (0, 1):
         dense[np.ix_(index[r], index[r ^ degree])] = blocks[r]
-    return GradedMatrix.from_parts({degree: blocks}, parity), dense
+    return GradedMatrix.from_blocks(degree, blocks, parity), dense
 
 
 def assert_close(got, want, scale):
@@ -262,18 +265,31 @@ def test_block_held_arithmetic_matches_dense(config, deg_a, deg_b):
     rep = oscillator_rep(*config)
     par = rep.basis.parity()
     rng = np.random.default_rng([config[0], 3 if deg_a is None else deg_a, 3 if deg_b is None else deg_b])
+    if deg_a is None or deg_b is None:
+        # a mixed operand is rejected when it is built, from an array or as a sum of its parts
+        with pytest.raises(ValueError, match="both degrees"):
+            GradedMatrix(mixed_array(rng, par), par)
+        with pytest.raises(ValueError, match="degrees 0 and 1"):
+            block_held(rng, par, 0)[0] + block_held(rng, par, 1)[0]
+        return
     a, am = block_held(rng, par, deg_a)
     b, bm = block_held(rng, par, deg_b)
     ab = np.abs(am) @ np.abs(bm)
     ba = np.abs(bm) @ np.abs(am)
     entries = np.abs(am).max() + np.abs(bm).max()
     assert_close(a @ b, am @ bm, ab.max())
-    assert_close(a + b, am + bm, entries)
-    assert_close(a - b, am - bm, entries)
+    if deg_a == deg_b:
+        assert_close(a + b, am + bm, entries)
+        assert_close(a - b, am - bm, entries)
+    else:
+        with pytest.raises(ValueError, match="degrees"):
+            a + b
+        with pytest.raises(ValueError, match="degrees"):
+            a - b
     assert_close(2.5 * a, 2.5 * am, entries)
     assert_close(-b, -bm, entries)
-    want = dense_graded_commutator(GradedMatrix(am, par), GradedMatrix(bm, par))
-    assert_close(graded_commutator(a, b), want, (ab + ba).max())
+    sign = -1.0 if (deg_a and deg_b) else 1.0
+    assert_close(graded_commutator(a, b), am @ bm - sign * (bm @ am), (ab + ba).max())
     norm = np.linalg.norm(am, 2)
     assert abs(a.norm() - norm) <= 1e-13 * norm
     for depth in (0, 2, rep.basis.level):
@@ -282,50 +298,54 @@ def test_block_held_arithmetic_matches_dense(config, deg_a, deg_b):
         assert abs(windowed_norm(a, rep, depth) - norm) <= 1e-13 * norm, depth
 
 
-def symmetric_operand(rng, parity, degree, from_parts):
-    """A random symmetric matrix of the given degree (both degrees when None),
-    built by from_parts or from its dense array."""
+def symmetric_operand(rng, parity, degree, from_blocks):
+    """A random symmetric matrix of the given degree, built by from_blocks or
+    from its dense array."""
     index = parity_index(parity)
-    parts = {}
-    for d in (0, 1) if degree is None else (degree,):
-        x = rng.standard_normal((len(index[0]), len(index[d])))
-        if d == 0:
-            y = rng.standard_normal((len(index[1]),) * 2)
-            parts[d] = (x + x.T, y + y.T)
-        else:
-            parts[d] = (x, x.T)
-    m = GradedMatrix.from_parts(parts, parity)
-    return m if from_parts else GradedMatrix(m.mat.copy(), parity)
+    x = rng.standard_normal((len(index[0]), len(index[degree])))
+    if degree == 0:
+        y = rng.standard_normal((len(index[1]),) * 2)
+        blocks = (x + x.T, y + y.T)
+    else:
+        blocks = (x, x.T)
+    m = GradedMatrix.from_blocks(degree, blocks, parity)
+    return m if from_blocks else GradedMatrix(m.mat.copy(), parity)
 
 
 def assert_read_only(m):
-    arrays = [m.mat, m.parity, *(b for blocks in m.parts.values() for b in blocks)]
+    arrays = [m.mat, m.parity, *m.blocks]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
 
 
-@pytest.mark.parametrize("from_parts", [False, True], ids=["array", "parts"])
+@pytest.mark.parametrize("from_blocks", [False, True], ids=["array", "parts"])
 @pytest.mark.parametrize("degree", [0, 1, None], ids=["even", "odd", "mixed"])
-def test_every_result_is_read_only(degree, from_parts):
-    rng = np.random.default_rng([3 if degree is None else degree, from_parts])
+def test_every_result_is_read_only(degree, from_blocks):
+    rng = np.random.default_rng([3 if degree is None else degree, from_blocks])
     par = np.array([0, 1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8)
-    given = rng.standard_normal((len(par), len(par)))
+    given = rng.standard_normal((len(par), len(par))) * (par[:, None] == par[None, :])
     assert GradedMatrix(given, par).mat is given  # frozen, not copied
     assert not given.flags.writeable
-    a = symmetric_operand(rng, par, degree, from_parts)
-    results = [a, 2.5 * a, -a]
-    for d in (0, 1, None):
-        b = symmetric_operand(rng, par, d, from_parts)
-        results += [a @ b, b @ a, a + b, a - b, graded_commutator(a, b)]
     if degree is None:
-        with pytest.raises(ValueError, match="parity-homogeneous"):
-            SpectralMatrix(a)
-        with pytest.raises(ValueError, match="parity-homogeneous"):
-            matrix_function(gaussian(), a)
-        a = a.parity_part(0)
+        # a symmetric operand of both degrees is rejected, as an array or as a sum of its parts
+        even, odd = (symmetric_operand(rng, par, d, from_blocks) for d in (0, 1))
+        with pytest.raises(ValueError, match="both degrees"):
+            GradedMatrix(even.mat + odd.mat, par)
+        with pytest.raises(ValueError, match="degrees 0 and 1"):
+            even + odd
+        a = even
+    else:
+        a = symmetric_operand(rng, par, degree, from_blocks)
+    results = [a, 2.5 * a, -a]
+    for d in (0, 1):
+        b = symmetric_operand(rng, par, d, from_blocks)
+        results += [a @ b, b @ a, graded_commutator(a, b)]
+        if d == a.degree:
+            results += [a + b, a - b]
     op = SpectralMatrix(a)
-    for f in (gaussian(), x_gaussian(), fsum(gaussian(), x_gaussian())):
+    functions = (gaussian(), x_gaussian(), fsum(gaussian(), x_gaussian()))
+    for f in functions if op.degree == 0 else functions[:2]:
         first = matrix_function(f, op)
         results.append(first)
         expected = first.mat.copy()
@@ -342,9 +362,11 @@ def test_every_result_is_read_only(degree, from_parts):
 def test_involution_antimultiplicative():
     rng = np.random.default_rng(6)
     par = random_parity(rng, 5)
-    a = GradedMatrix(rng.standard_normal((5, 5)), par)
-    b = GradedMatrix(rng.standard_normal((5, 5)), par)
-    assert np.allclose(involution(a @ b).mat, (involution(b) @ involution(a)).mat)
+    for p1 in (0, 1):
+        for p2 in (0, 1):
+            a = random_homogeneous(rng, par, p1)
+            b = random_homogeneous(rng, par, p2)
+            assert np.allclose(involution(a @ b).mat, (involution(b) @ involution(a)).mat)
 
 
 def test_involution_tensor_sign_law():
@@ -400,10 +422,12 @@ def test_flip_is_multiplicative():
 
 
 def test_flip_requires_homogeneous_factors():
+    # a factor of both degrees is rejected when it is built
     par = np.array([0, 1], dtype=np.uint8)
-    a = GradedMatrix(np.ones((2, 2)), par)
-    with pytest.raises(ValueError):
-        flip_simple(a, a)
+    with pytest.raises(ValueError, match="both degrees"):
+        GradedMatrix(np.ones((2, 2)), par)
+    a = GradedMatrix(np.ones((2, 2)) - np.eye(2), par)
+    assert flip_simple(a, a).degree == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from numpy.polynomial import hermite as np_hermite
 
 from bottlab.clifford import blade_grade, blade_parities
 from bottlab.funcalc import gaussian, matrix_function, x_gaussian
+from bottlab.graded import GradedMatrix
 from bottlab.oscillator import (
     CliffFunction,
     CompactnessProfile,
@@ -32,7 +33,7 @@ from bottlab.oscillator import (
     spectrum,
 )
 from bottlab.verify import SweepConfig, _gaussian_bott_map, resolve_h_choices
-from oracles import bott_map, bump_coeffs, grid_multiplication_operator, symbol_values
+from oracles import bott_map, bump_coeffs, fsum, grid_multiplication_operator, symbol_values
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +152,11 @@ def test_supercharge_parts_symmetric_and_odd(dim, level):
     rep = oscillator_rep(dim, level)
     for op in (rep.clifford, rep.dirac, rep.bott):
         assert np.allclose(op.mat, op.mat.T, atol=1e-14)
-        assert set(op.parts) == {1}, "must vanish on the even parity blocks"
+        assert op.degree == 1
+        mix = op.parity[:, None] ^ op.parity[None, :]
+        assert not op.mat[mix == 0].any(), "must vanish on the even parity blocks"
     assert np.array_equal(rep.bott.mat, rep.clifford.mat + rep.dirac.mat)
-    assert set(rep.number.parts) == {0}
+    assert rep.number.degree == 0
 
 
 @pytest.mark.parametrize("dim,level", [(1, 12), (2, 10), (3, 8)])
@@ -274,8 +277,8 @@ def test_multiplication_operator_node_convergence():
 def test_odd_symbol_gives_exactly_odd_operator():
     basis = HermiteBasis(1, 8)
     m = multiplication_operator(_gaussian_bott_map(1, odd=True), basis)
-    assert set(m.parts) == {1}
-    assert m.operator_parity() == 1
+    assert m.operator_parity() == m.degree == 1
+    assert GradedMatrix(m.mat.copy(), m.parity).degree == 1  # no entry of degree 0
 
 
 def test_dimension_mismatch_rejected():
@@ -319,16 +322,21 @@ def test_separable_symbols_match_the_grid_route(name, dim, level):
 
 
 def test_mixed_symbol_is_the_sum_of_its_parts():
-    # a caller's symbol with terms of both blade parities
+    # a caller's symbol with terms of both blade parities is rejected; its
+    # even and odd terms are two symbols whose operators sum, as dense
+    # matrices, to the grid operator of the whole symbol
     basis = HermiteBasis(1, 8)
     const = _constant(2.5)
     odd = CliffFunction(1, "odd", ((1, (lambda x: np.exp(-x * x),)),))
-    both = CliffFunction(1, "both", const.terms + odd.terms)
-    assert both.parity is None
-    m = multiplication_operator(both, basis)
-    assert m.operator_parity() is None
-    want = multiplication_operator(const, basis).mat + multiplication_operator(odd, basis).mat
-    assert np.abs(m.mat - want).max() <= 1e-14
+    with pytest.raises(ValueError, match="one parity"):
+        CliffFunction(1, "both", const.terms + odd.terms)
+    parts = [multiplication_operator(h, basis) for h in (const, odd)]
+    assert [m.degree for m in parts] == [0, 1]
+    with pytest.raises(ValueError, match="degrees 0 and 1"):
+        parts[0] + parts[1]
+    want = grid_multiplication_operator(
+        lambda p: np.stack([np.full(len(p), 2.5), np.exp(-p[:, 0] ** 2)], axis=1), basis)
+    assert np.abs(parts[0].mat + parts[1].mat - want).max() <= 1e-13
 
 
 def test_cliff_function_shape_validation():
@@ -384,11 +392,13 @@ def test_compactness_profile_matches_the_dense_svd(name):
 
 
 def test_compactness_profile_rejects_a_mixed_symbol():
+    # the symbol is rejected when it is built, the function when it is applied to B
     rep = oscillator_rep(2, 6)
     u = gaussian()
-    mixed = CliffFunction(2, "mixed", ((0, (u, u)), (1, (u, u))))
-    with pytest.raises(ValueError, match="parity-homogeneous"):
-        compactness_profile(u, mixed, rep)
+    with pytest.raises(ValueError, match="one parity"):
+        CliffFunction(2, "mixed", ((0, (u, u)), (1, (u, u))))
+    with pytest.raises(ValueError, match="no declared parity"):
+        compactness_profile(fsum(u, x_gaussian()), CliffFunction(2, "even", ((0, (u, u)),)), rep)
 
 
 def test_oscillator_rep_is_cached():

@@ -105,10 +105,16 @@ def test_windowed_norm_matches_dense_window_norm(seed, config, depth, degree):
     par = rep.basis.parity()
     mask = rep.basis.interior_mask(depth)
     m = rng.standard_normal((rep.basis.size, rep.basis.size))
+    mix = par[:, None] ^ par[None, :]
     if degree in (0, 1):
-        m *= (par[:, None] ^ par[None, :]) == degree
+        m *= mix == degree
     elif degree == "mixed outside the window":
-        m *= ((par[:, None] ^ par[None, :]) == 1) | ~np.outer(mask, mask)
+        m *= (mix == 1) | ~np.outer(mask, mask)
+    if m[mix == 0].any() and m[mix == 1].any():
+        # a matrix of both degrees is rejected when it is built, wherever its entries lie
+        with pytest.raises(ValueError, match="both degrees"):
+            GradedMatrix(m, par)
+        return
     want = np.linalg.norm(m[np.ix_(mask, mask)], 2)
     got = windowed_norm(GradedMatrix(m, par), rep, depth)
     assert abs(got - want) <= 1e-13 * want
@@ -303,6 +309,9 @@ def test_alpha_is_asymptotically_multiplicative():
 def test_sweep_config_validation_messages():
     with pytest.raises(ValueError, match="dim must be >= 1"):
         SweepConfig(dim=0, level=8)
+    with pytest.raises(ValueError, match="dim must be <= 10"):
+        SweepConfig(dim=11, level=8)
+    assert SweepConfig(dim=10, level=4).dim == 10
     with pytest.raises(ValueError, match="levels must be >= 4"):
         SweepConfig(dim=1, level=3)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -384,6 +393,27 @@ def test_homotopy_suite_interior_values_are_exact():
         assert abs(val - expected) <= 1e-12 + 1e-6 * expected, s
 
 
+def test_flip_endpoints_forms_each_tensor_once(monkeypatch):
+    # every (left, right) pair is tensored once: the route check's tensors
+    # serve the grading check, and the generator tensors serve both the
+    # multiplicativity and the involution check
+    pairs, operands = [], []
+    real = graded.graded_tensor
+
+    def recording(a, b):
+        operands.append((a, b))  # kept alive, so no id is reused
+        pairs.append((id(a), id(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(graded, "graded_tensor", recording)
+    monkeypatch.setattr(verify, "graded_tensor", recording)
+    cfg = SweepConfig(dim=1, level=6, t_grid=(1.0, 2.0, 4.0), h_choices=("uP", "bump"))
+    assert run_suite("flip-endpoints", cfg).passed
+    assert len(pairs) == len(set(pairs))
+    # 4 route checks of two tensors each per (t, symbol), and the 4 generator tensors
+    assert len(pairs) == 3 * 2 * 8 + 4
+
+
 def test_flip_endpoints_suite_coerces_dimension():
     rep = run_suite("flip-endpoints", SweepConfig(dim=2, level=8))
     assert rep.passed
@@ -453,22 +483,6 @@ def test_verdict_grid(suite, config):
     assert rep.passed == (suite not in VERDICT_FAILURES[config]), rep.notes
 
 
-CURVE_SUITES = ["cd-commutator", "composition-gamma", "dirac-commutator",
-                "homotopy-projection", "mehler", "s1s2-asymptotics"]
-
-
-@pytest.mark.parametrize("config", [(1, 8), (2, 6)])
-@pytest.mark.parametrize("suite", CURVE_SUITES)
-def test_curve_suites_never_take_the_dense_window_norm(suite, config, monkeypatch):
-    # windowed_norm restricts the full matrix only on its dense branch
-    calls = []
-    restricted = OscillatorRep.restricted
-    monkeypatch.setattr(OscillatorRep, "restricted",
-                        lambda self, *args: calls.append(args) or restricted(self, *args))
-    run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
-    assert not calls
-
-
 @pytest.mark.parametrize("config", [(1, 8), (2, 6)])
 @pytest.mark.parametrize("suite", ["dirac-commutator", "cd-commutator"])
 def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
@@ -480,8 +494,8 @@ def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
     assemble = graded._assemble
     init = GradedMatrix.__init__
 
-    def counting_assemble(parts, index):
-        out = assemble(parts, index)
+    def counting_assemble(*args):
+        out = assemble(*args)
         full.append(out.shape)
         return out
 
