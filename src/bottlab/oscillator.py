@@ -97,8 +97,8 @@ def _simplex_mindices(dim: int, level: int) -> tuple[tuple[int, ...], ...]:
 class HermiteBasis:
     """Indexing data for the truncated oscillator space.
 
-    Basis order is spatial-major: full index = mindex_position * 2^dim +
-    blade_mask, with multi-indices sorted by total level then
+    Basis order is spatial-major: full index = position in ``mindices`` *
+    2^dim + blade_mask, with multi-indices sorted by total level then
     lexicographically.
     """
 
@@ -130,9 +130,6 @@ class HermiteBasis:
     @property
     def size(self) -> int:
         return self.spatial_size * self.blade_count
-
-    def mindex_position(self, m: tuple[int, ...]) -> int:
-        return _mindex_lookup(self.dim, self.level)[m]
 
     def parity(self) -> np.ndarray:
         """Blade parity of every full basis index."""

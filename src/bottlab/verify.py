@@ -232,20 +232,6 @@ def golub_kahan_norm(a: np.ndarray, max_steps: int = 200) -> tuple[float, bool]:
     return float(s[0]), False
 
 
-def _crosscheck_picks(count: int) -> list[int]:
-    """Indices of the samples the norm cross-check reads: first, middle, last."""
-    return sorted({0, count // 2, count - 1}) if count else []
-
-
-def _crosscheck_gates(samples: list, rep: OscillatorRep) -> list[Gate]:
-    """Block norm on the whole space vs Golub-Kahan on up to 3 samples; a capped run fails its own gate."""
-    runs = [(windowed_norm(samples[i], rep, 0), *golub_kahan_norm(samples[i].mat))
-            for i in _crosscheck_picks(len(samples))]
-    worst = max((abs(a - b) / max(1.0, a) for a, b, _ in runs), default=0.0)
-    return [Gate(f"norm cross-check (block norm vs Golub-Kahan, {len(runs)} samples)", worst, 1e-8),
-            Gate("Golub-Kahan converged on every sample", all(ok for *_, ok in runs))]
-
-
 def windowed_norm(g: GradedMatrix, rep: OscillatorRep, depth: int = 2) -> float:
     """Spectral norm of the interior block (total level <= level - depth).
 
@@ -256,6 +242,24 @@ def windowed_norm(g: GradedMatrix, rep: OscillatorRep, depth: int = 2) -> float:
     0 is the whole space.
     """
     return block_norm(g.window_blocks(rep.window(depth)))
+
+
+def _sweep(rep: OscillatorRep, xs: Sequence[float], matrices, depth: int = 2) -> tuple[dict, list[Gate]]:
+    """Windowed-norm curves over a grid, and the gates of their norm cross-check.
+
+    ``matrices(x)`` yields ``(curve name, GradedMatrix)`` pairs, each normed on the ``depth`` window
+    as it comes; the first curve's matrix at the first, middle and last x is also normed on the whole
+    space against :func:`golub_kahan_norm` of its dense form, so no matrix outlives its iteration.
+    """
+    curves, runs, picks = {}, [], {0, len(xs) // 2, len(xs) - 1}
+    for i, x in enumerate(xs):
+        for name, m in matrices(x):
+            curves.setdefault(name, []).append(windowed_norm(m, rep, depth))
+            if i in picks and name == next(iter(curves)):
+                runs.append((windowed_norm(m, rep, 0), *golub_kahan_norm(m.mat)))
+    worst = max((abs(a - b) / max(1.0, a) for a, b, _ in runs), default=0.0)
+    return curves, [Gate(f"norm cross-check (block norm vs Golub-Kahan, {len(runs)} samples)", worst, 1e-8),
+                    Gate("Golub-Kahan converged on every sample", all(ok for *_, ok in runs))]
 
 
 def decay_fit(ts: Sequence[float], vals: Sequence[float]) -> tuple | None:
@@ -285,6 +289,16 @@ def monotone_after(ts: Sequence[float], vals: Sequence[float], start: float = 2.
         if vals[j] > vals[i] * jitter + floor:
             return False
     return True
+
+
+def _decay_gates(ts: Sequence[float], curves: dict, rel: float, fit: tuple | None) -> list[Gate]:
+    """Final/initial within ``rel`` per curve, every curve non-increasing after t=2, fit < 0."""
+    return [
+        *(Gate(f"{name} final/initial", c[-1] / c[0] if c[0] > 0 else 0.0, rel)
+          for name, c in sorted(curves.items())),
+        Gate("every curve non-increasing after t=2", all(monotone_after(ts, c) for c in curves.values())),
+        Gate("decay exponent < 0", fit is not None and fit[0] < 0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -416,69 +430,52 @@ def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
                    {"relation-residual": values}, tol, gates, notes)
 
 
-def _commutator_suite(cfg: SweepConfig, suite_id: str, use_cd: bool) -> VerificationReport:
-    rep = oscillator_rep(cfg.dim, cfg.level)
-    gens = (("u", gaussian()), ("v", x_gaussian()))
+def _commutator_suite(cfg: SweepConfig, suite_id: str, rep: OscillatorRep, matrices) -> VerificationReport:
+    """Decay of the commutator curves ``matrices(t)`` yields, on the envelope and on each curve."""
     rel = cfg.tol if cfg.tol is not None else 0.25
-    hs = [] if use_cd else resolve_h_choices(cfg)
-
-    # each f(X/t) and M_{h_t} is built once per t and shared by its curves;
-    # curves and norm samples keep the f-major order of the curve names
-    if use_cd:
-        names = [f"[{a}(C/t),{b}(D/t)]" for a, _ in gens for b, _ in gens]
-    else:
-        names = [f"[{a}(D/t),M_{h.name}]" for a, _ in gens for h in hs]
-    curves: dict[str, list[float]] = {name: [] for name in names}
-    # the norm samples are each curve's first and last commutator; only the
-    # ones the cross-check reads are kept
-    ends = [(name, t) for name in names for t in (cfg.t_grid[0], cfg.t_grid[-1])]
-    wanted = {ends[i] for i in _crosscheck_picks(len(ends))}
-    picked: dict[tuple, GradedMatrix] = {}
-
-    def record(name: str, t: float, comm: GradedMatrix):
-        curves[name].append(windowed_norm(comm, rep))
-        if (name, t) in wanted:
-            picked[name, t] = comm
-
-    for t in cfg.t_grid:
-        fd = {a: matrix_function(scale(f, t), rep.dirac) for a, f in gens}
-        if use_cd:
-            for a, f in gens:
-                fc = matrix_function(scale(f, t), rep.clifford)
-                for b, _ in gens:
-                    record(f"[{a}(C/t),{b}(D/t)]", t, graded_commutator(fc, fd[b]))
-        else:
-            for h in hs:
-                mh = multiplication_operator(rescale(h, t), rep.basis)
-                for a, _ in gens:
-                    record(f"[{a}(D/t),M_{h.name}]", t, graded_commutator(fd[a], mh))
-    samples = [picked[end] for end in ends if end in picked]
-
     ts = cfg.t_grid
+    curves, crosscheck = _sweep(rep, ts, matrices)
     envelope = _envelope(curves)
     fit = decay_fit(ts, envelope)
     tol_abs = rel * envelope[0]
     gates = [
-        *(Gate(f"{name} final/initial", c[-1] / c[0] if c[0] > 0 else 0.0, rel)
-          for name, c in sorted(curves.items())),
-        Gate("every curve non-increasing after t=2", all(monotone_after(ts, c) for c in curves.values())),
+        *_decay_gates(ts, curves, rel, fit),
         Gate("envelope final", envelope[-1], tol_abs),
         Gate("envelope non-increasing after t=2", monotone_after(ts, envelope)),
-        Gate("decay exponent < 0", fit is not None and fit[0] < 0),
-        *_crosscheck_gates(samples, rep),
+        *crosscheck,
     ]
-    return _report(suite_id, cfg.params_dict(), ts, curves, tol_abs, gates,
-                   ["norms on interior window"], fit)
+    return _report(suite_id, cfg.params_dict(), ts, curves, tol_abs, gates, ["norms on interior window"], fit)
 
 
 def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
     """Decay of [f(t^{-1}D), M_{h_t}] for the generators against each symbol."""
-    return _commutator_suite(cfg, "dirac-commutator", use_cd=False)
+    rep = oscillator_rep(cfg.dim, cfg.level)
+    gens = (("u", gaussian()), ("v", x_gaussian()))
+    hs = resolve_h_choices(cfg)
+
+    def matrices(t):
+        fd = {a: matrix_function(scale(f, t), rep.dirac) for a, f in gens}
+        for h in hs:
+            mh = multiplication_operator(rescale(h, t), rep.basis)
+            for a, fa in fd.items():
+                yield f"[{a}(D/t),M_{h.name}]", graded_commutator(fa, mh)
+
+    return _commutator_suite(cfg, "dirac-commutator", rep, matrices)
 
 
 def suite_cd_commutator(cfg: SweepConfig) -> VerificationReport:
     """Decay of [f(t^{-1}C), g(t^{-1}D)] for all four generator pairs."""
-    return _commutator_suite(cfg, "cd-commutator", use_cd=True)
+    rep = oscillator_rep(cfg.dim, cfg.level)
+    gens = (("u", gaussian()), ("v", x_gaussian()))
+
+    def matrices(t):
+        fd = {b: matrix_function(scale(g, t), rep.dirac) for b, g in gens}
+        for a, f in gens:
+            fc = matrix_function(scale(f, t), rep.clifford)
+            for b, gb in fd.items():
+                yield f"[{a}(C/t),{b}(D/t)]", graded_commutator(fc, gb)
+
+    return _commutator_suite(cfg, "cd-commutator", rep, matrices)
 
 
 def mehler_coefficients(s: float) -> tuple[float, float]:
@@ -508,30 +505,22 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
         """exp(-a X^2) of an odd operator X."""
         return matrix_function(GradedFunction(lambda x: np.exp(-a * x * x), 0, "exp(-a x^2)"), op)
 
-    s_values = tuple(sorted(cfg.mehler_s, reverse=True))
-    curves = {"c-outside": [], "d-outside": []}
-    samples = []
-    for s in s_values:
+    def matrices(s):
         s1, s2 = mehler_coefficients(s)
-        direct = matrix_function(GradedFunction(lambda x: np.exp(-s * x), None, "exp(-s x)"),
-                                 rep.harmonic)
-        ec = heat(s1 / 2.0, rep.clifford)
-        ed = heat(s2, rep.dirac)
-        route_c = ec @ ed @ ec
-        ec2 = heat(s2, rep.clifford)
-        ed2 = heat(s1 / 2.0, rep.dirac)
-        route_d = ed2 @ ec2 @ ed2
-        curves["c-outside"].append(windowed_norm(direct - route_c, rep, depth))
-        curves["d-outside"].append(windowed_norm(direct - route_d, rep, depth))
-        samples.append(direct - route_c)
+        direct = matrix_function(GradedFunction(lambda x: np.exp(-s * x), None, "exp(-s x)"), rep.harmonic)
+        ec, ed = heat(s1 / 2.0, rep.clifford), heat(s1 / 2.0, rep.dirac)
+        yield "c-outside", direct - ec @ heat(s2, rep.dirac) @ ec
+        yield "d-outside", direct - ed @ heat(s2, rep.clifford) @ ed
 
+    s_values = tuple(sorted(cfg.mehler_s, reverse=True))
+    curves, crosscheck = _sweep(rep, s_values, matrices, depth)
     envelope = _envelope(curves)
     # datapoints are ordered s descending: values must fall in stored order
     gates = [
         Gate("factorization residual at every s", envelope, tol),
         Gate("residual non-increasing as s falls",
              monotone_after(range(len(envelope)), envelope, start=0.0)),
-        *_crosscheck_gates(samples, rep),
+        *crosscheck,
     ]
     s1_top, s2_top = mehler_coefficients(s_values[0])
     notes = [
@@ -550,35 +539,28 @@ def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
     """
     rep = oscillator_rep(cfg.dim, cfg.level)
     tol = cfg.tol if cfg.tol is not None else 1e-3
-    curves: dict[str, list[float]] = {}
-    samples = []
-    for xname, op in (("C", rep.clifford), ("D", rep.dirac)):
-        for cname, pick in (("s1", 0), ("s2", 1)):
-            plain, weighted = [], []
-            for t in cfg.t_grid:
-                coef = mehler_coefficients(t ** -2)[pick]
+
+    def matrices(t):
+        for xname, op in (("C", rep.clifford), ("D", rep.dirac)):
+            for cname, coef in zip(("s1", "s2"), mehler_coefficients(t ** -2)):
                 defect = GradedFunction(
                     lambda x: np.exp(-coef / 2.0 * x * x) - np.exp(-(t ** -2) / 2.0 * x * x),
                     0, "exp(-coef/2 x^2) - exp(-t^-2/2 x^2)")
-                diff = matrix_function(defect, op)
-                wdiff = matrix_function(GradedFunction(lambda x: x / t * defect(x), 1, "x/t defect"), op)
-                plain.append(windowed_norm(diff, rep))
-                weighted.append(windowed_norm(wdiff, rep))
-                if t == cfg.t_grid[-1]:
-                    samples.append(diff)
-            curves[f"{xname}:{cname}"] = plain
-            curves[f"{xname}:{cname}:weighted"] = weighted
+                yield f"{xname}:{cname}", matrix_function(defect, op)
+                yield (f"{xname}:{cname}:weighted",
+                       matrix_function(GradedFunction(lambda x: x / t * defect(x), 1, "x/t defect"), op))
 
     ts = cfg.t_grid
+    curves, crosscheck = _sweep(rep, ts, matrices)
     envelope = _envelope(curves)
     # scalar sanity: the coefficient defect shrinks like t^-6
     t_ref = ts[-1]
     gates = [
         Gate("final value of every curve", [c[-1] for c in curves.values()], tol),
         Gate("envelope non-increasing after t=2", monotone_after(ts, envelope)),
-        *_crosscheck_gates(samples, rep),
         Gate(f"coefficient defect |s1 - t^-2| at t={t_ref:g} (bound t^-6)",
              abs(mehler_coefficients(t_ref ** -2)[0] - t_ref ** -2), t_ref ** -6),
+        *crosscheck,
     ]
     return _report("s1s2-asymptotics", cfg.params_dict(), ts, curves, tol, gates,
                    ["t=1 datapoint recorded without any claim"], decay_fit(ts, envelope))
@@ -602,19 +584,17 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
     u, v = gaussian(), x_gaussian()
     rel = cfg.tol if cfg.tol is not None else 1e-2
 
-    curves = {"gamma-u": [], "gamma-v": []}
-    samples = []
-    for t in cfg.t_grid:
+    ub = None  # u(B/t) at the last t of the sweep, for the largest-t note
+
+    def matrices(t):
+        nonlocal ub
         ub = matrix_function(scale(u, t), rep.bott)
         prod = matrix_function(scale(u, t), rep.clifford) @ matrix_function(scale(u, t), rep.dirac)
-        vb = matrix_function(scale(v, t), rep.bott)
-        rhs_v = ((1 / t) * rep.bott) @ prod
-        curves["gamma-u"].append(windowed_norm(ub - prod, rep))
-        curves["gamma-v"].append(windowed_norm(vb - rhs_v, rep))
-        if t in (cfg.t_grid[0], cfg.t_grid[-1]):
-            samples.append(ub - prod)
+        yield "gamma-u", ub - prod
+        yield "gamma-v", matrix_function(scale(v, t), rep.bott) - ((1 / t) * rep.bott) @ prod
 
     ts = cfg.t_grid
+    curves, crosscheck = _sweep(rep, ts, matrices)
     envelope = _envelope(curves)
     fit = decay_fit(ts, envelope)
 
@@ -636,12 +616,9 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
     m_conv_win = windowed_norm(m_conv - uc1, rep)
 
     gates = [
-        *(Gate(f"{name} final/initial", c[-1] / c[0] if c[0] > 0 else 0.0, rel)
-          for name, c in sorted(curves.items())),
-        Gate("every curve non-increasing after t=2", all(monotone_after(ts, c) for c in curves.values())),
-        Gate("decay exponent < 0", fit is not None and fit[0] < 0),
+        *_decay_gates(ts, curves, rel, fit),
         Gate(f"multiplication = position calculus ({cfg.level + 1} nodes)", m_identity, 1e-6),
-        *_crosscheck_gates(samples, rep),
+        *crosscheck,
     ]
     notes = [
         f"matched nodes against u(C): {m_cut:.3e} (the simplex cut truncates C; rounding only at n=1)",
@@ -673,16 +650,17 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
     p = GradedMatrix.from_blocks(0, (np.outer(g_vec, g_vec), np.zeros((odd, odd))),
                                  rep.bott.parity, rep.bott.index)
 
-    curves = {"u-to-projection": [], "v-to-zero": []}
-    samples = []
-    for s in cfg.s_grid:
+    ub = vb = None  # u(B/s) and v(B/s) at the last s of the sweep, for the kernel gates
+
+    def matrices(s):
+        nonlocal ub, vb
         ub = matrix_function(scale(u, s), rep.bott)
         vb = matrix_function(scale(v, s), rep.bott)
-        samples.append(ub - p)
-        curves["u-to-projection"].append(windowed_norm(samples[-1], rep))
-        curves["v-to-zero"].append(windowed_norm(vb, rep))
+        yield "u-to-projection", ub - p
+        yield "v-to-zero", vb
 
     ss = cfg.s_grid
+    curves, crosscheck = _sweep(rep, ss, matrices)
     envelope = _envelope(curves)
     # exact endpoint identities on the full space, at the last (smallest) s
     gates = [
@@ -692,7 +670,7 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
         # the images of the ground state: column 0 of the block with even columns
         Gate("kernel vector fixed by u(s^-1 B)", float(np.linalg.norm(ub.blocks[0][:, 0] - g_vec)), 1e-12),
         Gate("odd generator annihilates the kernel vector", float(np.linalg.norm(vb.blocks[1][:, 0])), 1e-12),
-        *_crosscheck_gates(samples, rep),
+        *crosscheck,
     ]
     gap_val = math.exp(-2.0 / (ss[-1] ** 2)) if 2.0 / ss[-1] ** 2 < 700 else 0.0
     notes = [

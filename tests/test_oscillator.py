@@ -109,7 +109,7 @@ def test_basis_ordering_and_lookup():
     assert keys == sorted(keys), "multi-indices must be sorted by (total, lex)"
     assert mind[0] == (0, 0)
     for pos, m in enumerate(mind):
-        assert basis.mindex_position(m) == pos
+        assert mind.index(m) == pos
     assert basis.spatial_size == math.comb(5 + 2, 2)
 
 
@@ -121,7 +121,7 @@ def test_basis_parity_and_levels():
     tot = basis.total_levels()
     # the truncation variable is the spatial level; the blade factor is
     # complete and never truncated
-    idx = basis.mindex_position((1, 2)) * basis.blade_count + 0b11
+    idx = basis.mindices.index((1, 2)) * basis.blade_count + 0b11
     assert tot[idx] == 3
     interior = basis.interior_mask()
     assert np.array_equal(interior, tot <= basis.level - 2)
@@ -169,7 +169,7 @@ def test_supercharge_annihilates_gaussian_ground_state(dim):
     rep = oscillator_rep(dim, 8)
     basis = rep.basis
     vec = np.zeros(basis.size)
-    vec[basis.mindex_position((0,) * dim) * basis.blade_count] = 1.0
+    vec[basis.mindices.index((0,) * dim) * basis.blade_count] = 1.0
     assert np.abs(rep.bott.mat @ vec).max() <= 1e-12
 
 

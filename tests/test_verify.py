@@ -85,6 +85,24 @@ def test_golub_kahan_step_cap_fails_its_own_gate(monkeypatch):
     assert "gate Golub-Kahan converged on every sample: FAIL" in rep.notes
 
 
+@pytest.mark.parametrize("suite", ["dirac-commutator", "cd-commutator", "mehler", "s1s2-asymptotics",
+                                   "composition-gamma", "homotopy-projection"])
+def test_norm_cross_check_reads_three_matrices_one_of_them_resolvable(suite, monkeypatch):
+    # the gate bounds |a - b| / max(1, a) by 1e-8, so it can see a 1e-6
+    # relative error only on a matrix of norm >= 1e-2
+    norms = []
+
+    def recording(a):
+        out = golub_kahan_norm(a)
+        norms.append(out[0])
+        return out
+
+    monkeypatch.setattr(verify, "golub_kahan_norm", recording)
+    run_suite(suite, SweepConfig(dim=1, level=12))
+    assert len(norms) == 3, norms
+    assert max(norms) >= 1e-2, norms
+
+
 def test_windowed_norm_matches_manual_restriction():
     rep = oscillator_rep(1, 8)
     m = (rep.bott @ rep.bott).mat
