@@ -24,7 +24,6 @@ from .clifford import (
 from .funcalc import (
     DeltaCheck,
     GradedFunction,
-    delta_on_generators,
     delta_via_xr_check,
     gaussian,
     matrix_function,
@@ -78,7 +77,6 @@ __all__ = [
     "twisted_right_mult_operator",
     "DeltaCheck",
     "GradedFunction",
-    "delta_on_generators",
     "delta_via_xr_check",
     "gaussian",
     "matrix_function",

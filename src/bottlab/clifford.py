@@ -21,6 +21,8 @@ import numpy as np
 # largest table we ever want to materialize.
 _MAX_TABLE_N = 10
 _MAX_N = 16
+# search nodes algebra_isomorphism_check visits before it gives up
+NODE_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -298,9 +300,7 @@ def _relation_residual(images: list[MultiVector], sig_from: Signature) -> float:
     return worst
 
 
-def algebra_isomorphism_check(
-    sig_from: Signature, sig_into: Signature, node_budget: int = 500_000
-) -> IsoWitness:
+def algebra_isomorphism_check(sig_from: Signature, sig_into: Signature) -> IsoWitness:
     """Search for generator images of one Clifford algebra inside another.
 
     Images are sought among the odd blades of the target algebra, in
@@ -308,8 +308,8 @@ def algebra_isomorphism_check(
     share an even number of generators, so the search is a backtracking walk
     over that compatibility graph with the required squares (+1 for the
     first ``p`` generators, -1 for the rest) as a node filter.  A successful
-    witness proves the relations embed; exhausting the budget proves nothing
-    and is reported as such.
+    witness proves the relations embed; exhausting the ``NODE_BUDGET``
+    proves nothing and is reported as such.
     """
     if sig_from == sig_into:
         images = [MultiVector.generator(sig_into, i) for i in range(1, sig_into.n + 1)]
@@ -338,7 +338,7 @@ def algebra_isomorphism_check(
             return True
         for m in by_square[needed[k]]:
             nodes += 1
-            if nodes > node_budget:
+            if nodes > NODE_BUDGET:
                 return False
             if m not in chosen and compatible(m):
                 chosen.append(m)
@@ -352,6 +352,6 @@ def algebra_isomorphism_check(
         res = _relation_residual(images, sig_from)
         return IsoWitness(True, sig_from, sig_into, images, res,
                           f"blade witness found after {nodes} nodes")
-    note = "search budget exhausted" if nodes > node_budget else "no blade witness exists"
+    note = "search budget exhausted" if nodes > NODE_BUDGET else "no blade witness exists"
     return IsoWitness(False, sig_from, sig_into, [], float("inf"),
                       f"{note} (no claim about non-isomorphism)")

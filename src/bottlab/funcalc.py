@@ -117,66 +117,53 @@ def matrix_function(f: GradedFunction, a: GradedMatrix) -> GradedMatrix:
     return GradedMatrix.from_blocks(1, (x01, x01.T), a.parity, a.index)
 
 
-def delta_on_generators() -> dict[str, list[tuple[GradedFunction, GradedFunction]]]:
-    """Comultiplication of the generators as sums of simple tensors.
+@dataclass
+class DeltaCheck:
+    """The residuals of both comultiplication formulas at one truncation level.
+
+    ``residual_u`` is the full norm of the even generator's residual,
+    ``residual_v`` the odd generator's on the interior window.
+    """
+
+    level: int
+    residual_u: float
+    residual_v: float
+    effective_radius: float
+
+
+def delta_via_xr_check(level: int) -> DeltaCheck:
+    """Verify the comultiplication of both generators against direct functional calculus.
 
     With u = exp(-x^2) and v = x exp(-x^2):
         u  |->  u (x) u
         v  |->  u (x) v  +  v (x) u
     Both identities follow from exp(-(x+y)^2) = exp(-x^2)exp(-y^2) when x
     and y commute, plus linearity in the prefactor for v.
+
+    Builds the 1-D position matrix X at the given truncation and the graded
+    sum X~ = X (x) 1 + 1 (x) X once, and compares u(X~) and v(X~), from one
+    eigensystem of X~, with the tensor expansions above.  The two summands
+    of X~ anticommute, so X~^2 = X^2 (x) 1 + 1 (x) X^2 and the Gaussian of
+    the sum factorizes exactly; residuals are floating-point noise at every
+    level.
     """
-    u, v = gaussian(), x_gaussian()
-    return {"u": [(u, u)], "v": [(u, v), (v, u)]}
-
-
-@dataclass
-class DeltaCheck:
-    """Comparison of the two routes to f(X~) at one truncation level."""
-
-    which: str
-    level: int
-    residual_full: float
-    residual_interior: float
-    effective_radius: float
-
-    @property
-    def residual(self) -> float:
-        # the odd generator is graded on the interior window, the even one globally
-        return self.residual_interior if self.which == "v" else self.residual_full
-
-
-def delta_via_xr_check(level: int, which: str = "u") -> DeltaCheck:
-    """Verify the comultiplication against direct functional calculus.
-
-    Builds the 1-D position matrix X at the given truncation, forms the
-    graded sum X~ = X (x) 1 + 1 (x) X, and compares f(X~) computed directly
-    by eigendecomposition with the tensor expansion of Delta(f) term by
-    term.  The two summands of X~ anticommute, so X~^2 = X^2 (x) 1 +
-    1 (x) X^2 and the Gaussian of the sum factorizes exactly; residuals are
-    floating-point noise at every level.
-    """
-    if which not in ("u", "v"):
-        raise ValueError(f"unknown generator {which!r}, expected 'u' or 'v'")
     if level < 4:
         raise ValueError("truncation level must be at least 4")
     from .oscillator import position_matrix  # lazy: oscillator imports this module
 
     x = position_matrix(level)
-    xg = GradedMatrix(x, np.arange(level + 1) & 1)
+    xg = SpectralMatrix(GradedMatrix(x, np.arange(level + 1) & 1))
     ig = identity_like(xg)
-    xt = graded_tensor(xg, ig) + graded_tensor(ig, xg)
+    xt = SpectralMatrix(graded_tensor(xg, ig) + graded_tensor(ig, xg))
 
-    # each generator applied to X once, however many terms it appears in
-    terms = delta_on_generators()[which]
-    on_x = {f.name: matrix_function(f, xg) for pair in terms for f in pair}
-    diff = matrix_function(gaussian() if which == "u" else x_gaussian(), xt)
-    for f, g in terms:
-        diff = diff - graded_tensor(on_x[f.name], on_x[g.name])
-    # the residual has the parity of the generator, so both norms take the block kernel
-    residual_full = diff.norm()
+    u, v = gaussian(), x_gaussian()
+    ux, vx = matrix_function(u, xg), matrix_function(v, xg)
+    # each residual has the parity of its generator, so both norms take the block kernel
+    residual_u = (matrix_function(u, xt) - graded_tensor(ux, ux)).norm()
+    diff_v = matrix_function(v, xt) - graded_tensor(ux, vx) - graded_tensor(vx, ux)
+    # the odd generator is graded on the interior window, the even one globally
     interior = np.arange(level + 1) <= level - 2
     mask = np.kron(interior, interior).astype(bool)
-    residual_interior = GradedMatrix(diff.mat[np.ix_(mask, mask)], xt.parity[mask]).norm()
+    residual_v = GradedMatrix(diff_v.mat[np.ix_(mask, mask)], xt.parity[mask]).norm()
     radius = float(np.abs(np.linalg.eigvalsh(x)).max())
-    return DeltaCheck(which, level, residual_full, residual_interior, radius)
+    return DeltaCheck(level, residual_u, residual_v, radius)

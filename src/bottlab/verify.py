@@ -53,6 +53,7 @@ from .graded import (
 from .oscillator import (
     CliffFunction,
     OscillatorRep,
+    _spatial_blade_operator,
     b_squared_identity_check,
     compactness_profile,
     level_multiplicity,
@@ -64,8 +65,9 @@ from .oscillator import (
 )
 
 DEFAULT_T_GRID = tuple(float(t) for t in np.geomspace(1.0, 16.0, 9))
-DEFAULT_S_GRID = tuple(float(s) for s in np.geomspace(1.0, 0.05, 9))
-DEFAULT_MEHLER_S = (0.5, 0.3, 0.2, 0.1, 0.05)
+# the s-grids of homotopy-projection and mehler, both descending
+S_GRID = tuple(float(s) for s in np.geomspace(1.0, 0.05, 9))
+MEHLER_S = (0.5, 0.3, 0.2, 0.1, 0.05)
 
 # below this magnitude, curve values are floating-point noise and monotonicity
 # is not meaningful
@@ -76,15 +78,13 @@ DELTA_LEVELS = (12, 18, 24)
 
 @dataclass
 class SweepConfig:
-    """Shared parameters for the verification suites."""
+    """Shared parameters for the verification suites; the s-grids are ``S_GRID`` and
+    ``MEHLER_S``, and the test symbols those of :func:`named_symbols`."""
 
     dim: int = 1
     level: int = 12
     t_grid: tuple = DEFAULT_T_GRID
-    s_grid: tuple = DEFAULT_S_GRID
-    mehler_s: tuple = DEFAULT_MEHLER_S
     tol: float | None = None  # per-suite default when None
-    h_choices: tuple = ("uP", "vP", "bump")
 
     def __post_init__(self):
         if self.dim < 1:
@@ -101,12 +101,6 @@ class SweepConfig:
         if ts[0] < 1.0:
             raise ValueError("t_grid must start at t >= 1")
         self.t_grid = ts
-        ss = tuple(float(s) for s in self.s_grid)
-        if not all(math.isfinite(s) for s in ss):
-            raise ValueError("s_grid values must be finite")
-        if any(s <= 0 for s in ss) or any(b >= a for a, b in zip(ss, ss[1:])):
-            raise ValueError("s_grid must be strictly decreasing and positive")
-        self.s_grid = ss
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive")
 
@@ -115,8 +109,8 @@ class SweepConfig:
             "dim": self.dim,
             "levels": self.level,
             "t_grid": [round(t, 12) for t in self.t_grid],
-            "s_grid": [round(s, 12) for s in self.s_grid],
-            "h_choices": [h.name if isinstance(h, CliffFunction) else h for h in self.h_choices],
+            "s_grid": [round(s, 12) for s in S_GRID],
+            "h_choices": [h.name for h in named_symbols(self.dim)],
         }
 
 
@@ -279,14 +273,13 @@ def decay_fit(ts: Sequence[float], vals: Sequence[float]) -> tuple | None:
     return float(slope), float(r2)
 
 
-def monotone_after(ts: Sequence[float], vals: Sequence[float], start: float = 2.0,
-                   jitter: float = 1.05, floor: float = NOISE_FLOOR) -> bool:
-    """Non-increasing after burn-in, with jitter allowance and a noise floor."""
+def monotone_after(ts: Sequence[float], vals: Sequence[float], start: float = 2.0) -> bool:
+    """Non-increasing after burn-in, allowing 5 % jitter and ignoring values under ``NOISE_FLOOR``."""
     idx = [i for i, t in enumerate(ts) if t >= start]
     for i, j in zip(idx, idx[1:]):
-        if vals[j] <= floor and vals[i] <= floor:
+        if vals[j] <= NOISE_FLOOR and vals[i] <= NOISE_FLOOR:
             continue
-        if vals[j] > vals[i] * jitter + floor:
+        if vals[j] > vals[i] * 1.05 + NOISE_FLOOR:
             return False
     return True
 
@@ -305,17 +298,17 @@ def _decay_gates(ts: Sequence[float], curves: dict, rel: float, fit: tuple | Non
 # test-function constructions
 
 
-def shifted_bump(dim: int, center: float = 0.8, width: float = 1.0) -> CliffFunction:
+def shifted_bump(dim: int) -> CliffFunction:
     """Off-center Gaussian bump times the first generator (odd values).
 
-    exp(-|x - c e_1|^2 / w) is a product of one Gaussian per axis.
+    exp(-|x - 0.8 e_1|^2) is a product of one Gaussian per axis.
     """
 
     def first(x):
-        return np.exp(-(x - center) ** 2 / width)
+        return np.exp(-(x - 0.8) ** 2)
 
     def other(x):
-        return np.exp(-x * x / width)
+        return np.exp(-x * x)
 
     return CliffFunction(dim, "bump", ((1, (first,) + (other,) * (dim - 1)),))
 
@@ -336,22 +329,9 @@ def _gaussian_bott_map(dim: int, odd: bool) -> CliffFunction:
     return CliffFunction(dim, "vP" if odd else "uP", terms)
 
 
-def resolve_h_choices(cfg: SweepConfig) -> list:
-    """Named defaults or caller-provided CliffFunction objects."""
-    named = {
-        "uP": lambda: _gaussian_bott_map(cfg.dim, odd=False),
-        "vP": lambda: _gaussian_bott_map(cfg.dim, odd=True),
-        "bump": lambda: shifted_bump(cfg.dim),
-    }
-    out = []
-    for h in cfg.h_choices:
-        if isinstance(h, CliffFunction):
-            out.append(h)
-        elif h in named:
-            out.append(named[h]())
-        else:
-            raise ValueError(f"unknown test function {h!r}; expected one of {sorted(named)}")
-    return out
+def named_symbols(dim: int) -> tuple[CliffFunction, CliffFunction, CliffFunction]:
+    """The test symbols of the suites on R^dim: uP, vP and bump."""
+    return _gaussian_bott_map(dim, odd=False), _gaussian_bott_map(dim, odd=True), shifted_bump(dim)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +431,7 @@ def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
     """Decay of [f(t^{-1}D), M_{h_t}] for the generators against each symbol."""
     rep = oscillator_rep(cfg.dim, cfg.level)
     gens = (("u", gaussian()), ("v", x_gaussian()))
-    hs = resolve_h_choices(cfg)
+    hs = named_symbols(cfg.dim)
 
     def matrices(t):
         fd = {a: matrix_function(scale(f, t), rep.dirac) for a, f in gens}
@@ -512,8 +492,7 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
         yield "c-outside", direct - ec @ heat(s2, rep.dirac) @ ec
         yield "d-outside", direct - ed @ heat(s2, rep.clifford) @ ed
 
-    s_values = tuple(sorted(cfg.mehler_s, reverse=True))
-    curves, crosscheck = _sweep(rep, s_values, matrices, depth)
+    curves, crosscheck = _sweep(rep, MEHLER_S, matrices, depth)
     envelope = _envelope(curves)
     # datapoints are ordered s descending: values must fall in stored order
     gates = [
@@ -522,13 +501,13 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
              monotone_after(range(len(envelope)), envelope, start=0.0)),
         *crosscheck,
     ]
-    s1_top, s2_top = mehler_coefficients(s_values[0])
+    s1_top, s2_top = mehler_coefficients(MEHLER_S[0])
     notes = [
         f"observation window: total level <= {window_cap}; residual is truncation-limited",
-        f"coefficients at s={s_values[0]:g}: s1={s1_top:.12f}, s2={s2_top:.12f}",
+        f"coefficients at s={MEHLER_S[0]:g}: s1={s1_top:.12f}, s2={s2_top:.12f}",
         "datapoints ordered by decreasing s; both sides tend to the identity as s -> 0",
     ]
-    return _report("mehler", cfg.params_dict(), s_values, curves, tol, gates, notes)
+    return _report("mehler", cfg.params_dict(), MEHLER_S, curves, tol, gates, notes)
 
 
 def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
@@ -607,7 +586,7 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
     ux = matrix_function(u, x_k).mat
     k = np.array(rep.basis.mindices).T
     gram = np.prod([ux[np.ix_(ki, ki)] for ki in k], axis=0)
-    product_calculus = GradedMatrix(np.kron(gram, np.eye(rep.basis.blade_count)), rep.basis.parity())
+    product_calculus = _spatial_blade_operator(rep.basis, 0, [(gram, np.eye(rep.basis.blade_count))])
     m_identity = windowed_norm(m_matched - product_calculus, rep, 0)
     uc1 = matrix_function(u, rep.clifford)
     m_cut = windowed_norm(m_matched - uc1, rep, 0)
@@ -659,8 +638,7 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
         yield "u-to-projection", ub - p
         yield "v-to-zero", vb
 
-    ss = cfg.s_grid
-    curves, crosscheck = _sweep(rep, ss, matrices)
+    curves, crosscheck = _sweep(rep, S_GRID, matrices)
     envelope = _envelope(curves)
     # exact endpoint identities on the full space, at the last (smallest) s
     gates = [
@@ -672,12 +650,12 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
         Gate("odd generator annihilates the kernel vector", float(np.linalg.norm(vb.blocks[1][:, 0])), 1e-12),
         *crosscheck,
     ]
-    gap_val = math.exp(-2.0 / (ss[-1] ** 2)) if 2.0 / ss[-1] ** 2 < 700 else 0.0
+    gap_val = math.exp(-2.0 / (S_GRID[-1] ** 2)) if 2.0 / S_GRID[-1] ** 2 < 700 else 0.0
     notes = [
         "norms on interior window; datapoints ordered by decreasing s",
-        f"spectral-gap prediction exp(-2/s^2) at s={ss[-1]:g}: {gap_val:.3e}",
+        f"spectral-gap prediction exp(-2/s^2) at s={S_GRID[-1]:g}: {gap_val:.3e}",
     ]
-    return _report("homotopy-projection", cfg.params_dict(), ss, curves, tol, gates, notes)
+    return _report("homotopy-projection", cfg.params_dict(), S_GRID, curves, tol, gates, notes)
 
 
 def suite_delta_xr(cfg: SweepConfig) -> VerificationReport:
@@ -685,27 +663,22 @@ def suite_delta_xr(cfg: SweepConfig) -> VerificationReport:
 
     Truncation levels are fixed (the 1-D check is independent of the
     oscillator level); residuals are rounding noise at every level, so the
-    monotonicity requirement only applies above the noise floor.
+    monotonicity requirement only applies above the noise floor.  ``tol``
+    bounds both residuals, by default 1e-10 (u) and 1e-8 (v).
     """
     tol = cfg.tol if cfg.tol is not None else 1e-8
     levels = [float(lev) for lev in DELTA_LEVELS]
-    curves = {"u": [], "v": []}
-    radii = []
-    for lev in DELTA_LEVELS:
-        cu = delta_via_xr_check(lev, "u")
-        cv = delta_via_xr_check(lev, "v")
-        curves["u"].append(cu.residual)
-        curves["v"].append(cv.residual)
-        radii.append(cu.effective_radius)
+    checks = [delta_via_xr_check(lev) for lev in DELTA_LEVELS]
+    curves = {"u": [c.residual_u for c in checks], "v": [c.residual_v for c in checks]}
 
     gates = [
-        Gate("even-generator residual (full norm)", curves["u"], 1e-10),
-        Gate("odd-generator residual (interior)", curves["v"], 1e-8),
+        Gate("even-generator residual (full norm)", curves["u"], cfg.tol if cfg.tol is not None else 1e-10),
+        Gate("odd-generator residual (interior)", curves["v"], tol),
         Gate(f"envelope non-increasing above {NOISE_FLOOR:g}",
              monotone_after(levels, _envelope(curves), start=0.0)),
     ]
     notes = [
-        f"truncation levels {list(DELTA_LEVELS)}; effective radii {[round(r, 3) for r in radii]}",
+        f"truncation levels {list(DELTA_LEVELS)}; effective radii {[round(c.effective_radius, 3) for c in checks]}",
         "residuals are at rounding noise",
     ]
     return _report("delta-xr", cfg.params_dict(), levels, curves, tol, gates, notes)
@@ -716,7 +689,7 @@ def suite_compactness(cfg: SweepConfig) -> VerificationReport:
     rep = oscillator_rep(cfg.dim, cfg.level)
     u = gaussian()
     tol = cfg.tol if cfg.tol is not None else 1e-8
-    hs = resolve_h_choices(cfg)
+    hs = named_symbols(cfg.dim)
 
     curves = {}
     tails = {}
@@ -800,13 +773,13 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
     par = rep.basis.parity()
     swap = flip_unitary(par, par)
     # l o l = id as signed permutations
-    ll = float(np.abs(swap.T @ swap - np.eye(swap.shape[0])).max())
+    ll = float(np.abs(swap @ swap - np.eye(swap.shape[0])).max())
     conj = _conjugator(swap)
     del swap  # the conjugator keeps only the permutation and its signs
     uc = matrix_function(u, rep.clifford)
     vc = matrix_function(v, rep.clifford)
-    sub = SweepConfig(dim=1, level=level, t_grid=cfg.t_grid, h_choices=cfg.h_choices)
-    hs = resolve_h_choices(sub)
+    sub = SweepConfig(dim=1, level=level, t_grid=cfg.t_grid)
+    hs = named_symbols(1)
 
     # the grading operator on the tensor square, as the diagonal of its matrix
     gam = np.tile(grading_signs(par), rep.basis.size)

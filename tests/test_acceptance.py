@@ -22,7 +22,7 @@ from bottlab.oscillator import (
     oscillator_rep,
     spectrum,
 )
-from bottlab.verify import SweepConfig, _gaussian_bott_map, monotone_after, run_suite
+from bottlab.verify import MEHLER_S, SweepConfig, _gaussian_bott_map, monotone_after, run_suite
 
 
 def _report(line: str, elapsed: float, budget: float):
@@ -88,16 +88,15 @@ def test_criterion_3_integer_spectrum_and_kernel():
 
 def test_criterion_4_mehler_factorizations():
     start = time.monotonic()
-    svals = (0.5, 0.3, 0.1)
     finals = {}
     for level in (12, 16, 20):
-        rep = run_suite("mehler", SweepConfig(dim=1, level=level, mehler_s=svals))
+        rep = run_suite("mehler", SweepConfig(dim=1, level=level))
         worst = max(max(c) for c in rep.curves.values())
         finals[level] = worst
         if level == 20:
             assert rep.passed
             for name, curve in rep.curves.items():
-                for s, val in zip(svals, curve):
+                for s, val in zip(MEHLER_S, curve):
                     assert val <= 1e-6, f"{name} at s={s}: {val:.3e}"
     assert finals[12] > finals[16] > finals[20], f"no improvement with level: {finals}"
     _report(f"criterion 4 PASS: both factorizations <= 1e-6 at K=20 "
@@ -166,17 +165,15 @@ def test_criterion_8_comultiplication_consistency():
     start = time.monotonic()
     res = {}
     for level in (12, 18, 24):
-        cu = delta_via_xr_check(level, "u")
-        cv = delta_via_xr_check(level, "v")
-        res[level] = (cu.residual, cv.residual)
+        c = delta_via_xr_check(level)
+        res[level] = (c.residual_u, c.residual_v)
     u24, v24 = res[24]
     assert u24 <= 1e-10, f"u residual at 24: {u24:.3e}"
     assert v24 <= 1e-8, f"v residual at 24: {v24:.3e}"
     # decreasing with truncation, within the floating-point noise floor
-    floor = 1e-12
     for which in (0, 1):
         seq = [res[level][which] for level in (12, 18, 24)]
-        assert monotone_after(range(3), seq, start=0.0, floor=floor), seq
+        assert monotone_after(range(3), seq, start=0.0), seq
     _report(f"criterion 8 PASS: expansion residuals at truncation 24: "
             f"u {u24:.1e}, v {v24:.1e}", time.monotonic() - start, 30.0)
 

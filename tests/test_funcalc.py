@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from bottlab.funcalc import (
     DeltaCheck,
     GradedFunction,
-    delta_on_generators,
     delta_via_xr_check,
     gaussian,
     matrix_function,
@@ -225,37 +224,23 @@ def test_delta_scalar_identities():
     assert np.allclose((a + b) * np.exp(-sq), u(a) * v(b) + v(a) * u(b), atol=1e-14)
 
 
-def test_delta_on_generators_table():
-    table = delta_on_generators()
-    assert set(table) == {"u", "v"}
-    assert len(table["u"]) == 1 and len(table["v"]) == 2
-    (f, g), = table["u"]
-    assert f.parity == 0 and g.parity == 0
-    parities = {(f.parity, g.parity) for f, g in table["v"]}
-    assert parities == {(0, 1), (1, 0)}
-
-
 @pytest.mark.parametrize("level", [12, 18, 24])
 def test_delta_residuals_are_rounding_noise(level):
-    cu = delta_via_xr_check(level, "u")
-    cv = delta_via_xr_check(level, "v")
-    assert cu.residual <= 1e-10, f"u at level {level}: {cu.residual:.3e}"
-    assert cv.residual <= 1e-8, f"v at level {level}: {cv.residual:.3e}"
-    assert cu.residual == cu.residual_full
-    assert cv.residual == cv.residual_interior
+    c = delta_via_xr_check(level)
+    assert c.level == level
+    assert c.residual_u <= 1e-10, f"u at level {level}: {c.residual_u:.3e}"
+    assert c.residual_v <= 1e-8, f"v at level {level}: {c.residual_v:.3e}"
 
 
 def test_delta_effective_radius_grows_with_level():
-    radii = [delta_via_xr_check(level, "u").effective_radius for level in (12, 18, 24)]
+    radii = [delta_via_xr_check(level).effective_radius for level in (12, 18, 24)]
     assert radii[0] < radii[1] < radii[2]
     assert radii[0] > 3.0
 
 
 def test_delta_validation():
     with pytest.raises(ValueError):
-        delta_via_xr_check(12, "w")
-    with pytest.raises(ValueError):
-        delta_via_xr_check(3, "u")
+        delta_via_xr_check(3)
 
 
 def test_graded_function_name_threading():

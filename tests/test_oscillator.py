@@ -32,7 +32,7 @@ from bottlab.oscillator import (
     rescale,
     spectrum,
 )
-from bottlab.verify import SweepConfig, _gaussian_bott_map, resolve_h_choices
+from bottlab.verify import _gaussian_bott_map, named_symbols
 from oracles import bott_map, bump_coeffs, fsum, grid_multiplication_operator, symbol_values
 
 
@@ -295,10 +295,15 @@ REFERENCE_COEFFS = {
 }
 
 
+def _symbol(name: str, dim: int) -> CliffFunction:
+    """The named symbol of the suites on R^dim."""
+    return {h.name: h for h in named_symbols(dim)}[name]
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("name", ["uP", "vP", "bump"])
 def test_named_symbol_terms_match_their_reference_formulas(name, dim):
-    (h,) = resolve_h_choices(SweepConfig(dim=dim, level=6, h_choices=(name,)))
+    h = _symbol(name, dim)
     pts = np.random.default_rng(11).uniform(-2.5, 2.5, size=(40, dim))
     pts[0] = 0.0
     want = REFERENCE_COEFFS[name](dim)(pts)
@@ -311,7 +316,7 @@ def test_named_symbol_terms_match_their_reference_formulas(name, dim):
 def test_separable_symbols_match_the_grid_route(name, dim, level):
     # oracle: the symbol's reference formula evaluated on the full q^dim grid
     basis = HermiteBasis(dim, level)
-    (h,) = resolve_h_choices(SweepConfig(dim=dim, level=level, h_choices=(name,)))
+    h = _symbol(name, dim)
     coeffs = REFERENCE_COEFFS[name](dim)
     for t in (1.0, 4.0):
         for nodes in (None, level + 1):
@@ -382,7 +387,7 @@ def test_compactness_profile_matches_the_dense_svd(name):
     # the singular values of the product's two parity blocks, together, are
     # those of the full-size product
     rep = oscillator_rep(2, 6)
-    (h,) = resolve_h_choices(SweepConfig(dim=2, level=6, h_choices=(name,)))
+    h = _symbol(name, 2)
     prof = compactness_profile(gaussian(), h, rep)
     dense = matrix_function(gaussian(), rep.bott).mat @ multiplication_operator(h, rep.basis).mat
     want = np.linalg.svd(dense, compute_uv=False)

@@ -7,7 +7,6 @@ properties of the reports and stability of the results under enlarging
 the truncation.
 """
 
-import json
 import math
 
 import numpy as np
@@ -35,7 +34,7 @@ from bottlab.verify import (
     golub_kahan_norm,
     mehler_coefficients,
     monotone_after,
-    resolve_h_choices,
+    named_symbols,
     run_suite,
     shifted_bump,
     windowed_norm,
@@ -236,16 +235,12 @@ def test_shifted_bump_shape():
     assert h.parity == 1
 
 
-def test_resolve_h_choices():
-    cfg = SweepConfig(dim=1, level=8)
-    out = resolve_h_choices(cfg)
-    assert [h.name for h in out] == ["uP", "vP", "bump"]
-    assert [h.parity for h in out] == [0, 1, 1]
-    passthrough = CliffFunction(1, "zero", ((0, (np.zeros_like,)),))
-    cfg2 = SweepConfig(dim=1, level=8, h_choices=(passthrough,))
-    assert resolve_h_choices(cfg2) == [passthrough]
-    with pytest.raises(ValueError, match="unknown test function"):
-        resolve_h_choices(SweepConfig(dim=1, level=8, h_choices=("nope",)))
+def test_named_symbols():
+    for dim in (1, 3):
+        out = named_symbols(dim)
+        assert [h.name for h in out] == ["uP", "vP", "bump"]
+        assert [h.parity for h in out] == [0, 1, 1]
+        assert all(h.dim == dim for h in out)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +338,6 @@ def test_sweep_config_validation_messages():
         SweepConfig(dim=1, level=8, t_grid=(float("nan"), 2.0))
     with pytest.raises(ValueError, match="t_grid values must be finite"):
         SweepConfig(dim=1, level=8, t_grid=(1.0, math.inf))
-    with pytest.raises(ValueError, match="s_grid values must be finite"):
-        SweepConfig(dim=1, level=8, s_grid=(1.0, float("nan"), 0.1))
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        SweepConfig(dim=1, level=8, s_grid=(0.1, 0.5))
     with pytest.raises(ValueError, match="tol must be positive"):
         SweepConfig(dim=1, level=8, tol=-1.0)
 
@@ -363,15 +354,6 @@ def test_report_schema_and_csv_shape():
     rows = rep.csv_rows()
     assert len(rows) == len(rep.datapoints) * len(rep.curves)
     assert all(r[0] == "spectrum" for r in rows)
-
-
-def test_report_with_a_caller_symbol_serialises_to_json():
-    h = CliffFunction(1, "narrow", ((1, (lambda x: np.exp(-4.0 * x * x),)),))
-    cfg = SweepConfig(dim=1, level=6, h_choices=(h, "uP"))
-    report = run_suite("dirac-commutator", cfg)
-    d = json.loads(json.dumps(report.to_json_dict()))
-    assert d["params"]["h_choices"] == ["narrow", "uP"]
-    assert "[u(D/t),M_narrow]" in report.curves
 
 
 def test_suite_registry_and_unknown_id():
@@ -425,11 +407,11 @@ def test_flip_endpoints_forms_each_tensor_once(monkeypatch):
 
     monkeypatch.setattr(graded, "graded_tensor", recording)
     monkeypatch.setattr(verify, "graded_tensor", recording)
-    cfg = SweepConfig(dim=1, level=6, t_grid=(1.0, 2.0, 4.0), h_choices=("uP", "bump"))
+    cfg = SweepConfig(dim=1, level=6, t_grid=(1.0, 2.0, 4.0))
     assert run_suite("flip-endpoints", cfg).passed
     assert len(pairs) == len(set(pairs))
     # 4 route checks of two tensors each per (t, symbol), and the 4 generator tensors
-    assert len(pairs) == 3 * 2 * 8 + 4
+    assert len(pairs) == 3 * 3 * 8 + 4
 
 
 def test_flip_endpoints_suite_coerces_dimension():
@@ -437,6 +419,29 @@ def test_flip_endpoints_suite_coerces_dimension():
     assert rep.passed
     assert any("dim" in note for note in rep.notes)
     assert rep.params["dim"] == 1
+
+
+def test_double_flip_gate_fails_for_a_non_involutive_swap(monkeypatch):
+    def cycled(pa, pb):
+        # a cycle of the even basis vectors: orthogonal and parity-preserving, so only l o l = id tells it
+        # from a flip
+        even = np.flatnonzero(graded.tensor_parity(pa, pb) == 0)
+        perm = np.arange(len(pa) * len(pb))
+        perm[even] = np.roll(even, 1)
+        return np.eye(len(perm))[perm]
+
+    monkeypatch.setattr(verify, "flip_unitary", cycled)
+    rep = run_suite("flip-endpoints", SweepConfig(dim=1, level=4, t_grid=(1.0, 2.0)))
+    (note,) = [n for n in rep.notes if n.startswith("gate double flip deviation from identity")]
+    assert note.endswith("FAIL")
+
+
+def test_delta_xr_residual_gates_follow_tol():
+    rep = run_suite("delta-xr", SweepConfig(dim=1, level=6, tol=1e-30))
+    assert not rep.passed
+    residual_notes = [n for n in rep.notes if "-generator residual" in n]
+    assert len(residual_notes) == 2
+    assert all("<= 1.000e-30" in n for n in residual_notes)
 
 
 def test_gate_compares_value_to_bound():
