@@ -136,7 +136,8 @@ def run(command: str, args) -> int:
                 raise ValueError(f"unknown suite ids: {', '.join(unknown)}")
             suite_ids = [s for s in suite_ids if s in set(args.suite)]
         workers = _worker_count(len(suite_ids))
-    except ValueError as exc:
+        os.makedirs(args.out, exist_ok=True)  # before any suite runs, so a bad --out costs no work
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -147,7 +148,6 @@ def run(command: str, args) -> int:
         futures = {sid: pool.submit(run_suite, sid, cfg) for sid in suite_ids}
         reports = {sid: fut.result() for sid, fut in futures.items()}
 
-    os.makedirs(args.out, exist_ok=True)
     outputs = {}
     for sid in sorted(reports):
         rep = reports[sid]

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import GradedMatrix, _frozen, graded_tensor, identity_like
+from .graded import GradedMatrix, _frozen, block_norm, graded_tensor, identity_like
 
 
 @dataclass
@@ -163,7 +163,7 @@ def delta_via_xr_check(level: int) -> DeltaCheck:
     diff_v = matrix_function(v, xt) - graded_tensor(ux, vx) - graded_tensor(vx, ux)
     # the odd generator is graded on the interior window, the even one globally
     interior = np.arange(level + 1) <= level - 2
-    mask = np.kron(interior, interior).astype(bool)
-    residual_v = GradedMatrix(diff_v.mat[np.ix_(mask, mask)], xt.parity[mask]).norm()
+    mask = [np.kron(interior, interior).astype(bool)[i] for i in xt.index]  # per parity block
+    residual_v = block_norm(x[np.ix_(mask[r], mask[r ^ diff_v.degree])] for r, x in enumerate(diff_v.blocks))
     radius = float(np.abs(np.linalg.eigvalsh(x)).max())
     return DeltaCheck(level, residual_u, residual_v, radius)

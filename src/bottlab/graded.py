@@ -19,35 +19,35 @@ from .clifford import MultiVector, Signature, blade_parities
 class GradedMatrix:
     """A read-only square real matrix of one degree, with a 0/1 parity per basis index.
 
-    It is its degree d (0 if it preserves basis parity, 1 if it reverses it)
-    and its ``blocks = (X[0, d], X[1, 1 ^ d])``, where ``X[r, c]`` collects
-    the rows of parity r and the columns of parity c in basis order; every
-    other entry is zero.  Built from an array, it splits the array and raises
-    ``ValueError`` when both degrees have a nonzero entry (the zero matrix is
-    even); built by :meth:`from_blocks`, it assembles ``mat`` on first access
-    (threads that race on it compute equal values).  Every array held is
-    read-only: the constructor marks the array it is given read-only without
-    copying it.  Products, sums of equal degrees, scalar multiples,
-    commutators and norms work on the blocks.
+    It is held as its degree d (0 if it preserves basis parity, 1 if it
+    reverses it) and its ``blocks = (X[0, d], X[1, 1 ^ d])``, where
+    ``X[r, c]`` collects the rows of parity r and the columns of parity c in
+    basis order; every other entry is zero.  Built from an array, it copies
+    the array's blocks, so a later write into the array does not reach it,
+    and raises ``ValueError`` when both degrees have a nonzero entry (the
+    zero matrix is even).  ``mat`` assembles a new read-only dense array on
+    each access, for oracles and small inputs.  Every array held is read-only
+    and no field can be rebound.  Products, sums of equal degrees, scalar
+    multiples, commutators and norms work on the blocks.
     """
 
     def __init__(self, mat, parity):
         mat = np.asarray(mat, dtype=float)
-        parity = np.asarray(parity, dtype=np.uint8)
+        parity = np.array(parity, dtype=np.uint8)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"graded matrix must be square, got shape {mat.shape}")
         if parity.shape != (mat.shape[0],):
             raise ValueError("parity vector length must match matrix dimension")
         if np.any(parity > 1):
             raise ValueError("parities must be 0 or 1")
-        self.parity, self._index = parity, None
-        split = [_split(mat, self.index, d) for d in (0, 1)]
+        index = parity_index(parity)
+        split = [_split(mat, index, d) for d in (0, 1)]
         present = [d for d in (0, 1) if any(b.any() for b in split[d])]
         if len(present) > 1:
             raise ValueError("the matrix has nonzero entries of both degrees; build one graded matrix from "
                              "its even part (rows and columns of equal parity) and one from its odd part")
-        self._mat, self.parity, self.degree = _frozen(mat), _frozen(parity), max(present, default=0)
-        self._blocks = split[self.degree]
+        degree = max(present, default=0)
+        self._set_blocks(degree, split[degree], parity, index)
 
     @staticmethod
     def from_blocks(degree: int, blocks, parity, index=None) -> "GradedMatrix":
@@ -64,40 +64,18 @@ class GradedMatrix:
         for r, block in enumerate(blocks):
             if block.shape != (len(index[r]), len(index[r ^ degree])):
                 raise ValueError(f"block {r} has shape {block.shape}, which does not fit the parities")
-        self._mat, self.parity, self._index, self.degree = None, parity, index, degree
-        self._blocks = tuple(_frozen(b) for b in blocks)
+        self.degree, self.parity, self.index = degree, parity, index
+        self.blocks = tuple(_frozen(b) for b in blocks)
 
-    @staticmethod
-    def _of_degree(mat: np.ndarray, parity, degree: int) -> "GradedMatrix":
-        """``mat`` as a matrix of the degree its construction fixes: unchecked, split on first use."""
-        out = object.__new__(GradedMatrix)
-        out._mat, out.parity, out._index = _frozen(mat), _frozen(parity), None
-        out.degree, out._blocks = degree, None
-        return out
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(X[0, d], X[1, 1 ^ d])`` for the degree d."""
-        if self._blocks is None:
-            self._blocks = _split(self._mat, self.index, self.degree)
-        return self._blocks
+    def __setattr__(self, name, value):
+        if name in ("degree", "parity", "index", "blocks") and name in self.__dict__:
+            raise AttributeError(f"{name} of a graded matrix is set once, at construction")
+        super().__setattr__(name, value)
 
     @property
     def mat(self) -> np.ndarray:
-        if self._mat is None:
-            self._mat = _frozen(_assemble(self.degree, self._blocks, self._index))
-        return self._mat
-
-    @property
-    def index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the even and of the odd basis vectors."""
-        if self._index is None:
-            self._index = parity_index(self.parity)
-        return self._index
-
-    @property
-    def dim(self) -> int:
-        return len(self.parity)
+        """The dense matrix, assembled from the blocks on each access."""
+        return _frozen(_assemble(self.degree, self.blocks, self.index))
 
     def operator_parity(self) -> int:
         """The degree: 0 if the matrix preserves basis parity, 1 if it reverses it."""
@@ -113,7 +91,7 @@ class GradedMatrix:
     def _check_compatible(self, other: "GradedMatrix"):
         if self.parity is other.parity:
             return
-        if self.dim != other.dim or np.any(self.parity != other.parity):
+        if len(self.parity) != len(other.parity) or np.any(self.parity != other.parity):
             raise ValueError("graded matrices live on different graded spaces")
 
     def _linear(self, other: "GradedMatrix", op) -> "GradedMatrix":
@@ -198,7 +176,7 @@ def block_norm(blocks) -> float:
 
 
 def identity_like(g: GradedMatrix) -> GradedMatrix:
-    return GradedMatrix(np.eye(g.dim), g.parity)
+    return GradedMatrix.from_blocks(0, tuple(np.eye(len(i)) for i in g.index), g.parity, g.index)
 
 
 def grading_signs(parity: np.ndarray) -> np.ndarray:
@@ -217,11 +195,12 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     The Koszul sign ``(-1)^{deg b * deg xi}`` only involves the degree of
     ``b`` and the parity of the first-leg basis vector, so it is absorbed by
     scaling the columns of the first factor before taking the Kronecker
-    product.  The degrees add.
+    product, which is split into its blocks at once.  The degrees add.
     """
     left = a.mat * grading_signs(a.parity)[None, :] if b.degree else a.mat
     parity = tensor_parity(a.parity, b.parity)
-    return GradedMatrix._of_degree(np.kron(left, b.mat), parity, a.degree ^ b.degree)
+    degree, index = a.degree ^ b.degree, parity_index(parity)
+    return GradedMatrix.from_blocks(degree, _split(np.kron(left, b.mat), index, degree), parity, index)
 
 
 def parity_index(parity) -> tuple[np.ndarray, np.ndarray]:
@@ -244,8 +223,12 @@ def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 
 
 def involution(a: GradedMatrix) -> GradedMatrix:
-    """The adjoint (transpose) as the *-operation on graded matrices."""
-    return GradedMatrix(a.mat.T, a.parity)
+    """The adjoint (transpose) as the *-operation on graded matrices.
+
+    Block r of the transpose is ``X[r ^ d, r]^T``, the transpose of block ``r ^ d``.
+    """
+    return GradedMatrix.from_blocks(a.degree, tuple(a.blocks[r ^ a.degree].T for r in (0, 1)),
+                                    a.parity, a.index)
 
 
 def flip_simple(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -312,17 +295,17 @@ def tensor_product_witness(sig1: Signature, sig2: Signature):
                     gens.append(image(factor, i))
 
     dim = sig1.blade_count * sig2.blade_count
+    mats = [g.mat for g in gens]
     worst = 0.0
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            anti = gi.mat @ gj.mat + gj.mat @ gi.mat
+    for i, gi in enumerate(mats):
+        for j, gj in enumerate(mats):
             target = 2.0 * sig.square_sign(i + 1) * np.eye(dim) if i == j else 0.0
-            worst = max(worst, float(np.abs(anti - target).max()))
+            worst = max(worst, float(np.abs(gi @ gj + gj @ gi - target).max()))
 
     # span of all products of generator subsets = dimension of the image algebra
     prods = [np.eye(dim)]
-    for g in gens:
-        prods += [p @ g.mat for p in prods]
+    for g in mats:
+        prods += [p @ g for p in prods]
     stack = np.stack([p.ravel() for p in prods])
     spanned = int(np.linalg.matrix_rank(stack, tol=1e-9))
     return gens, worst, spanned

@@ -46,8 +46,10 @@ from .graded import (
     graded_commutator,
     graded_tensor,
     grading_signs,
+    identity_like,
     involution,
     iota,
+    tensor_parity,
     tensor_product_witness,
 )
 from .oscillator import (
@@ -100,6 +102,9 @@ class SweepConfig:
             raise ValueError("t_grid must be strictly increasing")
         if ts[0] < 1.0:
             raise ValueError("t_grid must start at t >= 1")
+        if ts[-1] ** -2 == 0.0:
+            raise ValueError(f"t_grid values must keep t^-2 > 0, the time s > 0 of s1s2-asymptotics; "
+                             f"{ts[-1]:g}^-2 underflows to 0")
         self.t_grid = ts
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tol must be positive")
@@ -243,14 +248,16 @@ def _sweep(rep: OscillatorRep, xs: Sequence[float], matrices, depth: int = 2) ->
 
     ``matrices(x)`` yields ``(curve name, GradedMatrix)`` pairs, each normed on the ``depth`` window
     as it comes; the first curve's matrix at the first, middle and last x is also normed on the whole
-    space against :func:`golub_kahan_norm` of its dense form, so no matrix outlives its iteration.
+    space against the larger :func:`golub_kahan_norm` of its two blocks, which converges when both
+    runs do, so no matrix outlives its iteration.
     """
     curves, runs, picks = {}, [], {0, len(xs) // 2, len(xs) - 1}
     for i, x in enumerate(xs):
         for name, m in matrices(x):
             curves.setdefault(name, []).append(windowed_norm(m, rep, depth))
             if i in picks and name == next(iter(curves)):
-                runs.append((windowed_norm(m, rep, 0), *golub_kahan_norm(m.mat)))
+                (n0, ok0), (n1, ok1) = (golub_kahan_norm(b) for b in m.blocks)
+                runs.append((windowed_norm(m, rep, 0), max(n0, n1), ok0 and ok1))
     worst = max((abs(a - b) / max(1.0, a) for a, b, _ in runs), default=0.0)
     return curves, [Gate(f"norm cross-check (block norm vs Golub-Kahan, {len(runs)} samples)", worst, 1e-8),
                     Gate("Golub-Kahan converged on every sample", all(ok for *_, ok in runs))]
@@ -712,20 +719,30 @@ def suite_compactness(cfg: SweepConfig) -> VerificationReport:
                    curves, tol, gates, notes)
 
 
-def _conjugator(u: np.ndarray):
-    """x -> u @ x @ u.T for a signed permutation matrix u, by indexing.
+def _largest_entry(g: GradedMatrix) -> float:
+    """The largest absolute entry of a graded matrix."""
+    return max(float(np.abs(b).max(initial=0.0)) for b in g.blocks)
 
-    Each entry of the product is one entry of x times two signs, so the
-    result equals the matrix product exactly.
+
+def _conjugator(u: GradedMatrix):
+    """x -> u @ x @ u.T for an even signed permutation matrix u, block by block, by indexing.
+
+    Block r of the product is ``u[r, r] x[r, c] u[c, c]^T`` with ``c = r ^ deg x``; each of
+    its entries is one entry of x times two signs, so the result equals the matrix product
+    exactly.
     """
-    perm = np.abs(u).argmax(axis=1)
-    sign, ix = u[np.arange(len(perm)), perm], np.ix_(perm, perm)
+    perms = [np.abs(b).argmax(axis=1) for b in u.blocks]
+    signs = [b[np.arange(len(p)), p] for b, p in zip(u.blocks, perms)]
 
-    def conjugate(x):
-        out = x[ix]
-        out *= sign[:, None]
-        out *= sign[None, :]
-        return out
+    def conjugate(x: GradedMatrix) -> GradedMatrix:
+        blocks = []
+        for r, b in enumerate(x.blocks):
+            c = r ^ x.degree
+            out = b[np.ix_(perms[r], perms[c])]
+            out *= signs[r][:, None]
+            out *= signs[c][None, :]
+            blocks.append(out)
+        return GradedMatrix.from_blocks(x.degree, blocks, x.parity, x.index)
     return conjugate
 
 
@@ -736,17 +753,11 @@ def _flip_product_residuals(gens: tuple, conj) -> tuple[float, float]:
     for x in gens:
         for y in gens:
             z = graded_tensor(x, y)
-            flipped.append(conj(z.mat))
-            diff = involution(GradedMatrix(flipped[-1], z.parity)).mat - conj(involution(z).mat)
-            inv_worst = max(inv_worst, float(np.abs(diff, out=diff).max()))
-            # the products need only the blocks, so the dense tensor is not kept
-            tensors.append(GradedMatrix.from_blocks(z.degree, z.blocks, z.parity, z.index))
-    mult_worst = 0.0
-    for t1, c1 in zip(tensors, flipped):
-        for t2, c2 in zip(tensors, flipped):
-            diff = conj((t1 @ t2).mat)
-            diff -= c1 @ c2
-            mult_worst = max(mult_worst, float(np.abs(diff, out=diff).max()))
+            tensors.append(z)
+            flipped.append(conj(z))
+            inv_worst = max(inv_worst, _largest_entry(involution(flipped[-1]) - conj(involution(z))))
+    mult_worst = max(_largest_entry(conj(t1 @ t2) - c1 @ c2)
+                     for t1, c1 in zip(tensors, flipped) for t2, c2 in zip(tensors, flipped))
     return mult_worst, inv_worst
 
 
@@ -771,28 +782,30 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
     tol = cfg.tol if cfg.tol is not None else 1e-8
 
     par = rep.basis.parity()
-    swap = flip_unitary(par, par)
+    # built from an array, the swap is checked to keep parities
+    swap = GradedMatrix(flip_unitary(par, par), tensor_parity(par, par))
     # l o l = id as signed permutations
-    ll = float(np.abs(swap @ swap - np.eye(swap.shape[0])).max())
+    ll = _largest_entry(swap @ swap - identity_like(swap))
     conj = _conjugator(swap)
-    del swap  # the conjugator keeps only the permutation and its signs
     uc = matrix_function(u, rep.clifford)
     vc = matrix_function(v, rep.clifford)
     sub = SweepConfig(dim=1, level=level, t_grid=cfg.t_grid)
     hs = named_symbols(1)
 
-    # the grading operator on the tensor square, as the diagonal of its matrix
-    gam = np.tile(grading_signs(par), rep.basis.size)
+    # the grading operator on the tensor square, as the diagonal of its matrix, restricted to
+    # the even and to the odd basis vectors
+    gam = [np.tile(grading_signs(par), rep.basis.size)[i] for i in swap.index]
 
     def flip_route_residual(a: GradedMatrix, b: GradedMatrix, grading: bool) -> float:
         """Both routes to the flip of ``a (x) b``; with ``grading`` (for an even second leg,
         on which the grading automorphism is invisible) also how far the grading moves it."""
-        ab = graded_tensor(a, b).mat
-        worst = float(np.abs(gam[:, None] * ab * gam[None, :] - ab).max()) if grading else 0.0
-        # in place: each large temporary freed here may be trimmed from the heap and faulted back in
-        routed = conj(ab)
-        routed -= flip_simple(a, b).mat
-        return max(worst, float(np.abs(routed, out=routed).max()))
+        ab = graded_tensor(a, b)
+        worst = 0.0
+        if grading:
+            for r, x in enumerate(ab.blocks):
+                moved = gam[r][:, None] * x * gam[r ^ ab.degree][None, :] - x
+                worst = max(worst, float(np.abs(moved).max(initial=0.0)))
+        return max(worst, _largest_entry(conj(ab) - flip_simple(a, b)))
 
     curves: dict[str, list[float]] = {h.name: [] for h in hs}
     for t in cfg.t_grid:

@@ -63,6 +63,8 @@ def test_invalid_dim_exits_2(tmp_path, capsys):
     (["spectrum", "--t-min", "inf"], "t_grid values must be finite"),
     # above the Clifford table limit, the suites could not build the algebra
     (["spectrum", "--dim", "11", "--levels", "4"], "dim must be <= 10"),
+    # t^-2 underflows to 0, which s1s2-asymptotics would pass on as a time s > 0
+    (["mehler", "--t-max", "1e200"], "t_grid values must keep t^-2 > 0"),
 ])
 def test_config_errors_exit_2(args, fragment, tmp_path, capsys):
     # pytest would hold back a warning from stderr, so record warnings as well
@@ -75,6 +77,18 @@ def test_config_errors_exit_2(args, fragment, tmp_path, capsys):
     assert "Traceback" not in err
     assert "Warning" not in err
     assert not caught, [str(w.message) for w in caught]
+
+
+def test_out_naming_a_file_exits_2_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+    code = run_cli(["spectrum", "--out", str(taken)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ran == []
 
 
 def test_default_grid_is_the_library_default():

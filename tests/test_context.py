@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import bottlab.graded as graded
 import bottlab.oscillator as oscillator
 from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, scale, x_gaussian
 from bottlab.graded import GradedMatrix
@@ -61,6 +62,10 @@ def test_context_fields_cannot_be_rebound():
     rep = oscillator_rep(1, 6)
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.clifford = rep.dirac
+    # nor can the fields of an operator
+    for field in ("degree", "parity", "index", "blocks"):
+        with pytest.raises(AttributeError, match="set once"):
+            setattr(rep.clifford, field, getattr(rep.number, field))
 
 
 def test_spectral_matrix_keeps_a_private_copy():
@@ -134,17 +139,33 @@ def test_commutator_suites_diagonalise_each_operator_once(eigensolves, suite, ex
 
 
 def test_suites_keep_the_context_on_parity_blocks(eigensolves):
-    # no context operator assembles its dense matrix, and no eigensolve or
-    # SVD sees a full-size matrix
+    # no eigensolve or SVD sees a full-size matrix, only parity blocks
     cfg = SweepConfig(dim=2, level=6)
     for suite in SUITES:
         run_suite(suite, cfg)
-    rep = oscillator_rep(2, 6)
-    ops = {"C": rep.clifford, "D": rep.dirac, "B": rep.bott, "H": rep.harmonic, "N": rep.number}
-    assert [name for name, op in ops.items() if op._mat is not None] == []
-    size = rep.basis.size
+    size = oscillator_rep(2, 6).basis.size
     assert [c for c in eigensolves if c[1][-2:] == (size, size)] == []
     assert any(c[1][-2:] == (size // 2, size // 2) for c in eigensolves)
+
+
+def test_no_suite_assembles_a_matrix_of_the_oscillator_space(monkeypatch):
+    # a graded matrix is its two parity blocks; only small inputs and oracles
+    # assemble a dense matrix, and none of them is as large as the oscillator space
+    shapes = []
+    assemble = graded._assemble
+
+    def recording(*args):
+        out = assemble(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(graded, "_assemble", recording)
+    cfg = SweepConfig(dim=2, level=6)
+    for suite in SUITES:
+        run_suite(suite, cfg)
+    size = oscillator_rep(2, 6).basis.size
+    assert shapes, "the small inputs assemble"
+    assert [s for s in shapes if max(s) >= size] == []
 
 
 @pytest.mark.parametrize("name", ["clifford", "dirac", "bott"])

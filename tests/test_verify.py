@@ -88,7 +88,8 @@ def test_golub_kahan_step_cap_fails_its_own_gate(monkeypatch):
                                    "composition-gamma", "homotopy-projection"])
 def test_norm_cross_check_reads_three_matrices_one_of_them_resolvable(suite, monkeypatch):
     # the gate bounds |a - b| / max(1, a) by 1e-8, so it can see a 1e-6
-    # relative error only on a matrix of norm >= 1e-2
+    # relative error only on a matrix of norm >= 1e-2; each matrix is read as
+    # its two parity blocks
     norms = []
 
     def recording(a):
@@ -98,7 +99,7 @@ def test_norm_cross_check_reads_three_matrices_one_of_them_resolvable(suite, mon
 
     monkeypatch.setattr(verify, "golub_kahan_norm", recording)
     run_suite(suite, SweepConfig(dim=1, level=12))
-    assert len(norms) == 3, norms
+    assert len(norms) == 2 * 3, norms
     assert max(norms) >= 1e-2, norms
 
 
@@ -509,8 +510,8 @@ def test_verdict_grid(suite, config):
 @pytest.mark.parametrize("config", [(1, 8), (2, 6)])
 @pytest.mark.parametrize("suite", ["dirac-commutator", "cd-commutator"])
 def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
-    # a full-size matrix is formed only for the norm cross-check's (at most 3)
-    # samples
+    # no full-size matrix is formed, neither assembled from blocks nor given
+    # as an array
     rep = oscillator_rep(*config)
     size = rep.basis.size
     full = []
@@ -530,15 +531,21 @@ def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
     monkeypatch.setattr(GradedMatrix, "__init__", counting_init)
     report = run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
     assert report.passed
-    assert len([s for s in full if s == (size, size)]) <= 3, full
+    assert [s for s in full if s == (size, size)] == [], full
 
 
 def test_conjugation_by_index_equals_the_signed_swap_product():
     rng = np.random.default_rng(5)
-    for pa, pb in (([0, 1, 0], [1, 0]), ([0, 1, 1, 0], [0, 1, 1, 0])):
-        swap = flip_unitary(np.array(pa), np.array(pb))
-        x = rng.standard_normal(swap.shape)
-        assert np.array_equal(verify._conjugator(swap)(x), swap @ x @ swap.T)
+    for p in ([0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1, 0]):
+        par = graded.tensor_parity(p, p)
+        swap = GradedMatrix(flip_unitary(np.array(p), np.array(p)), par)
+        assert swap.degree == 0
+        conjugate = verify._conjugator(swap)
+        for degree in (0, 1):
+            x = rng.standard_normal(swap.mat.shape) * ((par[:, None] ^ par[None, :]) == degree)
+            got = conjugate(GradedMatrix(x, par))
+            assert got.degree == degree
+            assert np.array_equal(got.mat, swap.mat @ x @ swap.mat.T)
 
 
 # ---------------------------------------------------------------------------
