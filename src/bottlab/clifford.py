@@ -78,7 +78,7 @@ def blade_label(mask: int) -> str:
 
 @lru_cache(maxsize=32)
 def _tables(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, index) Cayley tables for all blade pairs of R_{p,q}."""
+    """(sign, index) Cayley tables for all blade pairs of R_{p,q}, read-only: every caller shares them."""
     sig = Signature(p, q)
     n = sig.n
     if n > _MAX_TABLE_N:
@@ -96,6 +96,7 @@ def _tables(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
             contract = ((masks[:, None] >> j) & 1) & b_has
             par ^= contract.astype(np.uint8)
     sign = (1 - 2 * par.astype(np.int8)).astype(np.int8)
+    sign.flags.writeable = idx.flags.writeable = False
     return sign, idx
 
 

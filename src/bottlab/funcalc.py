@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import GradedMatrix, _frozen, block_norm, graded_tensor, identity_like
+from .graded import WHOLE, GradedMatrix, _check_symmetric, _frozen, _on_window, block_norm, graded_tensor, identity_like
 
 
 @dataclass
@@ -62,13 +62,8 @@ class SpectralMatrix(GradedMatrix):
     """
 
     def __init__(self, g: GradedMatrix):
-        blocks = tuple(np.array(b, dtype=float) for b in g.blocks)
-        scale_ref = max(1.0, *(np.abs(b).max(initial=0.0) for b in blocks))
-        # block r is X[r, r ^ d], and its transpose is block r ^ d
-        asym = max(np.abs(b - blocks[r ^ g.degree].T).max(initial=0.0) for r, b in enumerate(blocks))
-        if asym > 1e-10 * scale_ref:
-            raise ValueError("matrix functional calculus requires a symmetric matrix")
-        self._set_blocks(g.degree, blocks, g.parity, g.index)
+        self._set_blocks(g.degree, tuple(np.array(b, dtype=float) for b in g.blocks), g.parity, g.index)
+        _check_symmetric(self, "matrix functional calculus")
         self._lock, self._eig = threading.Lock(), None
 
     @property
@@ -89,32 +84,37 @@ class SpectralMatrix(GradedMatrix):
         return self._eig
 
 
-def matrix_function(f: GradedFunction, a: GradedMatrix) -> GradedMatrix:
+def matrix_function(f: GradedFunction, a: GradedMatrix, window: tuple = WHOLE) -> GradedMatrix:
     """Apply f to a symmetric graded matrix through its per-parity eigensystem.
 
     Any matrix but a :class:`SpectralMatrix` is wrapped in one first.  Even:
     ``Q_r f(w_r) Q_r^T`` per block, for any f.  Odd, with
     ``X[0, 1] = U diag(s) V^T``: an even f gives ``U f(s) U^T`` and
     ``V f(s) V^T`` (s padded with zeros), an odd f gives ``U f(s) V^T`` and
-    its transpose; f of no declared parity raises ``ValueError``.
+    its transpose; f of no declared parity raises ``ValueError``.  With
+    ``window = (k0, k1)`` only ``P_W f(X) P_W`` is formed, as a matrix of the
+    window of the first k0 even and k1 odd basis vectors: every Q, U and V
+    above keeps its first k_r rows.
     """
     if not isinstance(a, SpectralMatrix):
         a = SpectralMatrix(a)
     if a.degree == 0:
-        return GradedMatrix.from_blocks(0, tuple((q * f(w)) @ q.T for w, q in a.eig), a.parity, a.index)
+        return _on_window(a, window, 0, tuple((q[:k] * f(w)) @ q[:k].T for (w, q), k in zip(a.eig, window)))
     if f.parity is None:
         raise ValueError(f"{f.name} has no declared parity, so of an odd matrix it has both degrees; "
                          "apply its even part and its odd part separately")
     u, s, v = a.eig
-    k = len(s)
-    x = np.concatenate([s, np.zeros(max(len(u), len(v)) - k)])
+    m = len(s)
+    x = np.concatenate([s, np.zeros(max(len(u), len(v)) - m)])
     fx, fm = f(x), f(-x)
+    u, v = u[:window[0]], v[:window[1]]
     if f.parity == 0:
         even = (fx + fm) / 2.0
-        return GradedMatrix.from_blocks(0, ((u * even[:len(u)]) @ u.T, (v * even[:len(v)]) @ v.T),
-                                        a.parity, a.index)
-    x01 = (u[:, :k] * (fx - fm)[:k] / 2.0) @ v[:, :k].T
-    return GradedMatrix.from_blocks(1, (x01, x01.T), a.parity, a.index)
+        blocks = ((u * even[:u.shape[1]]) @ u.T, (v * even[:v.shape[1]]) @ v.T)
+    else:
+        x01 = (u[:, :m] * (fx - fm)[:m] / 2.0) @ v[:, :m].T
+        blocks = (x01, x01.T)
+    return _on_window(a, window, f.parity, blocks)
 
 
 @dataclass

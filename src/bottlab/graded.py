@@ -118,11 +118,13 @@ class GradedMatrix:
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         """Row block r of a degree-da by degree-db product is ``A[r, r^da] @ B[r^da, r^da^db]``."""
-        return _product(self, other, lambda a, b, r: a[r] @ b[r ^ self.degree])
+        return window_product(WHOLE, self, other)
 
-    def window_blocks(self, sizes: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """The blocks restricted to the first ``sizes[0]`` even and ``sizes[1]`` odd basis vectors."""
-        return tuple(b[:sizes[r], :sizes[r ^ self.degree]] for r, b in enumerate(self.blocks))
+    def window(self, sizes: tuple) -> "GradedMatrix":
+        """``P_W X P_W`` as a matrix of the window W of the first ``sizes[0]`` even and ``sizes[1]``
+        odd basis vectors; its blocks are the leading parts of this matrix's blocks."""
+        blocks = [b[:sizes[r], :sizes[r ^ self.degree]] for r, b in enumerate(self.blocks)]
+        return _on_window(self, sizes, self.degree, blocks)
 
     def norm(self) -> float:
         """Spectral norm: :func:`block_norm` of the two blocks."""
@@ -149,11 +151,27 @@ def _assemble(degree: int, blocks, index) -> np.ndarray:
     return out
 
 
-def _product(a: GradedMatrix, b: GradedMatrix, row_block) -> GradedMatrix:
-    """The degree ``deg a + deg b`` matrix whose block r is ``row_block(a.blocks, b.blocks, r)``."""
-    a._check_compatible(b)
-    blocks = tuple(row_block(a.blocks, b.blocks, r) for r in (0, 1))
-    return GradedMatrix.from_blocks(a.degree ^ b.degree, blocks, a.parity, a.index)
+WHOLE = (None, None)  # the window sizes that keep every basis vector: x[:None] is all of x
+
+
+def _on_window(g: GradedMatrix, sizes, degree: int, blocks) -> GradedMatrix:
+    """The degree-d matrix with ``blocks`` on the window of g's space that holds its first
+    ``sizes[0]`` even and ``sizes[1]`` odd basis vectors, in basis order."""
+    if all(k is None or k == len(i) for k, i in zip(sizes, g.index)):
+        return GradedMatrix.from_blocks(degree, blocks, g.parity, g.index)
+    keep = np.sort(np.concatenate([i[:k] for i, k in zip(g.index, sizes)]))
+    return GradedMatrix.from_blocks(degree, blocks, g.parity[keep])
+
+
+def _check_symmetric(g: GradedMatrix, what: str):
+    """Raise ``ValueError`` unless g is symmetric to 1e-10 of its largest entry (at least 1)."""
+    scale_ref = max(1.0, *(np.abs(b).max(initial=0.0) for b in g.blocks))
+    # block r is X[r, r ^ d], and its transpose is block r ^ d; for d = 1 the comparison of
+    # block 1 is the transpose of that of block 0
+    asym = max(np.abs(b - g.blocks[r ^ g.degree].T).max(initial=0.0)
+               for r, b in enumerate(g.blocks[:2 - g.degree]))
+    if asym > 1e-10 * scale_ref:
+        raise ValueError(f"{what} requires a symmetric matrix")
 
 
 def block_norm(blocks) -> float:
@@ -163,12 +181,15 @@ def block_norm(blocks) -> float:
     ``s = max |X|`` (the scaling keeps the Gram matrix clear of underflow),
     using the Gram matrix on the shorter side and ``eigvalsh``, which is
     cheaper than the SVD and as accurate for the largest singular value.
+    A block equal to plus or minus the transpose of an earlier one, as the odd
+    blocks of a symmetric or antisymmetric matrix are, is skipped.
     """
-    out = 0.0
+    out, seen = 0.0, []
     for x in blocks:
         s = float(np.abs(x).max(initial=0.0))
-        if s == 0.0:
+        if s == 0.0 or any(np.array_equal(x, sign * y.T) for y in seen for sign in (1.0, -1.0)):
             continue
+        seen.append(x)
         y = x / s
         gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
         out = max(out, s * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
@@ -209,17 +230,43 @@ def parity_index(parity) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(np.flatnonzero(p == 0)), _frozen(np.flatnonzero(p == 1))
 
 
-def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """[a, b] = ab - (-1)^{deg a deg b} ba.
+def window_product(sizes: tuple, *factors: GradedMatrix) -> GradedMatrix:
+    """``P_W f_1 .. f_m P_W`` for two or more factors, as a matrix of the window W of
+    :meth:`GradedMatrix.window`: block r is the row slab ``f_1[r, :][:k_r]`` times the
+    middle factors' blocks times the column slab ``f_m[:, c][:, :k_c]``."""
+    for f in factors[1:]:
+        factors[0]._check_compatible(f)
+    degree = sum(f.degree for f in factors) & 1
+    return _on_window(factors[0], sizes, degree, [_window_block(factors, sizes, r) for r in (0, 1)])
+
+
+def _window_block(factors, sizes, r: int) -> np.ndarray:
+    """Block r of :func:`window_product`; ``p`` is the column parity of the partial product."""
+    first, *middle, last = factors
+    out, p = first.blocks[r][:sizes[r]], r ^ first.degree
+    for f in middle:
+        out, p = out @ f.blocks[p], p ^ f.degree
+    return out @ last.blocks[p][:, :sizes[p ^ last.degree]]
+
+
+def graded_commutator(a: GradedMatrix, b: GradedMatrix, sizes: tuple = WHOLE) -> GradedMatrix:
+    """[a, b] = ab - (-1)^{deg a deg b} ba, or its window ``P_W [a, b] P_W`` for window ``sizes``.
 
     Odd-odd pairs get the anticommutator; everything else the plain
-    commutator.  Row block r of the result is
-    ``a[r, r^pa] b[r^pa, c] - sign b[r, r^pb] a[r^pb, c]`` with
-    ``c = r ^ pa ^ pb``, a quarter of the dense flops.
+    commutator, block by block from :func:`window_product`'s slabs.  For
+    symmetric a and b, ``[a, b]^T = -sign [a, b]``: a window of degree 1 forms
+    block 0 only, after checking that both operands are symmetric.
     """
-    pa, pb = a.degree, b.degree
-    sign = -1.0 if (pa and pb) else 1.0
-    return _product(a, b, lambda ab, bb, r: ab[r] @ bb[r ^ pa] - sign * (bb[r] @ ab[r ^ pb]))
+    sign = -1.0 if (a.degree and b.degree) else 1.0
+    a._check_compatible(b)
+    one_block = sizes != WHOLE and a.degree != b.degree
+    for g in (a, b) if one_block else ():
+        _check_symmetric(g, "a windowed commutator of degree 1")
+    blocks = [_window_block((a, b), sizes, r) - sign * _window_block((b, a), sizes, r)
+              for r in range(2 - one_block)]
+    if one_block:
+        blocks.append(-sign * blocks[0].T)
+    return _on_window(a, sizes, a.degree ^ b.degree, blocks)
 
 
 def involution(a: GradedMatrix) -> GradedMatrix:

@@ -34,7 +34,7 @@ from .clifford import (
     twisted_right_mult_operator,
 )
 from .funcalc import GradedFunction, SpectralMatrix, matrix_function
-from .graded import GradedMatrix, parity_index
+from .graded import GradedMatrix, _frozen, parity_index, window_product
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +51,9 @@ def position_matrix(level: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _gh_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes/weights for the weight exp(-x^2)."""
+    """Gauss-Hermite nodes/weights for the weight exp(-x^2), read-only: every caller shares them."""
     x, w = np.polynomial.hermite.hermgauss(count)
-    return x, w
+    return _frozen(x), _frozen(w)
 
 
 def hermite_rows(kmax: int, x: np.ndarray) -> np.ndarray:
@@ -281,9 +281,8 @@ oscillator_rep.cache_clear = _context.cache_clear
 
 def b_squared_identity_check(rep: OscillatorRep) -> float:
     """Interior-windowed residual of B^2 = C^2 + D^2 + N (spectral norm)."""
-    from .verify import windowed_norm  # lazy: verify imports this module
-
-    return windowed_norm(rep.bott @ rep.bott - rep.harmonic - rep.number, rep)
+    w = rep.window()
+    return (window_product(w, rep.bott, rep.bott) - rep.harmonic.window(w) - rep.number.window(w)).norm()
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,7 @@ def spectrum(rep: OscillatorRep) -> SpectrumResult:
     the Gaussian ground state, the first even basis vector, in the lowest
     eigenvector.
     """
-    blocks = (rep.bott @ rep.bott).window_blocks(rep.window())
+    blocks = window_product(rep.window(), rep.bott, rep.bott).blocks
     (w0, q0), (w1, _) = (np.linalg.eigh(b) for b in blocks)
     vals = np.sort(np.concatenate([w0, w1]))
     window = float(rep.basis.level)

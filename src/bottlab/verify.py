@@ -40,7 +40,6 @@ from .funcalc import (
 )
 from .graded import (
     GradedMatrix,
-    block_norm,
     flip_simple,
     flip_unitary,
     graded_commutator,
@@ -51,6 +50,7 @@ from .graded import (
     iota,
     tensor_parity,
     tensor_product_witness,
+    window_product,
 )
 from .oscillator import (
     CliffFunction,
@@ -232,33 +232,27 @@ def golub_kahan_norm(a: np.ndarray, max_steps: int = 200) -> tuple[float, bool]:
 
 
 def windowed_norm(g: GradedMatrix, rep: OscillatorRep, depth: int = 2) -> float:
-    """Spectral norm of the interior block (total level <= level - depth).
-
-    The window of a graded matrix is, up to a permutation, the direct sum of
-    the windows of its two parity blocks, so its norm is the larger of
-    theirs: the window is the leading ``rep.window(depth)`` rows and columns
-    of each parity block, and :func:`block_norm` takes it from there.  Depth
-    0 is the whole space.
-    """
-    return block_norm(g.window_blocks(rep.window(depth)))
+    """Spectral norm of the window of total level <= level - depth (depth 0: the whole space): the
+    larger of those of its two blocks, the leading ``rep.window(depth)`` parts of g's blocks."""
+    return g.window(rep.window(depth)).norm()
 
 
-def _sweep(rep: OscillatorRep, xs: Sequence[float], matrices, depth: int = 2) -> tuple[dict, list[Gate]]:
-    """Windowed-norm curves over a grid, and the gates of their norm cross-check.
+def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
+    """Norm curves over a grid, and the gates of their norm cross-check.
 
-    ``matrices(x)`` yields ``(curve name, GradedMatrix)`` pairs, each normed on the ``depth`` window
-    as it comes; the first curve's matrix at the first, middle and last x is also normed on the whole
-    space against the larger :func:`golub_kahan_norm` of its two blocks, which converges when both
-    runs do, so no matrix outlives its iteration.
+    ``matrices(x)`` yields ``(curve name, GradedMatrix)`` pairs, each the window its gates read,
+    normed as it comes; the first curve's matrix at the first, middle and last x is also normed by
+    the larger :func:`golub_kahan_norm` of its two blocks, which converges when both runs do, and
+    the two norms must agree to 1e-8 relative, so no matrix outlives its iteration.
     """
     curves, runs, picks = {}, [], {0, len(xs) // 2, len(xs) - 1}
     for i, x in enumerate(xs):
         for name, m in matrices(x):
-            curves.setdefault(name, []).append(windowed_norm(m, rep, depth))
+            curves.setdefault(name, []).append(m.norm())
             if i in picks and name == next(iter(curves)):
                 (n0, ok0), (n1, ok1) = (golub_kahan_norm(b) for b in m.blocks)
-                runs.append((windowed_norm(m, rep, 0), max(n0, n1), ok0 and ok1))
-    worst = max((abs(a - b) / max(1.0, a) for a, b, _ in runs), default=0.0)
+                runs.append((curves[name][-1], max(n0, n1), ok0 and ok1))
+    worst = max((abs(a - b) / a if a else (math.inf if b else 0.0) for a, b, _ in runs), default=0.0)
     return curves, [Gate(f"norm cross-check (block norm vs Golub-Kahan, {len(runs)} samples)", worst, 1e-8),
                     Gate("Golub-Kahan converged on every sample", all(ok for *_, ok in runs))]
 
@@ -417,11 +411,11 @@ def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
                    {"relation-residual": values}, tol, gates, notes)
 
 
-def _commutator_suite(cfg: SweepConfig, suite_id: str, rep: OscillatorRep, matrices) -> VerificationReport:
+def _commutator_suite(cfg: SweepConfig, suite_id: str, matrices) -> VerificationReport:
     """Decay of the commutator curves ``matrices(t)`` yields, on the envelope and on each curve."""
     rel = cfg.tol if cfg.tol is not None else 0.25
     ts = cfg.t_grid
-    curves, crosscheck = _sweep(rep, ts, matrices)
+    curves, crosscheck = _sweep(ts, matrices)
     envelope = _envelope(curves)
     fit = decay_fit(ts, envelope)
     tol_abs = rel * envelope[0]
@@ -445,9 +439,9 @@ def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
         for h in hs:
             mh = multiplication_operator(rescale(h, t), rep.basis)
             for a, fa in fd.items():
-                yield f"[{a}(D/t),M_{h.name}]", graded_commutator(fa, mh)
+                yield f"[{a}(D/t),M_{h.name}]", graded_commutator(fa, mh, rep.window())
 
-    return _commutator_suite(cfg, "dirac-commutator", rep, matrices)
+    return _commutator_suite(cfg, "dirac-commutator", matrices)
 
 
 def suite_cd_commutator(cfg: SweepConfig) -> VerificationReport:
@@ -460,18 +454,20 @@ def suite_cd_commutator(cfg: SweepConfig) -> VerificationReport:
         for a, f in gens:
             fc = matrix_function(scale(f, t), rep.clifford)
             for b, gb in fd.items():
-                yield f"[{a}(C/t),{b}(D/t)]", graded_commutator(fc, gb)
+                yield f"[{a}(C/t),{b}(D/t)]", graded_commutator(fc, gb, rep.window())
 
-    return _commutator_suite(cfg, "cd-commutator", rep, matrices)
+    return _commutator_suite(cfg, "cd-commutator", matrices)
 
 
 def mehler_coefficients(s: float) -> tuple[float, float]:
-    """The factorization coefficients s1 = (cosh 2s - 1)/sinh 2s, s2 = sinh(2s)/2."""
+    """The factorization coefficients s1 = (cosh 2s - 1)/sinh 2s, s2 = sinh(2s)/2.
+
+    s1 is computed as tanh s, which it equals: the quotient loses every digit to
+    cancellation as s -> 0, where s1 - s is about -s^3/3.
+    """
     if not s > 0:
         raise ValueError("s must be positive")
-    s1 = (math.cosh(2 * s) - 1.0) / math.sinh(2 * s)
-    s2 = math.sinh(2 * s) / 2.0
-    return s1, s2
+    return math.tanh(s), math.sinh(2 * s) / 2.0
 
 
 def suite_mehler(cfg: SweepConfig) -> VerificationReport:
@@ -492,14 +488,16 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
         """exp(-a X^2) of an odd operator X."""
         return matrix_function(GradedFunction(lambda x: np.exp(-a * x * x), 0, "exp(-a x^2)"), op)
 
+    w = rep.window(depth)
+
     def matrices(s):
         s1, s2 = mehler_coefficients(s)
-        direct = matrix_function(GradedFunction(lambda x: np.exp(-s * x), None, "exp(-s x)"), rep.harmonic)
+        direct = matrix_function(GradedFunction(lambda x: np.exp(-s * x), None, "exp(-s x)"), rep.harmonic, w)
         ec, ed = heat(s1 / 2.0, rep.clifford), heat(s1 / 2.0, rep.dirac)
-        yield "c-outside", direct - ec @ heat(s2, rep.dirac) @ ec
-        yield "d-outside", direct - ed @ heat(s2, rep.clifford) @ ed
+        yield "c-outside", direct - window_product(w, ec, heat(s2, rep.dirac), ec)
+        yield "d-outside", direct - window_product(w, ed, heat(s2, rep.clifford), ed)
 
-    curves, crosscheck = _sweep(rep, MEHLER_S, matrices, depth)
+    curves, crosscheck = _sweep(MEHLER_S, matrices)
     envelope = _envelope(curves)
     # datapoints are ordered s descending: values must fall in stored order
     gates = [
@@ -525,6 +523,7 @@ def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
     """
     rep = oscillator_rep(cfg.dim, cfg.level)
     tol = cfg.tol if cfg.tol is not None else 1e-3
+    w = rep.window()
 
     def matrices(t):
         for xname, op in (("C", rep.clifford), ("D", rep.dirac)):
@@ -532,12 +531,12 @@ def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
                 defect = GradedFunction(
                     lambda x: np.exp(-coef / 2.0 * x * x) - np.exp(-(t ** -2) / 2.0 * x * x),
                     0, "exp(-coef/2 x^2) - exp(-t^-2/2 x^2)")
-                yield f"{xname}:{cname}", matrix_function(defect, op)
+                yield f"{xname}:{cname}", matrix_function(defect, op, w)
                 yield (f"{xname}:{cname}:weighted",
-                       matrix_function(GradedFunction(lambda x: x / t * defect(x), 1, "x/t defect"), op))
+                       matrix_function(GradedFunction(lambda x: x / t * defect(x), 1, "x/t defect"), op, w))
 
     ts = cfg.t_grid
-    curves, crosscheck = _sweep(rep, ts, matrices)
+    curves, crosscheck = _sweep(ts, matrices)
     envelope = _envelope(curves)
     # scalar sanity: the coefficient defect shrinks like t^-6
     t_ref = ts[-1]
@@ -569,18 +568,17 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
     rep = oscillator_rep(cfg.dim, cfg.level)
     u, v = gaussian(), x_gaussian()
     rel = cfg.tol if cfg.tol is not None else 1e-2
-
-    ub = None  # u(B/t) at the last t of the sweep, for the largest-t note
+    w = rep.window()
 
     def matrices(t):
-        nonlocal ub
-        ub = matrix_function(scale(u, t), rep.bott)
-        prod = matrix_function(scale(u, t), rep.clifford) @ matrix_function(scale(u, t), rep.dirac)
-        yield "gamma-u", ub - prod
-        yield "gamma-v", matrix_function(scale(v, t), rep.bott) - ((1 / t) * rep.bott) @ prod
+        # (u(C) u(D))_W = u(C)[W, :] u(D)[:, W], and (B u(C) u(D))_W = B[W, :] u(C) u(D)[:, W]
+        uc, ud = (matrix_function(scale(u, t), x) for x in (rep.clifford, rep.dirac))
+        yield "gamma-u", matrix_function(scale(u, t), rep.bott, w) - window_product(w, uc, ud)
+        yield "gamma-v", (matrix_function(scale(v, t), rep.bott, w)
+                          - (1 / t) * window_product(w, rep.bott, uc, ud))
 
     ts = cfg.t_grid
-    curves, crosscheck = _sweep(rep, ts, matrices)
+    curves, crosscheck = _sweep(ts, matrices)
     envelope = _envelope(curves)
     fit = decay_fit(ts, envelope)
 
@@ -610,7 +608,7 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
         f"matched nodes against u(C): {m_cut:.3e} (the simplex cut truncates C; rounding only at n=1)",
         f"converged quadrature against u(C): {m_conv_full:.3e} full, "
         f"{m_conv_win:.3e} on interior window (difference concentrates at the cut)",
-        f"largest-t norms: lhs {windowed_norm(ub, rep, 0):.6f} "
+        f"largest-t norms: lhs {matrix_function(scale(u, ts[-1]), rep.bott).norm():.6f} "
         "(tends to the kernel-projection-dominated limit)",
     ]
     return _report("composition-gamma", cfg.params_dict(), ts, curves, rel * envelope[0],
@@ -633,19 +631,16 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
     even, odd = (len(i) for i in rep.bott.index)
     g_vec = np.zeros(even)
     g_vec[0] = 1.0
+    w = rep.window()
     p = GradedMatrix.from_blocks(0, (np.outer(g_vec, g_vec), np.zeros((odd, odd))),
-                                 rep.bott.parity, rep.bott.index)
-
-    ub = vb = None  # u(B/s) and v(B/s) at the last s of the sweep, for the kernel gates
+                                 rep.bott.parity, rep.bott.index).window(w)
 
     def matrices(s):
-        nonlocal ub, vb
-        ub = matrix_function(scale(u, s), rep.bott)
-        vb = matrix_function(scale(v, s), rep.bott)
-        yield "u-to-projection", ub - p
-        yield "v-to-zero", vb
+        yield "u-to-projection", matrix_function(scale(u, s), rep.bott, w) - p
+        yield "v-to-zero", matrix_function(scale(v, s), rep.bott, w)
 
-    curves, crosscheck = _sweep(rep, S_GRID, matrices)
+    curves, crosscheck = _sweep(S_GRID, matrices)
+    ub, vb = (matrix_function(scale(f, S_GRID[-1]), rep.bott) for f in (u, v))
     envelope = _envelope(curves)
     # exact endpoint identities on the full space, at the last (smallest) s
     gates = [

@@ -199,6 +199,19 @@ def test_context_matrix_function_blocks_match_dense_product(name, f):
         assert np.abs(got - want).max() <= 1e-13, t
 
 
+@pytest.mark.parametrize("f", [gaussian(), x_gaussian()], ids=["even-f", "odd-f"])
+@pytest.mark.parametrize("name", ["harmonic", "bott"], ids=["even-X", "odd-X"])
+def test_matrix_function_on_a_window_is_the_window_of_the_full_route(name, f):
+    rep = oscillator_rep(2, 6)
+    x, w = getattr(rep, name), rep.window()
+    got = matrix_function(scale(f, 2.0), x, w)
+    want = matrix_function(scale(f, 2.0), x).window(w).blocks
+    assert np.array_equal(got.parity, rep.basis.parity()[rep.basis.interior_mask()])
+    for a, b in zip(got.blocks, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())
+
+
 def test_scale_composes_with_functional_calculus():
     rng = np.random.default_rng(3)
     t = _random_symmetric(rng, 6)

@@ -13,6 +13,7 @@ from bottlab.clifford import MultiVector, Signature, blade_parities, mv_multiply
 from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, x_gaussian
 from bottlab.graded import (
     GradedMatrix,
+    block_norm,
     flip_simple,
     flip_unitary,
     graded_commutator,
@@ -25,7 +26,7 @@ from bottlab.graded import (
     tensor_parity,
     tensor_product_witness,
 )
-from bottlab.oscillator import oscillator_rep
+from bottlab.oscillator import CliffFunction, multiplication_operator, oscillator_rep
 from bottlab.verify import windowed_norm
 from oracles import fsum
 
@@ -237,6 +238,39 @@ def test_graded_commutator_matches_dense_formula(seed, dim, kind, deg_a, deg_b):
     scale = (np.abs(a.mat) @ np.abs(b.mat) + np.abs(b.mat) @ np.abs(a.mat)).max()
     assert np.abs(got.mat - want).max() <= 1e-13 * scale
     assert np.array_equal(got.parity, par)
+
+
+@pytest.mark.parametrize("deg_b", [0, 1], ids=["b-even", "b-odd"])
+@pytest.mark.parametrize("deg_a", [0, 1], ids=["a-even", "a-odd"])
+def test_window_commutator_is_the_window_of_the_commutator(deg_a, deg_b, monkeypatch):
+    rep = oscillator_rep(2, 6)
+    par, w = rep.basis.parity(), rep.window()
+    rng = np.random.default_rng(2 * deg_a + deg_b)
+    a, b = (symmetric_operand(rng, par, d, from_blocks=True) for d in (deg_a, deg_b))
+    got = graded_commutator(a, b, w)
+    want = graded_commutator(a, b).window(w).blocks
+    assert got.degree == deg_a ^ deg_b
+    assert np.array_equal(got.parity, par[rep.basis.interior_mask()])
+    for x, y in zip(got.blocks, want):
+        assert x.shape == y.shape
+        assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
+    if deg_a ^ deg_b:
+        # [a, b]^T = -[a, b] for symmetric a and b of opposite degrees: block 1 is not formed
+        assert np.array_equal(got.blocks[1], -got.blocks[0].T)
+    norm, calls, eigvalsh = block_norm(want), [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    assert abs(got.norm() - norm) <= 1e-13 * norm
+    # and its norm is taken once
+    assert len(calls) == (1 if deg_a ^ deg_b else 2)
+
+
+def test_window_commutator_of_degree_1_rejects_a_non_symmetric_operand():
+    rep = oscillator_rep(2, 6)
+    # lambda(e1 e2) squares to -1 and is antisymmetric, and so is the multiplication operator
+    u = gaussian()
+    mh = multiplication_operator(CliffFunction(2, "e12", ((0b11, (u, u)),)), rep.basis)
+    with pytest.raises(ValueError, match="symmetric"):
+        graded_commutator(matrix_function(x_gaussian(), rep.dirac), mh, rep.window())
 
 
 # ---------------------------------------------------------------------------

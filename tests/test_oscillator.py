@@ -408,3 +408,17 @@ def test_compactness_profile_rejects_a_mixed_symbol():
 
 def test_oscillator_rep_is_cached():
     assert oscillator_rep(1, 8) is oscillator_rep(1, 8)
+
+
+def test_cached_quadrature_and_cayley_tables_are_read_only():
+    # both caches are shared by every later multiplication operator and Clifford product
+    from bottlab import clifford, oscillator
+
+    basis = HermiteBasis(1, 8)
+    h = named_symbols(1)[1]
+    before = multiplication_operator(h, basis).blocks
+    for a in (*oscillator._gh_nodes(2 * basis.level + 16), *clifford._tables(1, 0)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] += 1
+    after = multiplication_operator(h, basis).blocks
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
