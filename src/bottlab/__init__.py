@@ -10,6 +10,8 @@ reports), ``cli`` (command-line driver).
 
 __version__ = "0.1.0"
 
+import types
+
 from .clifford import (
     IsoWitness,
     MultiVector,
@@ -65,49 +67,6 @@ from .verify import (
     run_suite,
 )
 
-__all__ = [
-    "IsoWitness",
-    "MultiVector",
-    "Signature",
-    "algebra_isomorphism_check",
-    "left_mult_operator",
-    "mv_multiply",
-    "number_operator",
-    "regular_representation",
-    "twisted_right_mult_operator",
-    "DeltaCheck",
-    "GradedFunction",
-    "delta_via_xr_check",
-    "gaussian",
-    "matrix_function",
-    "scale",
-    "x_gaussian",
-    "GradedMatrix",
-    "flip_simple",
-    "flip_unitary",
-    "graded_commutator",
-    "graded_tensor",
-    "involution",
-    "iota",
-    "tensor_product_witness",
-    "CliffFunction",
-    "CompactnessProfile",
-    "HermiteBasis",
-    "OscillatorRep",
-    "SpectrumResult",
-    "b_squared_identity_check",
-    "clifford_operator",
-    "compactness_profile",
-    "dirac_operator",
-    "level_multiplicity",
-    "multiplication_operator",
-    "oscillator_rep",
-    "position_matrix",
-    "rescale",
-    "spectrum",
-    "SUITES",
-    "SweepConfig",
-    "VerificationReport",
-    "golub_kahan_norm",
-    "run_suite",
-]
+# every name imported above, and no submodule
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, types.ModuleType))

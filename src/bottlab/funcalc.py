@@ -57,64 +57,64 @@ def scale(f: GradedFunction, t: float) -> GradedFunction:
 class SpectralMatrix(GradedMatrix):
     """A read-only symmetric graded matrix of one degree, diagonalised at most once.
 
-    It copies and checks the two blocks of the matrix it is built from; threads
-    sharing it share one eigensolve, computed per parity block on first use.
+    It copies and checks the blocks of the matrix it is built from; threads
+    sharing it share one eigensolve, computed per label block on first use.
     """
 
     def __init__(self, g: GradedMatrix):
-        self._set_blocks(g.degree, tuple(np.array(b, dtype=float) for b in g.blocks), g.parity, g.index)
+        self._set_blocks(g.degree, tuple(np.array(b, dtype=float) for b in g.blocks), g.labels, g.index)
         _check_symmetric(self, "matrix functional calculus")
         self._lock, self._eig = threading.Lock(), None
 
     @property
     def eig(self) -> tuple:
-        """The per-parity eigensystem, read-only and computed once.
+        """The eigensystem per label block, read-only and computed once.
 
-        Even: ``((w_0, Q_0), (w_1, Q_1))`` with ``X[r, r] = Q_r diag(w_r) Q_r^T``.
-        Odd: ``(U, s, V)`` with ``X[0, 1] = U diag(s) V^T``, U and V square.
+        Even: ``(w_l, Q_l)`` for every label l, with ``X[l, l] = Q_l diag(w_l) Q_l^T``.  Odd:
+        ``(U, s, V)`` for every even label l, with ``X[l, l ^ 1] = U diag(s) V^T``, U and V square.
         """
         with self._lock:
             if self._eig is None:
-                x0, x1 = self.blocks
                 if self.degree == 0:
-                    self._eig = tuple(tuple(_frozen(a) for a in np.linalg.eigh(x)) for x in (x0, x1))
+                    eig = map(np.linalg.eigh, self.blocks)
                 else:
-                    u, s, vt = np.linalg.svd(x0)
-                    self._eig = (_frozen(u), _frozen(s), _frozen(vt.T))
+                    eig = ((u, s, vt.T) for u, s, vt in map(np.linalg.svd, self.blocks[::2]))
+                self._eig = tuple(tuple(_frozen(a) for a in e) for e in eig)
         return self._eig
 
 
 def matrix_function(f: GradedFunction, a: GradedMatrix, window: tuple = WHOLE) -> GradedMatrix:
-    """Apply f to a symmetric graded matrix through its per-parity eigensystem.
+    """Apply f to a symmetric graded matrix through its eigensystem per label block.
 
     Any matrix but a :class:`SpectralMatrix` is wrapped in one first.  Even:
-    ``Q_r f(w_r) Q_r^T`` per block, for any f.  Odd, with
-    ``X[0, 1] = U diag(s) V^T``: an even f gives ``U f(s) U^T`` and
-    ``V f(s) V^T`` (s padded with zeros), an odd f gives ``U f(s) V^T`` and
-    its transpose; f of no declared parity raises ``ValueError``.  With
-    ``window = (k0, k1)`` only ``P_W f(X) P_W`` is formed, as a matrix of the
-    window of the first k0 even and k1 odd basis vectors: every Q, U and V
-    above keeps its first k_r rows.
+    ``Q_l f(w_l) Q_l^T`` per block, for any f.  Odd, with
+    ``X[l, l ^ 1] = U diag(s) V^T`` for each even label l: an even f gives
+    ``U f(s) U^T`` and ``V f(s) V^T`` (s padded with zeros) as blocks l and
+    ``l ^ 1``, an odd f gives ``U f(s) V^T`` and its transpose, mirrored; f of
+    no declared parity raises ``ValueError``.  With ``window`` sizes only
+    ``P_W f(X) P_W`` is formed (:meth:`GradedMatrix.window`): every Q, U and V
+    above keeps the leading ``window[l]`` rows of its label l.
     """
     if not isinstance(a, SpectralMatrix):
         a = SpectralMatrix(a)
     if a.degree == 0:
-        return _on_window(a, window, 0, tuple((q[:k] * f(w)) @ q[:k].T for (w, q), k in zip(a.eig, window)))
+        return _on_window(a, window, 0, [(q[:window[r]] * f(w)) @ q[:window[r]].T for r, (w, q) in enumerate(a.eig)])
     if f.parity is None:
         raise ValueError(f"{f.name} has no declared parity, so of an odd matrix it has both degrees; "
                          "apply its even part and its odd part separately")
-    u, s, v = a.eig
-    m = len(s)
-    x = np.concatenate([s, np.zeros(max(len(u), len(v)) - m)])
-    fx, fm = f(x), f(-x)
-    u, v = u[:window[0]], v[:window[1]]
-    if f.parity == 0:
-        even = (fx + fm) / 2.0
-        blocks = ((u * even[:u.shape[1]]) @ u.T, (v * even[:v.shape[1]]) @ v.T)
-    else:
-        x01 = (u[:, :m] * (fx - fm)[:m] / 2.0) @ v[:, :m].T
-        blocks = (x01, x01.T)
-    return _on_window(a, window, f.parity, blocks)
+    blocks = [None] * len(a.index)
+    for r, (u, s, v) in zip(range(0, len(a.index), 2), a.eig):
+        m = len(s)
+        x = np.concatenate([s, np.zeros(max(len(u), len(v)) - m)])
+        fx, fm = f(x), f(-x)
+        u, v = u[:window[r]], v[:window[r ^ 1]]
+        if f.parity == 0:
+            even = (fx + fm) / 2.0
+            blocks[r], blocks[r ^ 1] = (u * even[:u.shape[1]]) @ u.T, (v * even[:v.shape[1]]) @ v.T
+        else:
+            blocks[r] = (u[:, :m] * (fx - fm)[:m] / 2.0) @ v[:, :m].T
+            blocks[r ^ 1] = blocks[r].T
+    return _on_window(a, window, f.parity, blocks, mirrored=f.parity == 1)
 
 
 @dataclass

@@ -1,7 +1,12 @@
-"""Z/2-graded matrices and the sign rules that come with them.
+"""Z/2-graded matrices, held as blocks between labelled sectors, and their sign rules.
 
-A graded matrix is an ordinary real matrix together with a parity bit per
-basis vector.  Tensor products pick up Koszul signs: on simple tensors,
+Every basis vector has a label ``l``: bit 0 is its parity, the bits above it
+its signs under further diagonal +-1 symmetries (the reflections ``R_2 ..
+R_n`` of the oscillator space; elsewhere the labels are the parities).  A
+matrix of degree d that commutes with them is zero outside its blocks
+``X[l, l ^ d]``, and every parity-block rule holds label by label.
+
+Tensor products pick up Koszul signs: on simple tensors,
 ``(a (x) b)(xi (x) eta) = (-1)^{deg b * deg xi} (a xi) (x) (b eta)``, which
 is what the column scaling in :func:`graded_tensor` implements.  All the
 sign laws here (commutators, involution, flip) reduce to that one rule.
@@ -17,18 +22,19 @@ from .clifford import MultiVector, Signature, blade_parities
 
 
 class GradedMatrix:
-    """A read-only square real matrix of one degree, with a 0/1 parity per basis index.
+    """A read-only square real matrix of one degree d, held as ``blocks[l] = X[l, l ^ d]``.
 
-    It is held as its degree d (0 if it preserves basis parity, 1 if it
-    reverses it) and its ``blocks = (X[0, d], X[1, 1 ^ d])``, where
-    ``X[r, c]`` collects the rows of parity r and the columns of parity c in
-    basis order; every other entry is zero.  Built from an array, it copies
-    the array's blocks, so a later write into the array does not reach it,
-    and raises ``ValueError`` when both degrees have a nonzero entry (the
-    zero matrix is even).  ``mat`` assembles a new read-only dense array on
-    each access, for oracles and small inputs.  Every array held is read-only
-    and no field can be rebound.  Products, sums of equal degrees, scalar
-    multiples, commutators and norms work on the blocks.
+    Block l maps the basis vectors of label ``l ^ d`` to those of label l, and
+    every other entry is zero; ``labels`` gives each basis index its label,
+    ``parity`` its bit 0, and ``index[l]`` the indices of label l in basis
+    order.  Built from an array and a parity vector, the labels are the
+    parities: it copies the array's two blocks, so a later write into the
+    array does not reach it, and raises ``ValueError`` when both degrees have
+    a nonzero entry (the zero matrix is even).  ``mat`` assembles a new
+    read-only dense array on each access, for oracles and small inputs.  Every
+    array held is read-only and no field can be rebound.  ``mirrored`` marks a
+    matrix of degree 1 whose blocks at odd labels are formed as plus or minus
+    the transposes of their partners; its norm skips them.
     """
 
     def __init__(self, mat, parity):
@@ -40,7 +46,7 @@ class GradedMatrix:
             raise ValueError("parity vector length must match matrix dimension")
         if np.any(parity > 1):
             raise ValueError("parities must be 0 or 1")
-        index = parity_index(parity)
+        index = label_index(parity, 2)
         split = [_split(mat, index, d) for d in (0, 1)]
         present = [d for d in (0, 1) if any(b.any() for b in split[d])]
         if len(present) > 1:
@@ -50,25 +56,26 @@ class GradedMatrix:
         self._set_blocks(degree, split[degree], parity, index)
 
     @staticmethod
-    def from_blocks(degree: int, blocks, parity, index=None) -> "GradedMatrix":
-        """The degree-d matrix with ``blocks = (X[0, d], X[1, 1 ^ d])``; ``index`` is
-        ``parity_index(parity)``, passed on by callers that hold it."""
+    def from_blocks(degree: int, blocks, labels, index=None, mirrored: bool = False) -> "GradedMatrix":
+        """The degree-d matrix with ``blocks[l] = X[l, l ^ d]``; ``index`` is
+        ``label_index(labels, len(blocks))``, passed on by callers that hold it."""
         out = object.__new__(GradedMatrix)
-        out._set_blocks(degree, blocks, parity, index)
+        out._set_blocks(degree, blocks, labels, index, mirrored)
         return out
 
-    def _set_blocks(self, degree: int, blocks, parity, index=None):
+    def _set_blocks(self, degree: int, blocks, labels, index=None, mirrored: bool = False):
         """Make this the matrix of :meth:`from_blocks`; the blocks are frozen, not copied."""
-        parity = _frozen(np.asarray(parity, dtype=np.uint8))
-        index = parity_index(parity) if index is None else index
+        labels = _frozen(np.asarray(labels, dtype=np.uint16))
+        index = label_index(labels, len(blocks)) if index is None else index
         for r, block in enumerate(blocks):
             if block.shape != (len(index[r]), len(index[r ^ degree])):
-                raise ValueError(f"block {r} has shape {block.shape}, which does not fit the parities")
-        self.degree, self.parity, self.index = degree, parity, index
+                raise ValueError(f"block {r} has shape {block.shape}, which does not fit the labels")
+        self.degree, self.labels, self.index, self.mirrored = degree, labels, index, mirrored
+        self.parity = _frozen((labels & 1).astype(np.uint8))
         self.blocks = tuple(_frozen(b) for b in blocks)
 
     def __setattr__(self, name, value):
-        if name in ("degree", "parity", "index", "blocks") and name in self.__dict__:
+        if name in ("degree", "labels", "parity", "index", "blocks", "mirrored") and name in self.__dict__:
             raise AttributeError(f"{name} of a graded matrix is set once, at construction")
         super().__setattr__(name, value)
 
@@ -85,13 +92,13 @@ class GradedMatrix:
         """The degree-p part as a matrix of its own: this matrix, or zero."""
         if p == self.degree:
             return self
-        zero = tuple(np.zeros((len(self.index[r]), len(self.index[r ^ p]))) for r in (0, 1))
-        return GradedMatrix.from_blocks(p, zero, self.parity, self.index)
+        zero = tuple(np.zeros((len(i), len(self.index[r ^ p]))) for r, i in enumerate(self.index))
+        return GradedMatrix.from_blocks(p, zero, self.labels, self.index)
 
     def _check_compatible(self, other: "GradedMatrix"):
-        if self.parity is other.parity:
+        if self.labels is other.labels:
             return
-        if len(self.parity) != len(other.parity) or np.any(self.parity != other.parity):
+        if len(self.labels) != len(other.labels) or np.any(self.labels != other.labels):
             raise ValueError("graded matrices live on different graded spaces")
 
     def _linear(self, other: "GradedMatrix", op) -> "GradedMatrix":
@@ -101,7 +108,7 @@ class GradedMatrix:
             raise ValueError(f"cannot add graded matrices of degrees {self.degree} and {other.degree}: "
                              "the result would have both; keep the two degrees as separate matrices")
         blocks = tuple(op(x, y) for x, y in zip(self.blocks, other.blocks))
-        return GradedMatrix.from_blocks(self.degree, blocks, self.parity, self.index)
+        return GradedMatrix.from_blocks(self.degree, blocks, self.labels, self.index)
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
         return self._linear(other, np.add)
@@ -114,21 +121,21 @@ class GradedMatrix:
 
     def __rmul__(self, scalar: float) -> "GradedMatrix":
         blocks = tuple(float(scalar) * b for b in self.blocks)
-        return GradedMatrix.from_blocks(self.degree, blocks, self.parity, self.index)
+        return GradedMatrix.from_blocks(self.degree, blocks, self.labels, self.index)
 
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
-        """Row block r of a degree-da by degree-db product is ``A[r, r^da] @ B[r^da, r^da^db]``."""
+        """Block l of a degree-da by degree-db product is ``A[l, l^da] @ B[l^da, l^da^db]``."""
         return window_product(WHOLE, self, other)
 
     def window(self, sizes: tuple) -> "GradedMatrix":
-        """``P_W X P_W`` as a matrix of the window W of the first ``sizes[0]`` even and ``sizes[1]``
-        odd basis vectors; its blocks are the leading parts of this matrix's blocks."""
+        """``P_W X P_W`` as a matrix of the window W of the first ``sizes[l]`` basis vectors of
+        every label l; its blocks are the leading parts of this matrix's blocks."""
         blocks = [b[:sizes[r], :sizes[r ^ self.degree]] for r, b in enumerate(self.blocks)]
         return _on_window(self, sizes, self.degree, blocks)
 
     def norm(self) -> float:
-        """Spectral norm: :func:`block_norm` of the two blocks."""
-        return block_norm(self.blocks)
+        """Spectral norm: :func:`block_norm` of the blocks, less the mirrored ones."""
+        return block_norm(self.blocks[::2] if self.mirrored else self.blocks)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -137,59 +144,68 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _split(mat: np.ndarray, index, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only blocks ``(X[0, d], X[1, 1 ^ d])`` of a dense matrix."""
-    return tuple(_frozen(mat.take(index[r], axis=0).take(index[r ^ degree], axis=1)) for r in (0, 1))
+def label_index(labels, count: int) -> tuple:
+    """The basis indices of every label ``0 .. count - 1``, each in basis order."""
+    return tuple(_frozen(np.flatnonzero(np.asarray(labels) == r)) for r in range(count))
+
+
+def _split(mat: np.ndarray, index, degree: int) -> tuple:
+    """The read-only blocks ``X[l, l ^ d]`` of a dense matrix."""
+    return tuple(_frozen(mat.take(i, axis=0).take(index[r ^ degree], axis=1)) for r, i in enumerate(index))
 
 
 def _assemble(degree: int, blocks, index) -> np.ndarray:
-    """The dense matrix holding ``blocks = (X[0, d], X[1, 1 ^ d])``, zero elsewhere."""
-    dim = len(index[0]) + len(index[1])
+    """The dense matrix holding ``blocks[l] = X[l, l ^ d]``, zero elsewhere."""
+    dim = sum(len(i) for i in index)
     out = np.zeros((dim, dim))
     for r, block in enumerate(blocks):
         out[np.ix_(index[r], index[r ^ degree])] = block
     return out
 
 
-WHOLE = (None, None)  # the window sizes that keep every basis vector: x[:None] is all of x
+class _Whole:
+    """The window sizes that keep every basis vector: ``x[:None]`` is all of x, whatever the label."""
+
+    def __getitem__(self, label):
+        return None
 
 
-def _on_window(g: GradedMatrix, sizes, degree: int, blocks) -> GradedMatrix:
-    """The degree-d matrix with ``blocks`` on the window of g's space that holds its first
-    ``sizes[0]`` even and ``sizes[1]`` odd basis vectors, in basis order."""
-    if all(k is None or k == len(i) for k, i in zip(sizes, g.index)):
-        return GradedMatrix.from_blocks(degree, blocks, g.parity, g.index)
-    keep = np.sort(np.concatenate([i[:k] for i, k in zip(g.index, sizes)]))
-    return GradedMatrix.from_blocks(degree, blocks, g.parity[keep])
+WHOLE = _Whole()
+
+
+def _on_window(g: GradedMatrix, sizes, degree: int, blocks, mirrored: bool = False) -> GradedMatrix:
+    """The degree-d matrix with ``blocks`` on the window of g's space that holds the first
+    ``sizes[l]`` basis vectors of every label l, in basis order."""
+    if all(sizes[r] in (None, len(i)) for r, i in enumerate(g.index)):
+        return GradedMatrix.from_blocks(degree, blocks, g.labels, g.index, mirrored)
+    keep = np.sort(np.concatenate([i[:sizes[r]] for r, i in enumerate(g.index)]))
+    return GradedMatrix.from_blocks(degree, blocks, g.labels[keep], None, mirrored)
 
 
 def _check_symmetric(g: GradedMatrix, what: str):
     """Raise ``ValueError`` unless g is symmetric to 1e-10 of its largest entry (at least 1)."""
     scale_ref = max(1.0, *(np.abs(b).max(initial=0.0) for b in g.blocks))
-    # block r is X[r, r ^ d], and its transpose is block r ^ d; for d = 1 the comparison of
-    # block 1 is the transpose of that of block 0
+    # the transpose of block l is block l ^ d; for d = 1 an odd label repeats its even partner
     asym = max(np.abs(b - g.blocks[r ^ g.degree].T).max(initial=0.0)
-               for r, b in enumerate(g.blocks[:2 - g.degree]))
+               for r, b in enumerate(g.blocks) if not r & g.degree)
     if asym > 1e-10 * scale_ref:
         raise ValueError(f"{what} requires a symmetric matrix")
 
 
 def block_norm(blocks) -> float:
-    """The largest singular value over the blocks; 0 for none.
+    """The largest singular value over the blocks, every one of them normed; 0 for none.
 
-    Each block's is ``s * sqrt(lambda_max(Y^T Y))`` with ``Y = X / s`` and
-    ``s = max |X|`` (the scaling keeps the Gram matrix clear of underflow),
-    using the Gram matrix on the shorter side and ``eigvalsh``, which is
-    cheaper than the SVD and as accurate for the largest singular value.
-    A block equal to plus or minus the transpose of an earlier one, as the odd
-    blocks of a symmetric or antisymmetric matrix are, is skipped.
+    Each nonzero block's is ``s * sqrt(lambda_max(Y^T Y))`` with ``Y = X / s``
+    and ``s = max |X|`` (the scaling keeps the Gram matrix clear of
+    underflow), using the Gram matrix on the shorter side and ``eigvalsh``,
+    which is cheaper than the SVD and as accurate for the largest singular
+    value.
     """
-    out, seen = 0.0, []
+    out = 0.0
     for x in blocks:
         s = float(np.abs(x).max(initial=0.0))
-        if s == 0.0 or any(np.array_equal(x, sign * y.T) for y in seen for sign in (1.0, -1.0)):
+        if s == 0.0:
             continue
-        seen.append(x)
         y = x / s
         gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
         out = max(out, s * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
@@ -197,7 +213,7 @@ def block_norm(blocks) -> float:
 
 
 def identity_like(g: GradedMatrix) -> GradedMatrix:
-    return GradedMatrix.from_blocks(0, tuple(np.eye(len(i)) for i in g.index), g.parity, g.index)
+    return GradedMatrix.from_blocks(0, tuple(np.eye(len(i)) for i in g.index), g.labels, g.index)
 
 
 def grading_signs(parity: np.ndarray) -> np.ndarray:
@@ -216,32 +232,27 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     The Koszul sign ``(-1)^{deg b * deg xi}`` only involves the degree of
     ``b`` and the parity of the first-leg basis vector, so it is absorbed by
     scaling the columns of the first factor before taking the Kronecker
-    product, which is split into its blocks at once.  The degrees add.
+    product, which is split into its parity blocks at once.  The degrees add.
     """
     left = a.mat * grading_signs(a.parity)[None, :] if b.degree else a.mat
     parity = tensor_parity(a.parity, b.parity)
-    degree, index = a.degree ^ b.degree, parity_index(parity)
+    degree, index = a.degree ^ b.degree, label_index(parity, 2)
     return GradedMatrix.from_blocks(degree, _split(np.kron(left, b.mat), index, degree), parity, index)
-
-
-def parity_index(parity) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the even and of the odd basis vectors, in basis order."""
-    p = np.asarray(parity)
-    return _frozen(np.flatnonzero(p == 0)), _frozen(np.flatnonzero(p == 1))
 
 
 def window_product(sizes: tuple, *factors: GradedMatrix) -> GradedMatrix:
     """``P_W f_1 .. f_m P_W`` for two or more factors, as a matrix of the window W of
-    :meth:`GradedMatrix.window`: block r is the row slab ``f_1[r, :][:k_r]`` times the
+    :meth:`GradedMatrix.window`: block l is the row slab ``f_1[l, :][:k_l]`` times the
     middle factors' blocks times the column slab ``f_m[:, c][:, :k_c]``."""
     for f in factors[1:]:
         factors[0]._check_compatible(f)
     degree = sum(f.degree for f in factors) & 1
-    return _on_window(factors[0], sizes, degree, [_window_block(factors, sizes, r) for r in (0, 1)])
+    blocks = [_window_block(factors, sizes, r) for r in range(len(factors[0].index))]
+    return _on_window(factors[0], sizes, degree, blocks)
 
 
 def _window_block(factors, sizes, r: int) -> np.ndarray:
-    """Block r of :func:`window_product`; ``p`` is the column parity of the partial product."""
+    """Block r of :func:`window_product`; ``p`` is the column label of the partial product."""
     first, *middle, last = factors
     out, p = first.blocks[r][:sizes[r]], r ^ first.degree
     for f in middle:
@@ -255,27 +266,28 @@ def graded_commutator(a: GradedMatrix, b: GradedMatrix, sizes: tuple = WHOLE) ->
     Odd-odd pairs get the anticommutator; everything else the plain
     commutator, block by block from :func:`window_product`'s slabs.  For
     symmetric a and b, ``[a, b]^T = -sign [a, b]``: a window of degree 1 forms
-    block 0 only, after checking that both operands are symmetric.
+    the blocks of the even labels only, after checking that both operands are
+    symmetric, and is mirrored.
     """
     sign = -1.0 if (a.degree and b.degree) else 1.0
     a._check_compatible(b)
-    one_block = sizes != WHOLE and a.degree != b.degree
+    one_block = sizes is not WHOLE and a.degree != b.degree
     for g in (a, b) if one_block else ():
         _check_symmetric(g, "a windowed commutator of degree 1")
-    blocks = [_window_block((a, b), sizes, r) - sign * _window_block((b, a), sizes, r)
-              for r in range(2 - one_block)]
+    formed = range(0, len(a.index), 1 + one_block)
+    blocks = {r: _window_block((a, b), sizes, r) - sign * _window_block((b, a), sizes, r) for r in formed}
     if one_block:
-        blocks.append(-sign * blocks[0].T)
-    return _on_window(a, sizes, a.degree ^ b.degree, blocks)
+        blocks.update({r ^ 1: -sign * blocks[r].T for r in formed})
+    return _on_window(a, sizes, a.degree ^ b.degree, [blocks[r] for r in range(len(a.index))], one_block)
 
 
 def involution(a: GradedMatrix) -> GradedMatrix:
     """The adjoint (transpose) as the *-operation on graded matrices.
 
-    Block r of the transpose is ``X[r ^ d, r]^T``, the transpose of block ``r ^ d``.
+    Block l of the transpose is ``X[l ^ d, l]^T``, the transpose of block ``l ^ d``.
     """
-    return GradedMatrix.from_blocks(a.degree, tuple(a.blocks[r ^ a.degree].T for r in (0, 1)),
-                                    a.parity, a.index)
+    return GradedMatrix.from_blocks(a.degree, tuple(a.blocks[r ^ a.degree].T for r in range(len(a.blocks))),
+                                    a.labels, a.index)
 
 
 def flip_simple(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:

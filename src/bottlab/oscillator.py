@@ -13,6 +13,12 @@ where lambda is left multiplication and rho~ the grading-twisted right
 multiplication.  The square B^2 = C^2 + D^2 + N holds exactly on the
 interior window (total level <= level - 2); outside it, truncation edge
 effects appear, which is why every spectral statement here is windowed.
+
+The reflection ``R_i = (-1)^{k_i} (x) lambda(e_i) rho~(e_i)``, the sign
+``(-1)^(k_i + b_i)`` of Hermite index k_i and blade bit b_i on axis i,
+commutes with C, D, N and the symbols' operators (the bump's breaks R_1), so
+every operator is held as ``2^n`` blocks of ``S = C(level + n, n)`` rows, on
+the labels of :meth:`HermiteBasis.labels`: parity and ``R_2 .. R_n`` signs.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from .clifford import (
     number_operator,
     twisted_right_mult_operator,
 )
-from .funcalc import GradedFunction, SpectralMatrix, matrix_function
-from .graded import GradedMatrix, _frozen, parity_index, window_product
+from .funcalc import GradedFunction, SpectralMatrix, matrix_function, scale
+from .graded import GradedMatrix, _frozen, label_index, window_product
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +141,17 @@ class HermiteBasis:
         """Blade parity of every full basis index."""
         return np.tile(blade_parities(self.sig), self.spatial_size)
 
-    def total_levels(self) -> np.ndarray:
-        """Total spatial level of every full basis index."""
-        per_m = np.array([sum(m) for m in self.mindices])
-        return np.repeat(per_m, self.blade_count)
+    def labels(self) -> np.ndarray:
+        """Label of every full basis index: bit 0 its parity, bit i >= 1 its R_(i+1) sign bit k + b mod 2."""
+        k = np.repeat(np.array(self.mindices), self.blade_count, axis=0)
+        blades = np.tile(np.arange(self.blade_count), self.spatial_size)
+        bits = (k + (blades[:, None] >> np.arange(self.dim))) & 1
+        bits[:, 0] = self.parity()
+        return (bits << np.arange(self.dim)).sum(axis=1)
 
     def interior_mask(self, depth: int = 2) -> np.ndarray:
-        """Boolean mask of states with total level <= level - depth."""
-        return self.total_levels() <= self.level - depth
+        """Boolean mask of the full basis indices with total level <= level - depth."""
+        return np.repeat([sum(m) <= self.level - depth for m in self.mindices], self.blade_count)
 
 
 @lru_cache(maxsize=None)
@@ -182,10 +191,9 @@ def axis_derivative(basis: HermiteBasis, axis: int) -> np.ndarray:
 class OscillatorRep:
     """Immutable operator context on one truncated basis.
 
-    C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: two
-    read-only parity blocks each, diagonalised per block at most once, on
-    first use, for every suite thread that shares the context.  ``windows``
-    holds the window sizes for every depth 0..level.
+    C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: one
+    read-only block per label each, diagonalised per block at most once, on
+    first use, for every suite thread that shares the context.
     """
 
     basis: HermiteBasis
@@ -194,32 +202,33 @@ class OscillatorRep:
     bott: SpectralMatrix      # supercharge B = C + D
     number: GradedMatrix      # blade number operator N
     harmonic: SpectralMatrix  # H = C^2 + D^2
-    windows: tuple            # depth -> (even, odd) window sizes
 
-    def window(self, depth: int = 2) -> tuple[int, int]:
-        """The numbers of even and of odd states of total level <= level - depth.
+    def window(self, depth: int = 2) -> tuple:
+        """The number of states of total level <= level - depth of every label.
 
-        The basis is ordered by total level, so inside a parity block of degree
-        d the window is the leading ``window[r]`` rows and ``window[r ^ d]``
-        columns of block r.
+        The basis is ordered by total level, so inside a matrix of degree d the
+        window is the leading ``window[l]`` rows and ``window[l ^ d]`` columns
+        of block l; each label holds one blade per spatial state.
         """
         if not 0 <= depth <= self.basis.level:
             raise ValueError(f"window depth must lie in 0..{self.basis.level}, got {depth}")
-        return self.windows[depth]
+        blades = self.basis.blade_count
+        return (int(np.count_nonzero(self.basis.interior_mask(depth))) // blades,) * blades
 
 
 def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms) -> GradedMatrix:
-    """The sum of ``kron(S, L)`` over ``terms = [(S, L), ..]``, every L of the given degree on the blades.
+    """The sum of ``kron(S, L)`` over ``terms = [(S, L), ..]``, every L of the given degree d.
 
-    The basis is spatial-major, so block r of ``kron(S, L)`` is
-    ``kron(S, L[blades of parity r, blades of parity r ^ d])``.
+    Entry ``((m, b), (m', b'))`` of ``kron(S, L)`` is ``S[m, m'] L[b, b']``, and label l holds one
+    blade ``b_l(m)`` per spatial state m, so block l is ``S * L[b_l, b_(l ^ d)]``; no entry between
+    other labels is formed, so every term must commute with ``R_2 .. R_n``.
     """
-    blades = parity_index(blade_parities(basis.sig))
-    blocks = None
-    for spatial, blade_op in terms:
-        term = [np.kron(spatial, blade_op[np.ix_(blades[r], blades[r ^ degree])]) for r in (0, 1)]
-        blocks = term if blocks is None else [x + y for x, y in zip(blocks, term)]
-    return GradedMatrix.from_blocks(degree, blocks, basis.parity())
+    labels = basis.labels()
+    index = label_index(labels, basis.blade_count)
+    blades = [i % basis.blade_count for i in index]
+    blocks = [sum(spatial * blade_op[np.ix_(blades[r], blades[r ^ degree])] for spatial, blade_op in terms)
+              for r in range(len(index))]
+    return GradedMatrix.from_blocks(degree, blocks, labels, index)
 
 
 def clifford_operator(basis: HermiteBasis) -> GradedMatrix:
@@ -245,13 +254,18 @@ def blade_number_operator(basis: HermiteBasis) -> GradedMatrix:
     return _spatial_blade_operator(basis, 0, [(np.eye(basis.spatial_size), number_operator(basis.sig))])
 
 
+def context_bytes(dim: int, level: int) -> int:
+    """The bytes of the context at (dim, level), from binomials: per label (2^dim of them, of
+    ``S = C(level + dim, dim)`` states), nine S x S arrays of doubles, the blocks of C, D, B, N and H
+    and the eigensystems of C, D, B (U and V per even label) and H (Q per label)."""
+    return 8 * 9 * (1 << dim) * math.comb(level + dim, dim) ** 2
+
+
 @lru_cache(maxsize=8)
 def _context(dim: int, level: int) -> OscillatorRep:
     basis = HermiteBasis(dim, level)
     c = clifford_operator(basis)
     d = dirac_operator(basis)
-    # every spatial state carries as many even blades as odd ones
-    sizes = [int(np.count_nonzero(basis.interior_mask(depth))) for depth in range(level + 1)]
     return OscillatorRep(
         basis,
         SpectralMatrix(c),
@@ -259,7 +273,6 @@ def _context(dim: int, level: int) -> OscillatorRep:
         SpectralMatrix(c + d),
         blade_number_operator(basis),
         SpectralMatrix(c @ c + d @ d),
-        tuple((size // 2, size // 2) for size in sizes),
     )
 
 
@@ -313,21 +326,20 @@ def _cluster(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
 
 
 def spectrum(rep: OscillatorRep) -> SpectrumResult:
-    """Interior-windowed eigenvalues of B^2 with multiplicities, one ``eigh`` per parity block.
+    """Interior-windowed eigenvalues of B^2 with multiplicities, one ``eigh`` per label block.
 
     Only eigenvalues up to the truncation level are reported: the interior
     block of B^2 is exactly diagonal, but levels near the cut have no room
     left for the full multiplet structure, so clusters above the window mix
     truncated and untruncated states.  ``kernel_overlap`` is the weight of
     the Gaussian ground state, the first even basis vector, in the lowest
-    eigenvector.
+    eigenvector.  The ground state is the first basis vector of label 0.
     """
-    blocks = window_product(rep.window(), rep.bott, rep.bott).blocks
-    (w0, q0), (w1, _) = (np.linalg.eigh(b) for b in blocks)
-    vals = np.sort(np.concatenate([w0, w1]))
+    ws, qs = zip(*(np.linalg.eigh(b) for b in window_product(rep.window(), rep.bott, rep.bott).blocks))
+    vals = np.sort(np.concatenate(ws))
     window = float(rep.basis.level)
     clusters = _cluster(vals[vals <= window + _CLUSTER_TOL], _CLUSTER_TOL)
-    overlap = float(abs(q0[0, 0]) / np.linalg.norm(q0[:, 0])) if w0[0] <= w1[0] else 0.0
+    overlap = float(abs(qs[0][0, 0]) / np.linalg.norm(qs[0][:, 0])) if ws[0][0] <= vals[0] else 0.0
     return SpectrumResult(vals, clusters, window, overlap)
 
 
@@ -358,7 +370,9 @@ class CliffFunction:
     asymptotic morphism, the Gaussian generator pair and a bump, all
     factor this way, and :func:`multiplication_operator` works from
     one-dimensional quadratures of the terms.  There is at least one term,
-    and all blades share one parity, so the values are even or odd.
+    and all blades share one parity, so the values are even or odd.  Every
+    ``g_i`` is a :class:`GradedFunction`; for i >= 2 its parity is
+    ``[e_i in blade]``, so the operator commutes with ``R_i``.
     """
 
     dim: int
@@ -372,6 +386,11 @@ class CliffFunction:
             if len(axis_fns) != self.dim:
                 raise ValueError(f"term on blade {blade} has {len(axis_fns)} axis functions, "
                                  f"expected {self.dim}")
+            for i, g in enumerate(axis_fns):
+                if not isinstance(g, GradedFunction) or (i and g.parity != blade >> i & 1):
+                    parity = f" of parity {blade >> i & 1}" if i else ""
+                    raise ValueError(f"symbol {self.name!r}: the function on axis {i + 1} of the term on blade "
+                                     f"{blade} must be a GradedFunction{parity}")
         if len({blade_parity(blade) for blade, _ in self.terms}) != 1:
             raise ValueError(f"symbol {self.name!r} needs terms on blades of one parity; "
                              "build one CliffFunction from its even terms and one from its odd terms")
@@ -383,11 +402,10 @@ class CliffFunction:
 
 
 def rescale(h: CliffFunction, t: float) -> CliffFunction:
-    """Flattened function v -> h(v / t); defined for t >= 1."""
+    """Flattened function v -> h(v / t); defined for t >= 1.  Every axis function keeps its parity."""
     if not t >= 1:
         raise ValueError(f"rescaling parameter must be >= 1, got {t}")
-    terms = tuple((blade, tuple((lambda x, g=g: g(x / t)) for g in axis_fns))
-                  for blade, axis_fns in h.terms)
+    terms = tuple((blade, tuple(scale(g, t) for g in axis_fns)) for blade, axis_fns in h.terms)
     return CliffFunction(h.dim, f"{h.name}@t={t:g}", terms)
 
 
@@ -423,9 +441,10 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     *is* evaluation at those eigenvalues.
 
     The Grams come from 1-D quadratures of the symbol's separable terms.
-    The blades all have the symbol's parity d, and the two blocks of the
-    degree-d result are the sums
-    ``kron(Gram_c, lambda(c)[rows of parity r, columns of parity r ^ d])``.
+    The blades all have the symbol's parity d, and block l of the degree-d
+    result is the sum of ``Gram_c * lambda(c)[b_l, b_(l ^ d)]`` over the
+    blades c (:func:`_spatial_blade_operator`); the parities the symbol
+    declares on axes 2..n keep it on those blocks.
     """
     if h.dim != basis.dim:
         raise ValueError(f"function dimension {h.dim} != basis dimension {basis.dim}")
@@ -456,7 +475,7 @@ def compactness_profile(f: GradedFunction, h: CliffFunction, rep: OscillatorRep,
     For vanishing-at-infinity symbols this product is a compact operator in
     the untruncated model; finitely many singular values above any
     threshold is the finite-dimensional shadow of that.  The product's
-    singular values are those of its two blocks.
+    singular values are those of its blocks.
     """
     blocks = (matrix_function(f, rep.bott) @ multiplication_operator(h, rep.basis)).blocks
     svals = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])

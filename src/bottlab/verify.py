@@ -58,6 +58,7 @@ from .oscillator import (
     _spatial_blade_operator,
     b_squared_identity_check,
     compactness_profile,
+    context_bytes,
     level_multiplicity,
     multiplication_operator,
     oscillator_rep,
@@ -77,6 +78,11 @@ NOISE_FLOOR = 1e-12
 
 DELTA_LEVELS = (12, 18, 24)
 
+# the largest context_bytes a configuration may need: report-all's peak RSS with two suite workers
+# was 76, 133, 542 and 932 MiB at (3,8), (4,6), (4,8) and (5,6), whose contexts take 15, 48, 269 and
+# 469 MiB, so about 60 MiB plus 1.9 times the context, and a run within this bound peaks near 2 GiB
+MEMORY_BUDGET = 1 << 30
+
 
 @dataclass
 class SweepConfig:
@@ -95,6 +101,14 @@ class SweepConfig:
             raise ValueError(f"dim must be <= {_MAX_TABLE_N}, the largest Clifford algebra tabulated")
         if self.level < 4:
             raise ValueError("levels must be >= 4")
+        need = context_bytes(self.dim, self.level)
+        if need > MEMORY_BUDGET:
+            fits = 3
+            while context_bytes(self.dim, fits + 1) <= MEMORY_BUDGET:
+                fits += 1
+            hint = f"the largest level that fits at dim {self.dim} is {fits}" if fits >= 4 else "no level fits"
+            raise ValueError(f"dim {self.dim}, levels {self.level} needs {need / 2**20:,.0f} MiB of operators, "
+                             f"over the memory budget of {MEMORY_BUDGET / 2**20:,.0f} MiB; {hint}")
         ts = tuple(float(t) for t in self.t_grid)
         if not all(math.isfinite(t) for t in ts):
             raise ValueError("t_grid values must be finite")
@@ -232,9 +246,10 @@ def golub_kahan_norm(a: np.ndarray, max_steps: int = 200) -> tuple[float, bool]:
 
 
 def windowed_norm(g: GradedMatrix, rep: OscillatorRep, depth: int = 2) -> float:
-    """Spectral norm of the window of total level <= level - depth (depth 0: the whole space): the
-    larger of those of its two blocks, the leading ``rep.window(depth)`` parts of g's blocks."""
-    return g.window(rep.window(depth)).norm()
+    """Spectral norm of the window of total level <= level - depth (depth 0: the whole space), from
+    the leading part of each of g's blocks that holds the window's states of its labels."""
+    mask = rep.basis.interior_mask(depth)
+    return g.window(tuple(int(np.count_nonzero(mask[i])) for i in g.index)).norm()
 
 
 def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
@@ -242,7 +257,7 @@ def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
 
     ``matrices(x)`` yields ``(curve name, GradedMatrix)`` pairs, each the window its gates read,
     normed as it comes; the first curve's matrix at the first, middle and last x is also normed by
-    the larger :func:`golub_kahan_norm` of its two blocks, which converges when both runs do, and
+    the largest :func:`golub_kahan_norm` of its blocks, which converges when every run does, and
     the two norms must agree to 1e-8 relative, so no matrix outlives its iteration.
     """
     curves, runs, picks = {}, [], {0, len(xs) // 2, len(xs) - 1}
@@ -250,8 +265,8 @@ def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
         for name, m in matrices(x):
             curves.setdefault(name, []).append(m.norm())
             if i in picks and name == next(iter(curves)):
-                (n0, ok0), (n1, ok1) = (golub_kahan_norm(b) for b in m.blocks)
-                runs.append((curves[name][-1], max(n0, n1), ok0 and ok1))
+                norms, converged = zip(*map(golub_kahan_norm, m.blocks))
+                runs.append((curves[name][-1], max(norms), all(converged)))
     worst = max((abs(a - b) / a if a else (math.inf if b else 0.0) for a, b, _ in runs), default=0.0)
     return curves, [Gate(f"norm cross-check (block norm vs Golub-Kahan, {len(runs)} samples)", worst, 1e-8),
                     Gate("Golub-Kahan converged on every sample", all(ok for *_, ok in runs))]
@@ -302,16 +317,11 @@ def _decay_gates(ts: Sequence[float], curves: dict, rel: float, fit: tuple | Non
 def shifted_bump(dim: int) -> CliffFunction:
     """Off-center Gaussian bump times the first generator (odd values).
 
-    exp(-|x - 0.8 e_1|^2) is a product of one Gaussian per axis.
+    exp(-|x - 0.8 e_1|^2) is a product of one Gaussian per axis; the one on
+    axis 1 has no parity, those on axes 2..n are the even generator u.
     """
-
-    def first(x):
-        return np.exp(-(x - 0.8) ** 2)
-
-    def other(x):
-        return np.exp(-x * x)
-
-    return CliffFunction(dim, "bump", ((1, (first,) + (other,) * (dim - 1)),))
+    first = GradedFunction(lambda x: np.exp(-(x - 0.8) ** 2), None, "exp(-(x-0.8)^2)")
+    return CliffFunction(dim, "bump", ((1, (first,) + (gaussian(),) * (dim - 1)),))
 
 
 def _gaussian_bott_map(dim: int, odd: bool) -> CliffFunction:
@@ -627,13 +637,12 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
     u, v = gaussian(), x_gaussian()
     tol = cfg.tol if cfg.tol is not None else 1e-6
 
-    # the ground state, the Gaussian times the scalar blade, is the first even basis vector
-    even, odd = (len(i) for i in rep.bott.index)
-    g_vec = np.zeros(even)
-    g_vec[0] = 1.0
+    # the ground state, the Gaussian times the scalar blade, is the first basis vector of label 0
+    blocks = [np.zeros((len(i),) * 2) for i in rep.bott.index]
+    blocks[0][0, 0] = 1.0
+    g_vec = blocks[0][:, 0].copy()
     w = rep.window()
-    p = GradedMatrix.from_blocks(0, (np.outer(g_vec, g_vec), np.zeros((odd, odd))),
-                                 rep.bott.parity, rep.bott.index).window(w)
+    p = GradedMatrix.from_blocks(0, blocks, rep.bott.labels, rep.bott.index).window(w)
 
     def matrices(s):
         yield "u-to-projection", matrix_function(scale(u, s), rep.bott, w) - p
@@ -647,7 +656,7 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
         Gate("envelope at the smallest s", envelope[-1], tol),
         Gate("envelope non-increasing as s falls",
              monotone_after(range(len(envelope)), envelope, start=0.0)),
-        # the images of the ground state: column 0 of the block with even columns
+        # the images of the ground state: column 0 of the blocks with label-0 columns
         Gate("kernel vector fixed by u(s^-1 B)", float(np.linalg.norm(ub.blocks[0][:, 0] - g_vec)), 1e-12),
         Gate("odd generator annihilates the kernel vector", float(np.linalg.norm(vb.blocks[1][:, 0])), 1e-12),
         *crosscheck,
@@ -737,7 +746,7 @@ def _conjugator(u: GradedMatrix):
             out *= signs[r][:, None]
             out *= signs[c][None, :]
             blocks.append(out)
-        return GradedMatrix.from_blocks(x.degree, blocks, x.parity, x.index)
+        return GradedMatrix.from_blocks(x.degree, blocks, x.labels, x.index)
     return conjugate
 
 

@@ -13,13 +13,15 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
 from bottlab import cli
-from bottlab.verify import SweepConfig
+from bottlab.oscillator import context_bytes
+from bottlab.verify import MEMORY_BUDGET, SweepConfig
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -77,6 +79,32 @@ def test_config_errors_exit_2(args, fragment, tmp_path, capsys):
     assert "Traceback" not in err
     assert "Warning" not in err
     assert not caught, [str(w.message) for w in caught]
+
+
+def test_a_config_over_the_memory_budget_exits_2_before_allocating(tmp_path, capsys):
+    # the guard computes from binomials: (10,4) would need 2^10 blocks of 1001^2, 70 GiB,
+    # and is refused at once, with the estimate
+    tracemalloc.start()
+    try:
+        code = run_cli(["report-all", "--dim", "10", "--levels", "4", "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: dim 10, levels 4 needs 70,453 MiB of operators" in err
+    assert "no level fits" in err
+    assert peak < 1 << 20, peak
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_memory_budget_admits_the_largest_level_it_names():
+    # (4,9) needs 9 * 8 bytes * 16 labels * 715^2 = 562 MiB and is accepted; (4,10) needs
+    # 1,101 MiB of the 1,024 MiB budget and is refused, naming 9 as the largest level at dim 4
+    assert context_bytes(4, 9) <= MEMORY_BUDGET < context_bytes(4, 10)
+    assert SweepConfig(dim=4, level=9).level == 9
+    with pytest.raises(ValueError, match="needs 1,101 MiB .* the largest level that fits at dim 4 is 9$"):
+        SweepConfig(dim=4, level=10)
 
 
 def test_out_naming_a_file_exits_2_before_any_suite_runs(tmp_path, capsys, monkeypatch):

@@ -20,12 +20,12 @@ def _context_arrays(rep) -> dict:
     ops = {"C": rep.clifford, "D": rep.dirac, "B": rep.bott, "N": rep.number, "H": rep.harmonic}
     arrays = {}
     for name, op in ops.items():
-        arrays[f"{name}.blocks0"], arrays[f"{name}.blocks1"] = op.blocks
+        arrays.update({f"{name}.blocks{r}": b for r, b in enumerate(op.blocks)})
+        arrays[f"{name}.labels"] = op.labels
         arrays[f"{name}.parity"] = op.parity
     for name in ("C", "D", "B", "H"):
-        eig = ops[name].eig  # ((w0, Q0), (w1, Q1)) when even, (U, s, V) when odd
-        flat = [a for part in eig for a in part] if ops[name].degree == 0 else list(eig)
-        arrays.update({f"eig{name}{i}": a for i, a in enumerate(flat)})
+        eig = ops[name].eig  # (w, Q) per label when even, (U, s, V) per even label when odd
+        arrays.update({f"eig{name}{i}": a for i, a in enumerate(a for part in eig for a in part)})
     return arrays
 
 
@@ -63,7 +63,7 @@ def test_context_fields_cannot_be_rebound():
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.clifford = rep.dirac
     # nor can the fields of an operator
-    for field in ("degree", "parity", "index", "blocks"):
+    for field in ("degree", "labels", "parity", "index", "blocks", "mirrored"):
         with pytest.raises(AttributeError, match="set once"):
             setattr(rep.clifford, field, getattr(rep.number, field))
 
@@ -93,10 +93,10 @@ def test_spectral_matrix_rejects_mixed_input():
 @pytest.mark.parametrize("dim,level", [(1, 6), (2, 5), (1, 12), (2, 10), (3, 6)])
 def test_window_is_a_leading_segment(dim, level):
     # the basis is sorted by total level, so the window is a leading slice of
-    # the full matrix, and inside each parity block it is the leading
-    # window[r] states
+    # the full matrix, and inside each label block it is the leading
+    # window[l] states
     rep = oscillator_rep(dim, level)
-    par = rep.basis.parity()
+    labels = rep.basis.labels()
     full = np.arange(rep.basis.size)
     m = np.add.outer(full, 1000 * full).astype(float)
     for depth in range(level + 1):
@@ -105,10 +105,11 @@ def test_window_is_a_leading_segment(dim, level):
         size = sum(window)
         assert np.array_equal(m[:size, :size], m[np.ix_(mask, mask)])
         assert size == np.count_nonzero(mask)
+        assert len(window) == 2 ** dim
         for p, count in enumerate(window):
-            in_window = np.flatnonzero(mask & (par == p))
+            in_window = np.flatnonzero(mask & (labels == p))
             assert count == len(in_window) > 0
-            assert np.array_equal(in_window, np.flatnonzero(par == p)[:count])
+            assert np.array_equal(in_window, np.flatnonzero(labels == p)[:count])
 
 
 def test_window_depth_is_range_checked():
@@ -126,26 +127,28 @@ def test_window_depth_is_range_checked():
 
 @pytest.mark.parametrize("suite,expected", [("cd-commutator", 2), ("dirac-commutator", 1)])
 def test_commutator_suites_diagonalise_each_operator_once(eigensolves, suite, expected):
-    # C and D are odd: one SVD of a parity block each
+    # ``expected`` odd operators, C and D: one SVD per even label each, 2^(n-1) = 2 at n = 2
     cfg = SweepConfig(dim=2, level=8, t_grid=tuple(np.geomspace(1.0, 16.0, 5)))
 
     def funcalc_solves():
         return [shape for caller, shape in eigensolves if caller == "bottlab.funcalc"]
 
     run_suite(suite, cfg)
-    assert len(funcalc_solves()) == expected
+    assert len(funcalc_solves()) == 2 * expected
     run_suite(suite, cfg)  # a second run reuses the context's spectra
-    assert len(funcalc_solves()) == expected
+    assert len(funcalc_solves()) == 2 * expected
 
 
 def test_suites_keep_the_context_on_parity_blocks(eigensolves):
-    # no eigensolve or SVD sees a full-size matrix, only parity blocks
+    # no eigensolve or SVD sees a full-size matrix, nor a parity block, only
+    # label blocks of S = C(K + n, n) rows
     cfg = SweepConfig(dim=2, level=6)
     for suite in SUITES:
         run_suite(suite, cfg)
-    size = oscillator_rep(2, 6).basis.size
-    assert [c for c in eigensolves if c[1][-2:] == (size, size)] == []
-    assert any(c[1][-2:] == (size // 2, size // 2) for c in eigensolves)
+    basis = oscillator_rep(2, 6).basis
+    size, s = basis.size, basis.spatial_size
+    assert [c for c in eigensolves if c[1][-2:] in ((size, size), (size // 2, size // 2))] == []
+    assert any(c[1][-2:] == (s, s) for c in eigensolves)
 
 
 def test_no_suite_assembles_a_matrix_of_the_oscillator_space(monkeypatch):

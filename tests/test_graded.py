@@ -22,7 +22,7 @@ from bottlab.graded import (
     identity_like,
     involution,
     iota,
-    parity_index,
+    label_index,
     tensor_parity,
     tensor_product_witness,
 )
@@ -243,32 +243,40 @@ def test_graded_commutator_matches_dense_formula(seed, dim, kind, deg_a, deg_b):
 @pytest.mark.parametrize("deg_b", [0, 1], ids=["b-even", "b-odd"])
 @pytest.mark.parametrize("deg_a", [0, 1], ids=["a-even", "a-odd"])
 def test_window_commutator_is_the_window_of_the_commutator(deg_a, deg_b, monkeypatch):
-    rep = oscillator_rep(2, 6)
-    par, w = rep.basis.parity(), rep.window()
-    rng = np.random.default_rng(2 * deg_a + deg_b)
-    a, b = (symmetric_operand(rng, par, d, from_blocks=True) for d in (deg_a, deg_b))
-    got = graded_commutator(a, b, w)
-    want = graded_commutator(a, b).window(w).blocks
-    assert got.degree == deg_a ^ deg_b
-    assert np.array_equal(got.parity, par[rep.basis.interior_mask()])
-    for x, y in zip(got.blocks, want):
-        assert x.shape == y.shape
-        assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
-    if deg_a ^ deg_b:
-        # [a, b]^T = -[a, b] for symmetric a and b of opposite degrees: block 1 is not formed
-        assert np.array_equal(got.blocks[1], -got.blocks[0].T)
-    norm, calls, eigvalsh = block_norm(want), [], np.linalg.eigvalsh
+    calls, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
-    assert abs(got.norm() - norm) <= 1e-13 * norm
-    # and its norm is taken once
-    assert len(calls) == (1 if deg_a ^ deg_b else 2)
+    for config in ((2, 6), (3, 4)):
+        rep = oscillator_rep(*config)
+        labels, w = rep.basis.labels(), rep.window()
+        rng = np.random.default_rng([*config, 2 * deg_a + deg_b])
+        a, b = (symmetric_operand(rng, labels, d, from_blocks=True, count=len(w)) for d in (deg_a, deg_b))
+        got = graded_commutator(a, b, w)
+        want = graded_commutator(a, b).window(w)
+        assert got.degree == deg_a ^ deg_b
+        assert np.array_equal(got.labels, labels[rep.basis.interior_mask()])
+        for x, y in zip(got.blocks, want.blocks):
+            assert x.shape == y.shape
+            assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
+        if deg_a ^ deg_b:
+            # [a, b]^T = -[a, b] for symmetric a and b of opposite degrees: the blocks of the odd
+            # labels are not formed
+            assert got.mirrored
+            for r in range(1, len(w), 2):
+                assert np.array_equal(got.blocks[r], -got.blocks[r ^ 1].T)
+        norm = np.linalg.norm(want.mat, 2)
+        calls.clear()
+        assert abs(got.norm() - norm) <= 1e-13 * norm
+        # one block is normed per label, or per sector (a pair of labels l, l ^ 1) when mirrored
+        assert len(calls) == len(w) // (2 if deg_a ^ deg_b else 1), config
+        assert abs(block_norm(want.blocks) - norm) <= 1e-13 * norm
+        assert len(calls) == len(w) * (3 if deg_a ^ deg_b else 4) // 2  # and then every block, once
 
 
 def test_window_commutator_of_degree_1_rejects_a_non_symmetric_operand():
     rep = oscillator_rep(2, 6)
     # lambda(e1 e2) squares to -1 and is antisymmetric, and so is the multiplication operator
     u = gaussian()
-    mh = multiplication_operator(CliffFunction(2, "e12", ((0b11, (u, u)),)), rep.basis)
+    mh = multiplication_operator(CliffFunction(2, "e12", ((0b11, (u, x_gaussian())),)), rep.basis)
     with pytest.raises(ValueError, match="symmetric"):
         graded_commutator(matrix_function(x_gaussian(), rep.dirac), mh, rep.window())
 
@@ -280,7 +288,7 @@ def test_window_commutator_of_degree_1_rejects_a_non_symmetric_operand():
 def block_held(rng, parity, degree):
     """A random matrix of the given degree held as its two blocks, and its
     dense matrix built here."""
-    index = parity_index(parity)
+    index = label_index(parity, 2)
     blocks = [rng.standard_normal((len(index[r]), len(index[r ^ degree]))) for r in (0, 1)]
     dense = np.zeros((len(parity),) * 2)
     for r in (0, 1):
@@ -332,18 +340,16 @@ def test_block_held_arithmetic_matches_dense(config, deg_a, deg_b):
         assert abs(windowed_norm(a, rep, depth) - norm) <= 1e-13 * norm, depth
 
 
-def symmetric_operand(rng, parity, degree, from_blocks):
-    """A random symmetric matrix of the given degree, built by from_blocks or
-    from its dense array."""
-    index = parity_index(parity)
-    x = rng.standard_normal((len(index[0]), len(index[degree])))
-    if degree == 0:
-        y = rng.standard_normal((len(index[1]),) * 2)
-        blocks = (x + x.T, y + y.T)
-    else:
-        blocks = (x, x.T)
-    m = GradedMatrix.from_blocks(degree, blocks, parity)
-    return m if from_blocks else GradedMatrix(m.mat.copy(), parity)
+def symmetric_operand(rng, labels, degree, from_blocks, count=2):
+    """A random symmetric matrix of the given degree on ``count`` labels, built
+    by from_blocks or from its dense array (which takes parities as labels)."""
+    index = label_index(labels, count)
+    blocks = [None] * count
+    for r in range(0, count, 1 + degree):
+        x = rng.standard_normal((len(index[r]), len(index[r ^ degree])))
+        blocks[r], blocks[r ^ degree] = (x + x.T, x + x.T) if degree == 0 else (x, x.T)
+    m = GradedMatrix.from_blocks(degree, blocks, labels)
+    return m if from_blocks else GradedMatrix(m.mat.copy(), labels)
 
 
 def assert_read_only(m):

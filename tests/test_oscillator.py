@@ -13,8 +13,15 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite as np_hermite
 
-from bottlab.clifford import blade_grade, blade_parities
-from bottlab.funcalc import gaussian, matrix_function, x_gaussian
+from bottlab.clifford import (
+    MultiVector,
+    blade_grade,
+    blade_parities,
+    left_mult_operator,
+    number_operator,
+    twisted_right_mult_operator,
+)
+from bottlab.funcalc import GradedFunction, gaussian, matrix_function, x_gaussian
 from bottlab.graded import GradedMatrix
 from bottlab.oscillator import (
     CliffFunction,
@@ -118,7 +125,7 @@ def test_basis_parity_and_levels():
     par = basis.parity()
     assert len(par) == basis.size
     assert np.array_equal(par[: basis.blade_count], blade_parities(basis.sig))
-    tot = basis.total_levels()
+    tot = np.repeat([sum(m) for m in basis.mindices], basis.blade_count)
     # the truncation variable is the spatial level; the blade factor is
     # complete and never truncated
     idx = basis.mindices.index((1, 2)) * basis.blade_count + 0b11
@@ -237,7 +244,7 @@ def test_spectrum_stable_under_level_increase():
 # ---------------------------------------------------------------------------
 
 def _constant(value: float, blade: int = 0) -> CliffFunction:
-    return CliffFunction(1, f"{value}", ((blade, (lambda x: np.full_like(x, value),)),))
+    return CliffFunction(1, f"{value}", ((blade, (GradedFunction(lambda x: np.full_like(x, value), 0, "c"),)),))
 
 
 def test_constant_symbol_gives_identity():
@@ -272,6 +279,70 @@ def test_multiplication_operator_node_convergence():
     m40 = multiplication_operator(h, basis, nodes=40).mat
     m80 = multiplication_operator(h, basis, nodes=80).mat
     assert np.abs(m40 - m80).max() <= 1e-7
+
+
+@pytest.mark.parametrize("dim,level", [(2, 6), (3, 4)])
+def test_reflections_are_exact_symmetries_of_the_operators(dim, level):
+    # R_i = (-1)^{k_i} (x) lambda(e_i) rho~(e_i) is diagonal, (-1)^(k_i + b_i) on the state with
+    # Hermite index k_i and blade bit b_i on axis i; it commutes exactly with C and D, and every
+    # operator is exactly zero outside the blocks between the sectors of R_2 .. R_n (the bump is
+    # shifted along axis 1 and breaks R_1 only)
+    rep = oscillator_rep(dim, level)
+    basis = rep.basis
+    blades, spatial = basis.blade_count, basis.spatial_size
+    k = np.array(basis.mindices)
+    b = np.tile(np.arange(blades), spatial)
+    gens = [MultiVector.generator(basis.sig, i + 1) for i in range(dim)]
+    signs = []
+    for i, e in enumerate(gens):
+        r = np.kron(np.diag((-1.0) ** k[:, i]), left_mult_operator(e) @ twisted_right_mult_operator(e))
+        assert np.array_equal(r, np.diag((-1.0) ** (np.repeat(k[:, i], blades) + (b >> i & 1))))
+        signs.append(np.diag(r))
+    sector = np.array(signs[1:]).T  # the signs of R_2 .. R_n of every state
+    same_sector = (sector[:, None, :] == sector[None, :, :]).all(axis=2)
+    par = basis.parity()
+    # the dense operators from their Kronecker sums, apart from the package's label blocks
+    dense = {
+        "C": sum(np.kron(axis_position(basis, i), left_mult_operator(e)) for i, e in enumerate(gens)),
+        "D": sum(np.kron(axis_derivative(basis, i), twisted_right_mult_operator(e)) for i, e in enumerate(gens)),
+        "N": np.kron(np.eye(spatial), number_operator(basis.sig)),
+    }
+    ops = {"C": rep.clifford, "D": rep.dirac, "N": rep.number,
+           **{f"M_{h.name}": multiplication_operator(h, basis) for h in named_symbols(dim)}}
+    for name, op in ops.items():
+        x = op.mat
+        if name in dense:
+            assert np.array_equal(x, dense[name]), name
+        else:
+            # the quadrature leaves rounding noise between sectors, which the blocks do not hold
+            want = grid_multiplication_operator(REFERENCE_COEFFS[name[2:]](dim), basis)
+            assert np.abs(x - want).max() <= 1e-13, name
+        for i, sign in enumerate(signs):
+            if name in ("C", "D"):
+                assert np.abs(sign[:, None] * x - x * sign[None, :]).max() == 0.0, (name, i + 1)
+        outside = ~same_sector | ((par[:, None] ^ par[None, :]) != op.degree)
+        assert not x[outside].any(), name
+
+
+def test_symbols_declare_their_parity_on_axes_2_to_n():
+    # every factor is a GradedFunction, and on every axis i >= 2 of the parity of [e_i in blade],
+    # so that the operator commutes with R_i; the one on axis 1 may have none
+    u, v = gaussian(), x_gaussian()
+    with pytest.raises(ValueError, match="axis 2 of the term on blade 2 must be a GradedFunction of parity 1"):
+        CliffFunction(2, "u on e2", ((0b10, (u, u)),))
+    assert CliffFunction(2, "v on e2", ((0b10, (u, v)),)).parity == 1
+    with pytest.raises(ValueError, match="axis 3 .* parity 0"):
+        CliffFunction(3, "v off e3", ((0b001, (u, u, v)),))
+    with pytest.raises(ValueError, match="axis 2 .* parity 0"):
+        CliffFunction(2, "undeclared", ((0, (u, lambda x: np.exp(-x * x))),))
+    with pytest.raises(ValueError, match="axis 1 of the term on blade 0 must be a GradedFunction$"):
+        CliffFunction(2, "plain", ((0, (lambda x: np.exp(-x * x), u)),))
+    shifted = GradedFunction(lambda x: np.exp(-(x - 1.0) ** 2), None, "shifted")
+    free = CliffFunction(2, "free axis 1", ((0b10, (shifted, v)),))
+    flat = rescale(free, 4.0)
+    assert isinstance(flat.terms[0][1][1], GradedFunction) and flat.terms[0][1][1].parity == 1
+    pts = np.array([[0.3, -1.7]])
+    assert np.allclose(symbol_values(flat, pts), symbol_values(free, pts / 4.0), rtol=1e-15)
 
 
 def test_odd_symbol_gives_exactly_odd_operator():
@@ -332,7 +403,7 @@ def test_mixed_symbol_is_the_sum_of_its_parts():
     # matrices, to the grid operator of the whole symbol
     basis = HermiteBasis(1, 8)
     const = _constant(2.5)
-    odd = CliffFunction(1, "odd", ((1, (lambda x: np.exp(-x * x),)),))
+    odd = CliffFunction(1, "odd", ((1, (gaussian(),)),))
     with pytest.raises(ValueError, match="one parity"):
         CliffFunction(1, "both", const.terms + odd.terms)
     parts = [multiplication_operator(h, basis) for h in (const, odd)]
@@ -360,7 +431,7 @@ def test_cliff_function_rejects_blades_outside_the_algebra():
         CliffFunction(2, "far", ((9, (u, u)),))
     with pytest.raises(ValueError, match="blade -1"):
         CliffFunction(2, "negative", ((-1, (u, u)),))
-    assert CliffFunction(2, "top", ((3, (u, u)),)).parity == 0
+    assert CliffFunction(2, "top", ((3, (u, x_gaussian())),)).parity == 0
 
 
 def test_rescale_flattens_and_validates():

@@ -285,7 +285,7 @@ def _symbol_product_1d(h1: CliffFunction, h2: CliffFunction) -> CliffFunction:
     The product of blades b1, b2 is the blade b1 ^ b2 with sign +1, since
     e1^2 = 1, so each pair of terms gives one term.
     """
-    terms = tuple((b1 ^ b2, (lambda x, f=g1, g=g2: f(x) * g(x),))
+    terms = tuple((b1 ^ b2, (GradedFunction(lambda x, f=g1, g=g2: f(x) * g(x), None, "product"),))
                   for b1, (g1,) in h1.terms for b2, (g2,) in h2.terms)
     return CliffFunction(1, f"{h1.name}*{h2.name}", terms)
 
@@ -331,7 +331,10 @@ def test_sweep_config_validation_messages():
         SweepConfig(dim=0, level=8)
     with pytest.raises(ValueError, match="dim must be <= 10"):
         SweepConfig(dim=11, level=8)
-    assert SweepConfig(dim=10, level=4).dim == 10
+    # the largest Clifford algebra tabulated, but its 1024 labels of 1001 states are over the memory budget
+    with pytest.raises(ValueError, match="dim 10, levels 4 needs .* no level fits"):
+        SweepConfig(dim=10, level=4)
+    assert SweepConfig(dim=7, level=4).dim == 7
     with pytest.raises(ValueError, match="levels must be >= 4"):
         SweepConfig(dim=1, level=3)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -516,6 +519,9 @@ def test_known_failures_trip_one_named_gate(suite, config, gate):
 VERDICT_FAILURES = {
     (2, 10): set(),
     (3, 6): {"composition-gamma", "mehler"},
+    # at n = 4 the commutator curves peak after t = 1, so two final/initial ratios pass 0.25;
+    # composition-gamma's ratios fail at every n >= 3 and mehler's window is too shallow at K = 4
+    (4, 4): {"cd-commutator", "composition-gamma", "dirac-commutator", "mehler"},
 }
 
 
@@ -565,7 +571,7 @@ def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
     k = rep.window(config[1] - max(2, config[1] // 3) if suite == "mehler" else 2)
     assert normed
     for m in normed:
-        assert [b.shape for b in m.blocks] == [(k[r], k[r ^ m.degree]) for r in (0, 1)]
+        assert [b.shape for b in m.blocks] == [(k[r], k[r ^ m.degree]) for r in range(len(k))]
         assert len(m.parity) == sum(k)
 
 
