@@ -79,7 +79,8 @@ def _config_from_args(args) -> SweepConfig:
         raise ValueError("t-max must exceed t-min")
     if args.t_points < 2:
         raise ValueError("t-points must be >= 2")
-    t_grid = tuple(float(t) for t in np.geomspace(args.t_min, args.t_max, args.t_points))
+    with np.errstate(over="ignore"):  # near the largest double only the endpoint overflows, and it is set exactly
+        t_grid = tuple(float(t) for t in np.geomspace(args.t_min, args.t_max, args.t_points))
     return SweepConfig(dim=args.dim, level=args.levels, t_grid=t_grid, tol=args.tol)
 
 
@@ -120,10 +121,8 @@ def _atomic_write(path: str, data: str):
 
 
 def _csv_text(report) -> str:
-    lines = ["suite,curve,t,value"]
-    for suite, curve, t, v in report.csv_rows():
-        lines.append(f'{suite},"{curve}",{t!r},{v!r}')
-    return "\n".join(lines) + "\n"
+    rows = (f'{suite},"{curve}",{t!r},{v!r}' for suite, curve, t, v in report.csv_rows())
+    return "\n".join(["suite,curve,t,value", *rows]) + "\n"
 
 
 def run(command: str, args) -> int:

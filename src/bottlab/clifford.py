@@ -190,12 +190,7 @@ class MultiVector:
         return MultiVector(self.sig, self.coeffs * float(other))
 
     def __repr__(self):
-        terms = [
-            f"{c:+g}*{blade_label(int(m))}"
-            for m, c in enumerate(self.coeffs)
-            if c != 0.0
-        ]
-        body = " ".join(terms) if terms else "0"
+        body = " ".join(f"{c:+g}*{blade_label(int(m))}" for m, c in enumerate(self.coeffs) if c != 0.0) or "0"
         return f"MultiVector[{self.sig.p},{self.sig.q}]({body})"
 
 
@@ -262,6 +257,13 @@ def regular_representation(sig: Signature) -> list[np.ndarray]:
     return [left_mult_operator(MultiVector.generator(sig, i)) for i in range(1, sig.n + 1)]
 
 
+def matrix_relation_residual(mats: list[np.ndarray], sig: Signature) -> float:
+    """Largest entry of ``g_i g_j + g_j g_i - 2 [i = j] e_i^2`` over matrices g_i of the generators of sig."""
+    squares = [2.0 * sig.square_sign(i + 1) * np.eye(len(g)) for i, g in enumerate(mats)]
+    return max((float(np.abs(gi @ gj + gj @ gi - (squares[i] if i == j else 0.0)).max())
+                for i, gi in enumerate(mats) for j, gj in enumerate(mats)), default=0.0)
+
+
 def blade_square_sign(mask: int, sig: Signature) -> int:
     """Sign of (blade)^2: (-1)^{k(k-1)/2} times the product of generator squares."""
     k = blade_grade(mask)
@@ -282,23 +284,14 @@ class IsoWitness:
     notes: str = ""
 
     def image_labels(self) -> list[str]:
-        return [
-            "+".join(
-                f"{c:+g}*{blade_label(int(m))}" for m, c in enumerate(g.coeffs) if c
-            )
-            for g in self.images
-        ]
+        return ["+".join(f"{c:+g}*{blade_label(int(m))}" for m, c in enumerate(g.coeffs) if c) for g in self.images]
 
 
 def _relation_residual(images: list[MultiVector], sig_from: Signature) -> float:
     """Max deviation of the images from the target anticommutation relations."""
-    worst = 0.0
-    for i, gi in enumerate(images):
-        for j, gj in enumerate(images):
-            anti = mv_multiply(gi, gj) + mv_multiply(gj, gi)
-            target = MultiVector.scalar(gi.sig, 2.0 * sig_from.square_sign(i + 1)) if i == j else MultiVector.zero(gi.sig)
-            worst = max(worst, (anti - target).norm())
-    return worst
+    return max(((mv_multiply(gi, gj) + mv_multiply(gj, gi)
+                 - MultiVector.scalar(gi.sig, 2.0 * sig_from.square_sign(i + 1) if i == j else 0.0)).norm()
+                for i, gi in enumerate(images) for j, gj in enumerate(images)), default=0.0)
 
 
 def algebra_isomorphism_check(sig_from: Signature, sig_into: Signature) -> IsoWitness:

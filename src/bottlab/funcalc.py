@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import WHOLE, GradedMatrix, _check_symmetric, _frozen, _on_window, block_norm, graded_tensor, identity_like
+from .graded import (WHOLE, GradedMatrix, _check_symmetric, _frozen, _on_window, block_norm, graded_tensor,
+                     identity_like, tensor_pairs)
 
 
 @dataclass
@@ -163,7 +164,8 @@ def delta_via_xr_check(level: int) -> DeltaCheck:
     diff_v = matrix_function(v, xt) - graded_tensor(ux, vx) - graded_tensor(vx, ux)
     # the odd generator is graded on the interior window, the even one globally
     interior = np.arange(level + 1) <= level - 2
-    mask = [np.kron(interior, interior).astype(bool)[i] for i in xt.index]  # per parity block
+    i, j = tensor_pairs(xg.parity, xg.parity)
+    mask = [(interior[i] & interior[j])[k] for k in xt.index]  # per parity block
     residual_v = block_norm(x[np.ix_(mask[r], mask[r ^ diff_v.degree])] for r, x in enumerate(diff_v.blocks))
     radius = float(np.abs(np.linalg.eigvalsh(x)).max())
     return DeltaCheck(level, residual_u, residual_v, radius)

@@ -7,18 +7,22 @@ matrix of degree d that commutes with them is zero outside its blocks
 ``X[l, l ^ d]``, and every parity-block rule holds label by label.
 
 Tensor products pick up Koszul signs: on simple tensors,
-``(a (x) b)(xi (x) eta) = (-1)^{deg b * deg xi} (a xi) (x) (b eta)``, which
-is what the column scaling in :func:`graded_tensor` implements.  All the
-sign laws here (commutators, involution, flip) reduce to that one rule.
+``(a (x) b)(xi (x) eta) = (-1)^{deg b * deg xi} (a xi) (x) (b eta)``, the
+sign :func:`graded_tensor` puts on the first factor's odd columns.  All the
+sign laws here (commutators, involution, flip) reduce to that one rule.  The
+tensor space's basis is ordered by parity, then by the parity of the first
+leg, then a-major (:func:`tensor_pairs`), so each parity block of ``a (x) b``
+is two Kronecker products of the factors' own parity blocks.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .clifford import MultiVector, Signature, blade_parities
+from .clifford import MultiVector, Signature, blade_parities, matrix_relation_residual, regular_representation
 
 
 class GradedMatrix:
@@ -221,23 +225,55 @@ def grading_signs(parity: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(parity, dtype=float)
 
 
+@lru_cache(maxsize=16)
+def _tensor_layout(pa: bytes, pb: bytes) -> tuple:
+    """``(i, j, labels, index)`` of the tensor space of factors of parities pa, pb (as bytes):
+    :func:`tensor_pairs`, the parities as labels, and their ``label_index``."""
+    pa, pb = np.frombuffer(pa, dtype=np.uint8), np.frombuffer(pb, dtype=np.uint8)
+    i, j = np.divmod(np.arange(len(pa) * len(pb)), len(pb))  # a-major, then sorted stably
+    order = np.argsort(4 * (pa[i] ^ pb[j]) + 2 * pa[i], kind="stable")
+    labels = _frozen((pa[i] ^ pb[j])[order].astype(np.uint16))
+    return _frozen(i[order]), _frozen(j[order]), labels, label_index(labels, 2)
+
+
+def tensor_pairs(pa: np.ndarray, pb: np.ndarray) -> tuple:
+    """The factor indices ``(i, j)`` of every basis vector ``xi_i (x) eta_j`` of the tensor space,
+    read-only and shared between calls.  The basis is ordered by parity, then by the parity of
+    ``xi_i``, then a-major: the vectors of parity r whose first leg has parity s are the pairs of
+    a parity-s ``xi_i`` and a parity-``s ^ r`` ``eta_j``, a-major, in one run."""
+    return _tensor_layout(*(np.asarray(p, dtype=np.uint8).tobytes() for p in (pa, pb)))[:2]
+
+
 def tensor_parity(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Parity vector of the tensor product space, a-major ordering."""
-    return (np.asarray(pa, dtype=np.uint8)[:, None] ^ np.asarray(pb, dtype=np.uint8)[None, :]).ravel()
+    """Parity vector of the tensor product space, in the order of :func:`tensor_pairs`."""
+    i, j = tensor_pairs(pa, pb)
+    return np.asarray(pa, dtype=np.uint8)[i] ^ np.asarray(pb, dtype=np.uint8)[j]
 
 
 def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """Graded tensor product of graded matrices (a-major basis ordering).
+    """Graded tensor product of graded matrices, on the basis of :func:`tensor_pairs`.
 
-    The Koszul sign ``(-1)^{deg b * deg xi}`` only involves the degree of
-    ``b`` and the parity of the first-leg basis vector, so it is absorbed by
-    scaling the columns of the first factor before taking the Kronecker
-    product, which is split into its parity blocks at once.  The degrees add.
+    In block r, the rows whose first leg has parity s meet only the columns whose first
+    leg has parity ``t = s ^ deg a``, and there the block is the Kronecker product of the
+    factors' parity blocks ``a[s, t]`` and ``b[s ^ r, s ^ r ^ deg b]``, negated by the
+    Koszul sign ``(-1)^{deg b * deg xi}`` when b and the column leg xi are odd.  Each
+    product is written in place into its slice of the block, so nothing the size of the
+    whole tensor space is formed.  The degrees add.
     """
-    left = a.mat * grading_signs(a.parity)[None, :] if b.degree else a.mat
-    parity = tensor_parity(a.parity, b.parity)
-    degree, index = a.degree ^ b.degree, label_index(parity, 2)
-    return GradedMatrix.from_blocks(degree, _split(np.kron(left, b.mat), index, degree), parity, index)
+    a, b = (g if len(g.index) == 2 else GradedMatrix(g.mat, g.parity).parity_part(g.degree) for g in (a, b))
+    _, _, labels, index = _tensor_layout(a.parity.tobytes(), b.parity.tobytes())
+    degree, blocks = a.degree ^ b.degree, []
+    for r in (0, 1):
+        out = np.zeros((len(index[r]), len(index[r ^ degree])))
+        for s in (0, 1):
+            t, x, y = s ^ a.degree, a.blocks[s], b.blocks[s ^ r]
+            x = -x if b.degree and t else x
+            row, col = s * len(a.index[0]) * len(b.index[r]), t * len(a.index[0]) * len(b.index[r ^ degree])
+            (m, n), (p, q) = x.shape, y.shape
+            view = out[row:row + m * p, col:col + n * q].reshape(m, p, n, q)
+            np.multiply(x[:, None, :, None], y[None, :, None, :], out=view)
+        blocks.append(out)
+    return GradedMatrix.from_blocks(degree, blocks, labels, index)
 
 
 def window_product(sizes: tuple, *factors: GradedMatrix) -> GradedMatrix:
@@ -302,12 +338,15 @@ def flip_unitary(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Signed permutation implementing xi (x) eta -> (-1)^{deg xi deg eta} eta (x) xi.
 
     Conjugation by this matrix carries ``graded_tensor(a, b)`` on the (a, b)
-    ordering to ``flip_simple(a, b)`` on the (b, a) ordering.
+    basis to ``flip_simple(a, b)`` on the (b, a) basis, each ordered as
+    :func:`tensor_pairs` orders it: column p, the vector ``xi_i (x) eta_j``,
+    has its one entry in the row of ``eta_j (x) xi_i``.
     """
     pa, pb = np.asarray(pa, dtype=np.uint8), np.asarray(pb, dtype=np.uint8)
-    i, j = np.divmod(np.arange(len(pa) * len(pb)), len(pb))  # xi_i (x) eta_j, a-major
+    (i, j), (jb, ib) = tensor_pairs(pa, pb), tensor_pairs(pb, pa)
+    row = np.argsort(jb * len(pa) + ib)[j * len(pa) + i]  # the position of eta_j (x) xi_i in the (b, a) basis
     out = np.zeros((len(i), len(i)))
-    out[j * len(pa) + i, i * len(pb) + j] = 1.0 - 2.0 * (pa[i] & pb[j])
+    out[row, np.arange(len(i))] = 1.0 - 2.0 * (pa[i] & pb[j])
     return out
 
 
@@ -332,39 +371,17 @@ def tensor_product_witness(sig1: Signature, sig2: Signature):
     relations.  Returns (generators, max relation residual, spanned
     dimension).
     """
-    from .clifford import left_mult_operator  # local to keep module deps one-way
-
-    sig = Signature(sig1.p + sig2.p, sig1.q + sig2.q)
     par1, par2 = blade_parities(sig1), blade_parities(sig2)
-    id1 = GradedMatrix(np.eye(sig1.blade_count), par1)
-    id2 = GradedMatrix(np.eye(sig2.blade_count), par2)
-
-    def image(factor: int, i: int) -> GradedMatrix:
-        if factor == 0:
-            g = GradedMatrix(left_mult_operator(MultiVector.generator(sig1, i)), par1)
-            return graded_tensor(g, id2)
-        g = GradedMatrix(left_mult_operator(MultiVector.generator(sig2, i)), par2)
-        return graded_tensor(id1, g)
-
-    gens: list[GradedMatrix] = []
-    for sign in (+1, -1):
-        for factor, s in ((0, sig1), (1, sig2)):
-            for i in range(1, s.n + 1):
-                if s.square_sign(i) == sign:
-                    gens.append(image(factor, i))
-
-    dim = sig1.blade_count * sig2.blade_count
+    id1, id2 = (GradedMatrix(np.eye(len(p)), p) for p in (par1, par2))
+    lift = (lambda g: graded_tensor(GradedMatrix(g, par1), id2), lambda g: graded_tensor(id1, GradedMatrix(g, par2)))
+    gens = [lift[f](g) for sign in (+1, -1) for f, s in enumerate((sig1, sig2))
+            for i, g in enumerate(regular_representation(s), 1) if s.square_sign(i) == sign]
     mats = [g.mat for g in gens]
-    worst = 0.0
-    for i, gi in enumerate(mats):
-        for j, gj in enumerate(mats):
-            target = 2.0 * sig.square_sign(i + 1) * np.eye(dim) if i == j else 0.0
-            worst = max(worst, float(np.abs(gi @ gj + gj @ gi - target).max()))
+    worst = matrix_relation_residual(mats, Signature(sig1.p + sig2.p, sig1.q + sig2.q))
 
     # span of all products of generator subsets = dimension of the image algebra
-    prods = [np.eye(dim)]
+    prods = [np.eye(sig1.blade_count * sig2.blade_count)]
     for g in mats:
         prods += [p @ g for p in prods]
-    stack = np.stack([p.ravel() for p in prods])
-    spanned = int(np.linalg.matrix_rank(stack, tol=1e-9))
+    spanned = int(np.linalg.matrix_rank(np.stack([p.ravel() for p in prods]), tol=1e-9))
     return gens, worst, spanned

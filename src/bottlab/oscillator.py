@@ -350,10 +350,7 @@ def level_multiplicity(dim: int, half_eigenvalue: int) -> int:
     sum_d  C(dim, d) * C(m - d + dim - 1, dim - 1).
     """
     m = half_eigenvalue
-    total = 0
-    for d in range(0, min(dim, m) + 1):
-        total += math.comb(dim, d) * math.comb(m - d + dim - 1, dim - 1)
-    return total
+    return sum(math.comb(dim, d) * math.comb(m - d + dim - 1, dim - 1) for d in range(min(dim, m) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .clifford import (
     MultiVector,
     Signature,
     algebra_isomorphism_check,
+    matrix_relation_residual,
     mv_multiply,
     regular_representation,
 )
@@ -48,6 +49,7 @@ from .graded import (
     identity_like,
     involution,
     iota,
+    tensor_pairs,
     tensor_parity,
     tensor_product_witness,
     window_product,
@@ -82,6 +84,9 @@ DELTA_LEVELS = (12, 18, 24)
 # was 76, 133, 542 and 932 MiB at (3,8), (4,6), (4,8) and (5,6), whose contexts take 15, 48, 269 and
 # 469 MiB, so about 60 MiB plus 1.9 times the context, and a run within this bound peaks near 2 GiB
 MEMORY_BUDGET = 1 << 30
+# the largest level whose default 2 * level + 16 Gauss-Hermite nodes have finite weights: hermgauss's
+# weights are all 0 at 371 nodes and NaN from 372 on, where every multiplication operator reads NaN
+MAX_QUADRATURE_LEVEL = 177
 
 
 @dataclass
@@ -101,6 +106,9 @@ class SweepConfig:
             raise ValueError(f"dim must be <= {_MAX_TABLE_N}, the largest Clifford algebra tabulated")
         if self.level < 4:
             raise ValueError("levels must be >= 4")
+        if self.level > MAX_QUADRATURE_LEVEL:
+            raise ValueError(f"levels {self.level} needs {2 * self.level + 16} Gauss-Hermite nodes, whose weights "
+                             f"overflow; the largest level that works is {MAX_QUADRATURE_LEVEL}")
         need = context_bytes(self.dim, self.level)
         if need > MEMORY_BUDGET:
             fits = 3
@@ -160,12 +168,8 @@ class VerificationReport:
 
     def csv_rows(self) -> list:
         """(suite, curve, t, value) rows, one per curve per grid point."""
-        rows = []
         ts = [t for t, _ in self.datapoints]
-        for name in sorted(self.curves):
-            for t, v in zip(ts, self.curves[name]):
-                rows.append((self.suite, name, t, v))
-        return rows
+        return [(self.suite, name, t, v) for name in sorted(self.curves) for t, v in zip(ts, self.curves[name])]
 
 
 @dataclass(frozen=True)
@@ -352,13 +356,7 @@ def named_symbols(dim: int) -> tuple[CliffFunction, CliffFunction, CliffFunction
 def _mehler_default_tol(level: int) -> float:
     # truncation error of the factorization shrinks with the level; these
     # bounds are calibrated on the deep observation window used below
-    if level >= 18:
-        return 1e-6
-    if level >= 16:
-        return 1e-5
-    if level >= 13:
-        return 1e-4
-    return 1e-3
+    return next(tol for lowest, tol in ((18, 1e-6), (16, 1e-5), (13, 1e-4), (0, 1e-3)) if level >= lowest)
 
 
 def suite_spectrum(cfg: SweepConfig) -> VerificationReport:
@@ -394,18 +392,8 @@ def suite_spectrum(cfg: SweepConfig) -> VerificationReport:
 def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
     """Generator relations at low rank plus two explicit embedding witnesses."""
     tol = cfg.tol if cfg.tol is not None else 1e-10
-    values = []
-    for n in range(1, 6):
-        worst = 0.0
-        for p in range(n + 1):
-            sig = Signature(p, n - p)
-            gens = regular_representation(sig)
-            eye = np.eye(sig.blade_count)
-            for i, gi in enumerate(gens):
-                for j, gj in enumerate(gens):
-                    target = 2.0 * sig.square_sign(i + 1) * eye if i == j else 0.0
-                    worst = max(worst, float(np.abs(gi @ gj + gj @ gi - target).max()))
-        values.append(worst)
+    sigs = [[Signature(p, n - p) for p in range(n + 1)] for n in range(1, 6)]
+    values = [max(matrix_relation_residual(regular_representation(sig), sig) for sig in row) for row in sigs]
 
     wit = algebra_isomorphism_check(Signature(8, 0), Signature(4, 4))
     _, worst2, span2 = tensor_product_witness(Signature(1, 0), Signature(1, 0))
@@ -731,20 +719,22 @@ def _largest_entry(g: GradedMatrix) -> float:
 def _conjugator(u: GradedMatrix):
     """x -> u @ x @ u.T for an even signed permutation matrix u, block by block, by indexing.
 
-    Block r of the product is ``u[r, r] x[r, c] u[c, c]^T`` with ``c = r ^ deg x``; each of
-    its entries is one entry of x times two signs, so the result equals the matrix product
-    exactly.
+    Block (r, c) of the product is ``u[r, r] x[r, c] u[c, c]^T``; each of its entries is one
+    entry of x times two signs, so the result equals the matrix product exactly.  The flat
+    position in ``x[r, c]`` and the sign of every entry are taken once per pair of labels,
+    and a conjugation is one ``take`` and one in-place multiply per block.
     """
     perms = [np.abs(b).argmax(axis=1) for b in u.blocks]
     signs = [b[np.arange(len(p)), p] for b, p in zip(u.blocks, perms)]
+    gather = {(r, c): perms[r][:, None] * len(perms[c]) + perms[c][None, :] for r, c in np.ndindex(2, 2)}
+    sign = {(r, c): signs[r][:, None] * signs[c][None, :] for r, c in np.ndindex(2, 2)}
 
     def conjugate(x: GradedMatrix) -> GradedMatrix:
         blocks = []
         for r, b in enumerate(x.blocks):
             c = r ^ x.degree
-            out = b[np.ix_(perms[r], perms[c])]
-            out *= signs[r][:, None]
-            out *= signs[c][None, :]
+            out = np.take(b, gather[r, c])
+            out *= sign[r, c]
             blocks.append(out)
         return GradedMatrix.from_blocks(x.degree, blocks, x.labels, x.index)
     return conjugate
@@ -796,9 +786,10 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
     sub = SweepConfig(dim=1, level=level, t_grid=cfg.t_grid)
     hs = named_symbols(1)
 
-    # the grading operator on the tensor square, as the diagonal of its matrix, restricted to
-    # the even and to the odd basis vectors
-    gam = [np.tile(grading_signs(par), rep.basis.size)[i] for i in swap.index]
+    # the grading operator 1 (x) gamma on the tensor square, as the diagonal of its matrix (the sign
+    # of each basis vector's second leg), restricted to the even and to the odd basis vectors
+    second = grading_signs(par)[tensor_pairs(par, par)[1]]
+    gam = [second[i] for i in swap.index]
 
     def flip_route_residual(a: GradedMatrix, b: GradedMatrix, grading: bool) -> float:
         """Both routes to the flip of ``a (x) b``; with ``grading`` (for an even second leg,
@@ -832,13 +823,9 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
     iota_worst = 0.0
     for sig in (Signature(2, 0), Signature(1, 1), Signature(2, 1)):
         for _ in range(8):
-            m1 = MultiVector(sig, rng.standard_normal(sig.blade_count))
-            m2 = MultiVector(sig, rng.standard_normal(sig.blade_count))
-            lhs = iota(mv_multiply(m1, m2))
-            rhs = mv_multiply(iota(m1), iota(m2))
-            iota_worst = max(iota_worst, (lhs - rhs).norm())
-            back = iota(iota(m1))
-            iota_worst = max(iota_worst, (back - m1).norm())
+            m1, m2 = (MultiVector(sig, rng.standard_normal(sig.blade_count)) for _ in range(2))
+            iota_worst = max(iota_worst, (iota(mv_multiply(m1, m2)) - mv_multiply(iota(m1), iota(m2))).norm(),
+                             (iota(iota(m1)) - m1).norm())
 
     gates = [
         Gate("two assembly routes agree at every t", [val for c in curves.values() for val in c], tol),

@@ -6,22 +6,28 @@ observable. One subprocess test runs the ``bottlab`` entry point declared in
 runs the ``bottlab`` executable found on PATH, needs the package installed.
 """
 
+import contextlib
 import importlib.metadata
+import io
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bottlab import cli
-from bottlab.oscillator import context_bytes
-from bottlab.verify import MEMORY_BUDGET, SweepConfig
+from bottlab import cli, oscillator
+from bottlab.oscillator import context_bytes, hermite_rows
+from bottlab.verify import MAX_QUADRATURE_LEVEL, MEMORY_BUDGET, SweepConfig
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -67,6 +73,10 @@ def test_invalid_dim_exits_2(tmp_path, capsys):
     (["spectrum", "--dim", "11", "--levels", "4"], "dim must be <= 10"),
     # t^-2 underflows to 0, which s1s2-asymptotics would pass on as a time s > 0
     (["mehler", "--t-max", "1e200"], "t_grid values must keep t^-2 > 0"),
+    # np.geomspace overflows computing an endpoint this close to the largest double
+    (["mehler", "--t-max", "1.7976931348622103e308"], "t_grid values must keep t^-2 > 0"),
+    # the default Gauss-Hermite weights overflow above the quadrature cap
+    (["spectrum", "--levels", "178"], "levels 178 needs 372 Gauss-Hermite nodes"),
 ])
 def test_config_errors_exit_2(args, fragment, tmp_path, capsys):
     # pytest would hold back a warning from stderr, so record warnings as well
@@ -105,6 +115,70 @@ def test_the_memory_budget_admits_the_largest_level_it_names():
     assert SweepConfig(dim=4, level=9).level == 9
     with pytest.raises(ValueError, match="needs 1,101 MiB .* the largest level that fits at dim 4 is 9$"):
         SweepConfig(dim=4, level=10)
+
+
+def test_the_quadrature_cap_is_the_largest_level_with_a_finite_gram():
+    # at the cap, the default 2K + 16 Gauss-Hermite nodes integrate the Hermite rows to the identity
+    # to rounding; one level above, hermgauss's weights overflow to NaN, and the config refuses that
+    # level, naming the cap, before any context is built
+    def gram(level):
+        with np.errstate(all="ignore"):
+            x, w = np.polynomial.hermite.hermgauss(2 * level + 16)
+            rows = hermite_rows(level, x)
+            return (rows * w) @ rows.T
+
+    at_cap = gram(MAX_QUADRATURE_LEVEL)
+    assert np.isfinite(at_cap).all()
+    assert np.abs(at_cap - np.eye(MAX_QUADRATURE_LEVEL + 1)).max() < 1e-13
+    assert not np.isfinite(gram(MAX_QUADRATURE_LEVEL + 1)).all()
+    built = oscillator._context.cache_info().misses
+    assert SweepConfig(level=MAX_QUADRATURE_LEVEL).level == MAX_QUADRATURE_LEVEL
+    with pytest.raises(ValueError, match=f"the largest level that works is {MAX_QUADRATURE_LEVEL}$"):
+        SweepConfig(level=MAX_QUADRATURE_LEVEL + 1)
+    assert oscillator._context.cache_info().misses == built
+
+
+def _bad_config():
+    """CLI arguments with one bad setting among good ones: a value out of range, one that
+    argparse cannot parse, or a (dim, levels) pair over the memory budget."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    junk = st.sampled_from(["x", "", "1.5e", "--"])
+    bad = st.one_of(
+        st.tuples(st.just("--dim"), st.integers(max_value=0) | st.integers(11, 10**9) | junk),
+        st.tuples(st.just("--levels"), st.integers(max_value=3) | st.integers(MAX_QUADRATURE_LEVEL + 1, 10**9)
+                  | junk),
+        st.tuples(st.just("--t-min"), st.floats(max_value=1.0, exclude_max=True) | junk),
+        st.tuples(st.just("--t-max"), st.floats(min_value=1e163) | st.just(math.nan) | junk),  # t^-2 is 0 or NaN
+        st.tuples(st.just("--t-points"), st.integers(max_value=1) | junk),
+        st.tuples(st.just("--t-max"), floats.filter(lambda t: t <= 1.0)),  # not above the default t-min
+    )
+    over_budget = st.tuples(st.integers(4, 10), st.integers(30, MAX_QUADRATURE_LEVEL)).map(
+        lambda dl: ["--dim", str(dl[0]), "--levels", str(dl[1])])
+    return st.tuples(st.sampled_from(sorted(cli.SUBCOMMANDS)),
+                     bad.map(lambda kv: [kv[0], str(kv[1])]) | over_budget)
+
+
+@given(_bad_config())
+@settings(max_examples=150, deadline=None)
+def test_a_bad_config_exits_2_with_one_error_line_and_runs_nothing(case):
+    command, args = case
+    ran, err = [], io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        mp.setattr(cli, "run_suite", lambda *a: ran.append(a))
+        out = os.path.join(tmp, "out")
+        try:
+            code = run_cli([command, *args, "--out", out])
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+        made = os.path.exists(out)
+    lines = err.getvalue().splitlines()
+    assert code == 2, (args, lines)
+    assert sum("error:" in line for line in lines) == 1, lines
+    assert "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert ran == [] and not made
 
 
 def test_out_naming_a_file_exits_2_before_any_suite_runs(tmp_path, capsys, monkeypatch):
@@ -274,6 +348,13 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])
     assert exc.value.code == 0
+
+
+def test_python_dash_m_bottlab_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "bottlab", "--version"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("bottlab ")
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

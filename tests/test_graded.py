@@ -5,6 +5,8 @@ the flip, and the graded commutator must satisfy the textbook sign laws
 exactly, or everything downstream silently computes the wrong object.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from bottlab.graded import (
     involution,
     iota,
     label_index,
+    tensor_pairs,
     tensor_parity,
     tensor_product_witness,
 )
@@ -36,15 +39,25 @@ def random_parity(rng, dim):
     return p
 
 
-def random_homogeneous(rng, parity, op_parity):
+def random_homogeneous(rng, parity, op_parity, integer=False):
     """Random matrix supported on the blocks of the given operator parity.
 
     Built from its array; when those blocks are empty the array is zero,
-    which is even, so the zero matrix of the asked degree is returned.
+    which is even, so the zero matrix of the asked degree is returned.  With
+    ``integer`` the entries are small integers, whose products are exact.
     """
     dim = len(parity)
     mask = (parity[:, None] ^ parity[None, :]) == op_parity
-    return GradedMatrix(rng.standard_normal((dim, dim)) * mask, parity).parity_part(op_parity)
+    draw = rng.integers(-9, 10, (dim, dim)) if integer else rng.standard_normal((dim, dim))
+    return GradedMatrix(draw * mask, parity).parity_part(op_parity)
+
+
+def tensor_position(pa, pb):
+    """The position of ``x_i (x) y_j`` in the basis of graded_tensor, indexed ``[i, j]``."""
+    i, j = tensor_pairs(pa, pb)
+    where = np.empty((len(pa), len(pb)), dtype=int)
+    where[i, j] = np.arange(len(i))
+    return where
 
 
 def parity_vector(rng, dim, kind):
@@ -127,6 +140,7 @@ def test_graded_matrix_validation():
 def test_graded_tensor_action_law(seed):
     # defining property on basis vectors:
     #   (a (x) b)(x_j (x) y_l) = (-1)^{deg b * deg x_j} (a x_j) (x) (b y_l)
+    # where x_j (x) y_l sits at the position tensor_pairs gives it
     rng = np.random.default_rng(seed)
     da, db = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     pa, pb = random_parity(rng, da), random_parity(rng, db)
@@ -134,13 +148,66 @@ def test_graded_tensor_action_law(seed):
     opb = int(rng.integers(0, 2))
     b = random_homogeneous(rng, pb, opb)
     tp = graded_tensor(a, b)
+    where = tensor_position(pa, pb)
+    assert np.array_equal(np.sort(where.ravel()), np.arange(da * db))
     for j in range(da):
         for l in range(db):
-            vec = np.kron(np.eye(da)[j], np.eye(db)[l])
+            vec = np.eye(da * db)[where[j, l]]
             sign = (-1.0) ** (opb * int(pa[j]))
-            expected = sign * np.kron(a.mat[:, j], b.mat[:, l])
+            expected = np.zeros(da * db)
+            expected[where] = sign * np.outer(a.mat[:, j], b.mat[:, l])
             assert np.allclose(tp.mat @ vec, expected)
     assert np.array_equal(tp.parity, tensor_parity(pa, pb))
+    assert np.array_equal(tp.parity[where], pa[:, None] ^ pb[None, :])
+
+
+def unequal_parity(rng, dim):
+    """A shuffled parity vector with one class larger than the other, as in delta-xr's
+    level-12 factor (7 even and 6 odd states)."""
+    p = np.zeros(dim, dtype=np.uint8)
+    p[:int(rng.integers(0, dim + 1))] = 1
+    if 2 * int(p.sum()) == dim:
+        p[0] ^= 1
+    return rng.permutation(p)
+
+
+def test_graded_tensor_is_the_koszul_kron_on_the_basis_of_tensor_pairs():
+    # every entry is the one product kron(a . (-1)^{deg b * deg xi} on columns, b) makes, so
+    # the two agree exactly once the dense product is permuted to the basis of tensor_pairs
+    rng = np.random.default_rng(17)
+    dims = [(13, 13), (7, 4), (1, 6), (5, 1), (22, 22)]
+    for da, db in dims:
+        pa, pb = unequal_parity(rng, da), unequal_parity(rng, db)
+        i, j = tensor_pairs(pa, pb)
+        flat = i * db + j
+        for p1 in (0, 1):
+            for p2 in (0, 1):
+                a = random_homogeneous(rng, pa, p1)
+                b = random_homogeneous(rng, pb, p2)
+                left = a.mat * grading_signs(pa)[None, :] if p2 else a.mat
+                dense = np.kron(left, b.mat)[np.ix_(flat, flat)]
+                tp = graded_tensor(a, b)
+                assert tp.degree == p1 ^ p2
+                assert np.array_equal(tp.mat, dense), (da, db, p1, p2)
+                assert np.array_equal(tp.parity, (pa[:, None] ^ pb[None, :]).ravel()[flat])
+
+
+def test_graded_tensor_forms_no_dense_matrix_of_the_tensor_space():
+    # two 22-state factors: their tensor space has 484 states, and one dense 484 x 484 array
+    # (1.87 MB) is more than the traced peak of forming the product from the parity blocks
+    rng = np.random.default_rng(18)
+    par = unequal_parity(rng, 22)
+    a = random_homogeneous(rng, par, 1)
+    b = random_homogeneous(rng, par, 0)
+    graded_tensor(a, b)  # the basis layout is cached once per pair of parity vectors
+    tracemalloc.start()
+    try:
+        tp = graded_tensor(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tp.parity) == 484
+    assert peak < 484 * 484 * 8, peak
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -164,16 +231,25 @@ def test_graded_tensor_multiplication_law(seed):
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_graded_tensor_associative(seed):
+    # the two bracketings order the basis differently; after the fixed permutation that
+    # matches their vectors x_i (x) y_j (x) z_k, they agree exactly on integer entries
     rng = np.random.default_rng(seed)
     dims = [int(rng.integers(1, 9)) for _ in range(3)]
     pars = [random_parity(rng, d) for d in dims]
-    a = random_homogeneous(rng, pars[0], int(rng.integers(0, 2)))
-    b = random_homogeneous(rng, pars[1], int(rng.integers(0, 2)))
-    c = random_homogeneous(rng, pars[2], int(rng.integers(0, 2)))
-    lhs = graded_tensor(graded_tensor(a, b), c)
-    rhs = graded_tensor(a, graded_tensor(b, c))
-    assert np.array_equal(lhs.parity, rhs.parity)
-    assert np.allclose(lhs.mat, rhs.mat, atol=1e-12)
+    a, b, c = (random_homogeneous(rng, p, int(rng.integers(0, 2)), integer=True) for p in pars)
+    ab, bc = graded_tensor(a, b), graded_tensor(b, c)
+    lhs, rhs = graded_tensor(ab, c), graded_tensor(a, bc)
+    # the flat index of x_i (x) y_j (x) z_k at every position of either basis
+    p, k = tensor_pairs(ab.parity, pars[2])
+    i, j = tensor_pairs(pars[0], pars[1])
+    left = (i[p] * dims[1] + j[p]) * dims[2] + k
+    i, q = tensor_pairs(pars[0], bc.parity)
+    j, k = tensor_pairs(pars[1], pars[2])
+    right = (i * dims[1] + j[q]) * dims[2] + k[q]
+    lo, ro = np.argsort(left), np.argsort(right)
+    assert np.array_equal(left[lo], right[ro])
+    assert np.array_equal(lhs.parity[lo], rhs.parity[ro])
+    assert np.array_equal(lhs.mat[np.ix_(lo, lo)], rhs.mat[np.ix_(ro, ro)])
 
 
 def test_graded_tensor_rejects_mixed_second_factor():
