@@ -1,10 +1,12 @@
 """Z/2-graded matrices, held as blocks between labelled sectors, and their sign rules.
 
 Every basis vector has a label ``l``: bit 0 is its parity, the bits above it
-its signs under further diagonal +-1 symmetries (the reflections ``R_2 ..
+its signs under further diagonal +-1 symmetries (the reflections ``R_1 ..
 R_n`` of the oscillator space; elsewhere the labels are the parities).  A
 matrix of degree d that commutes with them is zero outside its blocks
-``X[l, l ^ d]``, and every parity-block rule holds label by label.
+``X[l, l ^ d]``, and every parity-block rule holds label by label.  A matrix
+that commutes with fewer of them is held on the first labels only, and
+:func:`regroup` moves a finer operand onto its labels.
 
 Tensor products pick up Koszul signs: on simple tensors,
 ``(a (x) b)(xi (x) eta) = (-1)^{deg b * deg xi} (a xi) (x) (b eta)``, the
@@ -107,10 +109,10 @@ class GradedMatrix:
 
     def _linear(self, other: "GradedMatrix", op) -> "GradedMatrix":
         """``op`` (np.add or np.subtract) entrywise, block by block."""
-        self._check_compatible(other)
         if other.degree != self.degree:
             raise ValueError(f"cannot add graded matrices of degrees {self.degree} and {other.degree}: "
                              "the result would have both; keep the two degrees as separate matrices")
+        self._check_compatible(other)
         blocks = tuple(op(x, y) for x, y in zip(self.blocks, other.blocks))
         return GradedMatrix.from_blocks(self.degree, blocks, self.labels, self.index)
 
@@ -260,7 +262,7 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     product is written in place into its slice of the block, so nothing the size of the
     whole tensor space is formed.  The degrees add.
     """
-    a, b = (g if len(g.index) == 2 else GradedMatrix(g.mat, g.parity).parity_part(g.degree) for g in (a, b))
+    a, b = (regroup(g, 2) for g in (a, b))
     _, _, labels, index = _tensor_layout(a.parity.tobytes(), b.parity.tobytes())
     degree, blocks = a.degree ^ b.degree, []
     for r in (0, 1):
@@ -274,6 +276,22 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
             np.multiply(x[:, None, :, None], y[None, :, None, :], out=view)
         blocks.append(out)
     return GradedMatrix.from_blocks(degree, blocks, labels, index)
+
+
+def regroup(g: GradedMatrix, count: int) -> GradedMatrix:
+    """g on the coarser labels ``g.labels & (count - 1)``, for a power of two ``count`` (g itself
+    when it has ``count`` labels): block c holds g's blocks f with ``f & (count - 1) == c``, each
+    scattered into the rows and columns of its labels, and zeros between them."""
+    if len(g.index) == count:
+        return g
+    labels = g.labels & (count - 1)
+    index = label_index(labels, count)
+    blocks = [np.zeros((len(i), len(index[c ^ g.degree]))) for c, i in enumerate(index)]
+    for f, b in enumerate(g.blocks):
+        c = f & (count - 1)
+        rows, cols = (np.searchsorted(index[k], g.index[j]) for k, j in ((c, f), (c ^ g.degree, f ^ g.degree)))
+        blocks[c][rows[:, None], cols] = b
+    return GradedMatrix.from_blocks(g.degree, blocks, labels, index, g.mirrored)
 
 
 def window_product(sizes: tuple, *factors: GradedMatrix) -> GradedMatrix:

@@ -16,9 +16,13 @@ effects appear, which is why every spectral statement here is windowed.
 
 The reflection ``R_i = (-1)^{k_i} (x) lambda(e_i) rho~(e_i)``, the sign
 ``(-1)^(k_i + b_i)`` of Hermite index k_i and blade bit b_i on axis i,
-commutes with C, D, N and the symbols' operators (the bump's breaks R_1), so
-every operator is held as ``2^n`` blocks of ``S = C(level + n, n)`` rows, on
-the labels of :meth:`HermiteBasis.labels`: parity and ``R_2 .. R_n`` signs.
+commutes with C, D, N and the operators of the symbols uP and vP, so they are
+held as ``2^(n+1)`` blocks on the labels of :meth:`HermiteBasis.labels`:
+parity and the signs of ``R_2 .. R_n`` and ``R_1``.  The signs and the parity
+fix the total level's parity, so each label holds the states of one level
+parity, one blade per spatial state.  The shifted bump breaks ``R_1``; its
+operator is held on the ``2^n`` labels without the ``R_1`` bit, of
+``S = C(level + n, n)`` states each.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .clifford import (
     twisted_right_mult_operator,
 )
 from .funcalc import GradedFunction, SpectralMatrix, matrix_function, scale
-from .graded import GradedMatrix, _frozen, label_index, window_product
+from .graded import GradedMatrix, _frozen, label_index, regroup, window_product
 
 
 # ---------------------------------------------------------------------------
@@ -142,45 +146,17 @@ class HermiteBasis:
         return np.tile(blade_parities(self.sig), self.spatial_size)
 
     def labels(self) -> np.ndarray:
-        """Label of every full basis index: bit 0 its parity, bit i >= 1 its R_(i+1) sign bit k + b mod 2."""
+        """Label of every full basis index: bit 0 its parity, bit i in 1..n-1 its R_(i+1) sign bit
+        k + b mod 2 on axis i + 1, and bit n its R_1 sign bit."""
         k = np.repeat(np.array(self.mindices), self.blade_count, axis=0)
         blades = np.tile(np.arange(self.blade_count), self.spatial_size)
         bits = (k + (blades[:, None] >> np.arange(self.dim))) & 1
-        bits[:, 0] = self.parity()
-        return (bits << np.arange(self.dim)).sum(axis=1)
+        bits = np.column_stack([self.parity(), bits[:, 1:], bits[:, 0]])
+        return (bits << np.arange(self.dim + 1)).sum(axis=1)
 
     def interior_mask(self, depth: int = 2) -> np.ndarray:
         """Boolean mask of the full basis indices with total level <= level - depth."""
         return np.repeat([sum(m) <= self.level - depth for m in self.mindices], self.blade_count)
-
-
-@lru_cache(maxsize=None)
-def _mindex_lookup(dim: int, level: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(_simplex_mindices(dim, level))}
-
-
-def _axis_raising(basis: HermiteBasis, axis: int) -> np.ndarray:
-    """Matrix with entries sqrt((k_axis + 1)/2) from m to m + e_axis."""
-    s = basis.spatial_size
-    out = np.zeros((s, s))
-    lookup = _mindex_lookup(basis.dim, basis.level)
-    for i, m in enumerate(basis.mindices):
-        if sum(m) < basis.level:
-            up = m[:axis] + (m[axis] + 1,) + m[axis + 1:]
-            out[lookup[up], i] = math.sqrt((m[axis] + 1) / 2.0)
-    return out
-
-
-def axis_position(basis: HermiteBasis, axis: int) -> np.ndarray:
-    """Multiplication by x_axis on the truncated simplex (symmetric)."""
-    u = _axis_raising(basis, axis)
-    return u + u.T
-
-
-def axis_derivative(basis: HermiteBasis, axis: int) -> np.ndarray:
-    """d/dx_axis on the truncated simplex (antisymmetric)."""
-    u = _axis_raising(basis, axis)
-    return u.T - u
 
 
 # ---------------------------------------------------------------------------
@@ -203,61 +179,89 @@ class OscillatorRep:
     number: GradedMatrix      # blade number operator N
     harmonic: SpectralMatrix  # H = C^2 + D^2
 
-    def window(self, depth: int = 2) -> tuple:
-        """The number of states of total level <= level - depth of every label.
+    def window(self, depth: int = 2, count: int | None = None) -> tuple:
+        """The number of states of total level <= level - depth of every label, or of every label
+        ``c < count`` of the coarser labels ``labels & (count - 1)`` (:func:`~bottlab.graded.regroup`).
 
         The basis is ordered by total level, so inside a matrix of degree d the
         window is the leading ``window[l]`` rows and ``window[l ^ d]`` columns
-        of block l; each label holds one blade per spatial state.
+        of block l.
         """
         if not 0 <= depth <= self.basis.level:
             raise ValueError(f"window depth must lie in 0..{self.basis.level}, got {depth}")
-        blades = self.basis.blade_count
-        return (int(np.count_nonzero(self.basis.interior_mask(depth))) // blades,) * blades
+        mask = self.basis.interior_mask(depth)
+        fine = [int(np.count_nonzero(mask[i])) for i in self.bott.index]
+        count = count or len(fine)
+        return tuple(sum(fine[c::count]) for c in range(count))
 
 
-def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms) -> GradedMatrix:
-    """The sum of ``kron(S, L)`` over ``terms = [(S, L), ..]``, every L of the given degree d.
+def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int = 0) -> GradedMatrix:
+    """The sum of ``(A_1 (x) .. (x) A_n) (x) L`` over ``terms = [((A_1, .., A_n), L), ..]`` on the
+    truncated basis, every A_i a matrix on the Hermite indices 0..level of axis i and every L of the
+    given degree d, held on the labels ``basis.labels() & (count - 1)``, all of them by default.
 
-    Entry ``((m, b), (m', b'))`` of ``kron(S, L)`` is ``S[m, m'] L[b, b']``, and label l holds one
-    blade ``b_l(m)`` per spatial state m, so block l is ``S * L[b_l, b_(l ^ d)]``; no entry between
-    other labels is formed, so every term must commute with ``R_2 .. R_n``.
+    Entry ``((m, b), (m', b'))`` of a term is ``A_1[m_1, m'_1] .. A_n[m_n, m'_n] L[b, b']``, and label
+    l holds one blade ``b_l(m)`` per spatial state m of its states ``m_l``, so block l is
+    ``L[b_l, b_(l ^ d)]`` times the gathers ``A_i[m_l, m_(l ^ d)]``; no entry between other labels is
+    formed, so every term must commute with the reflections the labels hold.
     """
-    labels = basis.labels()
-    index = label_index(labels, basis.blade_count)
-    blades = [i % basis.blade_count for i in index]
-    blocks = [sum(spatial * blade_op[np.ix_(blades[r], blades[r ^ degree])] for spatial, blade_op in terms)
-              for r in range(len(index))]
+    count = count or 2 * basis.blade_count
+    labels = basis.labels() & (count - 1)
+    index = label_index(labels, count)
+    states, blades = zip(*(np.divmod(i, basis.blade_count) for i in index))
+    k = np.array(basis.mindices)
+    # the labels share few sets of states (one level parity each, or all of them), and each term's
+    # spatial block between two sets is formed once
+    sets, spatial = [m.tobytes() for m in states], {}
+
+    def block(r: int, t: int, axes, blade_op) -> np.ndarray:
+        rows, cols = states[r], states[r ^ degree]
+        key = t, sets[r], sets[r ^ degree]
+        if key not in spatial:
+            spatial[key] = reduce(np.multiply, [a[k[rows, i][:, None], k[cols, i]] for i, a in enumerate(axes)])
+        return spatial[key] * blade_op[blades[r][:, None], blades[r ^ degree]]
+
+    blocks = [sum(block(r, t, *term) for t, term in enumerate(terms)) for r in range(count)]
     return GradedMatrix.from_blocks(degree, blocks, labels, index)
 
 
+def _axis_terms(basis: HermiteBasis, one_d: np.ndarray, blade_ops) -> list:
+    """The terms ``(1 (x) .. (x) A (x) .. (x) 1, L_i)`` with the 1-D matrix A on axis i, for the
+    blade operators ``L_1 .. L_n``."""
+    eye = np.eye(basis.level + 1)
+    return [(tuple(one_d if j == i else eye for j in range(basis.dim)), op) for i, op in enumerate(blade_ops)]
+
+
 def clifford_operator(basis: HermiteBasis) -> GradedMatrix:
-    """C = sum_i x_i (x) lambda(e_i); odd, symmetric."""
-    return _spatial_blade_operator(basis, 1, [
-        (axis_position(basis, i), left_mult_operator(MultiVector.generator(basis.sig, i + 1)))
-        for i in range(basis.dim)])
+    """C = sum_i x_i (x) lambda(e_i); odd, symmetric.  On the truncated basis, x_i is the restriction
+    of the 1-D position matrix on axis i."""
+    return _spatial_blade_operator(basis, 1, _axis_terms(basis, position_matrix(basis.level), [
+        left_mult_operator(MultiVector.generator(basis.sig, i + 1)) for i in range(basis.dim)]))
 
 
 def dirac_operator(basis: HermiteBasis) -> GradedMatrix:
     """D = sum_i d/dx_i (x) rho~(e_i); odd, symmetric.
 
     Both factors of each summand are antisymmetric, so their Kronecker
-    product is symmetric even though neither factor is.
+    product is symmetric even though neither factor is.  The 1-D d/dx is
+    the position matrix with its lower half negated.
     """
-    return _spatial_blade_operator(basis, 1, [
-        (axis_derivative(basis, i), twisted_right_mult_operator(MultiVector.generator(basis.sig, i + 1)))
-        for i in range(basis.dim)])
+    x = position_matrix(basis.level)
+    return _spatial_blade_operator(basis, 1, _axis_terms(basis, np.triu(x) - np.tril(x), [
+        twisted_right_mult_operator(MultiVector.generator(basis.sig, i + 1)) for i in range(basis.dim)]))
 
 
 def blade_number_operator(basis: HermiteBasis) -> GradedMatrix:
     """N = 1 (x) sum_i rho~(e_i) lambda(e_i); diagonal, eigenvalue 2d - n."""
-    return _spatial_blade_operator(basis, 0, [(np.eye(basis.spatial_size), number_operator(basis.sig))])
+    return _spatial_blade_operator(basis, 0, [((np.eye(basis.level + 1),) * basis.dim, number_operator(basis.sig))])
 
 
 def context_bytes(dim: int, level: int) -> int:
-    """The bytes of the context at (dim, level), from binomials: per label (2^dim of them, of
-    ``S = C(level + dim, dim)`` states), nine S x S arrays of doubles, the blocks of C, D, B, N and H
-    and the eigensystems of C, D, B (U and V per even label) and H (Q per label)."""
+    """An upper bound on the bytes of the context at (dim, level), from binomials: per pair of labels
+    l, l ^ 1 (2^dim pairs, of ``S = C(level + dim, dim)`` states together), nine S x S arrays of
+    doubles, more than the blocks of C, D, B, N and H and the eigensystems of C, D, B (U and V per
+    even label) and H (w and Q per label) take on the pair's a + b = S states:
+    ``6ab + 6(a^2 + b^2) + 4S <= 9 S^2``."""
     return 8 * 9 * (1 << dim) * math.comb(level + dim, dim) ** 2
 
 
@@ -406,25 +410,6 @@ def rescale(h: CliffFunction, t: float) -> CliffFunction:
     return CliffFunction(h.dim, f"{h.name}@t={t:g}", terms)
 
 
-def _separable_grams(h: CliffFunction, basis: HermiteBasis, q: int) -> dict[int, np.ndarray]:
-    """Spatial Gram matrix of every blade of h, from its separable terms.
-
-    The Gram entry of multi-indices m, m' of a term ``g_1(x_1) .. g_n(x_n)``
-    is the product over axes of the 1-D Gram entries ``G_i[m_i, m'_i]``, so
-    each term costs n (K+1)x(K+1) quadratures and n gathers of size S^2.
-    """
-    x, w = _gh_nodes(q)
-    rows = hermite_rows(basis.level, x)
-    k = np.array(basis.mindices).T  # (dim, spatial size)
-    grams: dict[int, np.ndarray] = {}
-    for blade, axis_fns in h.terms:
-        gram = 1.0
-        for axis, g in enumerate(axis_fns):
-            gram = gram * ((rows * (w * g(x))) @ rows.T)[k[axis][:, None], k[axis][None, :]]
-        grams[blade] = grams[blade] + gram if blade in grams else gram
-    return grams
-
-
 def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
                             nodes: int | None = None) -> GradedMatrix:
     """Gauss-Hermite discretization of pointwise multiplication by h.
@@ -437,18 +422,22 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     the quadrature built on the eigenvalues of the truncated position matrix
     *is* evaluation at those eigenvalues.
 
-    The Grams come from 1-D quadratures of the symbol's separable terms.
-    The blades all have the symbol's parity d, and block l of the degree-d
-    result is the sum of ``Gram_c * lambda(c)[b_l, b_(l ^ d)]`` over the
-    blades c (:func:`_spatial_blade_operator`); the parities the symbol
-    declares on axes 2..n keep it on those blocks.
+    A separable term ``g_1(x_1) .. g_n(x_n)`` on blade c is the product of
+    the 1-D Grams ``G_i = <psi_k, g_i psi_k'>``, one (K+1)x(K+1) quadrature
+    per axis, times lambda(c) (:func:`_spatial_blade_operator`); the
+    parities the symbol declares on axes 2..n keep it on the blocks.  When
+    every axis-1 function has the parity ``[e_1 in blade]`` as well, the
+    operator commutes with ``R_1`` and is held on all the labels, else on
+    the first ``2^n``.
     """
     if h.dim != basis.dim:
         raise ValueError(f"function dimension {h.dim} != basis dimension {basis.dim}")
-    q = nodes if nodes is not None else 2 * basis.level + 16
-    return _spatial_blade_operator(basis, h.parity, [
-        (gram, left_mult_operator(MultiVector.blade(basis.sig, c)))
-        for c, gram in _separable_grams(h, basis, q).items()])
+    x, w = _gh_nodes(nodes if nodes is not None else 2 * basis.level + 16)
+    rows = hermite_rows(basis.level, x)
+    terms = [(tuple((rows * (w * g(x))) @ rows.T for g in axis_fns),
+              left_mult_operator(MultiVector.blade(basis.sig, c))) for c, axis_fns in h.terms]
+    r1 = all(axis_fns[0].parity == c & 1 for c, axis_fns in h.terms)
+    return _spatial_blade_operator(basis, h.parity, terms, basis.blade_count << r1)
 
 
 @dataclass
@@ -472,8 +461,12 @@ def compactness_profile(f: GradedFunction, h: CliffFunction, rep: OscillatorRep,
     For vanishing-at-infinity symbols this product is a compact operator in
     the untruncated model; finitely many singular values above any
     threshold is the finite-dimensional shadow of that.  The product's
-    singular values are those of its blocks.
+    singular values are those of its blocks, on the labels of M_h, and the
+    zeros that an odd product's rectangular blocks leave out, so there are
+    always ``basis.size`` of them.
     """
-    blocks = (matrix_function(f, rep.bott) @ multiplication_operator(h, rep.basis)).blocks
+    mh = multiplication_operator(h, rep.basis)
+    blocks = (regroup(matrix_function(f, rep.bott), len(mh.index)) @ mh).blocks
     svals = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
+    svals = np.concatenate([svals, np.zeros(rep.basis.size - len(svals))])
     return CompactnessProfile(np.sort(svals)[::-1], tol)

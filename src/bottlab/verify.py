@@ -46,9 +46,9 @@ from .graded import (
     graded_commutator,
     graded_tensor,
     grading_signs,
-    identity_like,
     involution,
     iota,
+    regroup,
     tensor_pairs,
     tensor_parity,
     tensor_product_witness,
@@ -252,8 +252,7 @@ def golub_kahan_norm(a: np.ndarray, max_steps: int = 200) -> tuple[float, bool]:
 def windowed_norm(g: GradedMatrix, rep: OscillatorRep, depth: int = 2) -> float:
     """Spectral norm of the window of total level <= level - depth (depth 0: the whole space), from
     the leading part of each of g's blocks that holds the window's states of its labels."""
-    mask = rep.basis.interior_mask(depth)
-    return g.window(tuple(int(np.count_nonzero(mask[i])) for i in g.index)).norm()
+    return g.window(rep.window(depth, len(g.index))).norm()
 
 
 def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
@@ -435,9 +434,11 @@ def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
     def matrices(t):
         fd = {a: matrix_function(scale(f, t), rep.dirac) for a, f in gens}
         for h in hs:
+            # the bump breaks R_1: f(D/t) joins it on its coarser labels
             mh = multiplication_operator(rescale(h, t), rep.basis)
+            count = len(mh.index)
             for a, fa in fd.items():
-                yield f"[{a}(D/t),M_{h.name}]", graded_commutator(fa, mh, rep.window())
+                yield f"[{a}(D/t),M_{h.name}]", graded_commutator(regroup(fa, count), mh, rep.window(2, count))
 
     return _commutator_suite(cfg, "dirac-commutator", matrices)
 
@@ -447,12 +448,14 @@ def suite_cd_commutator(cfg: SweepConfig) -> VerificationReport:
     rep = oscillator_rep(cfg.dim, cfg.level)
     gens = (("u", gaussian()), ("v", x_gaussian()))
 
+    w = rep.window()
+
     def matrices(t):
         fd = {b: matrix_function(scale(g, t), rep.dirac) for b, g in gens}
         for a, f in gens:
             fc = matrix_function(scale(f, t), rep.clifford)
             for b, gb in fd.items():
-                yield f"[{a}(C/t),{b}(D/t)]", graded_commutator(fc, gb, rep.window())
+                yield f"[{a}(C/t),{b}(D/t)]", graded_commutator(fc, gb, w)
 
     return _commutator_suite(cfg, "cd-commutator", matrices)
 
@@ -587,9 +590,7 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
     m_matched = multiplication_operator(hu, rep.basis, nodes=cfg.level + 1)
     x_k = GradedMatrix(position_matrix(cfg.level), np.arange(cfg.level + 1) & 1)
     ux = matrix_function(u, x_k).mat
-    k = np.array(rep.basis.mindices).T
-    gram = np.prod([ux[np.ix_(ki, ki)] for ki in k], axis=0)
-    product_calculus = _spatial_blade_operator(rep.basis, 0, [(gram, np.eye(rep.basis.blade_count))])
+    product_calculus = _spatial_blade_operator(rep.basis, 0, [((ux,) * cfg.dim, np.eye(rep.basis.blade_count))])
     m_identity = windowed_norm(m_matched - product_calculus, rep, 0)
     uc1 = matrix_function(u, rep.clifford)
     m_cut = windowed_norm(m_matched - uc1, rep, 0)
@@ -711,13 +712,19 @@ def suite_compactness(cfg: SweepConfig) -> VerificationReport:
                    curves, tol, gates, notes)
 
 
-def _largest_entry(g: GradedMatrix) -> float:
-    """The largest absolute entry of a graded matrix."""
-    return max(float(np.abs(b).max(initial=0.0)) for b in g.blocks)
+def _largest_difference(xs, ys) -> float:
+    """The largest absolute entry of x - y over pairs of blocks, each x a fresh array that the
+    difference overwrites: read from its extremes, so no other array is formed."""
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        x -= y
+        worst = max(worst, float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+    return worst
 
 
 def _conjugator(u: GradedMatrix):
-    """x -> u @ x @ u.T for an even signed permutation matrix u, block by block, by indexing.
+    """x -> u @ x @ u.T for an even signed permutation matrix u, block by block, by indexing;
+    its ``blocks`` gives the fresh blocks of the result.
 
     Block (r, c) of the product is ``u[r, r] x[r, c] u[c, c]^T``; each of its entries is one
     entry of x times two signs, so the result equals the matrix product exactly.  The flat
@@ -729,14 +736,15 @@ def _conjugator(u: GradedMatrix):
     gather = {(r, c): perms[r][:, None] * len(perms[c]) + perms[c][None, :] for r, c in np.ndindex(2, 2)}
     sign = {(r, c): signs[r][:, None] * signs[c][None, :] for r, c in np.ndindex(2, 2)}
 
+    def blocks(x: GradedMatrix) -> list:
+        out = [np.take(b, gather[r, r ^ x.degree]) for r, b in enumerate(x.blocks)]
+        for r, b in enumerate(out):
+            b *= sign[r, r ^ x.degree]
+        return out
+
     def conjugate(x: GradedMatrix) -> GradedMatrix:
-        blocks = []
-        for r, b in enumerate(x.blocks):
-            c = r ^ x.degree
-            out = np.take(b, gather[r, c])
-            out *= sign[r, c]
-            blocks.append(out)
-        return GradedMatrix.from_blocks(x.degree, blocks, x.labels, x.index)
+        return GradedMatrix.from_blocks(x.degree, blocks(x), x.labels, x.index)
+    conjugate.blocks = blocks
     return conjugate
 
 
@@ -749,8 +757,9 @@ def _flip_product_residuals(gens: tuple, conj) -> tuple[float, float]:
             z = graded_tensor(x, y)
             tensors.append(z)
             flipped.append(conj(z))
-            inv_worst = max(inv_worst, _largest_entry(involution(flipped[-1]) - conj(involution(z))))
-    mult_worst = max(_largest_entry(conj(t1 @ t2) - c1 @ c2)
+            inv_worst = max(inv_worst,
+                            _largest_difference(conj.blocks(involution(z)), involution(flipped[-1]).blocks))
+    mult_worst = max(_largest_difference(conj.blocks(t1 @ t2), (c1 @ c2).blocks)
                      for t1, c1 in zip(tensors, flipped) for t2, c2 in zip(tensors, flipped))
     return mult_worst, inv_worst
 
@@ -779,10 +788,10 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
     # built from an array, the swap is checked to keep parities
     swap = GradedMatrix(flip_unitary(par, par), tensor_parity(par, par))
     # l o l = id as signed permutations
-    ll = _largest_entry(swap @ swap - identity_like(swap))
+    ll = _largest_difference([np.eye(len(i)) for i in swap.index], (swap @ swap).blocks)
     conj = _conjugator(swap)
-    uc = matrix_function(u, rep.clifford)
-    vc = matrix_function(v, rep.clifford)
+    # every factor on the parity labels, as its graded tensors hold it
+    uc, vc = (regroup(matrix_function(f, rep.clifford), 2) for f in (u, v))
     sub = SweepConfig(dim=1, level=level, t_grid=cfg.t_grid)
     hs = named_symbols(1)
 
@@ -797,18 +806,16 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
         ab = graded_tensor(a, b)
         worst = 0.0
         if grading:
-            for r, x in enumerate(ab.blocks):
-                moved = gam[r][:, None] * x * gam[r ^ ab.degree][None, :] - x
-                worst = max(worst, float(np.abs(moved).max(initial=0.0)))
-        return max(worst, _largest_entry(conj(ab) - flip_simple(a, b)))
+            moved = (gam[r][:, None] * x * gam[r ^ ab.degree][None, :] for r, x in enumerate(ab.blocks))
+            worst = _largest_difference(moved, ab.blocks)
+        return max(worst, _largest_difference(conj.blocks(ab), flip_simple(a, b).blocks))
 
     curves: dict[str, list[float]] = {h.name: [] for h in hs}
     for t in cfg.t_grid:
-        ud = matrix_function(scale(u, t), rep.dirac)
-        vd = matrix_function(scale(v, t), rep.dirac)
+        ud, vd = (regroup(matrix_function(scale(f, t), rep.dirac), 2) for f in (u, v))
         for h in hs:
             # the morphism images u(D/t) M_{h_t} and v(D/t) M_{h_t}, sharing one M_{h_t}
-            mh = multiplication_operator(rescale(h, t), rep.basis)
+            mh = regroup(multiplication_operator(rescale(h, t), rep.basis), 2)
             a_even, a_odd = ud @ mh, vd @ mh
             worst = 0.0
             for left in (a_even, a_odd):

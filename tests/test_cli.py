@@ -299,12 +299,15 @@ def _snapshot(outdir):
     return files
 
 
-def test_reports_are_byte_identical_across_runs(tmp_path, capsys, monkeypatch):
-    args = ["report-all", "--levels", "8", "--t-points", "5"]
-    assert run_cli(args + ["--out", str(tmp_path / "a")]) in (0, 1)
-    assert run_cli(args + ["--out", str(tmp_path / "b")]) in (0, 1)
-    monkeypatch.setenv("BOTTLAB_THREADS", "1")
-    assert run_cli(args + ["--out", str(tmp_path / "c")]) in (0, 1)
+def _check_byte_identical_runs(tmp_path, capsys, monkeypatch, args, fresh: bool = False):
+    """Two runs of ``args`` and one with a single suite worker write the same bytes; with ``fresh``
+    every run builds its own operator context."""
+    for d in "abc":
+        if d == "c":
+            monkeypatch.setenv("BOTTLAB_THREADS", "1")
+        if fresh:
+            oscillator.oscillator_rep.cache_clear()
+        assert run_cli(args + ["--out", str(tmp_path / d)]) in (0, 1)
     capsys.readouterr()
     a, b, c = (_snapshot(tmp_path / d) for d in "abc")
     assert set(a) == set(b) == set(c)
@@ -312,6 +315,16 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys, monkeypatch):
     for name in a:
         assert a[name] == b[name], f"{name} differs between runs"
         assert a[name] == c[name], f"{name} differs with a single worker"
+
+
+def test_reports_are_byte_identical_across_runs(tmp_path, capsys, monkeypatch):
+    _check_byte_identical_runs(tmp_path, capsys, monkeypatch, ["report-all", "--levels", "8", "--t-points", "5"])
+
+
+def test_reports_are_byte_identical_across_runs_at_dim_2(tmp_path, capsys, monkeypatch):
+    # the operators split by both reflections, and regrouped for the bump, under the suite threads
+    _check_byte_identical_runs(tmp_path, capsys, monkeypatch,
+                               ["report-all", "--dim", "2", "--levels", "6", "--t-points", "5"], fresh=True)
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -12,7 +12,7 @@ import bottlab.graded as graded
 import bottlab.oscillator as oscillator
 from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, scale, x_gaussian
 from bottlab.graded import GradedMatrix
-from bottlab.oscillator import oscillator_rep
+from bottlab.oscillator import context_bytes, oscillator_rep
 from bottlab.verify import SUITES, SweepConfig, run_suite
 
 
@@ -105,11 +105,24 @@ def test_window_is_a_leading_segment(dim, level):
         size = sum(window)
         assert np.array_equal(m[:size, :size], m[np.ix_(mask, mask)])
         assert size == np.count_nonzero(mask)
-        assert len(window) == 2 ** dim
-        for p, count in enumerate(window):
-            in_window = np.flatnonzero(mask & (labels == p))
-            assert count == len(in_window) > 0
-            assert np.array_equal(in_window, np.flatnonzero(labels == p)[:count])
+        assert len(window) == 2 ** (dim + 1)
+        for count in (None, 2, 2 ** dim):
+            window = rep.window(depth, count)
+            coarse = labels & (len(window) - 1)
+            for p, count in enumerate(window):
+                # each label holds one level parity: at depth K only level 0 is left
+                in_window = np.flatnonzero(mask & (coarse == p))
+                assert count == len(in_window) > 0 or depth == level
+                assert np.array_equal(in_window, np.flatnonzero(coarse == p)[:count])
+
+
+@pytest.mark.parametrize("dim,level", [(1, 8), (2, 6), (3, 4)])
+def test_context_bytes_bounds_the_context_built(dim, level):
+    # the memory budget reads context_bytes: every block of C, D, B, N and H and every array of their
+    # eigensystems together take no more
+    arrays = _context_arrays(oscillator_rep(dim, level))
+    built = sum(a.nbytes for name, a in arrays.items() if not name.endswith(("labels", "parity")))
+    assert built <= context_bytes(dim, level)
 
 
 def test_window_depth_is_range_checked():
@@ -127,28 +140,34 @@ def test_window_depth_is_range_checked():
 
 @pytest.mark.parametrize("suite,expected", [("cd-commutator", 2), ("dirac-commutator", 1)])
 def test_commutator_suites_diagonalise_each_operator_once(eigensolves, suite, expected):
-    # ``expected`` odd operators, C and D: one SVD per even label each, 2^(n-1) = 2 at n = 2
+    # ``expected`` odd operators, C and D: one SVD per even label each, 2^n = 4 at n = 2
     cfg = SweepConfig(dim=2, level=8, t_grid=tuple(np.geomspace(1.0, 16.0, 5)))
 
     def funcalc_solves():
         return [shape for caller, shape in eigensolves if caller == "bottlab.funcalc"]
 
     run_suite(suite, cfg)
-    assert len(funcalc_solves()) == 2 * expected
+    assert len(funcalc_solves()) == 4 * expected
     run_suite(suite, cfg)  # a second run reuses the context's spectra
-    assert len(funcalc_solves()) == 2 * expected
+    assert len(funcalc_solves()) == 4 * expected
 
 
 def test_suites_keep_the_context_on_parity_blocks(eigensolves):
-    # no eigensolve or SVD sees a full-size matrix, nor a parity block, only
-    # label blocks of S = C(K + n, n) rows
+    # no eigensolve or SVD sees a full-size matrix, nor a parity block; the context's see label
+    # blocks of one level parity, 16 (levels 0, 2, 4, 6) and 12 of the S = C(K + n, n) = 28 rows,
+    # and only the bump's compactness profile, which breaks R_1, sees blocks of S rows
     cfg = SweepConfig(dim=2, level=6)
     for suite in SUITES:
         run_suite(suite, cfg)
     basis = oscillator_rep(2, 6).basis
     size, s = basis.size, basis.spatial_size
     assert [c for c in eigensolves if c[1][-2:] in ((size, size), (size // 2, size // 2))] == []
-    assert any(c[1][-2:] == (s, s) for c in eigensolves)
+    rep = oscillator_rep(2, 6)
+    context = {b.shape for op in (rep.clifford, rep.dirac, rep.bott, rep.harmonic) for b in op.blocks}
+    assert context == {(16, 12), (12, 16), (16, 16), (12, 12)}
+    assert {(16, 12), (16, 16), (12, 12)} <= {shape for caller, shape in eigensolves if caller == "bottlab.funcalc"}
+    bump = [shape for caller, shape in eigensolves if caller == "bottlab.oscillator" and shape == (s, s)]
+    assert bump == [(s, s)] * 4
 
 
 def test_no_suite_assembles_a_matrix_of_the_oscillator_space(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bottlab.clifford import MultiVector, Signature, blade_parities, mv_multiply
-from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, x_gaussian
+from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, scale, x_gaussian
 from bottlab.graded import (
     GradedMatrix,
     block_norm,
@@ -25,6 +25,7 @@ from bottlab.graded import (
     involution,
     iota,
     label_index,
+    regroup,
     tensor_pairs,
     tensor_parity,
     tensor_product_witness,
@@ -348,11 +349,26 @@ def test_window_commutator_is_the_window_of_the_commutator(deg_a, deg_b, monkeyp
         assert len(calls) == len(w) * (3 if deg_a ^ deg_b else 4) // 2  # and then every block, once
 
 
+@pytest.mark.parametrize("dim,level", [(2, 6), (3, 4)])
+def test_regroup_onto_coarser_labels_keeps_the_matrix(dim, level):
+    # onto the parity labels and onto the labels of R_2 .. R_n, block by block, with nothing dense
+    rep = oscillator_rep(dim, level)
+    ops = (rep.clifford, rep.dirac, matrix_function(scale(gaussian(), 2.0), rep.dirac),
+           matrix_function(scale(x_gaussian(), 2.0), rep.dirac))
+    for g in ops:
+        assert len(g.index) == 2 ** (dim + 1) and regroup(g, len(g.index)) is g
+        for count in (2, 2 ** dim):
+            coarse = regroup(g, count)
+            assert (len(coarse.index), coarse.degree, coarse.mirrored) == (count, g.degree, g.mirrored)
+            assert np.array_equal(coarse.labels, g.labels & (count - 1))
+            assert np.array_equal(coarse.mat, g.mat)
+
+
 def test_window_commutator_of_degree_1_rejects_a_non_symmetric_operand():
     rep = oscillator_rep(2, 6)
     # lambda(e1 e2) squares to -1 and is antisymmetric, and so is the multiplication operator
-    u = gaussian()
-    mh = multiplication_operator(CliffFunction(2, "e12", ((0b11, (u, x_gaussian())),)), rep.basis)
+    v = x_gaussian()
+    mh = multiplication_operator(CliffFunction(2, "e12", ((0b11, (v, v)),)), rep.basis)
     with pytest.raises(ValueError, match="symmetric"):
         graded_commutator(matrix_function(x_gaussian(), rep.dirac), mh, rep.window())
 

@@ -27,8 +27,6 @@ from bottlab.oscillator import (
     CliffFunction,
     CompactnessProfile,
     HermiteBasis,
-    axis_derivative,
-    axis_position,
     b_squared_identity_check,
     compactness_profile,
     hermite_rows,
@@ -134,20 +132,29 @@ def test_basis_parity_and_levels():
     assert np.array_equal(interior, tot <= basis.level - 2)
 
 
+def axis_matrix(basis: HermiteBasis, axis: int, one_d: np.ndarray) -> np.ndarray:
+    """The 1-D matrix on one axis of the truncated simplex, entry by entry: ``one_d[m_a, m'_a]``
+    where the other indices of m and m' agree, zero elsewhere."""
+    out = np.zeros((basis.spatial_size,) * 2)
+    for i, mi in enumerate(basis.mindices):
+        for j, mj in enumerate(basis.mindices):
+            if all(mi[a] == mj[a] for a in range(basis.dim) if a != axis):
+                out[i, j] = one_d[mi[axis], mj[axis]]
+    return out
+
+
 def test_axis_operators_against_direct_construction():
+    # C and D are the sums of the 1-D position and derivative matrices on each axis, tensored
+    # with lambda(e_i) and rho~(e_i), exactly
     basis = HermiteBasis(2, 4)
+    rep = oscillator_rep(2, 4)
     x1d = position_matrix(4)
     d1d = derivative_matrix(4)
-    for axis in range(2):
-        xa = axis_position(basis, axis)
-        da = axis_derivative(basis, axis)
-        for i, mi in enumerate(basis.mindices):
-            for j, mj in enumerate(basis.mindices):
-                other = [mi[a] == mj[a] for a in range(2) if a != axis]
-                expected_x = x1d[mi[axis], mj[axis]] if all(other) else 0.0
-                expected_d = d1d[mi[axis], mj[axis]] if all(other) else 0.0
-                assert xa[i, j] == expected_x, (axis, mi, mj)
-                assert da[i, j] == expected_d, (axis, mi, mj)
+    gens = [MultiVector.generator(basis.sig, i + 1) for i in range(2)]
+    xs = sum(np.kron(axis_matrix(basis, i, x1d), left_mult_operator(e)) for i, e in enumerate(gens))
+    ds = sum(np.kron(axis_matrix(basis, i, d1d), twisted_right_mult_operator(e)) for i, e in enumerate(gens))
+    assert np.array_equal(rep.clifford.mat, xs)
+    assert np.array_equal(rep.dirac.mat, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +288,22 @@ def test_multiplication_operator_node_convergence():
     assert np.abs(m40 - m80).max() <= 1e-7
 
 
+def kronecker_sum(h: CliffFunction, basis: HermiteBasis) -> np.ndarray:
+    """The dense operator ``sum_c kron(Gram_c, lambda(c))`` of a separable symbol between all states,
+    every Gram entry the product over axes of the 1-D quadrature Grams at the default nodes."""
+    x, w = np_hermite.hermgauss(2 * basis.level + 16)
+    rows, k = hermite_rows(basis.level, x), np.array(basis.mindices)
+    return sum(np.kron(np.prod([((rows * (w * g(x))) @ rows.T)[np.ix_(k[:, i], k[:, i])] for i, g in enumerate(fns)],
+                               axis=0), left_mult_operator(MultiVector.blade(basis.sig, c))) for c, fns in h.terms)
+
+
 @pytest.mark.parametrize("dim,level", [(2, 6), (3, 4)])
 def test_reflections_are_exact_symmetries_of_the_operators(dim, level):
     # R_i = (-1)^{k_i} (x) lambda(e_i) rho~(e_i) is diagonal, (-1)^(k_i + b_i) on the state with
-    # Hermite index k_i and blade bit b_i on axis i; it commutes exactly with C and D, and every
-    # operator is exactly zero outside the blocks between the sectors of R_2 .. R_n (the bump is
-    # shifted along axis 1 and breaks R_1 only)
+    # Hermite index k_i and blade bit b_i on axis i.  Every R_i, R_1 included, commutes exactly with
+    # C, D and N, and to rounding with the Kronecker sums of M_uP and M_vP at every t, so these are
+    # held on the labels of all n reflections and are exactly zero outside their blocks.  The bump is
+    # shifted along axis 1: it breaks R_1 and is held on the labels of R_2 .. R_n only.
     rep = oscillator_rep(dim, level)
     basis = rep.basis
     blades, spatial = basis.blade_count, basis.spatial_size
@@ -298,29 +315,40 @@ def test_reflections_are_exact_symmetries_of_the_operators(dim, level):
         r = np.kron(np.diag((-1.0) ** k[:, i]), left_mult_operator(e) @ twisted_right_mult_operator(e))
         assert np.array_equal(r, np.diag((-1.0) ** (np.repeat(k[:, i], blades) + (b >> i & 1))))
         signs.append(np.diag(r))
-    sector = np.array(signs[1:]).T  # the signs of R_2 .. R_n of every state
-    same_sector = (sector[:, None, :] == sector[None, :, :]).all(axis=2)
+    sector = np.array(signs).T  # the signs of R_1 .. R_n of every state
+    # whether two states share their signs under every R_i, or under R_2 .. R_n
+    same_sector = {fine: (s[:, None, :] == s[None, :, :]).all(axis=2) for fine, s in ((True, sector),
+                                                                                        (False, sector[:, 1:]))}
     par = basis.parity()
     # the dense operators from their Kronecker sums, apart from the package's label blocks
-    dense = {
-        "C": sum(np.kron(axis_position(basis, i), left_mult_operator(e)) for i, e in enumerate(gens)),
-        "D": sum(np.kron(axis_derivative(basis, i), twisted_right_mult_operator(e)) for i, e in enumerate(gens)),
-        "N": np.kron(np.eye(spatial), number_operator(basis.sig)),
+    ops = {
+        "C": (rep.clifford, sum(np.kron(axis_matrix(basis, i, position_matrix(level)), left_mult_operator(e))
+                                for i, e in enumerate(gens))),
+        "D": (rep.dirac, sum(np.kron(axis_matrix(basis, i, derivative_matrix(level)), twisted_right_mult_operator(e))
+                             for i, e in enumerate(gens))),
+        "N": (rep.number, np.kron(np.eye(spatial), number_operator(basis.sig))),
     }
-    ops = {"C": rep.clifford, "D": rep.dirac, "N": rep.number,
-           **{f"M_{h.name}": multiplication_operator(h, basis) for h in named_symbols(dim)}}
-    for name, op in ops.items():
-        x = op.mat
-        if name in dense:
-            assert np.array_equal(x, dense[name]), name
+    for t in (1.0, 2.0, 16.0):
+        ops.update({f"M_{h.name}@{t:g}": (multiplication_operator(rescale(h, t), basis),
+                                          kronecker_sum(rescale(h, t), basis)) for h in named_symbols(dim)})
+    for name, (op, want) in ops.items():
+        x, fine = op.mat, "bump" not in name
+        if name in ("C", "D", "N"):
+            assert np.array_equal(x, want), name
+            for i, sign in enumerate(signs):
+                assert np.abs(sign[:, None] * x - x * sign[None, :]).max() == 0.0, (name, i + 1)
         else:
             # the quadrature leaves rounding noise between sectors, which the blocks do not hold
-            want = grid_multiplication_operator(REFERENCE_COEFFS[name[2:]](dim), basis)
-            assert np.abs(x - want).max() <= 1e-13, name
-        for i, sign in enumerate(signs):
-            if name in ("C", "D"):
-                assert np.abs(sign[:, None] * x - x * sign[None, :]).max() == 0.0, (name, i + 1)
-        outside = ~same_sector | ((par[:, None] ^ par[None, :]) != op.degree)
+            assert np.abs(x - want).max() <= 1e-15, name
+            for i, sign in enumerate(signs):
+                moved = np.abs(sign[:, None] * want - want * sign[None, :]).max()
+                assert moved <= 1e-15 if fine or i else moved >= 0.1, (name, i + 1, moved)
+            if name.endswith("@1"):
+                grid = grid_multiplication_operator(REFERENCE_COEFFS[name[2:-2]](dim), basis)
+                assert np.abs(x - grid).max() <= 1e-13, name
+        assert len(op.index) == 2 ** (dim + fine), name
+        assert np.array_equal(op.labels, basis.labels() & (len(op.index) - 1)), name
+        outside = ~same_sector[fine] | ((par[:, None] ^ par[None, :]) != op.degree)
         assert not x[outside].any(), name
 
 
@@ -465,6 +493,18 @@ def test_compactness_profile_matches_the_dense_svd(name):
     assert prof.singular_values.shape == want.shape
     assert np.abs(prof.singular_values - want).max() <= 1e-14
     assert prof.tail_start == CompactnessProfile(want, prof.tol).tail_start
+
+
+@pytest.mark.parametrize("dim,level", [(2, 6), (3, 4)])
+def test_compactness_profile_has_one_singular_value_per_state(dim, level):
+    # u(B) M_vP is odd, and its label blocks are rectangular (a rows of one level parity against b of
+    # the other): their singular values fall short of N, and the structural zeros make up the rest
+    rep = oscillator_rep(dim, level)
+    for h in named_symbols(dim):
+        prof = compactness_profile(gaussian(), h, rep)
+        assert len(prof.singular_values) == rep.basis.size, h.name
+    odd = matrix_function(gaussian(), rep.bott) @ multiplication_operator(named_symbols(dim)[1], rep.basis)
+    assert sum(min(b.shape) for b in odd.blocks) < rep.basis.size
 
 
 def test_compactness_profile_rejects_a_mixed_symbol():

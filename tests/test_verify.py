@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from bottlab import graded, verify
 from bottlab.clifford import MultiVector, Signature, mv_multiply, regular_representation
 from bottlab.funcalc import GradedFunction, gaussian, matrix_function, scale, x_gaussian
-from bottlab.graded import GradedMatrix, flip_unitary
+from bottlab.graded import GradedMatrix, flip_unitary, regroup
 from bottlab.oscillator import (
     CliffFunction,
     OscillatorRep,
@@ -79,7 +79,8 @@ def test_golub_kahan_step_cap_fails_its_own_gate(monkeypatch):
     capped = golub_kahan_norm(_clustered(0, 1e-6), max_steps=3)
     assert capped[1] is False
     monkeypatch.setattr(verify, "golub_kahan_norm", lambda m: golub_kahan_norm(m, max_steps=2))
-    rep = run_suite("cd-commutator", SweepConfig(dim=1, level=8))
+    # at level 8 the window's label blocks are 4 x 3 and two steps resolve them
+    rep = run_suite("cd-commutator", SweepConfig(dim=1, level=12))
     assert not rep.passed
     assert "gate Golub-Kahan converged on every sample: FAIL" in rep.notes
 
@@ -90,7 +91,7 @@ SWEEP_SUITES = ["dirac-commutator", "cd-commutator", "mehler", "s1s2-asymptotics
 
 @pytest.mark.parametrize("suite", SWEEP_SUITES)
 def test_norm_cross_check_reads_three_matrices_one_of_them_resolvable(suite, monkeypatch):
-    # each sample is read as its two parity blocks; the gate bounds |a - b| by 1e-8 a, so a
+    # each sample is read as its four label blocks; the gate bounds |a - b| by 1e-8 a, so a
     # Golub-Kahan route off by 1e-6 relative trips it, whatever the size of the samples
     # (mehler's window residuals are 1e-12..2e-5 at (1,12))
     norms = []
@@ -102,7 +103,7 @@ def test_norm_cross_check_reads_three_matrices_one_of_them_resolvable(suite, mon
 
     monkeypatch.setattr(verify, "golub_kahan_norm", off_by_1e6)
     rep = run_suite(suite, SweepConfig(dim=1, level=12))
-    assert len(norms) == 2 * 3, norms
+    assert len(norms) == 4 * 3, norms
     if suite == "mehler":
         assert max(norms) < 1e-2, norms
     (gate,) = [n for n in rep.notes if n.startswith("gate norm cross-check")]
@@ -258,7 +259,8 @@ def alpha(f: GradedFunction, h: CliffFunction, t: float, rep: OscillatorRep) -> 
     """The asymptotic-morphism image f(t^{-1} D) M_{h(./t)} at parameter t >= 1."""
     if not t >= 1:
         raise ValueError(f"morphism parameter must be >= 1, got {t}")
-    return matrix_function(scale(f, t), rep.dirac) @ multiplication_operator(rescale(h, t), rep.basis)
+    mh = multiplication_operator(rescale(h, t), rep.basis)
+    return regroup(matrix_function(scale(f, t), rep.dirac), len(mh.index)) @ mh
 
 
 def test_alpha_validation_and_norm_bound():
@@ -557,7 +559,7 @@ def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
     def recording_sweep(xs, matrices):
         def recorded(x):
             for name, m in matrices(x):
-                normed.append(m)
+                normed.append((name, m))
                 yield name, m
         return sweep(xs, recorded)
 
@@ -568,9 +570,12 @@ def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
     # mehler's window is too shallow for its bound at K = 6
     assert report.passed == (suite != "mehler" or config[1] > 6), report.notes
     assert [s for s in full if s == (size, size)] == [], full
-    k = rep.window(config[1] - max(2, config[1] // 3) if suite == "mehler" else 2)
+    depth = config[1] - max(2, config[1] // 3) if suite == "mehler" else 2
     assert normed
-    for m in normed:
+    for name, m in normed:
+        # on all the labels, or (the bump's curves) on the labels without R_1
+        k = rep.window(depth, len(m.index))
+        assert len(k) == 2 ** (config[0] + ("bump" not in name)), name
         assert [b.shape for b in m.blocks] == [(k[r], k[r ^ m.degree]) for r in range(len(k))]
         assert len(m.parity) == sum(k)
 
