@@ -63,8 +63,8 @@ from .verify import (
     SUITES,
     SweepConfig,
     VerificationReport,
-    golub_kahan_norm,
     run_suite,
+    svd_norm,
 )
 
 # every name imported above, and no submodule

@@ -1,15 +1,16 @@
 """Command-line driver: run verification suites, write reports.
 
 Reports are deterministic byte-for-byte for a fixed configuration: JSON and
-CSV artifacts contain no timestamps (the run manifest carries those), suite
-execution is pure and BLAS runs on one thread, so neither thread scheduling
-nor thread counts can change the output.
+CSV artifacts contain no timestamps (the run manifest carries those), the
+suites run one after another on the calling thread, and BLAS runs on one
+thread, so the BLAS thread count cannot change the output.  The suites are
+not spread over threads because numpy's linalg calls do not overlap across
+Python threads: a suite pool only adds contention.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import ctypes
 import glob
 import json
@@ -84,20 +85,6 @@ def _config_from_args(args) -> SweepConfig:
     return SweepConfig(dim=args.dim, level=args.levels, t_grid=t_grid, tol=args.tol)
 
 
-def _worker_count(n_suites: int) -> int:
-    env = os.environ.get("BOTTLAB_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"BOTTLAB_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ValueError("BOTTLAB_THREADS must be >= 1")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_suites))
-
-
 def _pin_blas_threads() -> bool:
     """Set numpy's bundled OpenBLAS, whose sums depend on its thread count, to one thread;
     False if there is none."""
@@ -134,7 +121,6 @@ def run(command: str, args) -> int:
             if unknown:
                 raise ValueError(f"unknown suite ids: {', '.join(unknown)}")
             suite_ids = [s for s in suite_ids if s in set(args.suite)]
-        workers = _worker_count(len(suite_ids))
         os.makedirs(args.out, exist_ok=True)  # before any suite runs, so a bad --out costs no work
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -143,9 +129,7 @@ def run(command: str, args) -> int:
     if not _pin_blas_threads():
         print("note: no bundled OpenBLAS to set to one thread; reports can differ in the last "
               "digits between BLAS thread counts", file=sys.stderr)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {sid: pool.submit(run_suite, sid, cfg) for sid in suite_ids}
-        reports = {sid: fut.result() for sid, fut in futures.items()}
+    reports = {sid: run_suite(sid, cfg) for sid in suite_ids}
 
     outputs = {}
     for sid in sorted(reports):
@@ -180,8 +164,7 @@ def run(command: str, args) -> int:
         status = "PASS" if rep.passed else "FAIL"
         print(f"{sid:<{width}}  {status:6}  {final:12.3e}  {expo:>9}")
     all_pass = all(r.passed for r in reports.values())
-    print(f"overall: {'PASS' if all_pass else 'FAIL'} ({len(reports)} suites, "
-          f"{workers} worker{'s' if workers > 1 else ''}, reports in {args.out})")
+    print(f"overall: {'PASS' if all_pass else 'FAIL'} ({len(reports)} suites, reports in {args.out})")
     return 0 if all_pass else 1
 
 

@@ -195,13 +195,15 @@ class MultiVector:
 
 
 def mv_multiply(a: MultiVector, b: MultiVector) -> MultiVector:
-    """Clifford product of two elements (dense Cayley-table contraction)."""
+    """Clifford product of two elements: the Cayley-table contraction over their nonzero coefficients,
+    in the order of the dense contraction, so the sums are the same."""
     if a.sig != b.sig:
         raise ValueError(f"signature mismatch: {a.sig} vs {b.sig}")
     sign, idx = _tables(a.sig.p, a.sig.q)
+    i, j = np.flatnonzero(a.coeffs), np.flatnonzero(b.coeffs)
     out = np.zeros_like(a.coeffs)
-    prod = np.multiply.outer(a.coeffs, b.coeffs) * sign
-    np.add.at(out, idx.ravel(), prod.ravel())
+    prod = np.multiply.outer(a.coeffs[i], b.coeffs[j]) * sign[np.ix_(i, j)]
+    np.add.at(out, idx[np.ix_(i, j)].ravel(), prod.ravel())
     return MultiVector(a.sig, out)
 
 

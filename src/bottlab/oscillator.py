@@ -169,7 +169,7 @@ class OscillatorRep:
 
     C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: one
     read-only block per label each, diagonalised per block at most once, on
-    first use, for every suite thread that shares the context.
+    first use, for every caller and thread that shares the context.
     """
 
     basis: HermiteBasis

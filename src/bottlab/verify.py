@@ -80,9 +80,10 @@ NOISE_FLOOR = 1e-12
 
 DELTA_LEVELS = (12, 18, 24)
 
-# the largest context_bytes a configuration may need: report-all's peak RSS with two suite workers
-# was 76, 133, 542 and 932 MiB at (3,8), (4,6), (4,8) and (5,6), whose contexts take 15, 48, 269 and
-# 469 MiB, so about 60 MiB plus 1.9 times the context, and a run within this bound peaks near 2 GiB
+# the largest context_bytes a configuration may need: report-all's peak RSS with two suites at once was
+# 76, 133, 542 and 932 MiB at (3,8), (4,6), (4,8) and (5,6), whose contexts take 15, 48, 269 and 469 MiB,
+# so about 60 MiB plus 1.9 times the context; a run within this bound peaked near 2 GiB, and running one
+# suite at a time peaks lower
 MEMORY_BUDGET = 1 << 30
 # the largest level whose default 2 * level + 16 Gauss-Hermite nodes have finite weights: hermgauss's
 # weights are all 0 at 371 nodes and NaN from 372 on, where every multiplication operator reads NaN
@@ -216,37 +217,18 @@ def _report(suite: str, params: dict, xs: Sequence[float], curves: dict, tol: fl
 # numerical helpers
 
 
-def _orthogonalised(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
-    """x minus its projection on the orthonormal columns of basis (two passes), and its norm."""
-    for _ in range(2):
-        x = x - basis @ (basis.T @ x)
-    return x, np.linalg.norm(x)
+def svd_norm(a: np.ndarray) -> tuple[float, bool]:
+    """Largest singular value by LAPACK's SVD, and whether the SVD converged; 0 for an empty block.
 
-
-def golub_kahan_norm(a: np.ndarray, max_steps: int = 200) -> tuple[float, bool]:
-    """Largest singular value by Golub-Kahan bidiagonalisation, and whether it converged.
-
-    An independent route from :func:`block_norm`: ``A V_k = U_k B_k``, B_k
-    upper bidiagonal, with full reorthogonalisation, runs from a fixed random
-    start until the top singular value s of B_k (left singular vector x) is
-    within ``beta_k |x_k| <= 1e-10 s`` of one of A, for at most ``max_steps`` steps.
+    An independent route from :func:`block_norm`: the SVD bidiagonalises the block itself and never
+    forms its Gram matrix.
     """
-    steps = min(max_steps, *a.shape)
-    us, vs = np.zeros((a.shape[0], steps)), np.zeros((a.shape[1], steps + 1))
-    b = np.zeros((steps, steps + 1))  # alpha_k on the diagonal, beta_k above it
-    vs[:, 0] = np.random.default_rng(7).standard_normal(a.shape[1])
-    vs[:, 0] /= np.linalg.norm(vs[:, 0])
-    for k in range(steps):
-        u, b[k, k] = _orthogonalised(a @ vs[:, k], us[:, :k])
-        if b[k, k] == 0.0:  # A maps span(V_k+1) into span(U_k): the values of B are exact
-            return (float(np.linalg.norm(b[:k, :k + 1], 2)) if k else 0.0), True
-        us[:, k] = u / b[k, k]
-        w, b[k, k + 1] = _orthogonalised(a.T @ us[:, k], vs[:, :k + 1])
-        x, s, _ = np.linalg.svd(b[:k + 1, :k + 1])
-        if b[k, k + 1] * abs(x[k, 0]) <= 1e-10 * s[0]:
-            return float(s[0]), True
-        vs[:, k + 1] = w / b[k, k + 1]
-    return float(s[0]), False
+    if a.size == 0:
+        return 0.0, True
+    try:
+        return float(np.linalg.svd(a, compute_uv=False)[0]), True
+    except np.linalg.LinAlgError:
+        return math.nan, False
 
 
 def windowed_norm(g: GradedMatrix, rep: OscillatorRep, depth: int = 2) -> float:
@@ -260,7 +242,7 @@ def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
 
     ``matrices(x)`` yields ``(curve name, GradedMatrix)`` pairs, each the window its gates read,
     normed as it comes; the first curve's matrix at the first, middle and last x is also normed by
-    the largest :func:`golub_kahan_norm` of its blocks, which converges when every run does, and
+    the largest :func:`svd_norm` of its blocks, which converges when every SVD does, and
     the two norms must agree to 1e-8 relative, so no matrix outlives its iteration.
     """
     curves, runs, picks = {}, [], {0, len(xs) // 2, len(xs) - 1}
@@ -268,11 +250,11 @@ def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
         for name, m in matrices(x):
             curves.setdefault(name, []).append(m.norm())
             if i in picks and name == next(iter(curves)):
-                norms, converged = zip(*map(golub_kahan_norm, m.blocks))
+                norms, converged = zip(*map(svd_norm, m.blocks))
                 runs.append((curves[name][-1], max(norms), all(converged)))
     worst = max((abs(a - b) / a if a else (math.inf if b else 0.0) for a, b, _ in runs), default=0.0)
-    return curves, [Gate(f"norm cross-check (block norm vs Golub-Kahan, {len(runs)} samples)", worst, 1e-8),
-                    Gate("Golub-Kahan converged on every sample", all(ok for *_, ok in runs))]
+    return curves, [Gate(f"norm cross-check (block norm vs SVD, {len(runs)} samples)", worst, 1e-8),
+                    Gate("SVD converged on every sample", all(ok for *_, ok in runs))]
 
 
 def decay_fit(ts: Sequence[float], vals: Sequence[float]) -> tuple | None:

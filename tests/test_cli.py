@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -27,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from bottlab import cli, oscillator
 from bottlab.oscillator import context_bytes, hermite_rows
-from bottlab.verify import MAX_QUADRATURE_LEVEL, MEMORY_BUDGET, SweepConfig
+from bottlab.verify import MAX_QUADRATURE_LEVEL, MEMORY_BUDGET, SweepConfig, run_suite
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -208,13 +209,6 @@ def test_unreachable_tolerance_exits_1(tmp_path, capsys):
     assert (tmp_path / "dirac-commutator.json").exists()
 
 
-def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BOTTLAB_THREADS", "many")
-    code = run_cli(["spectrum", "--levels", "8", "--out", str(tmp_path)])
-    assert code == 2
-    assert "BOTTLAB_THREADS" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # report contents
 # ---------------------------------------------------------------------------
@@ -263,11 +257,39 @@ def test_manifest_records_run(tmp_path, capsys):
     assert man["command"] == "report-all"
     assert man["tool"].startswith("bottlab ")
     assert set(man["suites"]) == {"spectrum", "clifford-iso"}
-    assert re.search(r"^overall: PASS \(2 suites, [12] workers?, reports in ", out, re.M)
+    assert re.search(r"^overall: PASS \(2 suites, reports in ", out, re.M)
     for sid, paths in man["outputs"].items():
         for path in paths.values():
             with open(path) as fh:
                 assert fh.read(1)
+
+
+def test_every_suite_runs_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    threads = []
+
+    def recording(sid, cfg):
+        threads.append(threading.current_thread())
+        return run_suite(sid, cfg)
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    assert run_cli(["report-all", "--suite", "spectrum", "--suite", "clifford-iso",
+                    "--levels", "8", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert threads == [threading.main_thread()] * 2
+
+
+def test_the_cli_imports_no_thread_pool_and_a_sweep_no_random_generator(tmp_path):
+    # the norm cross-check is deterministic and needs no random start
+    code = f"""
+import sys
+import bottlab.cli
+assert "concurrent.futures" not in sys.modules and "numpy.random" not in sys.modules
+assert bottlab.cli.main(["commutators", "--levels", "8", "--t-points", "3", "--out", {str(tmp_path)!r}]) == 0
+assert "concurrent.futures" not in sys.modules and "numpy.random" not in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_summary_table_sorted(tmp_path, capsys):
@@ -299,13 +321,11 @@ def _snapshot(outdir):
     return files
 
 
-def _check_byte_identical_runs(tmp_path, capsys, monkeypatch, args, fresh: bool = False):
-    """Two runs of ``args`` and one with a single suite worker write the same bytes; with ``fresh``
-    every run builds its own operator context."""
+def _check_byte_identical_runs(tmp_path, capsys, args, fresh: bool = False):
+    """Two runs of ``args`` and one that builds its own operator context write the same bytes; with
+    ``fresh`` every run builds its own."""
     for d in "abc":
-        if d == "c":
-            monkeypatch.setenv("BOTTLAB_THREADS", "1")
-        if fresh:
+        if fresh or d == "c":
             oscillator.oscillator_rep.cache_clear()
         assert run_cli(args + ["--out", str(tmp_path / d)]) in (0, 1)
     capsys.readouterr()
@@ -314,17 +334,17 @@ def _check_byte_identical_runs(tmp_path, capsys, monkeypatch, args, fresh: bool 
     assert len(a) == 2 * 11 + 1  # json + csv per suite, plus the manifest
     for name in a:
         assert a[name] == b[name], f"{name} differs between runs"
-        assert a[name] == c[name], f"{name} differs with a single worker"
+        assert a[name] == c[name], f"{name} differs with a fresh context"
 
 
-def test_reports_are_byte_identical_across_runs(tmp_path, capsys, monkeypatch):
-    _check_byte_identical_runs(tmp_path, capsys, monkeypatch, ["report-all", "--levels", "8", "--t-points", "5"])
+def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
+    _check_byte_identical_runs(tmp_path, capsys, ["report-all", "--levels", "8", "--t-points", "5"])
 
 
-def test_reports_are_byte_identical_across_runs_at_dim_2(tmp_path, capsys, monkeypatch):
-    # the operators split by both reflections, and regrouped for the bump, under the suite threads
-    _check_byte_identical_runs(tmp_path, capsys, monkeypatch,
-                               ["report-all", "--dim", "2", "--levels", "6", "--t-points", "5"], fresh=True)
+def test_reports_are_byte_identical_across_runs_at_dim_2(tmp_path, capsys):
+    # the operators split by both reflections, and regrouped for the bump
+    _check_byte_identical_runs(tmp_path, capsys, ["report-all", "--dim", "2", "--levels", "6", "--t-points", "5"],
+                               fresh=True)
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -333,7 +353,7 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "BOTTLAB_THREADS": "1",
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-m", "bottlab.cli", "delta", "--dim", "1", "--levels", "4",
                                "--out", str(out)], capture_output=True, text=True, env=env)

@@ -188,6 +188,18 @@ def test_mv_multiply_associative_random_coeffs(seed):
     assert (lhs - rhs).norm() < 1e-12 * max(1.0, lhs.norm())
 
 
+@pytest.mark.parametrize("sig", [Signature(2, 1), Signature(4, 4)])
+def test_mv_multiply_equals_the_dense_cayley_contraction(sig):
+    # the reference sums every product, zeros included, in row-major order
+    sign, idx = clifford._tables(sig.p, sig.q)
+    rng = np.random.default_rng(5)
+    for keep in (1.0, 0.5, 0.1, 1 / sig.blade_count, 0.0):
+        a, b = (rng.standard_normal(sig.blade_count) * (rng.random(sig.blade_count) < keep) for _ in range(2))
+        dense = np.zeros(sig.blade_count)
+        np.add.at(dense, idx.ravel(), (np.multiply.outer(a, b) * sign).ravel())
+        assert np.array_equal(mv_multiply(MultiVector(sig, a), MultiVector(sig, b)).coeffs, dense)
+
+
 def test_left_mult_operator_action():
     rng = np.random.default_rng(11)
     for sig in [Signature(2, 1), Signature(0, 3)]:

@@ -31,12 +31,12 @@ from bottlab.verify import (
     SweepConfig,
     _gaussian_bott_map,
     decay_fit,
-    golub_kahan_norm,
     mehler_coefficients,
     monotone_after,
     named_symbols,
     run_suite,
     shifted_bump,
+    svd_norm,
     windowed_norm,
 )
 from oracles import bott_map, fmul, fprod, fsum, sup_norm, symbol_values
@@ -46,13 +46,17 @@ from oracles import bott_map, fmul, fprod, fsum, sup_norm, symbol_values
 # norms and curve analysis
 # ---------------------------------------------------------------------------
 
-def test_operator_norm_agrees_with_golub_kahan():
+def test_operator_norm_agrees_with_svd_norm():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((30, 30))
-        a, (b, converged) = np.linalg.norm(m, 2), golub_kahan_norm(m)
+        a, (b, converged) = np.linalg.norm(m, 2), svd_norm(m)
         assert converged and abs(a - b) <= 1e-8 * a, f"seed {seed}: {a} vs {b}"
-    assert golub_kahan_norm(np.zeros((5, 5))) == (0.0, True)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (5, 5)])
+def test_svd_norm_of_an_empty_or_zero_block_is_zero(shape):
+    assert svd_norm(np.zeros(shape)) == (0.0, True)
 
 
 def _clustered(seed: int, width: float, n: int = 60, count: int = 5) -> np.ndarray:
@@ -66,23 +70,28 @@ def _clustered(seed: int, width: float, n: int = 60, count: int = 5) -> np.ndarr
 
 @pytest.mark.parametrize("width", [1e-4, 1e-6])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_golub_kahan_norm_resolves_clustered_top_singular_values(seed, width):
+def test_svd_norm_resolves_clustered_top_singular_values(seed, width):
     # power iteration on A^T A converges at the rate (s_2 / s_1)^2, so on such
-    # a cluster it stopped 1e-6..3e-4 short of the norm, past the cross-check's
-    # 1e-8; the Krylov space of the bidiagonalisation resolves the cluster
-    norm, converged = golub_kahan_norm(_clustered(seed, width))
+    # a cluster it stopped 1e-6..3e-4 short of the norm, past the cross-check's 1e-8
+    norm, converged = svd_norm(_clustered(seed, width))
     assert converged
     assert abs(norm - 1.0) <= 1e-8
 
 
-def test_golub_kahan_step_cap_fails_its_own_gate(monkeypatch):
-    capped = golub_kahan_norm(_clustered(0, 1e-6), max_steps=3)
-    assert capped[1] is False
-    monkeypatch.setattr(verify, "golub_kahan_norm", lambda m: golub_kahan_norm(m, max_steps=2))
-    # at level 8 the window's label blocks are 4 x 3 and two steps resolve them
+def test_svd_that_does_not_converge_fails_its_own_gate(monkeypatch):
+    monkeypatch.setattr(verify, "svd_norm", lambda m: (svd_norm(m)[0], False))
     rep = run_suite("cd-commutator", SweepConfig(dim=1, level=12))
     assert not rep.passed
-    assert "gate Golub-Kahan converged on every sample: FAIL" in rep.notes
+    assert "gate SVD converged on every sample: FAIL" in rep.notes
+
+
+def test_svd_norm_reports_a_lapack_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    norm, converged = svd_norm(np.eye(3))
+    assert math.isnan(norm) and converged is False
 
 
 SWEEP_SUITES = ["dirac-commutator", "cd-commutator", "mehler", "s1s2-asymptotics", "composition-gamma",
@@ -92,16 +101,16 @@ SWEEP_SUITES = ["dirac-commutator", "cd-commutator", "mehler", "s1s2-asymptotics
 @pytest.mark.parametrize("suite", SWEEP_SUITES)
 def test_norm_cross_check_reads_three_matrices_one_of_them_resolvable(suite, monkeypatch):
     # each sample is read as its four label blocks; the gate bounds |a - b| by 1e-8 a, so a
-    # Golub-Kahan route off by 1e-6 relative trips it, whatever the size of the samples
+    # SVD route off by 1e-6 relative trips it, whatever the size of the samples
     # (mehler's window residuals are 1e-12..2e-5 at (1,12))
     norms = []
 
     def off_by_1e6(a):
-        out = golub_kahan_norm(a)
+        out = svd_norm(a)
         norms.append(out[0])
         return out[0] * (1.0 + 1e-6), out[1]
 
-    monkeypatch.setattr(verify, "golub_kahan_norm", off_by_1e6)
+    monkeypatch.setattr(verify, "svd_norm", off_by_1e6)
     rep = run_suite(suite, SweepConfig(dim=1, level=12))
     assert len(norms) == 4 * 3, norms
     if suite == "mehler":
