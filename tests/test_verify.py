@@ -100,7 +100,7 @@ SWEEP_SUITES = ["dirac-commutator", "cd-commutator", "mehler", "s1s2-asymptotics
 
 @pytest.mark.parametrize("suite", SWEEP_SUITES)
 def test_norm_cross_check_reads_three_matrices_one_of_them_resolvable(suite, monkeypatch):
-    # each sample is read as its four label blocks; the gate bounds |a - b| by 1e-8 a, so a
+    # each sample is read as its four label blocks; the gate bounds |a - b| by 1e-8 a, so an
     # SVD route off by 1e-6 relative trips it, whatever the size of the samples
     # (mehler's window residuals are 1e-12..2e-5 at (1,12))
     norms = []
