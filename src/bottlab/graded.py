@@ -11,10 +11,11 @@ that commutes with fewer of them is held on the first labels only, and
 Tensor products pick up Koszul signs: on simple tensors,
 ``(a (x) b)(xi (x) eta) = (-1)^{deg b * deg xi} (a xi) (x) (b eta)``, the
 sign :func:`graded_tensor` puts on the first factor's odd columns.  All the
-sign laws here (commutators, involution, flip) reduce to that one rule.  The
-tensor space's basis is ordered by parity, then by the parity of the first
-leg, then a-major (:func:`tensor_pairs`), so each parity block of ``a (x) b``
-is two Kronecker products of the factors' own parity blocks.
+sign laws here (commutators, involution, flip) reduce to that one rule.  A
+tensor label is the total parity and both factors' bits above their parity;
+the tensor space's basis is ordered by label, then by the parity of the first
+leg, then a-major (:func:`tensor_pairs`), so each block of ``a (x) b`` is two
+Kronecker products of the factors' own blocks.
 """
 
 from __future__ import annotations
@@ -184,8 +185,17 @@ def _on_window(g: GradedMatrix, sizes, degree: int, blocks, mirrored: bool = Fal
     ``sizes[l]`` basis vectors of every label l, in basis order."""
     if all(sizes[r] in (None, len(i)) for r, i in enumerate(g.index)):
         return GradedMatrix.from_blocks(degree, blocks, g.labels, g.index, mirrored)
-    keep = np.sort(np.concatenate([i[:sizes[r]] for r, i in enumerate(g.index)]))
-    return GradedMatrix.from_blocks(degree, blocks, g.labels[keep], None, mirrored)
+    return GradedMatrix.from_blocks(degree, blocks, *_window_layout(g.labels.tobytes(), tuple(sizes)), mirrored)
+
+
+@lru_cache(maxsize=64)
+def _window_layout(labels: bytes, sizes: tuple) -> tuple:
+    """The labels and ``label_index`` of the window that keeps the first ``sizes[l]`` basis vectors
+    of every label l of the space with these labels (uint16 bytes), read-only and shared."""
+    labels = np.frombuffer(labels, dtype=np.uint16)
+    keep = np.sort(np.concatenate([i[:k] for i, k in zip(label_index(labels, len(sizes)), sizes)]))
+    labels = _frozen(labels[keep])
+    return labels, label_index(labels, len(sizes))
 
 
 def _check_symmetric(g: GradedMatrix, what: str):
@@ -227,54 +237,106 @@ def grading_signs(parity: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(parity, dtype=float)
 
 
+def _label_bits(labels: np.ndarray) -> int:
+    """The bits of a label vector, at least one: its labels are ``0 .. 2^bits - 1``."""
+    return max(1, int(labels.max(initial=0)).bit_length())
+
+
 @lru_cache(maxsize=16)
-def _tensor_layout(pa: bytes, pb: bytes) -> tuple:
-    """``(i, j, labels, index)`` of the tensor space of factors of parities pa, pb (as bytes):
-    :func:`tensor_pairs`, the parities as labels, and their ``label_index``."""
-    pa, pb = np.frombuffer(pa, dtype=np.uint8), np.frombuffer(pb, dtype=np.uint8)
-    i, j = np.divmod(np.arange(len(pa) * len(pb)), len(pb))  # a-major, then sorted stably
-    order = np.argsort(4 * (pa[i] ^ pb[j]) + 2 * pa[i], kind="stable")
-    labels = _frozen((pa[i] ^ pb[j])[order].astype(np.uint16))
-    return _frozen(i[order]), _frozen(j[order]), labels, label_index(labels, 2)
+def _tensor_layout(la: bytes, lb: bytes) -> tuple:
+    """``(i, j, labels, index)`` of the tensor space of factors with labels la, lb (uint16 bytes):
+    :func:`tensor_pairs`, the tensor labels, and their ``label_index``."""
+    la, lb = (np.frombuffer(x, dtype=np.uint16).astype(np.intp) for x in (la, lb))
+    ka, kb = _label_bits(la), _label_bits(lb)
+    i, j = np.divmod(np.arange(len(la) * len(lb)), len(lb))  # a-major, then sorted stably
+    # the total parity, a's bits above its parity, then b's
+    labels = ((la[i] ^ lb[j]) & 1) | (la[i] >> 1 << 1) | (lb[j] >> 1 << ka)
+    order = np.argsort(2 * labels + (la[i] & 1), kind="stable")
+    labels = _frozen(labels[order].astype(np.uint16))
+    return _frozen(i[order]), _frozen(j[order]), labels, label_index(labels, 1 << (ka + kb - 1))
 
 
-def tensor_pairs(pa: np.ndarray, pb: np.ndarray) -> tuple:
-    """The factor indices ``(i, j)`` of every basis vector ``xi_i (x) eta_j`` of the tensor space,
-    read-only and shared between calls.  The basis is ordered by parity, then by the parity of
-    ``xi_i``, then a-major: the vectors of parity r whose first leg has parity s are the pairs of
-    a parity-s ``xi_i`` and a parity-``s ^ r`` ``eta_j``, a-major, in one run."""
-    return _tensor_layout(*(np.asarray(p, dtype=np.uint8).tobytes() for p in (pa, pb)))[:2]
+def _layout_of(la, lb) -> tuple:
+    return _tensor_layout(*(np.asarray(x, dtype=np.uint16).tobytes() for x in (la, lb)))
 
 
-def tensor_parity(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _tensor_plan(la: bytes, lb: bytes, da: int, db: int) -> tuple:
+    """``(labels, index, plan)`` for :func:`graded_tensor` of factors of degrees da, db with labels
+    la, lb (uint16 bytes): ``plan`` holds, for every tensor label, the shape of its block and its two
+    runs ``(a's label, b's label, rows, columns, (m, p, n, q), negated)``: the Kronecker product of
+    a's m x n block and b's p x q block, written into those rows and columns, and whether the
+    Koszul sign negates it."""
+    _, _, labels, index = _tensor_layout(la, lb)
+    la, lb = (np.frombuffer(x, dtype=np.uint16) for x in (la, lb))
+    ka, degree = _label_bits(la), da ^ db
+    counts = [np.bincount(x, minlength=1 << _label_bits(x)) for x in (la, lb)]
+
+    def run(r: int, s: int) -> tuple:
+        """Run s of label r: the pairs of a's label s | ra and b's label s ^ r | rb, and its first row."""
+        fa, fb = s | r & ((1 << ka) - 2), s ^ r & 1 | r >> ka << 1
+        return fa, fb, 0 if s == 0 else int(counts[0][fa ^ 1] * counts[1][fb ^ 1])
+
+    plan = []
+    for r in range(len(index)):
+        runs = []
+        for s in (0, 1):
+            fa, fb, row = run(r, s)
+            (m, n), (p, q) = (counts[0][fa], counts[0][fa ^ da]), (counts[1][fb], counts[1][fb ^ db])
+            col = run(r ^ degree, s ^ da)[2]
+            runs.append((fa, fb, slice(row, row + m * p), slice(col, col + n * q), (m, p, n, q),
+                         bool(db and s ^ da)))
+        plan.append(((len(index[r]), len(index[r ^ degree])), tuple(runs)))
+    return labels, index, tuple(plan)
+
+
+def tensor_pairs(la: np.ndarray, lb: np.ndarray) -> tuple:
+    """The factor indices ``(i, j)`` of every basis vector ``xi_i (x) eta_j`` of the tensor space of
+    factors with labels la and lb (a parity vector is a label vector of two labels), read-only and
+    shared between calls.
+
+    The label of ``xi_i (x) eta_j`` is its parity, then the bits of ``la[i]`` above its parity, then
+    those of ``lb[j]`` (:func:`tensor_labels`).  The basis is ordered by label, then by the parity of
+    ``xi_i``, then a-major: the vectors of a label whose first leg has parity s are the pairs of one
+    label of ``xi_i`` and one of ``eta_j``, a-major, in one run.  Factors on their parities give the
+    order by parity, then by the parity of ``xi_i``.
+    """
+    return _layout_of(la, lb)[:2]
+
+
+def tensor_labels(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """The label of every basis vector of the tensor space, in the order of :func:`tensor_pairs`."""
+    return _layout_of(la, lb)[2]
+
+
+def tensor_parity(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     """Parity vector of the tensor product space, in the order of :func:`tensor_pairs`."""
-    i, j = tensor_pairs(pa, pb)
-    return np.asarray(pa, dtype=np.uint8)[i] ^ np.asarray(pb, dtype=np.uint8)[j]
+    return tensor_labels(la, lb) & 1
 
 
 def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """Graded tensor product of graded matrices, on the basis of :func:`tensor_pairs`.
+    """Graded tensor product of graded matrices, on the basis and labels of :func:`tensor_pairs`.
 
-    In block r, the rows whose first leg has parity s meet only the columns whose first
-    leg has parity ``t = s ^ deg a``, and there the block is the Kronecker product of the
-    factors' parity blocks ``a[s, t]`` and ``b[s ^ r, s ^ r ^ deg b]``, negated by the
-    Koszul sign ``(-1)^{deg b * deg xi}`` when b and the column leg xi are odd.  Each
-    product is written in place into its slice of the block, so nothing the size of the
-    whole tensor space is formed.  The degrees add.
+    Each factor commutes with the reflections its labels hold, so the product is zero between
+    labels of different reflection bits.  In block ``l`` of parity r, with a's bits ``ra`` and
+    b's ``rb``, the rows whose first leg has parity s meet only the columns whose first leg has
+    parity ``t = s ^ deg a``, and there the block is the Kronecker product of the factors' blocks
+    at a's label ``s | ra`` and b's label ``s ^ r | rb``, negated by the Koszul sign
+    ``(-1)^{deg b * deg xi}`` when b and the column leg xi are odd.  Each product is written in
+    place into its slice of the block, so nothing the size of the whole tensor space is formed.
+    The degrees add.
     """
-    a, b = (regroup(g, 2) for g in (a, b))
-    _, _, labels, index = _tensor_layout(a.parity.tobytes(), b.parity.tobytes())
-    degree, blocks = a.degree ^ b.degree, []
-    for r in (0, 1):
-        out = np.zeros((len(index[r]), len(index[r ^ degree])))
-        for s in (0, 1):
-            t, x, y = s ^ a.degree, a.blocks[s], b.blocks[s ^ r]
-            x = -x if b.degree and t else x
-            row, col = s * len(a.index[0]) * len(b.index[r]), t * len(a.index[0]) * len(b.index[r ^ degree])
-            (m, n), (p, q) = x.shape, y.shape
-            view = out[row:row + m * p, col:col + n * q].reshape(m, p, n, q)
-            np.multiply(x[:, None, :, None], y[None, :, None, :], out=view)
+    labels, index, plan = _tensor_plan(a.labels.tobytes(), b.labels.tobytes(), a.degree, b.degree)
+    blocks = []
+    for shape, runs in plan:
+        out = np.zeros(shape)
+        for fa, fb, rows, cols, shape4, negated in runs:
+            view = out[rows, cols].reshape(shape4)
+            np.multiply(a.blocks[fa][:, None, :, None], b.blocks[fb][None, :, None, :], out=view)
+            if negated:
+                np.negative(view, out=view)
         blocks.append(out)
+    degree = a.degree ^ b.degree
     return GradedMatrix.from_blocks(degree, blocks, labels, index)
 
 
@@ -352,19 +414,21 @@ def flip_simple(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     return graded_tensor(-b if (a.degree and b.degree) else b, a)
 
 
-def flip_unitary(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+def flip_unitary(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     """Signed permutation implementing xi (x) eta -> (-1)^{deg xi deg eta} eta (x) xi.
 
     Conjugation by this matrix carries ``graded_tensor(a, b)`` on the (a, b)
-    basis to ``flip_simple(a, b)`` on the (b, a) basis, each ordered as
-    :func:`tensor_pairs` orders it: column p, the vector ``xi_i (x) eta_j``,
-    has its one entry in the row of ``eta_j (x) xi_i``.
+    basis to ``flip_simple(a, b)`` on the (b, a) basis, for factors with labels
+    la and lb, each ordered as :func:`tensor_pairs` orders it: column p, the
+    vector ``xi_i (x) eta_j``, has its one entry in the row of ``eta_j (x) xi_i``.
+    It carries every label of the (a, b) space onto one label of the (b, a)
+    space, of the same parity.
     """
-    pa, pb = np.asarray(pa, dtype=np.uint8), np.asarray(pb, dtype=np.uint8)
-    (i, j), (jb, ib) = tensor_pairs(pa, pb), tensor_pairs(pb, pa)
-    row = np.argsort(jb * len(pa) + ib)[j * len(pa) + i]  # the position of eta_j (x) xi_i in the (b, a) basis
+    la, lb = np.asarray(la, dtype=np.uint16), np.asarray(lb, dtype=np.uint16)
+    (i, j), (jb, ib) = tensor_pairs(la, lb), tensor_pairs(lb, la)
+    row = np.argsort(jb * len(la) + ib)[j * len(la) + i]  # the position of eta_j (x) xi_i in the (b, a) basis
     out = np.zeros((len(i), len(i)))
-    out[row, np.arange(len(i))] = 1.0 - 2.0 * (pa[i] & pb[j])
+    out[row, np.arange(len(i))] = 1.0 - 2.0 * (la[i] & lb[j] & 1)
     return out
 
 

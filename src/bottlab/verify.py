@@ -27,8 +27,8 @@ from .clifford import (
     MultiVector,
     Signature,
     algebra_isomorphism_check,
+    left_mult_operator,
     matrix_relation_residual,
-    mv_multiply,
     regular_representation,
 )
 from .funcalc import (
@@ -41,6 +41,7 @@ from .funcalc import (
 )
 from .graded import (
     GradedMatrix,
+    _label_bits,
     flip_simple,
     flip_unitary,
     graded_commutator,
@@ -48,9 +49,10 @@ from .graded import (
     grading_signs,
     involution,
     iota,
+    label_index,
     regroup,
+    tensor_labels,
     tensor_pairs,
-    tensor_parity,
     tensor_product_witness,
     window_product,
 )
@@ -695,55 +697,102 @@ def suite_compactness(cfg: SweepConfig) -> VerificationReport:
 
 
 def _largest_difference(xs, ys) -> float:
-    """The largest absolute entry of x - y over pairs of blocks, each x a fresh array that the
-    difference overwrites: read from its extremes, so no other array is formed."""
+    """The largest absolute entry of x - y over pairs of blocks; a writeable x (a fresh array) is
+    overwritten by the difference and read from its extremes, so no other array is formed."""
     worst = 0.0
     for x, y in zip(xs, ys):
-        x -= y
+        x = np.subtract(x, y, out=x if x.flags.writeable else None)
         worst = max(worst, float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
     return worst
 
 
-def _conjugator(u: GradedMatrix):
-    """x -> u @ x @ u.T for an even signed permutation matrix u, block by block, by indexing;
-    its ``blocks`` gives the fresh blocks of the result.
+def _conjugator(u: np.ndarray, labels: np.ndarray, index: tuple):
+    """x -> u @ x @ u.T for a signed permutation u between two spaces that hold these labels
+    (``index`` their ``label_index``) and that carries every label onto one label of the same
+    parity, block by block, by indexing; its ``blocks`` gives the fresh blocks of the result.
 
-    Block (r, c) of the product is ``u[r, r] x[r, c] u[c, c]^T``; each of its entries is one
-    entry of x times two signs, so the result equals the matrix product exactly.  The flat
-    position in ``x[r, c]`` and the sign of every entry are taken once per pair of labels,
-    and a conjugation is one ``take`` and one in-place multiply per block.
+    Row k of label m has its one entry in column p(k), of label ``l(m)``, so block (m, m ^ d) of the
+    product is ``x[l(m), l(m) ^ d]`` at the rows and columns p gives them, times the signs of its
+    rows and columns; each entry is one entry of x times two signs, so the result equals the matrix
+    product exactly.  The positions and the signs are read from u once per pair of labels, and a
+    conjugation is one ``take`` and one in-place multiply per block.  A u that is no such
+    permutation gives a wrong result, not an error, for the gate that reads it to fail on.
     """
-    perms = [np.abs(b).argmax(axis=1) for b in u.blocks]
-    signs = [b[np.arange(len(p)), p] for b, p in zip(u.blocks, perms)]
-    gather = {(r, c): perms[r][:, None] * len(perms[c]) + perms[c][None, :] for r, c in np.ndindex(2, 2)}
-    sign = {(r, c): signs[r][:, None] * signs[c][None, :] for r, c in np.ndindex(2, 2)}
+    local = np.empty(len(labels), dtype=np.intp)  # every basis index's position in its label
+    for i in index:
+        local[i] = np.arange(len(i))
+    cols = [np.abs(u[i]).argmax(axis=1) for i in index]
+    source = [int(labels[c[0]]) if len(c) else m for m, c in enumerate(cols)]
+    signs = [u[i, c] for i, c in zip(index, cols)]
+    gather = {(m, d): local[cols[m]][:, None] * len(index[source[m] ^ d]) + local[cols[m ^ d]][None, :]
+              for m, d in np.ndindex(len(index), 2)}
+    sign = {(m, d): signs[m][:, None] * signs[m ^ d][None, :] for m, d in np.ndindex(len(index), 2)}
 
     def blocks(x: GradedMatrix) -> list:
-        out = [np.take(b, gather[r, r ^ x.degree]) for r, b in enumerate(x.blocks)]
-        for r, b in enumerate(out):
-            b *= sign[r, r ^ x.degree]
+        out = [np.take(x.blocks[source[m]], gather[m, x.degree], mode="clip") for m in range(len(index))]
+        for m, b in enumerate(out):
+            b *= sign[m, x.degree]
         return out
 
     def conjugate(x: GradedMatrix) -> GradedMatrix:
-        return GradedMatrix.from_blocks(x.degree, blocks(x), x.labels, x.index)
+        return GradedMatrix.from_blocks(x.degree, blocks(x), labels, index)
     conjugate.blocks = blocks
     return conjugate
 
 
-def _flip_product_residuals(gens: tuple, conj) -> tuple[float, float]:
-    """Flip involution and multiplicativity residuals on the four tensors ``x (x) y`` of the
-    generators, each formed and conjugated by the signed swap once."""
-    tensors, flipped, inv_worst = [], [], 0.0
-    for x in gens:
-        for y in gens:
-            z = graded_tensor(x, y)
-            tensors.append(z)
-            flipped.append(conj(z))
-            inv_worst = max(inv_worst,
-                            _largest_difference(conj.blocks(involution(z)), involution(flipped[-1]).blocks))
-    mult_worst = max(_largest_difference(conj.blocks(t1 @ t2), (c1 @ c2).blocks)
-                     for t1, c1 in zip(tensors, flipped) for t2, c2 in zip(tensors, flipped))
-    return mult_worst, inv_worst
+def _flip_product_residuals(gens: tuple) -> tuple[float, float]:
+    """Flip multiplicativity and involution residuals on the simple tensors of the generators, each
+    side formed by :func:`graded_tensor` or :func:`flip_simple` and never by the swap.
+
+    ``(a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd``, so its flip ``(-1)^{|b||c|} flip_simple(ac, bd)``
+    must be ``flip_simple(a, b) @ flip_simple(c, d)``; and ``(a (x) b)^T = (-1)^{|a||b|} a^T (x) b^T``,
+    for the tensor and for its flip.
+    """
+    pairs = [(a, b) for a in gens for b in gens]
+    flips = [flip_simple(a, b) for a, b in pairs]
+    mult = max(_largest_difference(flip_simple((-1.0) ** (b.degree * c.degree) * (a @ c), b @ d).blocks,
+                                   (f1 @ f2).blocks)
+               for (a, b), f1 in zip(pairs, flips) for (c, d), f2 in zip(pairs, flips))
+    inv = 0.0
+    for (a, b), f in zip(pairs, flips):
+        # the tensor's law on a^T and b^T, whose tensor no other check forms
+        sign, ta, tb = (-1.0) ** (a.degree * b.degree), involution(a), involution(b)
+        inv = max(inv, _largest_difference(involution(graded_tensor(ta, tb)).blocks,
+                                           graded_tensor(sign * involution(ta), involution(tb)).blocks),
+                  _largest_difference(involution(f).blocks, flip_simple(sign * ta, tb).blocks))
+    return mult, inv
+
+
+def _blade_word_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
+    """The sign and the blade of the product of blades a and b, read from their generator words:
+    sorting ``e_a e_b`` moves each generator of b past every generator of a of a higher index, one
+    sign each, and every generator in both then squares to its sign."""
+    gens_a, gens_b = ([i for i in range(sig.n) if m >> i & 1] for m in (a, b))
+    sign = (-1) ** sum(i > j for i in gens_a for j in gens_b)
+    for i in gens_a:
+        if b >> i & 1:
+            sign *= sig.square_sign(i + 1)
+    return sign, a ^ b
+
+
+def _grading_residual(sigs) -> tuple[float, int]:
+    """How far ``iota(xy)``, with xy read from the Cayley table, is from ``iota(x) iota(y)`` multiplied
+    by their generator words, and ``iota(iota(x))`` from x, over every pair of blades x, y of every
+    signature; and the number of pairs."""
+    worst, count = 0.0, 0
+    for sig in sigs:
+        ones = MultiVector(sig, np.ones(sig.blade_count))
+        signs = iota(ones).coeffs  # iota is diagonal on blades: its sign on each
+        worst = max(worst, float(np.abs(iota(iota(ones)).coeffs - 1.0).max()))
+        for a in range(sig.blade_count):
+            # column b: blade a times blade b
+            products = left_mult_operator(MultiVector.blade(sig, a)) * signs[:, None]
+            for b in range(sig.blade_count):
+                sign, blade = _blade_word_product(sig, a, b)
+                products[blade, b] -= signs[a] * signs[b] * sign
+            worst = max(worst, float(np.abs(products).max()))
+            count += sig.blade_count
+    return worst, count
 
 
 def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
@@ -753,8 +802,9 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
     assembled twice: directly, and by building the opposite-order tensor and
     conjugating with the signed swap.  The two routes exercise the Koszul
     sign bookkeeping through independent arithmetic; mismatched signs would
-    show up at the odd-odd parity combinations.  Sampled product identities
-    for the flip and the grading automorphism are checked alongside.
+    show up at the odd-odd parity combinations.  The flip's product and
+    involution laws are checked on simple tensors, where the signs live, and
+    the grading automorphism against products read from generator words.
     """
     notes = []
     if cfg.dim != 1:
@@ -765,24 +815,26 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
     rep = oscillator_rep(1, level)
     u, v = gaussian(), x_gaussian()
     tol = cfg.tol if cfg.tol is not None else 1e-8
-
-    par = rep.basis.parity()
-    # built from an array, the swap is checked to keep parities
-    swap = GradedMatrix(flip_unitary(par, par), tensor_parity(par, par))
-    # l o l = id as signed permutations
-    ll = _largest_difference([np.eye(len(i)) for i in swap.index], (swap @ swap).blocks)
-    conj = _conjugator(swap)
-    # every factor on the parity labels, as its graded tensors hold it
-    uc, vc = (regroup(matrix_function(f, rep.clifford), 2) for f in (u, v))
     sub = SweepConfig(dim=1, level=level, t_grid=cfg.t_grid)
     hs = named_symbols(1)
 
-    # the grading operator 1 (x) gamma on the tensor square, as the diagonal of its matrix (the sign
-    # of each basis vector's second leg), restricted to the even and to the odd basis vectors
-    second = grading_signs(par)[tensor_pairs(par, par)[1]]
-    gam = [second[i] for i in swap.index]
+    # the right factors on their four labels; a left factor on its own, the bump's on the parity labels
+    # because the bump breaks R_1; per left label count, the swap conjugation and the grading
+    uc, vc = (matrix_function(f, rep.clifford) for f in (u, v))
+    lb, squares, ll = uc.labels, {}, 0.0
+    for la in (lb, lb & 1):
+        labels, swap, back = tensor_labels(la, lb), flip_unitary(la, lb), flip_unitary(lb, la)
+        # the (a, b) and (b, a) spaces hold these labels, sorted, so built from an array each swap is a
+        # matrix on their parities, checked to keep them; l o l = id as signed permutations
+        there, home = (GradedMatrix(x, labels & 1) for x in (swap, back))
+        ll = max(ll, _largest_difference([np.eye(len(i)) for i in there.index], (home @ there).blocks))
+        index = label_index(labels, 1 << _label_bits(labels))
+        # the grading operator 1 (x) gamma on the tensor space, as the diagonal of its matrix (the sign
+        # of each basis vector's second leg), per label
+        second = grading_signs(lb & 1)[tensor_pairs(la, lb)[1]]
+        squares[1 << _label_bits(la)] = _conjugator(swap, labels, index), [second[i] for i in index]
 
-    def flip_route_residual(a: GradedMatrix, b: GradedMatrix, grading: bool) -> float:
+    def flip_route_residual(a: GradedMatrix, b: GradedMatrix, conj, gam, grading: bool) -> float:
         """Both routes to the flip of ``a (x) b``; with ``grading`` (for an even second leg,
         on which the grading automorphism is invisible) also how far the grading moves it."""
         ab = graded_tensor(a, b)
@@ -794,34 +846,28 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
 
     curves: dict[str, list[float]] = {h.name: [] for h in hs}
     for t in cfg.t_grid:
-        ud, vd = (regroup(matrix_function(scale(f, t), rep.dirac), 2) for f in (u, v))
+        ud, vd = (matrix_function(scale(f, t), rep.dirac) for f in (u, v))
         for h in hs:
-            # the morphism images u(D/t) M_{h_t} and v(D/t) M_{h_t}, sharing one M_{h_t}
-            mh = regroup(multiplication_operator(rescale(h, t), rep.basis), 2)
-            a_even, a_odd = ud @ mh, vd @ mh
+            # the morphism images u(D/t) M_{h_t} and v(D/t) M_{h_t}, sharing one M_{h_t}, on its labels
+            mh = multiplication_operator(rescale(h, t), rep.basis)
+            conj, gam = squares[len(mh.index)]
+            a_even, a_odd = (regroup(f, len(mh.index)) @ mh for f in (ud, vd))
             worst = 0.0
             for left in (a_even, a_odd):
                 for right in (uc, vc):
-                    worst = max(worst, flip_route_residual(left, right, left is a_even and right is uc))
+                    worst = max(worst, flip_route_residual(left, right, conj, gam, left is a_even and right is uc))
             curves[h.name].append(worst)
 
-    mult_worst, inv_worst = _flip_product_residuals((uc, vc), conj)
-
-    # grading automorphism is multiplicative: oracle = direct Clifford products
-    rng = np.random.default_rng(2024)
-    iota_worst = 0.0
-    for sig in (Signature(2, 0), Signature(1, 1), Signature(2, 1)):
-        for _ in range(8):
-            m1, m2 = (MultiVector(sig, rng.standard_normal(sig.blade_count)) for _ in range(2))
-            iota_worst = max(iota_worst, (iota(mv_multiply(m1, m2)) - mv_multiply(iota(m1), iota(m2))).norm(),
-                             (iota(iota(m1)) - m1).norm())
+    mult_worst, inv_worst = _flip_product_residuals((uc, vc))
+    iota_worst, blade_pairs = _grading_residual((Signature(2, 0), Signature(1, 1), Signature(2, 1)))
 
     gates = [
         Gate("two assembly routes agree at every t", [val for c in curves.values() for val in c], tol),
         Gate("double flip deviation from identity", ll, 1e-14),
-        Gate("flip multiplicativity on 16 sampled products", mult_worst, tol),
-        Gate("flip respects the involution on sampled tensors", inv_worst, tol),
-        Gate("grading automorphism multiplicative on 24 sampled pairs", iota_worst, tol),
+        Gate("flip multiplicativity on 16 products of simple tensors", mult_worst, tol),
+        Gate("tensor and flip respect the involution on 4 simple tensors", inv_worst, tol),
+        Gate(f"grading automorphism multiplicative on all {blade_pairs} blade pairs (generator words)",
+             iota_worst, tol),
     ]
     # params describe what was actually computed; the notes record coercion
     return _report("flip-endpoints", sub.params_dict(), cfg.t_grid, curves, tol, gates, notes)

@@ -292,6 +292,19 @@ assert "concurrent.futures" not in sys.modules and "numpy.random" not in sys.mod
     assert proc.returncode == 0, proc.stderr
 
 
+def test_flip_endpoints_imports_no_random_generator(tmp_path):
+    # the grading gate checks every pair of blades, so no suite of report-all draws a sample
+    code = f"""
+import sys
+import bottlab.cli
+bottlab.cli.main(["report-all", "--levels", "4", "--t-points", "2", "--format", "json", "--out", {str(tmp_path)!r}])
+assert "numpy.random" not in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_summary_table_sorted(tmp_path, capsys):
     assert run_cli(["mehler", "--levels", "12", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -26,6 +26,7 @@ from bottlab.graded import (
     iota,
     label_index,
     regroup,
+    tensor_labels,
     tensor_pairs,
     tensor_parity,
     tensor_product_witness,
@@ -191,6 +192,91 @@ def test_graded_tensor_is_the_koszul_kron_on_the_basis_of_tensor_pairs():
                 assert tp.degree == p1 ^ p2
                 assert np.array_equal(tp.mat, dense), (da, db, p1, p2)
                 assert np.array_equal(tp.parity, (pa[:, None] ^ pb[None, :]).ravel()[flat])
+
+
+def random_on_labels(rng, labels, degree):
+    """A random matrix of the given degree held on the labels: block l maps label l ^ degree to l."""
+    index = label_index(labels, 1 << max(1, int(labels.max()).bit_length()))
+    blocks = [rng.standard_normal((len(i), len(index[r ^ degree]))) for r, i in enumerate(index)]
+    return GradedMatrix.from_blocks(degree, blocks, labels, index)
+
+
+def factor_labels(rng, dim, count):
+    """Shuffled labels 0 .. count - 1, every one of them present."""
+    return rng.permutation(np.arange(dim) % count).astype(np.uint16)
+
+
+LABEL_COUNTS = [(2, 2), (4, 4), (2, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("counts", LABEL_COUNTS)
+def test_graded_tensor_on_labels_is_the_koszul_kron_on_the_basis_of_tensor_pairs(counts):
+    # factors on 2 and on 4 labels, in every degree pair: the dense Koszul Kronecker product,
+    # permuted to the basis of tensor_pairs, and zero between labels of different reflection bits
+    rng = np.random.default_rng(sum(counts))
+    for da, db in [(9, 7), (6, 11), (22, 22)]:
+        la, lb = factor_labels(rng, da, counts[0]), factor_labels(rng, db, counts[1])
+        i, j = tensor_pairs(la, lb)
+        flat = i * db + j
+        labels = tensor_labels(la, lb)
+        assert np.array_equal(labels, np.sort(labels))
+        assert np.array_equal(labels & 1, (la[i] ^ lb[j]) & 1)
+        assert np.array_equal(labels >> 1, (la[i] >> 1) | (lb[j] >> 1) << (counts[0].bit_length() - 2))
+        for p1 in (0, 1):
+            for p2 in (0, 1):
+                a, b = random_on_labels(rng, la, p1), random_on_labels(rng, lb, p2)
+                left = a.mat * grading_signs(la & 1)[None, :] if p2 else a.mat
+                tp = graded_tensor(a, b)
+                assert tp.degree == p1 ^ p2 and len(tp.index) == counts[0] * counts[1] // 2
+                assert np.array_equal(tp.labels, labels)
+                assert np.array_equal(tp.mat, np.kron(left, b.mat)[np.ix_(flat, flat)]), (da, db, p1, p2)
+
+
+def test_factors_on_their_parities_keep_the_parity_layout():
+    # two-label factors: the basis ordered by parity, then by the first leg's parity, then a-major
+    rng = np.random.default_rng(19)
+    pa, pb = unequal_parity(rng, 13), unequal_parity(rng, 6)
+    i, j = tensor_pairs(pa, pb)
+    key = 2 * (pa[i] ^ pb[j]).astype(int) + pa[i]
+    assert np.all(np.diff(key) >= 0)
+    for k in np.unique(key):
+        run = i[key == k] * 6 + j[key == k]
+        assert np.all(np.diff(run) > 0)  # a-major within a run
+    assert np.array_equal(tensor_labels(pa, pb), pa[i] ^ pb[j])
+
+
+@pytest.mark.parametrize("counts", LABEL_COUNTS)
+def test_flip_unitary_carries_the_tensor_to_the_flip_on_labels(counts):
+    # conjugation by flip_unitary(la, lb) carries graded_tensor(a, b) to flip_simple(a, b), exactly,
+    # and carries every label of the (a, b) space onto one label of the (b, a) space
+    rng = np.random.default_rng(10 + sum(counts))
+    la, lb = factor_labels(rng, 7, counts[0]), factor_labels(rng, 9, counts[1])
+    u = flip_unitary(la, lb)
+    assert np.array_equal(np.abs(u).sum(axis=0), np.ones(63)) and np.array_equal(u @ u.T, np.eye(63))
+    assert np.array_equal(flip_unitary(lb, la) @ u, np.eye(63))
+    source, target = tensor_labels(la, lb), tensor_labels(lb, la)
+    rows = np.abs(u).argmax(axis=0)
+    for label in np.unique(source):
+        assert len(np.unique(target[rows[source == label]])) == 1
+        assert np.all(target[rows[source == label]] & 1 == label & 1)
+    for p1 in (0, 1):
+        for p2 in (0, 1):
+            a, b = random_on_labels(rng, la, p1), random_on_labels(rng, lb, p2)
+            assert np.array_equal(u @ graded_tensor(a, b).mat @ u.T, flip_simple(a, b).mat), (p1, p2)
+
+
+def test_oscillator_factors_tensor_on_their_reflection_labels():
+    # u(C) and v(C) at (1,10) sit on 4 labels of 6/5/5/6 rows; their tensor is 8 blocks, a quarter
+    # of the entries the two parity blocks of 242 rows hold, and the same matrix
+    rep = oscillator_rep(1, 10)
+    uc, vc = (matrix_function(f, rep.clifford) for f in (gaussian(), x_gaussian()))
+    assert [len(i) for i in uc.index] == [6, 5, 5, 6]
+    fine, coarse = graded_tensor(uc, vc), graded_tensor(regroup(uc, 2), regroup(vc, 2))
+    assert len(fine.index) == 8
+    assert sum(b.size for b in fine.blocks) < sum(b.size for b in coarse.blocks) / 3.5
+    order = np.argsort(tensor_pairs(uc.labels, vc.labels)[0] * 22 + tensor_pairs(uc.labels, vc.labels)[1])
+    back = np.argsort(tensor_pairs(uc.parity, vc.parity)[0] * 22 + tensor_pairs(uc.parity, vc.parity)[1])
+    assert np.array_equal(fine.mat[np.ix_(order, order)], coarse.mat[np.ix_(back, back)])
 
 
 def test_graded_tensor_forms_no_dense_matrix_of_the_tensor_space():
@@ -362,6 +448,19 @@ def test_regroup_onto_coarser_labels_keeps_the_matrix(dim, level):
             assert (len(coarse.index), coarse.degree, coarse.mirrored) == (count, g.degree, g.mirrored)
             assert np.array_equal(coarse.labels, g.labels & (count - 1))
             assert np.array_equal(coarse.mat, g.mat)
+
+
+def test_windows_of_one_space_share_their_labels_and_index():
+    # the window's labels and index are computed once per (labels, sizes) and shared, read-only
+    rep = oscillator_rep(2, 8)
+    w = rep.window()
+    x = rep.clifford.window(w)
+    y = graded_commutator(matrix_function(scale(gaussian(), 2.0), rep.clifford), rep.dirac, w)
+    assert x.labels is y.labels and x.index is y.index
+    assert not x.labels.flags.writeable and not any(i.flags.writeable for i in x.index)
+    keep = np.sort(np.concatenate([i[:k] for i, k in zip(rep.clifford.index, w)]))
+    assert np.array_equal(x.labels, rep.clifford.labels[keep])
+    assert all(np.array_equal(i, j) for i, j in zip(x.index, label_index(x.labels, len(w))))
 
 
 def test_window_commutator_of_degree_1_rejects_a_non_symmetric_operand():

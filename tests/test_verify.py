@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bottlab import graded, verify
+from bottlab import clifford, graded, verify
 from bottlab.clifford import MultiVector, Signature, mv_multiply, regular_representation
 from bottlab.funcalc import GradedFunction, gaussian, matrix_function, scale, x_gaussian
 from bottlab.graded import GradedMatrix, flip_unitary, regroup
@@ -429,7 +429,7 @@ def test_homotopy_suite_interior_values_are_exact():
 
 def test_flip_endpoints_forms_each_tensor_once(monkeypatch):
     # every (left, right) pair is tensored once: the route check's tensors
-    # serve the grading check, and the generator tensors serve both the
+    # serve the grading check, and the flips of the generators serve both the
     # multiplicativity and the involution check
     pairs, operands = [], []
     real = graded.graded_tensor
@@ -444,8 +444,9 @@ def test_flip_endpoints_forms_each_tensor_once(monkeypatch):
     cfg = SweepConfig(dim=1, level=6, t_grid=(1.0, 2.0, 4.0))
     assert run_suite("flip-endpoints", cfg).passed
     assert len(pairs) == len(set(pairs))
-    # 4 route checks of two tensors each per (t, symbol), and the 4 generator tensors
-    assert len(pairs) == 3 * 3 * 8 + 4
+    # 4 route checks of two tensors each per (t, symbol); the 4 flips of the generators, the
+    # 16 flips of products of generators, and three tensors per generator pair for the involution
+    assert len(pairs) == 3 * 3 * 8 + 4 + 16 + 3 * 4
 
 
 def test_flip_endpoints_suite_coerces_dimension():
@@ -468,6 +469,87 @@ def test_double_flip_gate_fails_for_a_non_involutive_swap(monkeypatch):
     rep = run_suite("flip-endpoints", SweepConfig(dim=1, level=4, t_grid=(1.0, 2.0)))
     (note,) = [n for n in rep.notes if n.startswith("gate double flip deviation from identity")]
     assert note.endswith("FAIL")
+
+
+def _without_koszul_sign(tensor):
+    """graded_tensor with the Koszul sign dropped: the columns of odd first leg negated back."""
+    def mutant(a, b):
+        out = tensor(a, b)
+        if not b.degree:
+            return out
+        signs = 1.0 - 2.0 * (a.labels & 1)[graded.tensor_pairs(a.labels, b.labels)[0]]
+        blocks = [x * signs[out.index[r ^ out.degree]] for r, x in enumerate(out.blocks)]
+        return GradedMatrix.from_blocks(out.degree, blocks, out.labels, out.index)
+    return mutant
+
+
+def _koszul_sign_on_even_legs(tensor):
+    """graded_tensor with the Koszul sign put on the even column legs instead of the odd ones."""
+    return lambda a, b: -tensor(a, b) if b.degree else tensor(a, b)
+
+
+def _even_even_swap(unitary):
+    """flip_unitary with its sign on the pairs of even vectors instead of the pairs of odd ones."""
+    def mutant(la, lb):
+        i, j = graded.tensor_pairs(la, lb)
+        both_even = (1 - (np.asarray(la)[i] & 1)) & (1 - (np.asarray(lb)[j] & 1))
+        return np.abs(unitary(la, lb)) * (1.0 - 2.0 * both_even)
+    return mutant
+
+
+SIGN_MUTANTS = {
+    # name: (function replaced, mutant of the real one, gates that must fail)
+    "tensor, sign dropped": ("graded_tensor", _without_koszul_sign,
+                             {"two assembly routes", "flip multiplicativity", "tensor and flip respect"}),
+    "tensor, sign on even legs": ("graded_tensor", _koszul_sign_on_even_legs, {"two assembly routes"}),
+    "flip, sign dropped": ("flip_simple", lambda f: lambda a, b: graded.graded_tensor(b, a),
+                           {"two assembly routes", "flip multiplicativity"}),
+    "flip, sign negated": ("flip_simple", lambda f: lambda a, b: -f(a, b),
+                           {"two assembly routes", "flip multiplicativity"}),
+    "swap, sign dropped": ("flip_unitary", lambda u: lambda la, lb: np.abs(u(la, lb)), {"two assembly routes"}),
+    "swap, sign on even pairs": ("flip_unitary", _even_even_swap, {"two assembly routes"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_MUTANTS))
+def test_flip_endpoints_gates_fail_on_a_wrong_sign(name, monkeypatch):
+    # each Koszul sign the suite exists to check, dropped or misplaced, trips the gates that read it;
+    # the product gates are stated on simple tensors, so they see the signs of the tensor and the flip
+    attr, mutate, expected = SIGN_MUTANTS[name]
+    mutant = mutate(getattr(graded, attr))
+    monkeypatch.setattr(graded, attr, mutant)
+    monkeypatch.setattr(verify, attr, mutant)
+    rep = run_suite("flip-endpoints", SweepConfig(dim=1, level=4, t_grid=(1.0, 2.0, 4.0)))
+    failed = {note for note in rep.notes if note.endswith("FAIL")}
+    assert not rep.passed
+    for gate in expected:
+        assert any(note.startswith(f"gate {gate}") for note in failed), (gate, failed)
+
+
+def test_grading_gate_reads_the_cayley_signs(monkeypatch):
+    # random signs in the Cayley tables leave iota multiplicative on the table's own products; the
+    # gate compares them with the products of the generator words, so it fails
+    oscillator_rep(1, 4)  # built from the real tables, as the suite finds it
+    rng = np.random.default_rng(3)
+    real = clifford._tables
+
+    def random_signs(p, q):
+        sign, idx = real(p, q)
+        return rng.choice(np.array([-1, 1], dtype=np.int8), size=sign.shape), idx
+
+    monkeypatch.setattr(clifford, "_tables", random_signs)
+    rep = run_suite("flip-endpoints", SweepConfig(dim=1, level=4, t_grid=(1.0, 2.0)))
+    (note,) = [n for n in rep.notes if n.startswith("gate grading automorphism")]
+    assert note.endswith("FAIL") and "all 96 blade pairs" in note
+
+
+def test_blade_word_products_are_the_cayley_table():
+    for sig in (Signature(3, 0), Signature(1, 2), Signature(2, 2)):
+        for a in range(sig.blade_count):
+            for b in range(sig.blade_count):
+                sign, blade = verify._blade_word_product(sig, a, b)
+                x, y = MultiVector.blade(sig, a), MultiVector.blade(sig, b)
+                assert np.array_equal(mv_multiply(x, y).coeffs, MultiVector.blade(sig, blade, sign).coeffs)
 
 
 def test_delta_xr_residual_gates_follow_tol():
@@ -590,17 +672,23 @@ def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
 
 
 def test_conjugation_by_index_equals_the_signed_swap_product():
+    # parity labels, a square on four labels (the swap permutes its labels), and a two-label left
+    # factor with a four-label right one (both orders hold the same sorted labels)
     rng = np.random.default_rng(5)
-    for p in ([0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1, 0]):
-        par = graded.tensor_parity(p, p)
-        swap = GradedMatrix(flip_unitary(np.array(p), np.array(p)), par)
-        assert swap.degree == 0
-        conjugate = verify._conjugator(swap)
+    fine = np.array([0, 1, 3, 2, 1, 0, 2])
+    cases = [(p, p) for p in ([0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1, 0])] + [(fine, fine), (fine & 1, fine)]
+    for la, lb in cases:
+        labels = graded.tensor_labels(la, lb)
+        assert np.array_equal(graded.tensor_labels(lb, la), labels)
+        u = flip_unitary(np.array(la), np.array(lb))
+        index = graded.label_index(labels, 1 << graded._label_bits(labels))
+        conjugate = verify._conjugator(u, labels, index)
         for degree in (0, 1):
-            x = rng.standard_normal(swap.mat.shape) * ((par[:, None] ^ par[None, :]) == degree)
-            got = conjugate(GradedMatrix(x, par))
+            blocks = [rng.standard_normal((len(i), len(index[r ^ degree]))) for r, i in enumerate(index)]
+            x = GradedMatrix.from_blocks(degree, blocks, labels, index)
+            got = conjugate(x)
             assert got.degree == degree
-            assert np.array_equal(got.mat, swap.mat @ x @ swap.mat.T)
+            assert np.array_equal(got.mat, u @ x.mat @ u.T)
 
 
 # ---------------------------------------------------------------------------
