@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import (WHOLE, GradedMatrix, _check_symmetric, _frozen, _on_window, block_norm, graded_tensor,
-                     identity_like, tensor_pairs)
+from .graded import (WHOLE, GradedMatrix, _as_symmetric, _check_symmetric, _frozen, _on_window, block_norm,
+                     graded_tensor, identity_like, tensor_pairs)
 
 
 @dataclass
@@ -98,8 +98,10 @@ def matrix_function(f: GradedFunction, a: GradedMatrix, window: tuple = WHOLE) -
     """
     if not isinstance(a, SpectralMatrix):
         a = SpectralMatrix(a)
+    # a is checked symmetric, and so is every f(a) formed here, by construction
     if a.degree == 0:
-        return _on_window(a, window, 0, [(q[:window[r]] * f(w)) @ q[:window[r]].T for r, (w, q) in enumerate(a.eig)])
+        return _as_symmetric(_on_window(a, window, 0, [(q[:window[r]] * f(w)) @ q[:window[r]].T
+                                                       for r, (w, q) in enumerate(a.eig)]))
     if f.parity is None:
         raise ValueError(f"{f.name} has no declared parity, so of an odd matrix it has both degrees; "
                          "apply its even part and its odd part separately")
@@ -115,7 +117,7 @@ def matrix_function(f: GradedFunction, a: GradedMatrix, window: tuple = WHOLE) -
         else:
             blocks[r] = (u[:, :m] * (fx - fm)[:m] / 2.0) @ v[:, :m].T
             blocks[r ^ 1] = blocks[r].T
-    return _on_window(a, window, f.parity, blocks, mirrored=f.parity == 1)
+    return _as_symmetric(_on_window(a, window, f.parity, blocks, mirrored=f.parity == 1))
 
 
 @dataclass

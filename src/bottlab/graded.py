@@ -44,6 +44,8 @@ class GradedMatrix:
     the transposes of their partners; its norm skips them.
     """
 
+    _symmetric = None  # the verdict of _check_symmetric, once taken
+
     def __init__(self, mat, parity):
         mat = np.asarray(mat, dtype=float)
         parity = np.array(parity, dtype=np.uint8)
@@ -199,23 +201,47 @@ def _window_layout(labels: bytes, sizes: tuple) -> tuple:
 
 
 def _check_symmetric(g: GradedMatrix, what: str):
-    """Raise ``ValueError`` unless g is symmetric to 1e-10 of its largest entry (at least 1)."""
-    scale_ref = max(1.0, *(np.abs(b).max(initial=0.0) for b in g.blocks))
-    # the transpose of block l is block l ^ d; for d = 1 an odd label repeats its even partner
-    asym = max(np.abs(b - g.blocks[r ^ g.degree].T).max(initial=0.0)
-               for r, b in enumerate(g.blocks) if not r & g.degree)
-    if asym > 1e-10 * scale_ref:
+    """Raise ``ValueError`` unless g is symmetric to 1e-10 of its largest entry (at least 1).
+
+    g's blocks are read-only, so the verdict is kept on g and each matrix is checked once.
+    """
+    if g._symmetric is None:
+        scale_ref = max(1.0, *(np.abs(b).max(initial=0.0) for b in g.blocks))
+        # the transpose of block l is block l ^ d; for d = 1 an odd label repeats its even partner
+        asym = max(np.abs(b - g.blocks[r ^ g.degree].T).max(initial=0.0)
+                   for r, b in enumerate(g.blocks) if not r & g.degree)
+        g._symmetric = not asym > 1e-10 * scale_ref
+    if not g._symmetric:
         raise ValueError(f"{what} requires a symmetric matrix")
 
 
-def block_norm(blocks) -> float:
-    """The largest singular value over the blocks, every one of them normed; 0 for none.
+def _as_symmetric(g: GradedMatrix) -> GradedMatrix:
+    """g, with the verdict of :func:`_check_symmetric` recorded as symmetric without a check: for
+    matrices symmetric by construction, such as a function of a checked symmetric matrix."""
+    g._symmetric = True
+    return g
 
-    Each nonzero block's is ``s * sqrt(lambda_max(Y^T Y))`` with ``Y = X / s``
-    and ``s = max |X|`` (the scaling keeps the Gram matrix clear of
-    underflow), using the Gram matrix on the shorter side and ``eigvalsh``,
-    which is cheaper than the SVD and as accurate for the largest singular
-    value.
+
+# the relative slack of the certificate by which block_norm skips a block: label blocks come in pairs
+# and quadruples of exactly equal norms, which without it fail the certificate on rounding
+NORM_SLACK = 1e-12
+
+
+def block_norm(blocks) -> float:
+    """The largest singular value over the blocks, to within ``NORM_SLACK / 2`` relative below it;
+    0 for none.
+
+    A block's is ``s * sqrt(lambda_max(Y^T Y))`` with ``Y = X / s`` and
+    ``s = max |X|`` (the scaling keeps the Gram matrix clear of underflow),
+    using the Gram matrix on the shorter side and ``eigvalsh``, which is
+    cheaper than the SVD and as accurate for the largest singular value.  The
+    blocks are read in turn, and one is skipped when it cannot raise the
+    running maximum m by more than the slack: when its Frobenius norm
+    ``s * ||Y||_F`` is at most m, or when ``c I - Y^T Y`` with
+    ``c = (m / s)^2 (1 + NORM_SLACK)`` has a Cholesky factor, so that its
+    largest singular value is below ``m sqrt(1 + NORM_SLACK)``.  A block with
+    a non-finite entry is never skipped but eigensolved, and ``eigvalsh``
+    raises ``LinAlgError`` on most such blocks.
     """
     out = 0.0
     for x in blocks:
@@ -223,9 +249,30 @@ def block_norm(blocks) -> float:
         if s == 0.0:
             continue
         y = x / s
+        screened = out > 0.0 and math.isfinite(s)
+        if screened and s * float(np.linalg.norm(y)) <= out:
+            continue
         gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
+        del y  # before the factorisation, which takes two more arrays of the Gram matrix's size
+        if screened and _bounded(gram, (out / s) ** 2 * (1.0 + NORM_SLACK)):
+            continue
         out = max(out, s * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
     return out
+
+
+def _bounded(gram: np.ndarray, c: float) -> bool:
+    """Whether ``c I - gram`` has a Cholesky factor, which bounds every eigenvalue of gram by c.
+    The shift is made in gram itself and undone exactly when the factor does not exist."""
+    diagonal = gram.diagonal().copy()
+    np.negative(gram, out=gram)
+    np.fill_diagonal(gram, c - diagonal)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        np.negative(gram, out=gram)
+        np.fill_diagonal(gram, diagonal)
+        return False
+    return True
 
 
 def identity_like(g: GradedMatrix) -> GradedMatrix:
@@ -309,11 +356,6 @@ def tensor_labels(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     return _layout_of(la, lb)[2]
 
 
-def tensor_parity(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """Parity vector of the tensor product space, in the order of :func:`tensor_pairs`."""
-    return tensor_labels(la, lb) & 1
-
-
 def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """Graded tensor product of graded matrices, on the basis and labels of :func:`tensor_pairs`.
 
@@ -353,7 +395,8 @@ def regroup(g: GradedMatrix, count: int) -> GradedMatrix:
         c = f & (count - 1)
         rows, cols = (np.searchsorted(index[k], g.index[j]) for k, j in ((c, f), (c ^ g.degree, f ^ g.degree)))
         blocks[c][rows[:, None], cols] = b
-    return GradedMatrix.from_blocks(g.degree, blocks, labels, index, g.mirrored)
+    out = GradedMatrix.from_blocks(g.degree, blocks, labels, index, g.mirrored)
+    return _as_symmetric(out) if g._symmetric else out
 
 
 def window_product(sizes: tuple, *factors: GradedMatrix) -> GradedMatrix:
@@ -380,21 +423,26 @@ def graded_commutator(a: GradedMatrix, b: GradedMatrix, sizes: tuple = WHOLE) ->
     """[a, b] = ab - (-1)^{deg a deg b} ba, or its window ``P_W [a, b] P_W`` for window ``sizes``.
 
     Odd-odd pairs get the anticommutator; everything else the plain
-    commutator, block by block from :func:`window_product`'s slabs.  For
-    symmetric a and b, ``[a, b]^T = -sign [a, b]``: a window of degree 1 forms
-    the blocks of the even labels only, after checking that both operands are
-    symmetric, and is mirrored.
+    commutator, block by block from :func:`window_product`'s slabs.  A window
+    takes symmetric operands, checked once per matrix, and then
+    ``ba = (ab)^T``: block l of an even window is ``P - sign P^T`` with
+    ``P = (ab)[l, l]``, one slab product per label, and a window of degree 1,
+    for which ``[a, b]^T = -sign [a, b]``, forms the blocks of the even labels
+    only and is mirrored.
     """
     sign = -1.0 if (a.degree and b.degree) else 1.0
     a._check_compatible(b)
-    one_block = sizes is not WHOLE and a.degree != b.degree
-    for g in (a, b) if one_block else ():
-        _check_symmetric(g, "a windowed commutator of degree 1")
-    formed = range(0, len(a.index), 1 + one_block)
+    degree, count, windowed = a.degree ^ b.degree, len(a.index), sizes is not WHOLE
+    for g in (a, b) if windowed else ():
+        _check_symmetric(g, "a windowed commutator")
+    if windowed and not degree:
+        products = (_window_block((a, b), sizes, r) for r in range(count))
+        return _on_window(a, sizes, degree, [p - sign * p.T for p in products])
+    formed = range(0, count, 1 + windowed)
     blocks = {r: _window_block((a, b), sizes, r) - sign * _window_block((b, a), sizes, r) for r in formed}
-    if one_block:
+    if windowed:
         blocks.update({r ^ 1: -sign * blocks[r].T for r in formed})
-    return _on_window(a, sizes, a.degree ^ b.degree, [blocks[r] for r in range(len(a.index))], one_block)
+    return _on_window(a, sizes, degree, [blocks[r] for r in range(count)], windowed)
 
 
 def involution(a: GradedMatrix) -> GradedMatrix:

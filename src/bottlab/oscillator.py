@@ -195,6 +195,14 @@ class OscillatorRep:
         return tuple(sum(fine[c::count]) for c in range(count))
 
 
+@lru_cache(maxsize=16)
+def _label_layout(basis: HermiteBasis, count: int) -> tuple:
+    """The labels ``basis.labels() & (count - 1)`` and their ``label_index``, read-only and shared
+    by every operator held on them."""
+    labels = _frozen((basis.labels() & (count - 1)).astype(np.uint16))
+    return labels, label_index(labels, count)
+
+
 def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int = 0) -> GradedMatrix:
     """The sum of ``(A_1 (x) .. (x) A_n) (x) L`` over ``terms = [((A_1, .., A_n), L), ..]`` on the
     truncated basis, every A_i a matrix on the Hermite indices 0..level of axis i and every L of the
@@ -206,8 +214,7 @@ def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int 
     formed, so every term must commute with the reflections the labels hold.
     """
     count = count or 2 * basis.blade_count
-    labels = basis.labels() & (count - 1)
-    index = label_index(labels, count)
+    labels, index = _label_layout(basis, count)
     states, blades = zip(*(np.divmod(i, basis.blade_count) for i in index))
     k = np.array(basis.mindices)
     # the labels share few sets of states (one level parity each, or all of them), and each term's

@@ -11,16 +11,22 @@ same objects another way:
   the full ``q^dim`` Gauss-Hermite grid and assembles the dense operator; it
   is the oracle for the separable route.
 - :func:`symbol_values` evaluates a term-built symbol pointwise.
+- :func:`every_block_norm` eigensolves the Gram matrix of every block, where
+  ``block_norm`` certifies most of them by a Cholesky factor instead.
+- :func:`tensor_parity` reads the parity of the tensor basis off its labels.
 
 The package builds every scalar function directly; the combinators
 :func:`fsum`, :func:`fprod` and :func:`fmul` compose them here, keeping the
 parity bookkeeping.
 """
 
+import math
+
 import numpy as np
 
 from bottlab.clifford import MultiVector, left_mult_operator
 from bottlab.funcalc import GradedFunction
+from bottlab.graded import tensor_labels
 from bottlab.oscillator import CliffFunction, HermiteBasis, hermite_rows
 
 
@@ -128,3 +134,22 @@ def grid_multiplication_operator(coeffs, basis: HermiteBasis, nodes: int | None 
         gram = (psi * (weights * values[:, c])) @ psi.T
         out += np.kron(gram, left_mult_operator(MultiVector.blade(basis.sig, c)))
     return out
+
+
+def every_block_norm(blocks) -> float:
+    """The largest singular value over the blocks, from ``eigvalsh`` of every nonzero block's Gram
+    matrix ``Y^T Y`` with ``Y = X / max |X|``; 0 for none."""
+    out = 0.0
+    for x in blocks:
+        s = float(np.abs(x).max(initial=0.0))
+        if s == 0.0:
+            continue
+        y = x / s
+        gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
+        out = max(out, s * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
+    return out
+
+
+def tensor_parity(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Parity vector of the tensor product space, in the order of ``tensor_pairs``."""
+    return tensor_labels(la, lb) & 1

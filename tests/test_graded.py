@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from bottlab.clifford import MultiVector, Signature, blade_parities, mv_multiply
 from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, scale, x_gaussian
 from bottlab.graded import (
+    NORM_SLACK,
     GradedMatrix,
     block_norm,
     flip_simple,
@@ -28,12 +29,11 @@ from bottlab.graded import (
     regroup,
     tensor_labels,
     tensor_pairs,
-    tensor_parity,
     tensor_product_witness,
 )
 from bottlab.oscillator import CliffFunction, multiplication_operator, oscillator_rep
 from bottlab.verify import windowed_norm
-from oracles import fsum
+from oracles import every_block_norm, fsum, tensor_parity
 
 
 def random_parity(rng, dim):
@@ -403,6 +403,17 @@ def test_graded_commutator_matches_dense_formula(seed, dim, kind, deg_a, deg_b):
     assert np.array_equal(got.parity, par)
 
 
+def records(blocks, margin):
+    """How many blocks have a largest singular value above ``1 + margin`` times every one before
+    them (the first nonzero block counts): the blocks that raise the running maximum."""
+    count, top = 0, 0.0
+    for x in blocks:
+        value = np.linalg.svd(x, compute_uv=False)[0] if x.size else 0.0
+        if value > 0.0 and value > (1 + margin) * top:
+            count, top = count + 1, max(top, value)
+    return count
+
+
 @pytest.mark.parametrize("deg_b", [0, 1], ids=["b-even", "b-odd"])
 @pytest.mark.parametrize("deg_a", [0, 1], ids=["a-even", "a-odd"])
 def test_window_commutator_is_the_window_of_the_commutator(deg_a, deg_b, monkeypatch):
@@ -426,13 +437,147 @@ def test_window_commutator_is_the_window_of_the_commutator(deg_a, deg_b, monkeyp
             assert got.mirrored
             for r in range(1, len(w), 2):
                 assert np.array_equal(got.blocks[r], -got.blocks[r ^ 1].T)
+        else:
+            # ba = (ab)^T: each block is formed from one product P as P - sign P^T
+            sign = -1.0 if deg_a else 1.0
+            assert not got.mirrored
+            for x in got.blocks:
+                assert np.array_equal(x, -sign * x.T)
         norm = np.linalg.norm(want.mat, 2)
+        # only a block that raises the running maximum is eigensolved, once; the others are
+        # certified not to raise it, and the mirrored blocks are not read
         calls.clear()
         assert abs(got.norm() - norm) <= 1e-13 * norm
-        # one block is normed per label, or per sector (a pair of labels l, l ^ 1) when mirrored
-        assert len(calls) == len(w) // (2 if deg_a ^ deg_b else 1), config
+        read = got.blocks[::2] if got.mirrored else got.blocks
+        assert records(read, 1e-10) <= len(calls) <= records(read, -1e-10), config
+        calls.clear()
         assert abs(block_norm(want.blocks) - norm) <= 1e-13 * norm
-        assert len(calls) == len(w) * (3 if deg_a ^ deg_b else 4) // 2  # and then every block, once
+        assert records(want.blocks, 1e-10) <= len(calls) <= records(want.blocks, -1e-10), config
+
+
+def largest_singular_value(blocks):
+    return max((np.linalg.svd(x, compute_uv=False)[0] for x in blocks if x.size), default=0.0)
+
+
+def counting_eigvalsh(monkeypatch):
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    return calls
+
+
+def assert_certified_norm(blocks, eigensolves, calls):
+    """block_norm reads the largest block SVD to rounding and the slack, eigensolving as many blocks."""
+    calls.clear()
+    want, got = largest_singular_value(blocks), block_norm(blocks)
+    assert want * (1 - NORM_SLACK / 2 - 1e-14) <= got <= want * (1 + 1e-14), (got, want)
+    assert len(calls) == eigensolves, calls
+
+
+@pytest.mark.parametrize("scale_", [1.0, 1e-165, 1e150])
+def test_certified_norm_skips_a_twin_block(scale_, monkeypatch):
+    # label blocks come in exactly equal pairs: a block and its signed permutation have one norm,
+    # and the slack lets the second skip its eigensolve
+    calls = counting_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(7)
+    x = scale_ * rng.standard_normal((12, 9))
+    twin = (rng.choice([-1.0, 1.0], 12)[:, None] * x[rng.permutation(12)])[:, rng.permutation(9)]
+    assert_certified_norm([x, twin], 1, calls)
+    assert_certified_norm([x, twin.T, x.T], 1, calls)
+    # a larger block after them is still eigensolved
+    assert_certified_norm([x, twin, 1.5 * twin], 2, calls)
+
+
+def test_certified_norm_reads_a_rank_one_block_after_a_flat_one(monkeypatch):
+    # the identity has norm 1 and Frobenius norm sqrt(10); the rank-one block after it has norm 2
+    # and the smaller Frobenius norm 2: only the running maximum, never a Frobenius norm, bounds it
+    calls = counting_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal(10), rng.standard_normal(8)
+    rank_one = 2.0 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    assert np.linalg.norm(rank_one) < np.linalg.norm(np.eye(10))
+    assert_certified_norm([np.eye(10), rank_one], 2, calls)
+    assert block_norm([np.eye(10), rank_one]) == pytest.approx(2.0, rel=1e-14)
+    # a flat block after a rank-one block of larger norm but smaller Frobenius norm is certified
+    assert_certified_norm([rank_one, np.eye(10)], 1, calls)
+
+
+def test_certified_norm_at_the_underflow_scale(monkeypatch):
+    # at 1e-165 the squares of the entries underflow to 0: the Frobenius norms are compared, and
+    # the Gram matrices formed, after scaling by the largest entry
+    calls = counting_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(11)
+    small = [1e-165 * rng.standard_normal((6, 5)) for _ in range(4)]
+    assert np.all(small[0] ** 2 == 0.0)
+    assert_certified_norm(small, records(small, 1e-10), calls)
+    assert 0.0 < block_norm(small) == pytest.approx(largest_singular_value(small), rel=1e-13)
+    assert_certified_norm([small[0], 1e150 * small[1]], 2, calls)
+
+
+@pytest.mark.parametrize("blocks", [[], [np.zeros((0, 3)), np.zeros((3, 0))], [np.zeros((4, 4))],
+                                    [np.zeros((0, 3)), np.zeros((4, 4)), np.zeros((3, 0))]],
+                         ids=["none", "empty", "zero", "empty-and-zero"])
+def test_certified_norm_of_empty_and_zero_blocks_is_zero(blocks, monkeypatch):
+    calls = counting_eigvalsh(monkeypatch)
+    assert_certified_norm(blocks, 0, calls)
+    assert block_norm(blocks) == 0.0
+    x = np.diag([3.0, 1.0])
+    assert_certified_norm([*blocks, x, *blocks], 1, calls)
+
+
+def with_entry(shape, value, at=(0, 0)):
+    x = np.eye(*shape)
+    x[at] = value
+    return x
+
+
+NON_FINITE = {
+    "nan-after": [3 * np.eye(3), with_entry((3, 3), np.nan, (1, 2))],
+    "nan-before": [with_entry((3, 3), np.nan, (1, 2)), 3 * np.eye(3)],
+    "nan-row-after": [3 * np.eye(3), np.array([[1.0, np.nan]])],
+    "nan-1x1-after": [3 * np.eye(3), np.array([[np.nan]])],
+    "small-nan-after": [3 * np.eye(3), 1e-3 * with_entry((2, 2), np.nan)],
+    "inf-after": [3 * np.eye(3), with_entry((3, 3), np.inf, (0, 1))],
+    "inf-before": [with_entry((3, 3), -np.inf, (0, 1)), 3 * np.eye(3)],
+    "inf-1x1-after": [3 * np.eye(3), np.array([[np.inf]])],
+    "inf-after-small": [0.1 * np.eye(2), with_entry((3, 3), np.inf, (0, 1))],
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_certified_norm_of_non_finite_blocks_is_that_of_every_block(name):
+    # a block with a NaN or an Inf is never skipped: eigvalsh raises on it, or the value is that
+    # of eigensolving every block
+    blocks = NON_FINITE[name]
+    try:
+        want = every_block_norm(blocks)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            block_norm(blocks)
+    else:
+        assert block_norm(blocks) == want
+
+
+@given(seed=st.integers(0, 2**31 - 1), count=st.integers(1, 8),
+       scale_=st.sampled_from([1.0, 1e-165, 1e-30, 1e100]))
+@settings(max_examples=60, deadline=None)
+def test_certified_norm_matches_every_block_norm(seed, count, scale_):
+    # random shapes, twins and rescaled copies, in random order
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(count):
+        kind = rng.integers(0, 4)
+        if kind == 0 or not blocks:
+            blocks.append(scale_ * rng.standard_normal(tuple(rng.integers(0, 9, 2))))
+        elif kind == 1:
+            blocks.append(-blocks[rng.integers(len(blocks))].T)
+        elif kind == 2:
+            blocks.append(rng.uniform(0.5, 1.5) * blocks[rng.integers(len(blocks))])
+        else:
+            blocks.append(np.zeros(tuple(rng.integers(0, 5, 2))))
+    want = every_block_norm(blocks)
+    got = block_norm(blocks)
+    assert want * (1 - NORM_SLACK / 2 - 1e-14) <= got <= want * (1 + 1e-14), (got, want)
 
 
 @pytest.mark.parametrize("dim,level", [(2, 6), (3, 4)])
@@ -470,6 +615,42 @@ def test_window_commutator_of_degree_1_rejects_a_non_symmetric_operand():
     mh = multiplication_operator(CliffFunction(2, "e12", ((0b11, (v, v)),)), rep.basis)
     with pytest.raises(ValueError, match="symmetric"):
         graded_commutator(matrix_function(x_gaussian(), rep.dirac), mh, rep.window())
+
+
+def test_even_window_commutator_rejects_a_non_symmetric_operand():
+    rep = oscillator_rep(2, 6)
+    # the e1e2 symbol with v on both axes is even, and antisymmetric like lambda(e1 e2)
+    v = x_gaussian()
+    mh = multiplication_operator(CliffFunction(2, "e12", ((0b11, (v, v)),)), rep.basis)
+    fd = matrix_function(gaussian(), rep.dirac)
+    assert (mh.degree, fd.degree) == (0, 0)
+    for _ in range(2):  # the verdict is kept, and raises again
+        with pytest.raises(ValueError, match="symmetric"):
+            graded_commutator(fd, mh, rep.window())
+    # the whole commutator takes any operands
+    got, want = graded_commutator(fd, mh).mat, fd.mat @ mh.mat - mh.mat @ fd.mat
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_window_commutator_checks_each_operand_once(monkeypatch):
+    calls, absolute = [], np.abs
+    monkeypatch.setattr(np, "abs", lambda x: calls.append(x.shape) or absolute(x))
+    rep = oscillator_rep(2, 6)
+    labels, w = rep.basis.labels(), rep.window()
+    rng = np.random.default_rng(5)
+    a, b = (symmetric_operand(rng, labels, d, from_blocks=True, count=len(w)) for d in (0, 1))
+    graded_commutator(a, b, w)
+    assert calls  # both operands are checked
+    calls.clear()
+    graded_commutator(b, a, w)
+    graded_commutator(a, a, w)
+    assert not calls
+    # functions of a checked symmetric matrix are symmetric by construction, and so are their
+    # regroupings
+    fd, fc = matrix_function(x_gaussian(), rep.dirac), matrix_function(gaussian(), rep.clifford)
+    graded_commutator(fc, fd, w)
+    graded_commutator(regroup(fc, 4), regroup(fd, 4), rep.window(2, 4))
+    assert not calls
 
 
 # ---------------------------------------------------------------------------

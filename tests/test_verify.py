@@ -39,7 +39,7 @@ from bottlab.verify import (
     svd_norm,
     windowed_norm,
 )
-from oracles import bott_map, fmul, fprod, fsum, sup_norm, symbol_values
+from oracles import bott_map, fmul, fprod, fsum, sup_norm, symbol_values, tensor_parity
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,21 @@ def test_norm_cross_check_reads_three_matrices_one_of_them_resolvable(suite, mon
         assert max(norms) < 1e-2, norms
     (gate,) = [n for n in rep.notes if n.startswith("gate norm cross-check")]
     assert gate.endswith(" FAIL") and not rep.passed, gate
+
+
+@pytest.mark.parametrize("suite,config", [("s1s2-asymptotics", (1, 8)), ("homotopy-projection", (1, 6))])
+def test_norm_cross_check_catches_a_forged_norm_certificate(suite, config, monkeypatch):
+    # block_norm eigensolves the first nonzero block and skips every later one that a Cholesky
+    # certificate bounds; one that always passes reads the first block of each sample, and the SVD
+    # cross-check sees it on these samples, where a later block is larger
+    def gate(rep):
+        (note,) = [n for n in rep.notes if n.startswith("gate norm cross-check (block norm vs SVD, 3 samples)")]
+        return note
+
+    assert gate(run_suite(suite, SweepConfig(dim=config[0], level=config[1]))).endswith(" ok")
+    monkeypatch.setattr(graded, "_bounded", lambda gram, c: True)
+    rep = run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
+    assert gate(rep).endswith(" FAIL") and not rep.passed, gate(rep)
 
 
 def test_windowed_norm_matches_manual_restriction():
@@ -460,7 +475,7 @@ def test_double_flip_gate_fails_for_a_non_involutive_swap(monkeypatch):
     def cycled(pa, pb):
         # a cycle of the even basis vectors: orthogonal and parity-preserving, so only l o l = id tells it
         # from a flip
-        even = np.flatnonzero(graded.tensor_parity(pa, pb) == 0)
+        even = np.flatnonzero(tensor_parity(pa, pb) == 0)
         perm = np.arange(len(pa) * len(pb))
         perm[even] = np.roll(even, 1)
         return np.eye(len(perm))[perm]
