@@ -1,11 +1,20 @@
 """Command-line driver: run verification suites, write reports.
 
 Reports are deterministic byte-for-byte for a fixed configuration: JSON and
-CSV artifacts contain no timestamps (the run manifest carries those), the
-suites run one after another on the calling thread, and BLAS runs on one
-thread, so the BLAS thread count cannot change the output.  The suites are
-not spread over threads because numpy's linalg calls do not overlap across
-Python threads: a suite pool only adds contention.
+CSV artifacts contain no timestamps (the run manifest carries those), a
+suite's report does not depend on which process ran it, and BLAS runs on one
+thread, so the BLAS thread count cannot change the output.
+
+When two or more suites are selected and the process may use two CPUs, the
+suites run in two processes: the calling one and one forked worker, which
+take suite indices in order from one pipe, a byte each, so each suite runs
+once.  Processes, unlike threads, overlap numpy's many small linalg calls.
+The operator context is built before the fork, so both share it, and each
+process is held to one of the two CPUs while the suites run.  The worker
+sends its reports, or its exception, back through a second pipe and always
+leaves by ``os._exit``; the calling process kills it if its own suite
+raised, reaps it, gets its CPU set back, and writes every report.  With one
+suite or one CPU the same loop runs in the calling process alone.
 """
 
 from __future__ import annotations
@@ -16,11 +25,13 @@ import glob
 import json
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
 
 from . import __version__
+from .oscillator import oscillator_rep
 from .verify import DEFAULT_T_GRID, SUITES, SweepConfig, run_suite
 
 SUBCOMMANDS = {
@@ -112,6 +123,79 @@ def _csv_text(report) -> str:
     return "\n".join(["suite,curve,t,value", *rows]) + "\n"
 
 
+def _drain(tasks: int, suite_ids: list, cfg: SweepConfig) -> dict:
+    """Run the suites whose indices this process takes from the pipe ``tasks``, one byte at a time,
+    until it is empty."""
+    reports = {}
+    while index := os.read(tasks, 1):
+        sid = suite_ids[index[0]]
+        reports[sid] = run_suite(sid, cfg)
+    return reports
+
+
+def _worker(tasks: int, out, suite_ids: list, cfg: SweepConfig, cpu: int):
+    """The forked worker: on CPU ``cpu``, drain the tasks, pickle the reports or the exception into
+    ``out``, and leave by ``os._exit``, so no handler or buffer of the calling process runs twice;
+    with status 1, and nothing written, if the result does not pickle."""
+    status = 1
+    try:
+        try:
+            os.sched_setaffinity(0, {cpu})
+            payload = _drain(tasks, suite_ids, cfg)
+        except BaseException as exc:
+            while os.read(tasks, 64):  # so the calling process stops after its current suite
+                pass
+            if hasattr(exc, "add_note"):  # pickling drops the traceback
+                import traceback
+                exc.add_note("raised in the suite worker:\n" + "".join(traceback.format_tb(exc.__traceback__)))
+            payload = exc
+        out.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        out.close()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_suites(suite_ids: list, cfg: SweepConfig) -> dict:
+    """Every suite's report, from the calling process and, when two CPUs are free, one forked
+    worker; an exception of either is raised once the worker is reaped."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    tasks, feed = os.pipe()
+    try:
+        os.write(feed, bytes(range(len(suite_ids))))  # far fewer bytes than a pipe holds
+        os.close(feed)
+        if len(suite_ids) < 2 or len(cpus) < 2 or not hasattr(os, "fork"):
+            return _drain(tasks, suite_ids, cfg)
+        oscillator_rep(cfg.dim, cfg.level)  # before the fork, so both processes share it
+        results, sink = os.pipe()
+        with open(results, "rb") as inp, open(sink, "wb") as out:
+            pid = os.fork()
+            # each process on a CPU of its own: a scheduler that leaves a forked child on its
+            # parent's CPU would otherwise run the two in turn, slower than one process alone
+            if pid == 0:
+                _worker(tasks, out, suite_ids, cfg, cpus[1])
+            out.close()  # the worker's copy is then the only writer, and its exit ends inp
+            try:
+                os.sched_setaffinity(0, cpus[:1])
+                reports = _drain(tasks, suite_ids, cfg)
+                sent = inp.read()
+            except BaseException:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                os.sched_setaffinity(0, cpus)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        os.close(tasks)
+    if not sent:
+        raise ChildProcessError(f"the suite worker ended without a result (exit status {status})")
+    theirs = pickle.loads(sent)
+    if isinstance(theirs, BaseException):
+        raise theirs
+    return {**reports, **theirs}
+
+
 def run(command: str, args) -> int:
     try:
         cfg = _config_from_args(args)
@@ -129,7 +213,7 @@ def run(command: str, args) -> int:
     if not _pin_blas_threads():
         print("note: no bundled OpenBLAS to set to one thread; reports can differ in the last "
               "digits between BLAS thread counts", file=sys.stderr)
-    reports = {sid: run_suite(sid, cfg) for sid in suite_ids}
+    reports = _run_suites(suite_ids, cfg)
 
     outputs = {}
     for sid in sorted(reports):

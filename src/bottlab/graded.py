@@ -240,21 +240,21 @@ def block_norm(blocks) -> float:
     ``s * ||Y||_F`` is at most m, or when ``c I - Y^T Y`` with
     ``c = (m / s)^2 (1 + NORM_SLACK)`` has a Cholesky factor, so that its
     largest singular value is below ``m sqrt(1 + NORM_SLACK)``.  A block with
-    a non-finite entry is never skipped but eigensolved, and ``eigvalsh``
-    raises ``LinAlgError`` on most such blocks.
+    a non-finite entry makes the norm NaN, whatever the other blocks hold.
     """
     out = 0.0
     for x in blocks:
         s = float(np.abs(x).max(initial=0.0))
+        if not math.isfinite(s):
+            return math.nan
         if s == 0.0:
             continue
         y = x / s
-        screened = out > 0.0 and math.isfinite(s)
-        if screened and s * float(np.linalg.norm(y)) <= out:
+        if out > 0.0 and s * float(np.linalg.norm(y)) <= out:
             continue
         gram = y.T @ y if y.shape[0] >= y.shape[1] else y @ y.T
         del y  # before the factorisation, which takes two more arrays of the Gram matrix's size
-        if screened and _bounded(gram, (out / s) ** 2 * (1.0 + NORM_SLACK)):
+        if out > 0.0 and _bounded(gram, (out / s) ** 2 * (1.0 + NORM_SLACK)):
             continue
         out = max(out, s * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
     return out
@@ -376,7 +376,7 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
             view = out[rows, cols].reshape(shape4)
             np.multiply(a.blocks[fa][:, None, :, None], b.blocks[fb][None, :, None, :], out=view)
             if negated:
-                np.negative(view, out=view)
+                view *= -1.0  # numpy 2.4's in-place np.negative misreads a one-column slice
         blocks.append(out)
     degree = a.degree ^ b.degree
     return GradedMatrix.from_blocks(degree, blocks, labels, index)

@@ -39,12 +39,13 @@ from .clifford import (
     Signature,
     blade_parities,
     blade_parity,
+    blade_square_sign,
     left_mult_operator,
     number_operator,
     twisted_right_mult_operator,
 )
 from .funcalc import GradedFunction, SpectralMatrix, matrix_function, scale
-from .graded import GradedMatrix, _frozen, label_index, regroup, window_product
+from .graded import GradedMatrix, _as_symmetric, _frozen, label_index, regroup, window_product
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +436,9 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     parities the symbol declares on axes 2..n keep it on the blocks.  When
     every axis-1 function has the parity ``[e_1 in blade]`` as well, the
     operator commutes with ``R_1`` and is held on all the labels, else on
-    the first ``2^n``.
+    the first ``2^n``.  The Grams are symmetric, and lambda(c) is symmetric
+    exactly when ``c^2 = +1``, so when every blade of h squares to +1 the
+    operator is recorded as symmetric without a check.
     """
     if h.dim != basis.dim:
         raise ValueError(f"function dimension {h.dim} != basis dimension {basis.dim}")
@@ -444,7 +447,8 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     terms = [(tuple((rows * (w * g(x))) @ rows.T for g in axis_fns),
               left_mult_operator(MultiVector.blade(basis.sig, c))) for c, axis_fns in h.terms]
     r1 = all(axis_fns[0].parity == c & 1 for c, axis_fns in h.terms)
-    return _spatial_blade_operator(basis, h.parity, terms, basis.blade_count << r1)
+    mh = _spatial_blade_operator(basis, h.parity, terms, basis.blade_count << r1)
+    return _as_symmetric(mh) if all(blade_square_sign(c, basis.sig) == 1 for c, _ in h.terms) else mh
 
 
 @dataclass

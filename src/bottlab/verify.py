@@ -84,8 +84,9 @@ DELTA_LEVELS = (12, 18, 24)
 
 # the largest context_bytes a configuration may need: report-all's peak RSS with two suites at once was
 # 76, 133, 542 and 932 MiB at (3,8), (4,6), (4,8) and (5,6), whose contexts take 15, 48, 269 and 469 MiB,
-# so about 60 MiB plus 1.9 times the context; a run within this bound peaked near 2 GiB, and running one
-# suite at a time peaks lower
+# so about 60 MiB plus 1.9 times the context; a run within this bound peaked near 2 GiB.  The CLI runs
+# at most two suites at once, one in each of two processes; they share the pages of the context built
+# before the fork, but each computes the eigensystems it first uses after the fork
 MEMORY_BUDGET = 1 << 30
 # the largest level whose default 2 * level + 16 Gauss-Hermite nodes have finite weights: hermgauss's
 # weights are all 0 at 371 nodes and NaN from 372 on, where every multiplication operator reads NaN

@@ -138,10 +138,12 @@ def grid_multiplication_operator(coeffs, basis: HermiteBasis, nodes: int | None 
 
 def every_block_norm(blocks) -> float:
     """The largest singular value over the blocks, from ``eigvalsh`` of every nonzero block's Gram
-    matrix ``Y^T Y`` with ``Y = X / max |X|``; 0 for none."""
+    matrix ``Y^T Y`` with ``Y = X / max |X|``; 0 for none, NaN when any block has a non-finite entry."""
     out = 0.0
     for x in blocks:
         s = float(np.abs(x).max(initial=0.0))
+        if not math.isfinite(s):
+            return math.nan
         if s == 0.0:
             continue
         y = x / s

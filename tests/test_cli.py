@@ -7,6 +7,8 @@ runs the ``bottlab`` executable found on PATH, needs the package installed.
 """
 
 import contextlib
+import ctypes
+import glob
 import importlib.metadata
 import io
 import json
@@ -17,7 +19,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -264,18 +266,116 @@ def test_manifest_records_run(tmp_path, capsys):
                 assert fh.read(1)
 
 
-def test_every_suite_runs_on_the_calling_thread(tmp_path, capsys, monkeypatch):
-    threads = []
+TWO_CPUS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+needs_two_cpus = pytest.mark.skipif(not TWO_CPUS, reason="the CLI forks a suite worker only with two CPUs")
+FOUR_SUITES = ["report-all", "--suite", "spectrum", "--suite", "clifford-iso", "--suite", "mehler",
+               "--suite", "homotopy-projection", "--levels", "8", "--t-points", "3"]
 
-    def recording(sid, cfg):
-        threads.append(threading.current_thread())
+
+def _wait_for(path: Path, timeout: float = 30.0):
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} did not appear"
+        time.sleep(0.005)
+
+
+def _splitting_run_suite(tmp_path: Path, raise_in: str | None = None):
+    """A run_suite that logs each (process, pid, suite, CPU set) and makes each process run at
+    least one suite: the worker marks that it has started one, and the calling process waits for
+    the mark before its first.  ``raise_in`` names the process, "caller" or "worker", whose suites raise; when it is
+    the caller, the worker's suites sleep for a minute, so only a kill ends them early."""
+    caller, mark, log = os.getpid(), tmp_path / "worker-started", tmp_path / "suites.log"
+
+    def fake(sid, cfg):
+        who = "caller" if os.getpid() == caller else "worker"
+        with open(log, "a") as fh:
+            fh.write(f"{who} {os.getpid()} {sid} {','.join(map(str, sorted(os.sched_getaffinity(0))))}\n")
+        if who == "worker":
+            mark.touch()
+        else:
+            _wait_for(mark)
+        if raise_in == who:
+            raise ValueError(f"suite {sid} failed in the {who}")
+        if raise_in == "caller":
+            time.sleep(60.0)
         return run_suite(sid, cfg)
 
-    monkeypatch.setattr(cli, "run_suite", recording)
-    assert run_cli(["report-all", "--suite", "spectrum", "--suite", "clifford-iso",
-                    "--levels", "8", "--out", str(tmp_path)]) == 0
+    return fake, log
+
+
+@needs_two_cpus
+def test_the_suites_split_over_the_caller_and_one_worker(tmp_path, capsys, monkeypatch):
+    # each process runs on a CPU of its own, and the caller gets its CPU set back
+    fake, log = _splitting_run_suite(tmp_path)
+    monkeypatch.setattr(cli, "run_suite", fake)
+    cpus = os.sched_getaffinity(0)
+    assert run_cli([*FOUR_SUITES, "--out", str(tmp_path / "out")]) in (0, 1)
     capsys.readouterr()
-    assert threads == [threading.main_thread()] * 2
+    assert os.sched_getaffinity(0) == cpus
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(sid for _, _, sid, _ in runs) == ["clifford-iso", "homotopy-projection", "mehler", "spectrum"]
+    assert {who for who, _, _, _ in runs} == {"caller", "worker"}
+    assert {int(pid) for who, pid, _, _ in runs if who == "caller"} == {os.getpid()}
+    assert len({pid for _, pid, _, _ in runs}) == 2
+    held = {who: {int(cpu) for w, _, _, cpu in runs if w == who} for who in ("caller", "worker")}
+    assert all(len(c) == 1 and c <= cpus for c in held.values()) and held["caller"] != held["worker"]
+    assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())["suites"]) == 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_a_suite_that_raises_in_the_worker_raises_in_the_caller(tmp_path, capsys, monkeypatch):
+    fake, _ = _splitting_run_suite(tmp_path, raise_in="worker")
+    monkeypatch.setattr(cli, "run_suite", fake)
+    with pytest.raises(ValueError, match="failed in the worker") as exc:
+        run_cli([*FOUR_SUITES, "--out", str(tmp_path / "out")])
+    if sys.version_info >= (3, 11):
+        assert any("raised in the suite worker" in note for note in exc.value.__notes__)
+    assert "overall:" not in capsys.readouterr().out
+    assert not (tmp_path / "out" / "manifest.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_a_suite_that_raises_in_the_caller_ends_the_worker(tmp_path, capsys, monkeypatch):
+    # the worker's suite sleeps for a minute; the caller kills it rather than wait
+    fake, _ = _splitting_run_suite(tmp_path, raise_in="caller")
+    monkeypatch.setattr(cli, "run_suite", fake)
+    start, cpus = time.monotonic(), os.sched_getaffinity(0)
+    with pytest.raises(ValueError, match="failed in the caller"):
+        run_cli([*FOUR_SUITES, "--out", str(tmp_path / "out")])
+    assert time.monotonic() - start < 30.0
+    assert os.sched_getaffinity(0) == cpus
+    assert "overall:" not in capsys.readouterr().out
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity to set")
+def test_a_run_on_one_cpu_writes_the_same_reports_and_one_table(tmp_path):
+    # with one CPU every suite runs in the calling process; the table is printed once either way
+    code = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from bottlab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    reports = []
+    for cpus in ("all", "one"):
+        out = tmp_path / cpus
+        proc = subprocess.run([sys.executable, "-c", code, cpus, "report-all", "--levels", "6", "--t-points", "5",
+                               "--out", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode in (0, 1), proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 + 11 and lines[0].startswith("suite ") and lines[-1].startswith("overall: ")
+        assert sum(line.startswith("overall: ") for line in lines) == 1
+        reports.append(_snapshot(out))
+    assert len(reports[0]) == 2 * 11 + 1
+    assert reports[0] == reports[1]
 
 
 def test_the_cli_imports_no_thread_pool_and_a_sweep_no_random_generator(tmp_path):
@@ -362,20 +462,54 @@ def test_reports_are_byte_identical_across_runs_at_dim_2(tmp_path, capsys):
 
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     # delta-xr is the cheapest suite whose reports changed with the BLAS
-    # thread count before the CLI pinned numpy's OpenBLAS to one thread
-    reports = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-m", "bottlab.cli", "delta", "--dim", "1", "--levels", "4",
-                               "--out", str(out)], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        if "no bundled OpenBLAS" in proc.stderr:
-            pytest.skip("numpy has no bundled OpenBLAS to pin here")
-        reports.append({name: data for name, data in _snapshot(out).items() if name != "manifest.json"})
-    assert sorted(reports[0]) == ["delta-xr.csv", "delta-xr.json"]
-    assert reports[0] == reports[1]
+    # thread count before the CLI pinned numpy's OpenBLAS to one thread; with a second suite it
+    # runs in one of two processes
+    for command, suites in ([["delta"], ["delta-xr"]],
+                            [["report-all", "--suite", "delta-xr", "--suite", "spectrum"], ["delta-xr", "spectrum"]]):
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / str(len(suites)) / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-m", "bottlab.cli", *command, "--dim", "1", "--levels", "4",
+                                   "--out", str(out)], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            if "no bundled OpenBLAS" in proc.stderr:
+                pytest.skip("numpy has no bundled OpenBLAS to pin here")
+            reports.append({name: data for name, data in _snapshot(out).items() if name != "manifest.json"})
+        assert sorted(reports[0]) == sorted(f"{sid}.{ext}" for sid in suites for ext in ("csv", "json"))
+        assert reports[0] == reports[1]
+
+
+@needs_two_cpus
+def test_the_worker_inherits_the_blas_pin(tmp_path, capsys, monkeypatch):
+    # OpenBLAS is set to two threads here; the CLI pins it to one before the fork, and each process
+    # reads one thread while it runs a suite
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                         "libscipy_openblas*")))
+    if not libs:
+        pytest.skip("numpy has no bundled OpenBLAS to pin here")
+    lib = ctypes.CDLL(libs[0])
+    get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    fake, log = _splitting_run_suite(tmp_path)
+
+    def recording(sid, cfg):
+        with open(tmp_path / "threads.log", "a") as fh:
+            fh.write(f"{get_threads()}\n")
+        return fake(sid, cfg)
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    set_threads(2)
+    try:
+        assert get_threads() == 2
+        assert run_cli([*FOUR_SUITES, "--out", str(tmp_path / "out")]) in (0, 1)
+    finally:
+        set_threads(1)  # where the CLI leaves it
+    capsys.readouterr()
+    assert {line.split()[0] for line in log.read_text().splitlines()} == {"caller", "worker"}
+    assert (tmp_path / "threads.log").read_text().split() == ["1"] * 4
 
 
 def test_no_timestamps_inside_reports(tmp_path, capsys):
