@@ -13,12 +13,8 @@ __version__ = "0.1.0"
 import types
 
 from .clifford import (
-    IsoWitness,
-    MultiVector,
     Signature,
-    algebra_isomorphism_check,
     left_mult_operator,
-    mv_multiply,
     number_operator,
     regular_representation,
     twisted_right_mult_operator,
@@ -39,7 +35,6 @@ from .graded import (
     graded_commutator,
     graded_tensor,
     involution,
-    iota,
     tensor_product_witness,
 )
 from .oscillator import (

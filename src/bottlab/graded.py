@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import MultiVector, Signature, blade_parities, matrix_relation_residual, regular_representation
+from .clifford import Signature, blade_parities, matrix_relation_residual, regular_representation
 
 
 class GradedMatrix:
@@ -480,16 +480,6 @@ def flip_unitary(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     return out
 
 
-def iota(m: MultiVector) -> MultiVector:
-    """Grading automorphism of the Clifford algebra: e_i -> -e_i on generators.
-
-    Acts by (-1)^grade on each blade; it is an algebra automorphism and
-    squares to the identity.
-    """
-    signs = grading_signs(blade_parities(m.sig))
-    return MultiVector(m.sig, m.coeffs * signs)
-
-
 def tensor_product_witness(sig1: Signature, sig2: Signature):
     """Realize the joined algebra inside the graded tensor of two regular reps.
 
@@ -498,15 +488,13 @@ def tensor_product_witness(sig1: Signature, sig2: Signature):
     before the -1-square ones so they line up with how the joined signature
     ``(p1 + p2, q1 + q2)`` orders its generators.  The graded tensor signs
     are exactly what makes these satisfy the joined anticommutation
-    relations.  Returns (generators, max relation residual, spanned
-    dimension).
+    relations.  Returns (max relation residual, spanned dimension).
     """
     par1, par2 = blade_parities(sig1), blade_parities(sig2)
     id1, id2 = (GradedMatrix(np.eye(len(p)), p) for p in (par1, par2))
     lift = (lambda g: graded_tensor(GradedMatrix(g, par1), id2), lambda g: graded_tensor(id1, GradedMatrix(g, par2)))
-    gens = [lift[f](g) for sign in (+1, -1) for f, s in enumerate((sig1, sig2))
+    mats = [lift[f](g).mat for sign in (+1, -1) for f, s in enumerate((sig1, sig2))
             for i, g in enumerate(regular_representation(s), 1) if s.square_sign(i) == sign]
-    mats = [g.mat for g in gens]
     worst = matrix_relation_residual(mats, Signature(sig1.p + sig2.p, sig1.q + sig2.q))
 
     # span of all products of generator subsets = dimension of the image algebra
@@ -514,4 +502,4 @@ def tensor_product_witness(sig1: Signature, sig2: Signature):
     for g in mats:
         prods += [p @ g for p in prods]
     spanned = int(np.linalg.matrix_rank(np.stack([p.ravel() for p in prods]), tol=1e-9))
-    return gens, worst, spanned
+    return worst, spanned

@@ -35,7 +35,6 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .clifford import (
-    MultiVector,
     Signature,
     blade_parities,
     blade_parity,
@@ -244,7 +243,7 @@ def clifford_operator(basis: HermiteBasis) -> GradedMatrix:
     """C = sum_i x_i (x) lambda(e_i); odd, symmetric.  On the truncated basis, x_i is the restriction
     of the 1-D position matrix on axis i."""
     return _spatial_blade_operator(basis, 1, _axis_terms(basis, position_matrix(basis.level), [
-        left_mult_operator(MultiVector.generator(basis.sig, i + 1)) for i in range(basis.dim)]))
+        left_mult_operator(basis.sig, 1 << i) for i in range(basis.dim)]))
 
 
 def dirac_operator(basis: HermiteBasis) -> GradedMatrix:
@@ -256,7 +255,7 @@ def dirac_operator(basis: HermiteBasis) -> GradedMatrix:
     """
     x = position_matrix(basis.level)
     return _spatial_blade_operator(basis, 1, _axis_terms(basis, np.triu(x) - np.tril(x), [
-        twisted_right_mult_operator(MultiVector.generator(basis.sig, i + 1)) for i in range(basis.dim)]))
+        twisted_right_mult_operator(basis.sig, 1 << i) for i in range(basis.dim)]))
 
 
 def blade_number_operator(basis: HermiteBasis) -> GradedMatrix:
@@ -445,7 +444,7 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     x, w = _gh_nodes(nodes if nodes is not None else 2 * basis.level + 16)
     rows = hermite_rows(basis.level, x)
     terms = [(tuple((rows * (w * g(x))) @ rows.T for g in axis_fns),
-              left_mult_operator(MultiVector.blade(basis.sig, c))) for c, axis_fns in h.terms]
+              left_mult_operator(basis.sig, c)) for c, axis_fns in h.terms]
     r1 = all(axis_fns[0].parity == c & 1 for c, axis_fns in h.terms)
     mh = _spatial_blade_operator(basis, h.parity, terms, basis.blade_count << r1)
     return _as_symmetric(mh) if all(blade_square_sign(c, basis.sig) == 1 for c, _ in h.terms) else mh

@@ -24,9 +24,10 @@ import numpy as np
 
 from .clifford import (
     _MAX_TABLE_N,
-    MultiVector,
     Signature,
-    algebra_isomorphism_check,
+    blade_label,
+    blade_parities,
+    blade_relation_residual,
     left_mult_operator,
     matrix_relation_residual,
     regular_representation,
@@ -48,7 +49,6 @@ from .graded import (
     graded_tensor,
     grading_signs,
     involution,
-    iota,
     label_index,
     regroup,
     tensor_labels,
@@ -81,6 +81,10 @@ MEHLER_S = (0.5, 0.3, 0.2, 0.1, 0.05)
 NOISE_FLOOR = 1e-12
 
 DELTA_LEVELS = (12, 18, 24)
+
+# the images of the generators of the rank-8 Euclidean algebra in signature (4,4): e1 .. e4, then the
+# four triple products of e5 .. e8 (squares -1 * -1 * -1 times the reordering sign -1, so +1)
+EIGHT_IN_FOUR_FOUR = (0x1, 0x2, 0x4, 0x8, 0x70, 0xB0, 0xD0, 0xE0)
 
 # the largest context_bytes a configuration may need: report-all's peak RSS with two suites at once was
 # 76, 133, 542 and 932 MiB at (3,8), (4,6), (4,8) and (5,6), whose contexts take 15, 48, 269 and 469 MiB,
@@ -374,21 +378,22 @@ def suite_spectrum(cfg: SweepConfig) -> VerificationReport:
 
 
 def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
-    """Generator relations at low rank plus two explicit embedding witnesses."""
+    """Generator relations at low rank, the rank-8 Euclidean algebra inside signature (4,4) (the 8-fold
+    periodicity), and the joined algebra inside a graded tensor square."""
     tol = cfg.tol if cfg.tol is not None else 1e-10
     sigs = [[Signature(p, n - p) for p in range(n + 1)] for n in range(1, 6)]
     values = [max(matrix_relation_residual(regular_representation(sig), sig) for sig in row) for row in sigs]
 
-    wit = algebra_isomorphism_check(Signature(8, 0), Signature(4, 4))
-    _, worst2, span2 = tensor_product_witness(Signature(1, 0), Signature(1, 0))
+    worst8 = blade_relation_residual(EIGHT_IN_FOUR_FOUR, Signature(8, 0), Signature(4, 4))
+    worst2, span2 = tensor_product_witness(Signature(1, 0), Signature(1, 0))
     gates = [
         Gate("relation residual for every signature of rank <= 5", values, tol),
-        Gate("rank-8 Euclidean algebra found inside signature (4,4)", wit.found),
-        Gate("rank-8 embedding residual", wit.max_residual, tol),
+        Gate("rank-8 embedding residual", worst8, tol),
         Gate("graded tensor square of rank-1 algebras: relation residual", worst2, tol),
         Gate(f"graded tensor square spans rank 2 (dimension {span2} == 4)", span2 == 4),
     ]
-    notes = [f"rank-8 embedding images {wit.image_labels()}"]
+    labels = ", ".join(blade_label(m) for m in EIGHT_IN_FOUR_FOUR)
+    notes = [f"rank-8 Euclidean generators as odd blades of signature (4,4): {labels}"]
     return _report("clifford-iso", cfg.params_dict(), [float(n) for n in range(1, 6)],
                    {"relation-residual": values}, tol, gates, notes)
 
@@ -777,17 +782,16 @@ def _blade_word_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
 
 
 def _grading_residual(sigs) -> tuple[float, int]:
-    """How far ``iota(xy)``, with xy read from the Cayley table, is from ``iota(x) iota(y)`` multiplied
-    by their generator words, and ``iota(iota(x))`` from x, over every pair of blades x, y of every
-    signature; and the number of pairs."""
+    """How far the grading automorphism g of ``xy``, with xy read from the Cayley table, is from
+    ``g(x) g(y)`` multiplied by their generator words, over every pair of blades x, y of every
+    signature; and the number of pairs.  g negates the generators, so it is diagonal on blades,
+    with the sign of each blade's parity."""
     worst, count = 0.0, 0
     for sig in sigs:
-        ones = MultiVector(sig, np.ones(sig.blade_count))
-        signs = iota(ones).coeffs  # iota is diagonal on blades: its sign on each
-        worst = max(worst, float(np.abs(iota(iota(ones)).coeffs - 1.0).max()))
+        signs = grading_signs(blade_parities(sig))
         for a in range(sig.blade_count):
             # column b: blade a times blade b
-            products = left_mult_operator(MultiVector.blade(sig, a)) * signs[:, None]
+            products = left_mult_operator(sig, a) * signs[:, None]
             for b in range(sig.blade_count):
                 sign, blade = _blade_word_product(sig, a, b)
                 products[blade, b] -= signs[a] * signs[b] * sign
@@ -860,7 +864,7 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
             curves[h.name].append(worst)
 
     mult_worst, inv_worst = _flip_product_residuals((uc, vc))
-    iota_worst, blade_pairs = _grading_residual((Signature(2, 0), Signature(1, 1), Signature(2, 1)))
+    grading_worst, blade_pairs = _grading_residual((Signature(2, 0), Signature(1, 1), Signature(2, 1)))
 
     gates = [
         Gate("two assembly routes agree at every t", [val for c in curves.values() for val in c], tol),
@@ -868,7 +872,7 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
         Gate("flip multiplicativity on 16 products of simple tensors", mult_worst, tol),
         Gate("tensor and flip respect the involution on 4 simple tensors", inv_worst, tol),
         Gate(f"grading automorphism multiplicative on all {blade_pairs} blade pairs (generator words)",
-             iota_worst, tol),
+             grading_worst, tol),
     ]
     # params describe what was actually computed; the notes record coercion
     return _report("flip-endpoints", sub.params_dict(), cfg.t_grid, curves, tol, gates, notes)

@@ -14,6 +14,9 @@ same objects another way:
 - :func:`every_block_norm` eigensolves the Gram matrix of every block, where
   ``block_norm`` certifies most of them by a Cholesky factor instead.
 - :func:`tensor_parity` reads the parity of the tensor basis off its labels.
+- :func:`clifford_product` multiplies two Clifford elements, given as
+  coefficient arrays over the blades, by the dense Cayley-table contraction;
+  the package multiplies only blades.
 
 The package builds every scalar function directly; the combinators
 :func:`fsum`, :func:`fprod` and :func:`fmul` compose them here, keeping the
@@ -24,7 +27,8 @@ import math
 
 import numpy as np
 
-from bottlab.clifford import MultiVector, left_mult_operator
+from bottlab import clifford
+from bottlab.clifford import left_mult_operator
 from bottlab.funcalc import GradedFunction
 from bottlab.graded import tensor_labels
 from bottlab.oscillator import CliffFunction, HermiteBasis, hermite_rows
@@ -132,7 +136,7 @@ def grid_multiplication_operator(coeffs, basis: HermiteBasis, nodes: int | None 
     out = np.zeros((basis.size, basis.size))
     for c in range(basis.blade_count):
         gram = (psi * (weights * values[:, c])) @ psi.T
-        out += np.kron(gram, left_mult_operator(MultiVector.blade(basis.sig, c)))
+        out += np.kron(gram, left_mult_operator(basis.sig, c))
     return out
 
 
@@ -155,3 +159,12 @@ def every_block_norm(blocks) -> float:
 def tensor_parity(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     """Parity vector of the tensor product space, in the order of ``tensor_pairs``."""
     return tensor_labels(la, lb) & 1
+
+
+def clifford_product(sig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Clifford product of the elements with blade coefficients a and b: every product of a
+    coefficient of a with one of b, zeros included, summed onto its blade in row-major order."""
+    sign, idx = clifford._tables(sig.p, sig.q)
+    out = np.zeros(sig.blade_count)
+    np.add.at(out, idx.ravel(), (np.multiply.outer(a, b) * sign).ravel())
+    return out

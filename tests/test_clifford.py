@@ -1,8 +1,9 @@
 """Tests for the Clifford algebra layer.
 
-Covers blade arithmetic (signs, masks, associativity), the dense
-multivector type, the left/twisted-right regular representations, the
-blade number operator, and the signature-embedding witness search.
+Covers blade arithmetic (signs, masks, associativity), the left and
+twisted-right blade operators, the regular representation, the blade
+number operator, and the fixed images of the rank-8 Euclidean generators
+in signature (4,4).
 """
 
 import math
@@ -11,24 +12,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bottlab import clifford
+from bottlab import clifford, verify
 from bottlab.clifford import (
-    IsoWitness,
-    MultiVector,
     Signature,
-    algebra_isomorphism_check,
     blade_grade,
     blade_label,
     blade_parities,
     blade_parity,
+    blade_relation_residual,
     blade_square_sign,
     left_mult_operator,
-    mv_multiply,
+    matrix_relation_residual,
     number_operator,
     regular_representation,
     twisted_right_mult_operator,
 )
 from bottlab.graded import GradedMatrix, graded_commutator
+from oracles import clifford_product
 
 SMALL_SIGS = [Signature(p, q) for p in range(6) for q in range(6) if 1 <= p + q <= 5]
 
@@ -152,84 +152,53 @@ def test_blade_labels():
 
 
 # ---------------------------------------------------------------------------
-# multivectors
+# blade operators
 # ---------------------------------------------------------------------------
 
-def test_multivector_basics():
-    sig = Signature(2, 0)
-    e1 = MultiVector.generator(sig, 1)
-    e2 = MultiVector.generator(sig, 2)
-    one = MultiVector.scalar(sig)
-    assert (e1 * e1 - one).norm() == 0.0
-    assert (e1 * e2 + e2 * e1).norm() == 0.0
-    x = 2.0 * e1 + e1 * e2
-    assert x.grades() == {1, 2}
-    assert not x.is_homogeneous()
-    assert x.parity() is None
-    assert e1.parity() == 1 and one.parity() == 0
-    assert math.isclose(x.norm(), math.sqrt(5.0))
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=60, deadline=None)
-def test_mv_multiply_associative_random_coeffs(seed):
-    rng = np.random.default_rng(seed)
-    sig = Signature(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-    if sig.n == 0:
-        return
-    vecs = []
-    for _ in range(3):
-        v = MultiVector.zero(sig)
-        v.coeffs[:] = rng.standard_normal(sig.blade_count)
-        vecs.append(v)
-    a, b, c = vecs
-    lhs = mv_multiply(mv_multiply(a, b), c)
-    rhs = mv_multiply(a, mv_multiply(b, c))
-    assert (lhs - rhs).norm() < 1e-12 * max(1.0, lhs.norm())
-
-
-@pytest.mark.parametrize("sig", [Signature(2, 1), Signature(4, 4)])
-def test_mv_multiply_equals_the_dense_cayley_contraction(sig):
-    # the reference sums every product, zeros included, in row-major order
-    sign, idx = clifford._tables(sig.p, sig.q)
-    rng = np.random.default_rng(5)
-    for keep in (1.0, 0.5, 0.1, 1 / sig.blade_count, 0.0):
-        a, b = (rng.standard_normal(sig.blade_count) * (rng.random(sig.blade_count) < keep) for _ in range(2))
-        dense = np.zeros(sig.blade_count)
-        np.add.at(dense, idx.ravel(), (np.multiply.outer(a, b) * sign).ravel())
-        assert np.array_equal(mv_multiply(MultiVector(sig, a), MultiVector(sig, b)).coeffs, dense)
-
-
 def test_left_mult_operator_action():
-    rng = np.random.default_rng(11)
-    for sig in [Signature(2, 1), Signature(0, 3)]:
-        x = MultiVector.zero(sig)
-        x.coeffs[:] = rng.standard_normal(sig.blade_count) * blade_parities(sig)  # odd part
-        y = MultiVector.zero(sig)
-        y.coeffs[:] = rng.standard_normal(sig.blade_count)
-        assert np.allclose(left_mult_operator(x) @ y.coeffs, mv_multiply(x, y).coeffs)
+    # L(a) L(b) = sign[a, b] L(a ^ b): the operators multiply as the Cayley table says, so L(a) maps
+    # every blade b to sign[a, b] e_{a ^ b}, and the table is associative on them
+    for sig in [s for s in SMALL_SIGS if s.n <= 4]:
+        sign, _ = clifford._tables(sig.p, sig.q)
+        ops = [left_mult_operator(sig, m) for m in range(sig.blade_count)]
+        for a, la in enumerate(ops):
+            for b, lb in enumerate(ops):
+                assert np.array_equal(la @ lb, sign[a, b] * ops[a ^ b]), (sig, a, b)
 
 
 def test_twisted_right_mult_against_plain_right_mult():
-    # column j of the twisted operator is (-1)^{deg blade_j} * (blade_j * x)
-    rng = np.random.default_rng(5)
-    for sig in [Signature(3, 0), Signature(1, 2)]:
-        x = MultiVector.zero(sig)
-        x.coeffs[:] = rng.standard_normal(sig.blade_count) * (1 - blade_parities(sig))
-        mat = twisted_right_mult_operator(x)
+    # R(a) y = (-1)^{deg y} y e_a, so R(a) R(b) y = (-1)^{deg b} y e_b e_a: R(a) R(b) is
+    # (-1)^{deg b} sign[b, a] R(a ^ b) G, with G the grading (-1)^{deg y} on the blade basis; and
+    # column j of R(a) is (-1)^{deg j} e_j e_a, column a of L(j)
+    for sig in [s for s in SMALL_SIGS if s.n <= 4]:
+        sign, _ = clifford._tables(sig.p, sig.q)
         twist = 1.0 - 2.0 * blade_parities(sig)
-        for j in range(sig.blade_count):
-            col = twist[j] * mv_multiply(MultiVector.blade(sig, j), x).coeffs
-            assert np.allclose(mat[:, j], col)
+        ops = [twisted_right_mult_operator(sig, m) for m in range(sig.blade_count)]
+        lefts = [left_mult_operator(sig, m) for m in range(sig.blade_count)]
+        for a, ra in enumerate(ops):
+            for b, rb in enumerate(ops):
+                assert np.array_equal(ra @ rb, twist[b] * sign[b, a] * ops[a ^ b] * twist), (sig, a, b)
+            for j, lj in enumerate(lefts):
+                assert np.array_equal(ra[:, j], twist[j] * lj[:, a]), (sig, a, j)
 
 
-def test_mult_operators_reject_inhomogeneous():
+@pytest.mark.parametrize("sig", [Signature(2, 1), Signature(4, 4)])
+def test_left_mult_operators_equal_the_dense_cayley_contraction(sig):
+    # x y = sum_a x_a L(a) y, whichever coefficients are zero
+    rng = np.random.default_rng(5)
+    for keep in (1.0, 0.1, 1 / sig.blade_count):
+        x, y = (rng.standard_normal(sig.blade_count) * (rng.random(sig.blade_count) < keep) for _ in range(2))
+        action = sum(x[a] * (left_mult_operator(sig, a) @ y) for a in np.flatnonzero(x))
+        assert np.allclose(action, clifford_product(sig, x, y), rtol=1e-12, atol=1e-12)
+
+
+def test_mult_operators_reject_masks_outside_the_signature():
     sig = Signature(2, 0)
-    x = MultiVector.scalar(sig) + MultiVector.generator(sig, 1)
-    with pytest.raises(ValueError):
-        left_mult_operator(x)
-    with pytest.raises(ValueError):
-        twisted_right_mult_operator(x)
+    for mask in (-1, 4, 0b101):
+        with pytest.raises(ValueError, match="outside the signature"):
+            left_mult_operator(sig, mask)
+        with pytest.raises(ValueError, match="outside the signature"):
+            twisted_right_mult_operator(sig, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +222,10 @@ def test_left_and_twisted_right_graded_commute():
     # families of odd operators anticommute -- for every generator pair
     for sig in SMALL_SIGS:
         par = blade_parities(sig)
-        for i in range(1, sig.n + 1):
-            lam = GradedMatrix(left_mult_operator(MultiVector.generator(sig, i)), par)
-            for j in range(1, sig.n + 1):
-                rho = GradedMatrix(
-                    twisted_right_mult_operator(MultiVector.generator(sig, j)), par
-                )
+        for i in range(sig.n):
+            lam = GradedMatrix(left_mult_operator(sig, 1 << i), par)
+            for j in range(sig.n):
+                rho = GradedMatrix(twisted_right_mult_operator(sig, 1 << j), par)
                 assert graded_commutator(lam, rho).norm() == 0.0, (sig, i, j)
 
 
@@ -283,66 +250,33 @@ def test_number_operator_requires_euclidean_signature():
 def test_spanned_matrix_dimension():
     # the blade images are linearly independent: the span has full dimension 2^n
     for sig in [Signature(1, 0), Signature(2, 0), Signature(1, 1), Signature(2, 1)]:
-        images = [left_mult_operator(MultiVector.blade(sig, m)).ravel()
-                  for m in range(sig.blade_count)]
+        images = [left_mult_operator(sig, m).ravel() for m in range(sig.blade_count)]
         assert np.linalg.matrix_rank(np.stack(images)) == sig.blade_count
 
 
 # ---------------------------------------------------------------------------
-# signature embedding witnesses
+# the rank-8 Euclidean algebra in signature (4,4)
 # ---------------------------------------------------------------------------
 
-def _verify_witness(w: IsoWitness):
-    """Independent replay of the relations the witness claims."""
-    assert w.found
-    worst = 0.0
-    for i, gi in enumerate(w.images):
-        assert gi.parity() == 1, "generator images must be odd"
-        for j, gj in enumerate(w.images):
-            anti = mv_multiply(gi, gj) + mv_multiply(gj, gi)
-            if i == j:
-                anti = anti - MultiVector.scalar(gi.sig, 2.0 * w.sig_from.square_sign(i + 1))
-            worst = max(worst, anti.norm())
-    return worst
-
-
 def test_witness_eight_zero_into_four_four():
-    w = algebra_isomorphism_check(Signature(8, 0), Signature(4, 4))
-    assert w.found, w.notes
-    assert len(w.images) == 8
-    assert w.max_residual <= 1e-10
-    assert _verify_witness(w) <= 1e-10
-    assert len(w.image_labels()) == 8
-
-
-def test_witness_nine_one_into_five_five():
-    w = algebra_isomorphism_check(Signature(9, 1), Signature(5, 5))
-    assert w.found, w.notes
-    assert w.max_residual <= 1e-10
-    assert _verify_witness(w) <= 1e-10
-
-
-def test_witness_identity_fast_path():
-    w = algebra_isomorphism_check(Signature(3, 1), Signature(3, 1))
-    assert w.found and w.max_residual == 0.0
-    assert "identity" in w.notes
-
-
-def test_witness_honest_failure_reporting():
-    # no single-blade witness maps (2,0) into (1,1): the odd blades of (1,1)
-    # contain only one square of each sign
-    w = algebra_isomorphism_check(Signature(2, 0), Signature(1, 1))
-    assert not w.found
-    assert "no claim about non-isomorphism" in w.notes
-    assert w.images == []
-
-    too_small = algebra_isomorphism_check(Signature(3, 0), Signature(1, 0))
-    assert not too_small.found
+    images = verify.EIGHT_IN_FOUR_FOUR
+    assert len(set(images)) == 8 and all(blade_parity(m) for m in images)
+    assert blade_relation_residual(images, Signature(8, 0), Signature(4, 4)) == 0.0
+    # replayed on the left-multiplication matrices, an independent route through the same table
+    mats = [left_mult_operator(Signature(4, 4), m) for m in images]
+    assert matrix_relation_residual(mats, Signature(8, 0)) == 0.0
+    # a wrong square (e5^2 = -1 for a generator squaring to +1) and a commuting pair (e5, e6*e7) show
+    assert blade_relation_residual((0x1, 0x10), Signature(2, 0), Signature(4, 4)) == 4.0
+    assert blade_relation_residual((0x10, 0x60), Signature(0, 2), Signature(4, 4)) == 2.0
 
 
 def test_signature_validation():
     with pytest.raises(ValueError):
         Signature(-1, 2)
+    # one size limit: every signature has Cayley tables
+    with pytest.raises(ValueError, match="exceeds 10"):
+        Signature(11, 0)
+    assert Signature(10, 0).blade_count == 1024
     sig = Signature(2, 1)
     assert sig.n == 3 and sig.blade_count == 8
     assert sig.square_sign(1) == 1 and sig.square_sign(3) == -1

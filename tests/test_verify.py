@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bottlab import clifford, graded, verify
-from bottlab.clifford import MultiVector, Signature, mv_multiply, regular_representation
+from bottlab.clifford import Signature, left_mult_operator, regular_representation
 from bottlab.funcalc import GradedFunction, gaussian, matrix_function, scale, x_gaussian
 from bottlab.graded import GradedMatrix, flip_unitary, regroup
 from bottlab.oscillator import (
@@ -39,7 +39,7 @@ from bottlab.verify import (
     svd_norm,
     windowed_norm,
 )
-from oracles import bott_map, fmul, fprod, fsum, sup_norm, symbol_values, tensor_parity
+from oracles import bott_map, clifford_product, fmul, fprod, fsum, sup_norm, symbol_values, tensor_parity
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +194,7 @@ def test_monotone_after_jitter_and_floor():
 
 def _blade_coordinates(mat: np.ndarray, sig: Signature) -> np.ndarray:
     """Express a matrix in the blade basis of the regular representation."""
-    from bottlab.clifford import left_mult_operator
-
-    basis = np.stack([
-        left_mult_operator(MultiVector.blade(sig, m)).ravel()
-        for m in range(sig.blade_count)
-    ])
+    basis = np.stack([left_mult_operator(sig, m).ravel() for m in range(sig.blade_count)])
     coeffs, *_ = np.linalg.lstsq(basis.T, mat.ravel(), rcond=None)
     return coeffs
 
@@ -252,10 +247,7 @@ def test_bott_map_multiplicative_pointwise():
     pts = rng.uniform(-1.5, 1.5, size=(5, dim))
     cu, cv, cuv = fu(pts), fv(pts), fuv(pts)
     for row in range(len(pts)):
-        a = MultiVector(sig, cu[row].copy())
-        b = MultiVector(sig, cv[row].copy())
-        prod = mv_multiply(a, b)
-        assert np.allclose(prod.coeffs, cuv[row], atol=1e-12)
+        assert np.allclose(clifford_product(sig, cu[row], cv[row]), cuv[row], atol=1e-12)
 
 
 def test_shifted_bump_shape():
@@ -558,13 +550,29 @@ def test_grading_gate_reads_the_cayley_signs(monkeypatch):
     assert note.endswith("FAIL") and "all 96 blade pairs" in note
 
 
+def test_rank_eight_gate_reads_the_cayley_signs(monkeypatch):
+    # the fixed images of the rank-8 generators are checked against the Cayley table of signature
+    # (4,4); with random signs there, they no longer anticommute and square to +1
+    rng = np.random.default_rng(3)
+    real = clifford._tables
+
+    def random_signs(p, q):
+        sign, idx = real(p, q)
+        return rng.choice(np.array([-1, 1], dtype=np.int8), size=sign.shape), idx
+
+    monkeypatch.setattr(clifford, "_tables", random_signs)
+    rep = run_suite("clifford-iso", SweepConfig(dim=1, level=4))
+    (note,) = [n for n in rep.notes if n.startswith("gate rank-8 embedding residual")]
+    assert note.endswith("FAIL") and not rep.passed
+
+
 def test_blade_word_products_are_the_cayley_table():
     for sig in (Signature(3, 0), Signature(1, 2), Signature(2, 2)):
+        blades = np.eye(sig.blade_count)
         for a in range(sig.blade_count):
             for b in range(sig.blade_count):
                 sign, blade = verify._blade_word_product(sig, a, b)
-                x, y = MultiVector.blade(sig, a), MultiVector.blade(sig, b)
-                assert np.array_equal(mv_multiply(x, y).coeffs, MultiVector.blade(sig, blade, sign).coeffs)
+                assert np.array_equal(clifford_product(sig, blades[a], blades[b]), sign * blades[blade])
 
 
 def test_delta_xr_residual_gates_follow_tol():
