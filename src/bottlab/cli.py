@@ -57,9 +57,6 @@ def _add_common_flags(p: argparse.ArgumentParser):
                    help="sweep end (default %(default)g)")
     p.add_argument("--t-points", type=int, default=len(DEFAULT_T_GRID),
                    help="geometric grid size (default %(default)d)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the pass threshold (relative to the initial norm "
-                        "for equivalence suites, absolute otherwise)")
     p.add_argument("--format", choices=("json", "csv", "both"), default="both",
                    help="report formats to write (default both)")
     p.add_argument("--out", default="reports", help="output directory (default ./reports)")
@@ -93,7 +90,7 @@ def _config_from_args(args) -> SweepConfig:
         raise ValueError("t-points must be >= 2")
     with np.errstate(over="ignore"):  # near the largest double only the endpoint overflows, and it is set exactly
         t_grid = tuple(float(t) for t in np.geomspace(args.t_min, args.t_max, args.t_points))
-    return SweepConfig(dim=args.dim, level=args.levels, t_grid=t_grid, tol=args.tol)
+    return SweepConfig(dim=args.dim, level=args.levels, t_grid=t_grid)
 
 
 def _pin_blas_threads() -> bool:

@@ -105,7 +105,6 @@ class SweepConfig:
     dim: int = 1
     level: int = 12
     t_grid: tuple = DEFAULT_T_GRID
-    tol: float | None = None  # per-suite default when None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -136,8 +135,6 @@ class SweepConfig:
             raise ValueError(f"t_grid values must keep t^-2 > 0, the time s > 0 of s1s2-asymptotics; "
                              f"{ts[-1]:g}^-2 underflows to 0")
         self.t_grid = ts
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("tol must be positive")
 
     def params_dict(self) -> dict:
         return {
@@ -208,8 +205,8 @@ class Gate:
 
 
 def _envelope(curves: dict) -> list:
-    """Pointwise maximum over the curves."""
-    return [max(vals) for vals in zip(*curves.values())]
+    """Pointwise maximum over the curves; NaN where any curve is NaN, which ``max`` would drop."""
+    return [math.nan if any(map(math.isnan, vals)) else max(vals) for vals in zip(*curves.values())]
 
 
 def _report(suite: str, params: dict, xs: Sequence[float], curves: dict, tol: float,
@@ -282,7 +279,10 @@ def decay_fit(ts: Sequence[float], vals: Sequence[float]) -> tuple | None:
 
 
 def monotone_after(ts: Sequence[float], vals: Sequence[float], start: float = 2.0) -> bool:
-    """Non-increasing after burn-in, allowing 5 % jitter and ignoring values under ``NOISE_FLOOR``."""
+    """Non-increasing after burn-in, allowing 5 % jitter and ignoring values under ``NOISE_FLOOR``;
+    False if any value is NaN, which compares false both ways."""
+    if any(map(math.isnan, vals)):
+        return False
     idx = [i for i, t in enumerate(ts) if t >= start]
     for i, j in zip(idx, idx[1:]):
         if vals[j] <= NOISE_FLOOR and vals[i] <= NOISE_FLOOR:
@@ -293,9 +293,12 @@ def monotone_after(ts: Sequence[float], vals: Sequence[float], start: float = 2.
 
 
 def _decay_gates(ts: Sequence[float], curves: dict, rel: float, fit: tuple | None) -> list[Gate]:
-    """Final/initial within ``rel`` per curve, every curve non-increasing after t=2, fit < 0."""
+    """Final/initial within ``rel`` per curve, every curve non-increasing after t=2, fit < 0.
+
+    A curve that starts at 0 has ratio 0; a NaN at either end makes the ratio NaN, which fails.
+    """
     return [
-        *(Gate(f"{name} final/initial", c[-1] / c[0] if c[0] > 0 else 0.0, rel)
+        *(Gate(f"{name} final/initial", c[-1] / c[0] if c[0] else 0.0 * c[-1], rel)
           for name, c in sorted(curves.items())),
         Gate("every curve non-increasing after t=2", all(monotone_after(ts, c) for c in curves.values())),
         Gate("decay exponent < 0", fit is not None and fit[0] < 0),
@@ -341,7 +344,7 @@ def named_symbols(dim: int) -> tuple[CliffFunction, CliffFunction, CliffFunction
 # suites
 
 
-def _mehler_default_tol(level: int) -> float:
+def _mehler_tol(level: int) -> float:
     # truncation error of the factorization shrinks with the level; these
     # bounds are calibrated on the deep observation window used below
     return next(tol for lowest, tol in ((18, 1e-6), (16, 1e-5), (13, 1e-4), (0, 1e-3)) if level >= lowest)
@@ -350,7 +353,7 @@ def _mehler_default_tol(level: int) -> float:
 def suite_spectrum(cfg: SweepConfig) -> VerificationReport:
     """Eigenvalue ladder of the squared supercharge on the interior window."""
     rep = oscillator_rep(cfg.dim, cfg.level)
-    tol = cfg.tol if cfg.tol is not None else 1e-8
+    tol = 1e-8
     sp = spectrum(rep)
 
     deviations = []
@@ -380,7 +383,7 @@ def suite_spectrum(cfg: SweepConfig) -> VerificationReport:
 def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
     """Generator relations at low rank, the rank-8 Euclidean algebra inside signature (4,4) (the 8-fold
     periodicity), and the joined algebra inside a graded tensor square."""
-    tol = cfg.tol if cfg.tol is not None else 1e-10
+    tol = 1e-10
     sigs = [[Signature(p, n - p) for p in range(n + 1)] for n in range(1, 6)]
     values = [max(matrix_relation_residual(regular_representation(sig), sig) for sig in row) for row in sigs]
 
@@ -400,7 +403,7 @@ def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
 
 def _commutator_suite(cfg: SweepConfig, suite_id: str, matrices) -> VerificationReport:
     """Decay of the commutator curves ``matrices(t)`` yields, on the envelope and on each curve."""
-    rel = cfg.tol if cfg.tol is not None else 0.25
+    rel = 0.25
     ts = cfg.t_grid
     curves, crosscheck = _sweep(ts, matrices)
     envelope = _envelope(curves)
@@ -468,12 +471,12 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
     and the variant with the roles of C and D exchanged.  The identity is
     exact in the untruncated model; at finite level the residual lives near
     the cut, so it is measured on a deep observation window (total level
-    <= max(2, level//3)) and the default tolerance scales with the level.
+    <= max(2, level//3)) and the tolerance scales with the level.
     """
     rep = oscillator_rep(cfg.dim, cfg.level)
     window_cap = max(2, cfg.level // 3)
     depth = cfg.level - window_cap
-    tol = cfg.tol if cfg.tol is not None else _mehler_default_tol(cfg.level)
+    tol = _mehler_tol(cfg.level)
 
     def heat(a: float, op: GradedMatrix) -> GradedMatrix:
         """exp(-a X^2) of an odd operator X."""
@@ -513,7 +516,7 @@ def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
     of exp(-coef/2 X^2) - exp(-t^{-2}/2 X^2) along the t-grid.
     """
     rep = oscillator_rep(cfg.dim, cfg.level)
-    tol = cfg.tol if cfg.tol is not None else 1e-3
+    tol = 1e-3
     w = rep.window()
 
     def matrices(t):
@@ -558,7 +561,7 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
     """
     rep = oscillator_rep(cfg.dim, cfg.level)
     u, v = gaussian(), x_gaussian()
-    rel = cfg.tol if cfg.tol is not None else 1e-2
+    rel = 1e-2
     w = rep.window()
 
     def matrices(t):
@@ -614,7 +617,7 @@ def suite_homotopy_projection(cfg: SweepConfig) -> VerificationReport:
     """
     rep = oscillator_rep(cfg.dim, cfg.level)
     u, v = gaussian(), x_gaussian()
-    tol = cfg.tol if cfg.tol is not None else 1e-6
+    tol = 1e-6
 
     # the ground state, the Gaussian times the scalar blade, is the first basis vector of label 0
     blocks = [np.zeros((len(i),) * 2) for i in rep.bott.index]
@@ -653,17 +656,16 @@ def suite_delta_xr(cfg: SweepConfig) -> VerificationReport:
 
     Truncation levels are fixed (the 1-D check is independent of the
     oscillator level); residuals are rounding noise at every level, so the
-    monotonicity requirement only applies above the noise floor.  ``tol``
-    bounds both residuals, by default 1e-10 (u) and 1e-8 (v).
+    monotonicity requirement only applies above the noise floor.  The
+    residuals are bounded by 1e-10 (u) and 1e-8 (v), the report's ``tol``.
     """
-    tol = cfg.tol if cfg.tol is not None else 1e-8
     levels = [float(lev) for lev in DELTA_LEVELS]
     checks = [delta_via_xr_check(lev) for lev in DELTA_LEVELS]
     curves = {"u": [c.residual_u for c in checks], "v": [c.residual_v for c in checks]}
 
     gates = [
-        Gate("even-generator residual (full norm)", curves["u"], cfg.tol if cfg.tol is not None else 1e-10),
-        Gate("odd-generator residual (interior)", curves["v"], tol),
+        Gate("even-generator residual (full norm)", curves["u"], 1e-10),
+        Gate("odd-generator residual (interior)", curves["v"], 1e-8),
         Gate(f"envelope non-increasing above {NOISE_FLOOR:g}",
              monotone_after(levels, _envelope(curves), start=0.0)),
     ]
@@ -671,14 +673,14 @@ def suite_delta_xr(cfg: SweepConfig) -> VerificationReport:
         f"truncation levels {list(DELTA_LEVELS)}; effective radii {[round(c.effective_radius, 3) for c in checks]}",
         "residuals are at rounding noise",
     ]
-    return _report("delta-xr", cfg.params_dict(), levels, curves, tol, gates, notes)
+    return _report("delta-xr", cfg.params_dict(), levels, curves, 1e-8, gates, notes)
 
 
 def suite_compactness(cfg: SweepConfig) -> VerificationReport:
     """Singular-value decay of u(B) M_h for each test symbol."""
     rep = oscillator_rep(cfg.dim, cfg.level)
     u = gaussian()
-    tol = cfg.tol if cfg.tol is not None else 1e-8
+    tol = 1e-8  # also the singular-value threshold of the tail
     hs = named_symbols(cfg.dim)
 
     curves = {}
@@ -819,7 +821,7 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
         notes.append(f"level capped at 10 for the tensor square (requested {cfg.level})")
     rep = oscillator_rep(1, level)
     u, v = gaussian(), x_gaussian()
-    tol = cfg.tol if cfg.tol is not None else 1e-8
+    tol = 1e-8
     sub = SweepConfig(dim=1, level=level, t_grid=cfg.t_grid)
     hs = named_symbols(1)
 

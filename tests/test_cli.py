@@ -6,8 +6,10 @@ observable. One subprocess test runs the ``bottlab`` entry point declared in
 runs the ``bottlab`` executable found on PATH, needs the package installed.
 """
 
+import argparse
 import contextlib
 import ctypes
+import dataclasses
 import glob
 import importlib.metadata
 import io
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bottlab import cli, oscillator
+from bottlab import cli, oscillator, verify
 from bottlab.oscillator import context_bytes, hermite_rows
 from bottlab.verify import MAX_QUADRATURE_LEVEL, MEMORY_BUDGET, SweepConfig, run_suite
 
@@ -201,14 +203,40 @@ def test_default_grid_is_the_library_default():
     assert cli._config_from_args(args).t_grid == SweepConfig().t_grid
 
 
-def test_unreachable_tolerance_exits_1(tmp_path, capsys):
-    code = run_cli(["commutators", "--levels", "8", "--tol", "1e-9",
-                    "--out", str(tmp_path)])
+def test_failing_suite_exits_1_and_still_writes_its_reports(tmp_path, capsys, monkeypatch):
+    # the forked suite worker inherits the patched registry
+    passing = verify.SUITES["dirac-commutator"]
+    monkeypatch.setitem(verify.SUITES, "dirac-commutator",
+                        lambda cfg: dataclasses.replace(passing(cfg), passed=False))
+    code = run_cli(["commutators", "--levels", "8", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 1
     assert "overall: FAIL" in out
-    # reports are still written for the failing run
-    assert (tmp_path / "dirac-commutator.json").exists()
+    assert json.loads((tmp_path / "dirac-commutator.json").read_text())["pass"] is False
+    assert json.loads((tmp_path / "cd-commutator.json").read_text())["pass"] is True
+
+
+def test_tol_flag_is_refused(tmp_path, capsys):
+    # every gate reads the one bound its suite declares
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["report-all", "--tol", "1e-3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_common_flags_are_the_subcommand_options():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Common flags:", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", paragraph))
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [{o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for p in subparsers.choices.values()]
+    common = set.intersection(*options)
+    assert named == common
+    # report-all's own --suite is shown in the examples above the paragraph
+    assert set.union(*options) - common == {"--suite"}
+    assert "report-all --suite" in readme
 
 
 # ---------------------------------------------------------------------------

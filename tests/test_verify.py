@@ -8,6 +8,7 @@ the truncation.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +189,47 @@ def test_monotone_after_jitter_and_floor():
     assert monotone_after(ts, [1.0, 50.0, 40.0, 30.0, 20.0], start=2.0)  # burn-in
 
 
+def test_curve_helpers_read_a_nan_as_a_failure():
+    nan, ts = math.nan, [1, 2, 3, 4, 5]
+    # max([1.0, nan]) is 1.0: the envelope must not drop a NaN that comes second
+    env = verify._envelope({"a": [1.0, 0.5], "b": [nan, 0.25], "c": [0.75, nan]})
+    assert math.isnan(env[0]) and math.isnan(env[1])
+    assert verify._envelope({"a": [1.0, 0.5], "b": [0.25, 2.0]}) == [1.0, 2.0]
+    # a NaN compares false both ways, so no rise could be seen at it
+    assert not monotone_after(ts, [5.0, 1.0, nan, 0.9, 0.8])
+    assert not monotone_after(ts, [5.0, 1.0, 0.9, 0.8, nan])
+    assert not monotone_after(ts, [nan, 1.0, 0.9, 0.8, 0.7])
+    assert not monotone_after(ts, [5.0, 1e-15, nan, 1e-15, 1e-15])
+
+    def ratio(curve):
+        (gate, *_) = verify._decay_gates(ts, {"c": curve}, 0.25, (-1.0, 1.0))
+        return gate
+
+    assert math.isnan(ratio([nan, 1.0, 0.5, 0.2, 0.1]).value)
+    assert math.isnan(ratio([1.0, 1.0, 0.5, 0.2, nan]).value)
+    assert math.isnan(ratio([0.0, 0.0, 0.0, 0.0, nan]).value)
+    assert not ratio([nan, 1.0, 0.5, 0.2, 0.1]).ok
+    assert ratio([0.0, 0.0, 0.0, 0.0, 0.0]).value == 0.0 and ratio([0.0] * 5).ok
+    assert repr(ratio([4.0, 1.0, 0.5, 0.2, 0.1]).value) == repr(0.1 / 4.0)
+
+
+def test_a_nan_curve_norm_fails_the_commutator_suite(monkeypatch):
+    # four curves per t: the 14th norm is [u(C/t),v(D/t)] at t index 3, after the burn-in
+    norm, calls = GradedMatrix.norm, []
+
+    def nan_on_the_14th_call(self):
+        calls.append(self)
+        return math.nan if len(calls) == 14 else norm(self)
+
+    monkeypatch.setattr(GradedMatrix, "norm", nan_on_the_14th_call)
+    rep = run_suite("cd-commutator", SweepConfig(dim=1, level=10))
+    assert math.isnan(rep.curves["[u(C/t),v(D/t)]"][3])
+    assert math.isnan(rep.datapoints[3][1])
+    assert not rep.passed
+    assert "gate every curve non-increasing after t=2: FAIL" in rep.notes
+    assert "gate envelope non-increasing after t=2: FAIL" in rep.notes
+
+
 # ---------------------------------------------------------------------------
 # radial Clifford symbols
 # ---------------------------------------------------------------------------
@@ -366,7 +408,8 @@ def test_sweep_config_validation_messages():
         SweepConfig(dim=1, level=8, t_grid=(float("nan"), 2.0))
     with pytest.raises(ValueError, match="t_grid values must be finite"):
         SweepConfig(dim=1, level=8, t_grid=(1.0, math.inf))
-    with pytest.raises(ValueError, match="tol must be positive"):
+    # there is no per-run override: every gate reads the bound its suite declares
+    with pytest.raises(TypeError, match="tol"):
         SweepConfig(dim=1, level=8, tol=-1.0)
 
 
@@ -575,12 +618,12 @@ def test_blade_word_products_are_the_cayley_table():
                 assert np.array_equal(clifford_product(sig, blades[a], blades[b]), sign * blades[blade])
 
 
-def test_delta_xr_residual_gates_follow_tol():
-    rep = run_suite("delta-xr", SweepConfig(dim=1, level=6, tol=1e-30))
-    assert not rep.passed
-    residual_notes = [n for n in rep.notes if "-generator residual" in n]
-    assert len(residual_notes) == 2
-    assert all("<= 1.000e-30" in n for n in residual_notes)
+def test_delta_xr_residual_gates_read_their_bounds():
+    rep = run_suite("delta-xr", SweepConfig(dim=1, level=6))
+    bounds = {n.split(":")[0]: n.split(" <= ")[1].split()[0] for n in rep.notes if "-generator residual" in n}
+    assert bounds == {"gate even-generator residual (full norm)": "1.000e-10",
+                      "gate odd-generator residual (interior)": "1.000e-08"}
+    assert rep.tol == 1e-8
 
 
 def test_gate_compares_value_to_bound():
@@ -606,6 +649,53 @@ def test_verdict_is_the_conjunction_of_the_gate_notes(suite, config):
     assert gates, rep.notes
     assert all(n.endswith(" ok") or n.endswith(" FAIL") for n in gates), gates
     assert rep.passed == all(n.endswith(" ok") for n in gates)
+
+
+# every bounded gate of every suite at (1,8), as a name pattern and its bound; a callable bound is
+# relative to the report.  A looser bound is a change to this table, never a silent one
+CROSS_CHECK = (r"norm cross-check \(block norm vs SVD, 3 samples\)", 1e-8)
+GATE_BOUNDS = {
+    "clifford-iso": [(r"relation residual for every signature of rank <= 5", 1e-10),
+                     (r"rank-8 embedding residual", 1e-10),
+                     (r"graded tensor square of rank-1 algebras: relation residual", 1e-10)],
+    "spectrum": [(r"cluster deviation from the even-integer ladder", 1e-8),
+                 (r"squared-supercharge identity residual on interior", 1e-12)],
+    "dirac-commutator": [(r"\[[uv]\(D/t\),M_(uP|vP|bump)\] final/initial", 0.25),
+                         (r"envelope final", lambda rep: 0.25 * rep.datapoints[0][1]), CROSS_CHECK],
+    "cd-commutator": [(r"\[[uv]\(C/t\),[uv]\(D/t\)\] final/initial", 0.25),
+                      (r"envelope final", lambda rep: 0.25 * rep.datapoints[0][1]), CROSS_CHECK],
+    "mehler": [(r"factorization residual at every s", 1e-3), CROSS_CHECK],  # the level-8 bound
+    "s1s2-asymptotics": [(r"final value of every curve", 1e-3),
+                         (r"coefficient defect \|s1 - t\^-2\| at t=16 \(bound t\^-6\)", 16.0 ** -6),
+                         CROSS_CHECK],
+    "composition-gamma": [(r"gamma-[uv] final/initial", 1e-2),
+                          (r"multiplication = position calculus \(9 nodes\)", 1e-6), CROSS_CHECK],
+    "homotopy-projection": [(r"envelope at the smallest s", 1e-6),
+                            (r"kernel vector fixed by u\(s\^-1 B\)", 1e-12),
+                            (r"odd generator annihilates the kernel vector", 1e-12), CROSS_CHECK],
+    "delta-xr": [(r"even-generator residual \(full norm\)", 1e-10),
+                 (r"odd-generator residual \(interior\)", 1e-8)],
+    "compactness": [(r"smallest singular value of every symbol", 1e-8)],
+    "flip-endpoints": [(r"two assembly routes agree at every t", 1e-8),
+                       (r"double flip deviation from identity", 1e-14),
+                       (r"flip multiplicativity on 16 products of simple tensors", 1e-8),
+                       (r"tensor and flip respect the involution on 4 simple tensors", 1e-8),
+                       (r"grading automorphism multiplicative on all \d+ blade pairs \(generator words\)", 1e-8)],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_gate_reads_its_pinned_bound(suite):
+    assert set(GATE_BOUNDS) == set(SUITES)
+    rep = run_suite(suite, SweepConfig(dim=1, level=8))
+    bounded = [m.groups() for n in rep.notes if (m := re.fullmatch(r"gate (.*): (\S+) <= (\S+) (?:ok|FAIL)", n))]
+    assert bounded
+    seen = set()
+    for name, _, bound in bounded:
+        ((pattern, want),) = [(p, b) for p, b in GATE_BOUNDS[suite] if re.fullmatch(p, name)]
+        assert bound == f"{want(rep) if callable(want) else want:.3e}", (name, bound)
+        seen.add(pattern)
+    assert seen == {p for p, _ in GATE_BOUNDS[suite]}
 
 
 # failures that a fix has turned into passes; their named gate must now read ok
