@@ -110,6 +110,13 @@ def left_mult_operator(sig: Signature, mask: int) -> np.ndarray:
     return out
 
 
+def right_mult_signs(sig: Signature, mask: int) -> np.ndarray:
+    """The sign of ``y*c`` for every blade y, c the blade of ``mask``: right multiplication by c sends
+    blade y to this sign times blade ``y ^ mask``."""
+    _check_mask(sig, mask)
+    return _tables(sig.p, sig.q)[0][:, mask].astype(float)
+
+
 def twisted_right_mult_operator(sig: Signature, mask: int) -> np.ndarray:
     """Matrix of the grading-twisted right multiplication y -> (-1)^{deg y} y*c, for the blade c of
     ``mask``: column j holds ``(-1)^{deg j} sign[j, mask]`` in row ``j ^ mask``.

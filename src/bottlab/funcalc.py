@@ -56,16 +56,28 @@ def scale(f: GradedFunction, t: float) -> GradedFunction:
 
 
 class SpectralMatrix(GradedMatrix):
-    """A read-only symmetric graded matrix of one degree, diagonalised at most once.
+    """A read-only symmetric graded matrix of one degree, each block diagonalised at most once.
 
     It copies and checks the blocks of the matrix it is built from; threads
-    sharing it share one eigensolve, computed per label block on first use.
+    sharing it share one eigensolve per block, computed on first use.  A
+    matrix of :meth:`on_labels` shares its blocks, its eigensystems and its
+    lock with this one.
     """
 
     def __init__(self, g: GradedMatrix):
         self._set_blocks(g.degree, tuple(np.array(b, dtype=float) for b in g.blocks), g.labels, g.index)
         _check_symmetric(self, "matrix functional calculus")
-        self._lock, self._eig = threading.Lock(), None
+        # one eigensystem per label, or per even label when odd, in a list shared with on_labels
+        count = len(self.blocks) >> self.degree
+        self._lock, self._eigs, self._slots, self._eig = threading.Lock(), [None] * count, range(count), None
+
+    def on_labels(self, keep, labels, index) -> "SpectralMatrix":
+        """:meth:`GradedMatrix.on_labels`, sharing the eigensystems of the kept blocks: each is
+        computed once, for whichever of the two matrices asks first."""
+        out = super().on_labels(keep, labels, index)
+        out._lock, out._eigs, out._eig = self._lock, self._eigs, None
+        out._slots = tuple(self._slots[r >> self.degree] for r in keep[::1 << self.degree])
+        return out
 
     @property
     def eig(self) -> tuple:
@@ -76,11 +88,15 @@ class SpectralMatrix(GradedMatrix):
         """
         with self._lock:
             if self._eig is None:
-                if self.degree == 0:
-                    eig = map(np.linalg.eigh, self.blocks)
-                else:
-                    eig = ((u, s, vt.T) for u, s, vt in map(np.linalg.svd, self.blocks[::2]))
-                self._eig = tuple(tuple(_frozen(a) for a in e) for e in eig)
+                for j, k in enumerate(self._slots):
+                    if self._eigs[k] is None:
+                        if self.degree == 0:
+                            eig = np.linalg.eigh(self.blocks[j])
+                        else:
+                            u, s, vt = np.linalg.svd(self.blocks[2 * j])
+                            eig = u, s, vt.T
+                        self._eigs[k] = tuple(_frozen(a) for a in eig)
+                self._eig = tuple(self._eigs[k] for k in self._slots)
         return self._eig
 
 

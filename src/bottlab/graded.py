@@ -104,6 +104,15 @@ class GradedMatrix:
         zero = tuple(np.zeros((len(i), len(self.index[r ^ p]))) for r, i in enumerate(self.index))
         return GradedMatrix.from_blocks(p, zero, self.labels, self.index)
 
+    def on_labels(self, keep, labels, index) -> "GradedMatrix":
+        """This matrix on the states of the labels ``keep``, a set it leaves invariant, in order and
+        closed under ``l -> l ^ 1``: label j of the result, given by ``labels`` and ``index``, is
+        ``keep[j]``, and its blocks are this matrix's blocks at ``keep``, not copies."""
+        out = object.__new__(type(self))
+        out._set_blocks(self.degree, [self.blocks[r] for r in keep], labels, index, self.mirrored)
+        out._symmetric = self._symmetric
+        return out
+
     def _check_compatible(self, other: "GradedMatrix"):
         if self.labels is other.labels:
             return
@@ -223,7 +232,10 @@ def _as_symmetric(g: GradedMatrix) -> GradedMatrix:
 
 
 # the relative slack of the certificate by which block_norm skips a block: label blocks come in pairs
-# and quadruples of exactly equal norms, which without it fail the certificate on rounding
+# of exactly equal norms, which without it fail the certificate on rounding.  Right multiplication by
+# the volume element (oscillator) is why: it carries block l of C, D, every multiplication operator
+# and every product and function of them to plus or minus block l ^ m, up to the signs of its rows
+# and columns, where m flips every reflection bit (and the parity when n is odd)
 NORM_SLACK = 1e-12
 
 

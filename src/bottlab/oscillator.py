@@ -23,6 +23,18 @@ fix the total level's parity, so each label holds the states of one level
 parity, one blade per spatial state.  The shifted bump breaks ``R_1``; its
 operator is held on the ``2^n`` labels without the ``R_1`` bit, of
 ``S = C(level + n, n)`` states each.
+
+Right multiplication by the volume element ``omega = e_1 .. e_n`` acts on the
+blades alone and sends blade b to ``+-(b ^ (2^n - 1))``.  It commutes with
+every left multiplication, so with C, N and every multiplication operator,
+and anticommutes with every ``rho~(e_i)``, so with D; it flips every
+reflection sign, and the parity when n is odd.  At n >= 2 every operator the
+C/D curves are made of commutes with ``R_2`` and is carried by ``rho(omega)``
+to plus or minus itself, so its norm is its norm on the ``R_2 = +1`` half,
+the states whose label bit 1 is clear: the context holds that half as a
+context of its own (:attr:`OscillatorRep.half`), on the same blocks and
+eigensystems, and :func:`volume_pairing_residual` checks the pairing on the
+blocks of C and D.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ from .clifford import (
     blade_square_sign,
     left_mult_operator,
     number_operator,
+    right_mult_signs,
     twisted_right_mult_operator,
 )
 from .funcalc import GradedFunction, SpectralMatrix, matrix_function, scale
@@ -105,21 +118,27 @@ def _simplex_mindices(dim: int, level: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class HermiteBasis:
-    """Indexing data for the truncated oscillator space.
+    """Indexing data for the truncated oscillator space, or with ``half`` for its ``R_2 = +1`` half.
 
     Basis order is spatial-major: full index = position in ``mindices`` *
     2^dim + blade_mask, with multi-indices sorted by total level then
-    lexicographically.
+    lexicographically.  The half (dim >= 2) is the sub-basis of the states
+    whose ``R_2`` sign bit, label bit 1, is clear, in the same order; its
+    labels are theirs without that bit, and ``size``, ``states``, ``parity``,
+    ``labels`` and ``interior_mask`` describe its states only.
     """
 
     dim: int
     level: int
+    half: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.level < 4:
             raise ValueError("level must be >= 4")
+        if self.half and self.dim < 2:
+            raise ValueError("the R_2 half needs dim >= 2")
 
     @property
     def sig(self) -> Signature:
@@ -139,24 +158,47 @@ class HermiteBasis:
 
     @property
     def size(self) -> int:
-        return self.spatial_size * self.blade_count
+        return self.spatial_size * self.blade_count >> self.half
+
+    @property
+    def label_count(self) -> int:
+        """The number of labels: parity and every reflection sign, less ``R_2``'s in the half."""
+        return 2 * self.blade_count >> self.half
+
+    def states(self) -> np.ndarray:
+        """The full basis index of every state, read-only."""
+        return _states(self.dim, self.level, self.half)
 
     def parity(self) -> np.ndarray:
-        """Blade parity of every full basis index."""
-        return np.tile(blade_parities(self.sig), self.spatial_size)
+        """Blade parity of every state."""
+        return np.tile(blade_parities(self.sig), self.spatial_size)[self.states()]
 
     def labels(self) -> np.ndarray:
-        """Label of every full basis index: bit 0 its parity, bit i in 1..n-1 its R_(i+1) sign bit
-        k + b mod 2 on axis i + 1, and bit n its R_1 sign bit."""
-        k = np.repeat(np.array(self.mindices), self.blade_count, axis=0)
-        blades = np.tile(np.arange(self.blade_count), self.spatial_size)
-        bits = (k + (blades[:, None] >> np.arange(self.dim))) & 1
-        bits = np.column_stack([self.parity(), bits[:, 1:], bits[:, 0]])
-        return (bits << np.arange(self.dim + 1)).sum(axis=1)
+        """Label of every state: bit 0 its parity, bit i in 1..n-1 its R_(i+1) sign bit k + b mod 2
+        on axis i + 1, and bit n its R_1 sign bit; in the half, bit 1 (clear) is dropped."""
+        labels = _full_labels(self.dim, self.level)[self.states()]
+        return labels & 1 | labels >> 2 << 1 if self.half else labels
 
     def interior_mask(self, depth: int = 2) -> np.ndarray:
-        """Boolean mask of the full basis indices with total level <= level - depth."""
-        return np.repeat([sum(m) <= self.level - depth for m in self.mindices], self.blade_count)
+        """Boolean mask of the states with total level <= level - depth."""
+        return np.repeat([sum(m) <= self.level - depth for m in self.mindices], self.blade_count)[self.states()]
+
+
+def _full_labels(dim: int, level: int) -> np.ndarray:
+    """The labels of :meth:`HermiteBasis.labels` on the whole space."""
+    mindices = _simplex_mindices(dim, level)
+    k = np.repeat(np.array(mindices), 1 << dim, axis=0)
+    blades = np.tile(np.arange(1 << dim), len(mindices))
+    bits = (k + (blades[:, None] >> np.arange(dim))) & 1
+    bits = np.column_stack([np.bitwise_count(blades) & 1, bits[:, 1:], bits[:, 0]])
+    return (bits << np.arange(dim + 1)).sum(axis=1)
+
+
+@lru_cache(maxsize=16)
+def _states(dim: int, level: int, half: bool) -> np.ndarray:
+    """:meth:`HermiteBasis.states`, shared by every basis of the same fields."""
+    full = len(_simplex_mindices(dim, level)) << dim
+    return _frozen(np.flatnonzero(_full_labels(dim, level) & 2 == 0) if half else np.arange(full))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +211,12 @@ class OscillatorRep:
 
     C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: one
     read-only block per label each, diagonalised per block at most once, on
-    first use, for every caller and thread that shares the context.
+    first use, for every caller and thread that shares the context.  At
+    dim >= 2, ``half`` is the context of the ``R_2 = +1`` half: the same
+    operators on the labels with bit 1 clear, holding the same block objects
+    and sharing their eigensystems, so that no block is diagonalised twice
+    whether the whole operator or its half asks for it; it is None at dim 1
+    and in the half itself.
     """
 
     basis: HermiteBasis
@@ -178,6 +225,7 @@ class OscillatorRep:
     bott: SpectralMatrix      # supercharge B = C + D
     number: GradedMatrix      # blade number operator N
     harmonic: SpectralMatrix  # H = C^2 + D^2
+    half: OscillatorRep | None = None
 
     def window(self, depth: int = 2, count: int | None = None) -> tuple:
         """The number of states of total level <= level - depth of every label, or of every label
@@ -197,25 +245,27 @@ class OscillatorRep:
 
 @lru_cache(maxsize=16)
 def _label_layout(basis: HermiteBasis, count: int) -> tuple:
-    """The labels ``basis.labels() & (count - 1)`` and their ``label_index``, read-only and shared
-    by every operator held on them."""
+    """The labels ``basis.labels() & (count - 1)``, their ``label_index``, and the spatial state and
+    the blade of every state of each label, read-only and shared by every operator held on them."""
     labels = _frozen((basis.labels() & (count - 1)).astype(np.uint16))
-    return labels, label_index(labels, count)
+    index = label_index(labels, count)
+    states, blades = zip(*(map(_frozen, np.divmod(basis.states()[i], basis.blade_count)) for i in index))
+    return labels, index, states, blades
 
 
 def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int = 0) -> GradedMatrix:
     """The sum of ``(A_1 (x) .. (x) A_n) (x) L`` over ``terms = [((A_1, .., A_n), L), ..]`` on the
     truncated basis, every A_i a matrix on the Hermite indices 0..level of axis i and every L of the
-    given degree d, held on the labels ``basis.labels() & (count - 1)``, all of them by default.
+    given degree d, held on the labels ``basis.labels() & (count - 1)``, all of them by default;
+    on a half basis, on its states only.
 
     Entry ``((m, b), (m', b'))`` of a term is ``A_1[m_1, m'_1] .. A_n[m_n, m'_n] L[b, b']``, and label
     l holds one blade ``b_l(m)`` per spatial state m of its states ``m_l``, so block l is
     ``L[b_l, b_(l ^ d)]`` times the gathers ``A_i[m_l, m_(l ^ d)]``; no entry between other labels is
     formed, so every term must commute with the reflections the labels hold.
     """
-    count = count or 2 * basis.blade_count
-    labels, index = _label_layout(basis, count)
-    states, blades = zip(*(np.divmod(i, basis.blade_count) for i in index))
+    count = count or basis.label_count
+    labels, index, states, blades = _label_layout(basis, count)
     k = np.array(basis.mindices)
     # the labels share few sets of states (one level parity each, or all of them), and each term's
     # spatial block between two sets is formed once
@@ -263,6 +313,29 @@ def blade_number_operator(basis: HermiteBasis) -> GradedMatrix:
     return _spatial_blade_operator(basis, 0, [((np.eye(basis.level + 1),) * basis.dim, number_operator(basis.sig))])
 
 
+def volume_pairing_residual(rep: OscillatorRep) -> float:
+    """The largest entry of ``rho(omega) C rho(omega)^-1 - C`` and ``rho(omega) D rho(omega)^-1 + D``
+    on the whole space of the context, from the blocks of C and D and the signs of right
+    multiplication by ``omega = e_1 .. e_n``.
+
+    ``rho(omega)`` sends the state (m, b) to ``sigma(b)`` times (m, b ^ (2^n - 1)), with
+    ``b omega = sigma(b) (b ^ (2^n - 1))``, so it carries label l onto ``l ^ mask`` (every reflection
+    bit, and the parity when n is odd), whose states are the same spatial states in the same order;
+    block ``l ^ mask`` of ``rho X rho^-1`` is block l of X times ``sigma`` on its rows and its
+    columns.  Exactly 0 when C commutes with ``rho(omega)`` and D anticommutes with it.
+    """
+    basis = rep.basis
+    sigma = right_mult_signs(basis.sig, basis.blade_count - 1)
+    mask = 2 * basis.blade_count - 2 | basis.dim & 1
+    signs = [sigma[i % basis.blade_count] for i in rep.clifford.index]  # C and D share the labels
+    worst = 0.0
+    for op, sign in ((rep.clifford, 1.0), (rep.dirac, -1.0)):
+        for r, block in enumerate(op.blocks):
+            paired = sign * signs[r][:, None] * block * signs[r ^ op.degree][None, :]
+            worst = max(worst, float(np.abs(op.blocks[r ^ mask] - paired).max(initial=0.0)))
+    return worst
+
+
 def context_bytes(dim: int, level: int) -> int:
     """An upper bound on the bytes of the context at (dim, level), from binomials: per pair of labels
     l, l ^ 1 (2^dim pairs, of ``S = C(level + dim, dim)`` states together), nine S x S arrays of
@@ -277,14 +350,15 @@ def _context(dim: int, level: int) -> OscillatorRep:
     basis = HermiteBasis(dim, level)
     c = clifford_operator(basis)
     d = dirac_operator(basis)
-    return OscillatorRep(
-        basis,
-        SpectralMatrix(c),
-        SpectralMatrix(d),
-        SpectralMatrix(c + d),
-        blade_number_operator(basis),
-        SpectralMatrix(c @ c + d @ d),
-    )
+    ops = (SpectralMatrix(c), SpectralMatrix(d), SpectralMatrix(c + d), blade_number_operator(basis),
+           SpectralMatrix(c @ c + d @ d))
+    if dim == 1:
+        return OscillatorRep(basis, *ops)
+    # the labels with bit 1, the R_2 sign, clear, in order: label j of the half is keep[j]
+    half = HermiteBasis(dim, level, half=True)
+    keep = [r for r in range(basis.label_count) if not r & 2]
+    labels, index, *_ = _label_layout(half, half.label_count)
+    return OscillatorRep(basis, *ops, OscillatorRep(half, *(op.on_labels(keep, labels, index) for op in ops)))
 
 
 _CONTEXT_LOCK = threading.Lock()
@@ -434,8 +508,9 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     per axis, times lambda(c) (:func:`_spatial_blade_operator`); the
     parities the symbol declares on axes 2..n keep it on the blocks.  When
     every axis-1 function has the parity ``[e_1 in blade]`` as well, the
-    operator commutes with ``R_1`` and is held on all the labels, else on
-    the first ``2^n``.  The Grams are symmetric, and lambda(c) is symmetric
+    operator commutes with ``R_1`` and is held on all the labels of the
+    basis, else on the first half of them.  On a half basis it is built on
+    the half's states only.  The Grams are symmetric, and lambda(c) is symmetric
     exactly when ``c^2 = +1``, so when every blade of h squares to +1 the
     operator is recorded as symmetric without a check.
     """
@@ -446,7 +521,7 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     terms = [(tuple((rows * (w * g(x))) @ rows.T for g in axis_fns),
               left_mult_operator(basis.sig, c)) for c, axis_fns in h.terms]
     r1 = all(axis_fns[0].parity == c & 1 for c, axis_fns in h.terms)
-    mh = _spatial_blade_operator(basis, h.parity, terms, basis.blade_count << r1)
+    mh = _spatial_blade_operator(basis, h.parity, terms, basis.label_count >> (not r1))
     return _as_symmetric(mh) if all(blade_square_sign(c, basis.sig) == 1 for c, _ in h.terms) else mh
 
 

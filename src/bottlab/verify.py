@@ -69,6 +69,7 @@ from .oscillator import (
     position_matrix,
     rescale,
     spectrum,
+    volume_pairing_residual,
 )
 
 DEFAULT_T_GRID = tuple(float(t) for t in np.geomspace(1.0, 16.0, 9))
@@ -262,7 +263,10 @@ def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
 
 
 def decay_fit(ts: Sequence[float], vals: Sequence[float]) -> tuple | None:
-    """Least-squares slope and r^2 of log(value) against log(t)."""
+    """Least-squares slope and r^2 of log(value) against log(t); None when a value is not finite,
+    so that a NaN norm, which the filter below would drop, leaves no fit for a gate to pass."""
+    if not all(map(math.isfinite, vals)):
+        return None
     pts = [(t, v) for t, v in zip(ts, vals) if v > 1e-300 and t > 0]
     if len(pts) < 2:
         return None
@@ -401,7 +405,24 @@ def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
                    {"relation-residual": values}, tol, gates, notes)
 
 
-def _commutator_suite(cfg: SweepConfig, suite_id: str, matrices) -> VerificationReport:
+def _paired_half(cfg: SweepConfig) -> tuple[OscillatorRep, Gate]:
+    """The context the C/D curve suites norm on, and the gate that licenses it.
+
+    Every curve matrix of these suites is built from C, D and multiplication
+    operators, all of which commute with ``R_2``, and ``rho(omega)``, right
+    multiplication by the volume element, carries it to plus or minus itself
+    (it commutes with C and every ``M_h`` and anticommutes with D), while
+    swapping the ``R_2 = +1`` and ``-1`` halves.  So at dim >= 2 its norm is
+    its norm on the ``R_2 = +1`` half, :attr:`OscillatorRep.half`; at dim 1
+    the labels hold no ``R_2`` and the suites run on the whole space.  The
+    gate reads :func:`volume_pairing_residual` at every dim, bound 0.
+    """
+    rep = oscillator_rep(cfg.dim, cfg.level)
+    gate = Gate("volume-element pairing", volume_pairing_residual(rep), 0.0)
+    return (rep if rep.half is None else rep.half), gate
+
+
+def _commutator_suite(cfg: SweepConfig, suite_id: str, matrices, pairing: Gate) -> VerificationReport:
     """Decay of the commutator curves ``matrices(t)`` yields, on the envelope and on each curve."""
     rel = 0.25
     ts = cfg.t_grid
@@ -414,13 +435,14 @@ def _commutator_suite(cfg: SweepConfig, suite_id: str, matrices) -> Verification
         Gate("envelope final", envelope[-1], tol_abs),
         Gate("envelope non-increasing after t=2", monotone_after(ts, envelope)),
         *crosscheck,
+        pairing,
     ]
     return _report(suite_id, cfg.params_dict(), ts, curves, tol_abs, gates, ["norms on interior window"], fit)
 
 
 def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
     """Decay of [f(t^{-1}D), M_{h_t}] for the generators against each symbol."""
-    rep = oscillator_rep(cfg.dim, cfg.level)
+    rep, pairing = _paired_half(cfg)
     gens = (("u", gaussian()), ("v", x_gaussian()))
     hs = named_symbols(cfg.dim)
 
@@ -433,12 +455,12 @@ def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
             for a, fa in fd.items():
                 yield f"[{a}(D/t),M_{h.name}]", graded_commutator(regroup(fa, count), mh, rep.window(2, count))
 
-    return _commutator_suite(cfg, "dirac-commutator", matrices)
+    return _commutator_suite(cfg, "dirac-commutator", matrices, pairing)
 
 
 def suite_cd_commutator(cfg: SweepConfig) -> VerificationReport:
     """Decay of [f(t^{-1}C), g(t^{-1}D)] for all four generator pairs."""
-    rep = oscillator_rep(cfg.dim, cfg.level)
+    rep, pairing = _paired_half(cfg)
     gens = (("u", gaussian()), ("v", x_gaussian()))
 
     w = rep.window()
@@ -450,7 +472,7 @@ def suite_cd_commutator(cfg: SweepConfig) -> VerificationReport:
             for b, gb in fd.items():
                 yield f"[{a}(C/t),{b}(D/t)]", graded_commutator(fc, gb, w)
 
-    return _commutator_suite(cfg, "cd-commutator", matrices)
+    return _commutator_suite(cfg, "cd-commutator", matrices, pairing)
 
 
 def mehler_coefficients(s: float) -> tuple[float, float]:
@@ -473,7 +495,7 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
     the cut, so it is measured on a deep observation window (total level
     <= max(2, level//3)) and the tolerance scales with the level.
     """
-    rep = oscillator_rep(cfg.dim, cfg.level)
+    rep, pairing = _paired_half(cfg)
     window_cap = max(2, cfg.level // 3)
     depth = cfg.level - window_cap
     tol = _mehler_tol(cfg.level)
@@ -499,6 +521,7 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
         Gate("residual non-increasing as s falls",
              monotone_after(range(len(envelope)), envelope, start=0.0)),
         *crosscheck,
+        pairing,
     ]
     s1_top, s2_top = mehler_coefficients(MEHLER_S[0])
     notes = [
@@ -515,7 +538,7 @@ def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
     For X in {C, D} and both coefficients: plain and t^{-1}X-weighted norms
     of exp(-coef/2 X^2) - exp(-t^{-2}/2 X^2) along the t-grid.
     """
-    rep = oscillator_rep(cfg.dim, cfg.level)
+    rep, pairing = _paired_half(cfg)
     tol = 1e-3
     w = rep.window()
 
@@ -540,6 +563,7 @@ def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
         Gate(f"coefficient defect |s1 - t^-2| at t={t_ref:g} (bound t^-6)",
              abs(mehler_coefficients(t_ref ** -2)[0] - t_ref ** -2), t_ref ** -6),
         *crosscheck,
+        pairing,
     ]
     return _report("s1s2-asymptotics", cfg.params_dict(), ts, curves, tol, gates,
                    ["t=1 datapoint recorded without any claim"], decay_fit(ts, envelope))

@@ -17,6 +17,10 @@ same objects another way:
 - :func:`clifford_product` multiplies two Clifford elements, given as
   coefficient arrays over the blades, by the dense Cayley-table contraction;
   the package multiplies only blades.
+- :func:`dense_curve_norms` forms every curve matrix of the C/D curve suites
+  on the whole space as a dense array, by ``eigh`` of the dense operators and
+  the grid route, and takes its spectral norm; the suites norm label blocks,
+  at dim >= 2 on the ``R_2 = +1`` half only.
 
 The package builds every scalar function directly; the combinators
 :func:`fsum`, :func:`fprod` and :func:`fmul` compose them here, keeping the
@@ -29,9 +33,9 @@ import numpy as np
 
 from bottlab import clifford
 from bottlab.clifford import left_mult_operator
-from bottlab.funcalc import GradedFunction
+from bottlab.funcalc import GradedFunction, gaussian, scale, x_gaussian
 from bottlab.graded import tensor_labels
-from bottlab.oscillator import CliffFunction, HermiteBasis, hermite_rows
+from bottlab.oscillator import CliffFunction, HermiteBasis, hermite_rows, oscillator_rep, rescale
 
 
 def fsum(f: GradedFunction, g: GradedFunction) -> GradedFunction:
@@ -168,3 +172,64 @@ def clifford_product(sig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros(sig.blade_count)
     np.add.at(out, idx.ravel(), (np.multiply.outer(a, b) * sign).ravel())
     return out
+
+
+def _dense_function(f, x: np.ndarray) -> np.ndarray:
+    """f(X) of a dense symmetric matrix, from its eigh."""
+    w, q = np.linalg.eigh(x)
+    return (q * f(w)) @ q.T
+
+
+def dense_curve_norms(suite: str, dim: int, level: int, xs) -> dict:
+    """The curves of ``dirac-commutator``, ``cd-commutator``, ``s1s2-asymptotics`` or ``mehler`` at
+    the grid points xs (the t-grid, or mehler's s-grid), each the spectral norm of its window of a
+    dense matrix on the whole space."""
+    from bottlab.verify import mehler_coefficients, named_symbols
+
+    rep = oscillator_rep(dim, level)
+    basis = rep.basis
+    ops = {"C": rep.clifford.mat, "D": rep.dirac.mat}
+    gens = {"u": gaussian(), "v": x_gaussian()}
+
+    def norm(m: np.ndarray, depth: int) -> float:
+        mask = basis.interior_mask(depth)
+        return float(np.linalg.norm(m[np.ix_(mask, mask)], 2))
+
+    def commutator(a, pa, b, pb):
+        return a @ b - (-1.0) ** (pa * pb) * b @ a
+
+    def matrices(x):
+        if suite == "dirac-commutator":
+            for h in named_symbols(dim):
+                ht = rescale(h, x)
+                mh = grid_multiplication_operator(lambda pts: symbol_values(ht, pts), basis)
+                for a, f in gens.items():
+                    fd = _dense_function(scale(f, x), ops["D"])
+                    yield f"[{a}(D/t),M_{h.name}]", commutator(fd, f.parity, mh, h.parity), 2
+        elif suite == "cd-commutator":
+            for a, f in gens.items():
+                for b, g in gens.items():
+                    yield (f"[{a}(C/t),{b}(D/t)]", commutator(_dense_function(scale(f, x), ops["C"]), f.parity,
+                                                              _dense_function(scale(g, x), ops["D"]), g.parity), 2)
+        elif suite == "s1s2-asymptotics":
+            for xname, op in ops.items():
+                for cname, coef in zip(("s1", "s2"), mehler_coefficients(x ** -2)):
+                    defect = lambda y, coef=coef: np.exp(-coef / 2.0 * y * y) - np.exp(-(x ** -2) / 2.0 * y * y)
+                    yield f"{xname}:{cname}", _dense_function(defect, op), 2
+                    yield f"{xname}:{cname}:weighted", _dense_function(lambda y: y / x * defect(y), op), 2
+        elif suite == "mehler":
+            s1, s2 = mehler_coefficients(x)
+            direct = _dense_function(lambda y: np.exp(-x * y), ops["C"] @ ops["C"] + ops["D"] @ ops["D"])
+            heat = {(a, n): _dense_function(lambda y, a=a: np.exp(-a * y * y), ops[n])
+                    for a in (s1 / 2.0, s2) for n in ops}
+            depth = level - max(2, level // 3)
+            yield "c-outside", direct - heat[s1 / 2.0, "C"] @ heat[s2, "D"] @ heat[s1 / 2.0, "C"], depth
+            yield "d-outside", direct - heat[s1 / 2.0, "D"] @ heat[s2, "C"] @ heat[s1 / 2.0, "D"], depth
+        else:
+            raise ValueError(f"{suite} is not a C/D curve suite")
+
+    curves = {}
+    for x in xs:
+        for name, m, depth in matrices(x):
+            curves.setdefault(name, []).append(norm(m, depth))
+    return curves

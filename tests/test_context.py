@@ -31,14 +31,15 @@ def _context_arrays(rep) -> dict:
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Fresh contexts, and (caller module, shape) of every numpy eigh, eigvalsh and svd call."""
+    """Fresh contexts, and (caller module, shape, id of the array) of every numpy eigh, eigvalsh and
+    svd call."""
     oscillator_rep.cache_clear()
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
         real = getattr(np.linalg, name)
 
         def counting(a, *args, real=real, **kwargs):
-            calls.append((sys._getframe(1).f_globals.get("__name__"), np.shape(a)))
+            calls.append((sys._getframe(1).f_globals.get("__name__"), np.shape(a), id(a)))
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
@@ -52,10 +53,13 @@ def eigensolves(monkeypatch):
 
 @pytest.mark.parametrize("dim,level", [(1, 6), (2, 5)])
 def test_context_arrays_are_read_only(dim, level):
-    for name, a in _context_arrays(oscillator_rep(dim, level)).items():
-        with pytest.raises(ValueError):
-            a[(0,) * a.ndim] = 1
-        assert not a.flags.writeable, name
+    rep = oscillator_rep(dim, level)
+    assert (rep.half is None) == (dim == 1)
+    for ctx in (rep, rep.half) if dim > 1 else (rep,):
+        for name, a in _context_arrays(ctx).items():
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1
+            assert not a.flags.writeable, name
 
 
 def test_context_fields_cannot_be_rebound():
@@ -140,22 +144,32 @@ def test_window_depth_is_range_checked():
 
 @pytest.mark.parametrize("suite,expected", [("cd-commutator", 2), ("dirac-commutator", 1)])
 def test_commutator_suites_diagonalise_each_operator_once(eigensolves, suite, expected):
-    # ``expected`` odd operators, C and D: one SVD per even label each, 2^n = 4 at n = 2
+    # ``expected`` odd operators, C and D: one SVD per even label of the R_2 = +1 half each, 2 of the
+    # 2^n = 4 even labels at n = 2; the whole operator then diagonalises only the other half's
     cfg = SweepConfig(dim=2, level=8, t_grid=tuple(np.geomspace(1.0, 16.0, 5)))
 
     def funcalc_solves():
-        return [shape for caller, shape in eigensolves if caller == "bottlab.funcalc"]
+        return [shape for caller, shape, _ in eigensolves if caller == "bottlab.funcalc"]
 
     run_suite(suite, cfg)
-    assert len(funcalc_solves()) == 4 * expected
+    assert len(funcalc_solves()) == 2 * expected
     run_suite(suite, cfg)  # a second run reuses the context's spectra
+    assert len(funcalc_solves()) == 2 * expected
+    rep = oscillator_rep(2, 8)
+    for op, half in ((rep.clifford, rep.half.clifford), (rep.dirac, rep.half.dirac))[2 - expected:]:
+        whole = op.eig
+        # the half's eigensystems are the whole operator's at the even labels 0 and 4
+        assert [e[0] for e in half.eig] == [whole[0][0], whole[2][0]]
+        assert all(a is b for eh, ew in zip(half.eig, whole[::2]) for a, b in zip(eh, ew))
     assert len(funcalc_solves()) == 4 * expected
 
 
 def test_suites_keep_the_context_on_parity_blocks(eigensolves):
     # no eigensolve or SVD sees a full-size matrix, nor a parity block; the context's see label
     # blocks of one level parity, 16 (levels 0, 2, 4, 6) and 12 of the S = C(K + n, n) = 28 rows,
-    # and only the bump's compactness profile, which breaks R_1, sees blocks of S rows
+    # and only the bump's compactness profile, which breaks R_1, sees blocks of S rows.  The half
+    # holds the whole context's blocks at the labels with bit 1 clear, the very arrays, and no
+    # block is diagonalised twice, whether the whole operator or its half asked first
     cfg = SweepConfig(dim=2, level=6)
     for suite in SUITES:
         run_suite(suite, cfg)
@@ -163,11 +177,21 @@ def test_suites_keep_the_context_on_parity_blocks(eigensolves):
     size, s = basis.size, basis.spatial_size
     assert [c for c in eigensolves if c[1][-2:] in ((size, size), (size // 2, size // 2))] == []
     rep = oscillator_rep(2, 6)
-    context = {b.shape for op in (rep.clifford, rep.dirac, rep.bott, rep.harmonic) for b in op.blocks}
+    ops = (rep.clifford, rep.dirac, rep.bott, rep.harmonic)
+    context = {b.shape for op in ops for b in op.blocks}
     assert context == {(16, 12), (12, 16), (16, 16), (12, 12)}
-    assert {(16, 12), (16, 16), (12, 12)} <= {shape for caller, shape in eigensolves if caller == "bottlab.funcalc"}
-    bump = [shape for caller, shape in eigensolves if caller == "bottlab.oscillator" and shape == (s, s)]
+    assert {(16, 12), (16, 16), (12, 12)} <= {shape for caller, shape, _ in eigensolves if caller == "bottlab.funcalc"}
+    bump = [shape for caller, shape, _ in eigensolves if caller == "bottlab.oscillator" and shape == (s, s)]
     assert bump == [(s, s)] * 4
+    halves = (rep.half.clifford, rep.half.dirac, rep.half.bott, rep.half.harmonic)
+    for op, half in zip(ops, halves):
+        assert [id(b) for b in half.blocks] == [id(op.blocks[r]) for r in (0, 1, 4, 5)]
+    blocks = {id(b) for op in ops for b in op.blocks}
+    solved = [i for caller, _, i in eigensolves if caller == "bottlab.funcalc" and i in blocks]
+    # C, D and B: one SVD per even label, 4 each; H: one eigh per label of the half only, 4 of 8,
+    # because mehler, its one user, norms there
+    assert len(solved) == len(set(solved)) == 4 + 4 + 4 + 4
+    assert {i for i in solved if i in {id(b) for b in rep.harmonic.blocks}} == {id(b) for b in halves[3].blocks}
 
 
 def test_no_suite_assembles_a_matrix_of_the_oscillator_space(monkeypatch):

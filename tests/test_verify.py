@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bottlab import clifford, graded, verify
+from bottlab import clifford, graded, oscillator, verify
 from bottlab.clifford import Signature, left_mult_operator, regular_representation
 from bottlab.funcalc import GradedFunction, gaussian, matrix_function, scale, x_gaussian
 from bottlab.graded import GradedMatrix, flip_unitary, regroup
@@ -40,7 +40,8 @@ from bottlab.verify import (
     svd_norm,
     windowed_norm,
 )
-from oracles import bott_map, clifford_product, fmul, fprod, fsum, sup_norm, symbol_values, tensor_parity
+from oracles import (bott_map, clifford_product, dense_curve_norms, fmul, fprod, fsum, sup_norm, symbol_values,
+                     tensor_parity)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +98,8 @@ def test_svd_norm_reports_a_lapack_failure(monkeypatch):
 
 SWEEP_SUITES = ["dirac-commutator", "cd-commutator", "mehler", "s1s2-asymptotics", "composition-gamma",
                 "homotopy-projection"]
+# the C/D curve suites, which norm on the R_2 = +1 half at dim >= 2
+HALVED_SUITES = ["dirac-commutator", "cd-commutator", "mehler", "s1s2-asymptotics"]
 
 
 @pytest.mark.parametrize("suite", SWEEP_SUITES)
@@ -211,6 +214,18 @@ def test_curve_helpers_read_a_nan_as_a_failure():
     assert not ratio([nan, 1.0, 0.5, 0.2, 0.1]).ok
     assert ratio([0.0, 0.0, 0.0, 0.0, 0.0]).value == 0.0 and ratio([0.0] * 5).ok
     assert repr(ratio([4.0, 1.0, 0.5, 0.2, 0.1]).value) == repr(0.1 / 4.0)
+
+    # the fit's filter drops values at or below 1e-300, and NaN compares false to it: a NaN anywhere
+    # leaves no fit, so the exponent gate fails, where the finite points alone would fit a decay
+    for curve in ([1.0, 0.5, nan, 0.2, 0.1], [nan, 0.5, 0.3, 0.2, 0.1], [1.0, 0.5, 0.3, 0.2, nan],
+                  [1.0, 0.5, math.inf, 0.2, 0.1]):
+        assert decay_fit(ts, curve) is None, curve
+        (exponent,) = [g for g in verify._decay_gates(ts, {"c": curve}, 0.25, decay_fit(ts, curve))
+                       if g.name == "decay exponent < 0"]
+        assert not exponent.ok
+    # finite fits are those of before, to the last digit, a dropped underflow included
+    assert repr(decay_fit(ts, [5.0, 1.0, 0.9, 0.8, 0.1])) == "(-1.9515647538234078, 0.7944858880895207)"
+    assert repr(decay_fit(ts, [1.0, 0.5, 1e-320, 0.2, 0.1])) == "(-1.3645790112070728, 0.9645264838072831)"
 
 
 def test_a_nan_curve_norm_fails_the_commutator_suite(monkeypatch):
@@ -654,6 +669,7 @@ def test_verdict_is_the_conjunction_of_the_gate_notes(suite, config):
 # every bounded gate of every suite at (1,8), as a name pattern and its bound; a callable bound is
 # relative to the report.  A looser bound is a change to this table, never a silent one
 CROSS_CHECK = (r"norm cross-check \(block norm vs SVD, 3 samples\)", 1e-8)
+PAIRING = (r"volume-element pairing", 0.0)
 GATE_BOUNDS = {
     "clifford-iso": [(r"relation residual for every signature of rank <= 5", 1e-10),
                      (r"rank-8 embedding residual", 1e-10),
@@ -661,13 +677,13 @@ GATE_BOUNDS = {
     "spectrum": [(r"cluster deviation from the even-integer ladder", 1e-8),
                  (r"squared-supercharge identity residual on interior", 1e-12)],
     "dirac-commutator": [(r"\[[uv]\(D/t\),M_(uP|vP|bump)\] final/initial", 0.25),
-                         (r"envelope final", lambda rep: 0.25 * rep.datapoints[0][1]), CROSS_CHECK],
+                         (r"envelope final", lambda rep: 0.25 * rep.datapoints[0][1]), CROSS_CHECK, PAIRING],
     "cd-commutator": [(r"\[[uv]\(C/t\),[uv]\(D/t\)\] final/initial", 0.25),
-                      (r"envelope final", lambda rep: 0.25 * rep.datapoints[0][1]), CROSS_CHECK],
-    "mehler": [(r"factorization residual at every s", 1e-3), CROSS_CHECK],  # the level-8 bound
+                      (r"envelope final", lambda rep: 0.25 * rep.datapoints[0][1]), CROSS_CHECK, PAIRING],
+    "mehler": [(r"factorization residual at every s", 1e-3), CROSS_CHECK, PAIRING],  # the level-8 bound
     "s1s2-asymptotics": [(r"final value of every curve", 1e-3),
                          (r"coefficient defect \|s1 - t\^-2\| at t=16 \(bound t\^-6\)", 16.0 ** -6),
-                         CROSS_CHECK],
+                         CROSS_CHECK, PAIRING],
     "composition-gamma": [(r"gamma-[uv] final/initial", 1e-2),
                           (r"multiplication = position calculus \(9 nodes\)", 1e-6), CROSS_CHECK],
     "homotopy-projection": [(r"envelope at the smallest s", 1e-6),
@@ -728,14 +744,23 @@ VERDICT_FAILURES = {
     # at n = 4 the commutator curves peak after t = 1, so two final/initial ratios pass 0.25;
     # composition-gamma's ratios fail at every n >= 3 and mehler's window is too shallow at K = 4
     (4, 4): {"cd-commutator", "composition-gamma", "dirac-commutator", "mehler"},
+    # across K at n = 2 and n = 3, where the C/D curve suites norm on the R_2 = +1 half; compactness
+    # needs a singular value under 1e-8, which K = 4 does not reach
+    (2, 4): {"compactness", "mehler"},
+    (2, 8): set(),
+    (3, 4): {"compactness", "composition-gamma", "mehler"},
+    (3, 8): {"composition-gamma"},
 }
 
 
-@pytest.mark.parametrize("config", sorted(VERDICT_FAILURES))
+# in insertion order, so that each parameter id keeps naming the configuration it named before
+@pytest.mark.parametrize("config", list(VERDICT_FAILURES))
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verdict_grid(suite, config):
     rep = run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
     assert rep.passed == (suite not in VERDICT_FAILURES[config]), rep.notes
+    if suite in HALVED_SUITES:
+        assert "gate volume-element pairing: 0.000e+00 <= 0.000e+00 ok" in rep.notes
 
 
 @pytest.mark.parametrize("config", [(1, 8), (2, 6)])
@@ -743,9 +768,12 @@ def test_verdict_grid(suite, config):
 def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
     # no full-size matrix is formed, neither assembled from blocks nor given
     # as an array, and every matrix a sweep norms is the window its gates
-    # read: depth 2, or mehler's deep window
-    rep = oscillator_rep(*config)
-    size = rep.basis.size
+    # read: depth 2, or mehler's deep window; a halved suite's at dim >= 2 is
+    # the window of the R_2 = +1 half, exactly half of the whole window
+    full_rep = oscillator_rep(*config)
+    size = full_rep.basis.size
+    rep = full_rep.half if suite in HALVED_SUITES and config[0] >= 2 else full_rep
+    assert (rep is full_rep) == (config[0] == 1 or suite not in HALVED_SUITES)
     full, normed = [], []
     assemble = graded._assemble
     init = GradedMatrix.__init__
@@ -777,11 +805,84 @@ def test_commutator_suites_stay_on_blocks(suite, config, monkeypatch):
     depth = config[1] - max(2, config[1] // 3) if suite == "mehler" else 2
     assert normed
     for name, m in normed:
-        # on all the labels, or (the bump's curves) on the labels without R_1
+        # on all the labels, or (the bump's curves) on the labels without R_1; the half has no R_2 bit
         k = rep.window(depth, len(m.index))
-        assert len(k) == 2 ** (config[0] + ("bump" not in name)), name
+        assert len(k) == 2 ** (config[0] + ("bump" not in name) - (rep is not full_rep)), name
         assert [b.shape for b in m.blocks] == [(k[r], k[r ^ m.degree]) for r in range(len(k))]
         assert len(m.parity) == sum(k)
+        assert sum(k) << (rep is not full_rep) == sum(full_rep.window(depth))
+
+
+@pytest.mark.parametrize("config", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("suite", HALVED_SUITES)
+def test_halved_curves_are_the_whole_space_norms(suite, config):
+    # every curve, normed on the R_2 = +1 half, is the spectral norm of the dense matrix on the whole
+    # space; the last mehler residuals (2.3e-7 at (2,6)) are differences of matrices of norm 1, known
+    # to about 4e-16 by any route, so the absolute term is rounding
+    ts = (1.0, 2.0, 4.0)
+    rep = run_suite(suite, SweepConfig(dim=config[0], level=config[1], t_grid=ts))
+    dense = dense_curve_norms(suite, *config, verify.MEHLER_S if suite == "mehler" else ts)
+    assert dense.keys() == rep.curves.keys()
+    for name, want in dense.items():
+        for got, w in zip(rep.curves[name], want, strict=True):
+            assert abs(got - w) <= 1e-10 * w + 1e-15, (name, got, w)
+
+
+def _pairing_note(rep) -> str:
+    (note,) = [n for n in rep.notes if n.startswith("gate volume-element pairing: ")]
+    return note
+
+
+@pytest.mark.parametrize("config", [(2, 6), (3, 4)])
+def test_pairing_gate_fails_on_a_sign_flipped_in_the_twisted_right_multiplication(config, monkeypatch):
+    # the sign of blade e_1 in rho~(e_1): its row and its column, so that the operator stays
+    # antisymmetric and D symmetric, and the context builds; D no longer anticommutes with rho(omega)
+    # (at dim 1 the row and column of e_1 hold both entries of rho~(e_1), and the flip negates D)
+    real = oscillator.twisted_right_mult_operator
+
+    def flipped(sig, mask):
+        out = real(sig, mask)
+        if mask == 1:
+            out[1, :] *= -1.0
+            out[:, 1] *= -1.0
+        return out
+
+    cfg = SweepConfig(dim=config[0], level=config[1], t_grid=(1.0, 2.0, 4.0))
+    for suite in HALVED_SUITES:
+        assert _pairing_note(run_suite(suite, cfg)).endswith(" ok")
+    oscillator_rep.cache_clear()
+    monkeypatch.setattr(oscillator, "twisted_right_mult_operator", flipped)
+    try:
+        for suite in HALVED_SUITES:
+            rep = run_suite(suite, cfg)
+            assert _pairing_note(rep).endswith(" FAIL") and not rep.passed, rep.notes
+    finally:
+        oscillator_rep.cache_clear()
+
+
+@pytest.mark.parametrize("config", [(1, 6), (2, 6), (3, 4)])
+def test_a_derivative_that_keeps_its_lower_sign_is_refused_before_any_pairing(config, monkeypatch):
+    # rho(omega) acts on the blades alone, so no sign of the 1-D derivative can move the pairing:
+    # with the lower half's sign kept, D is sum_i x_i (x) rho~(e_i), which rho(omega) still sends to
+    # -D; it is antisymmetric, so the context refuses it before any suite runs
+    def symmetric_derivative(basis):
+        x = oscillator.position_matrix(basis.level)
+        return oscillator._spatial_blade_operator(basis, 1, oscillator._axis_terms(basis, x, [
+            oscillator.twisted_right_mult_operator(basis.sig, 1 << i) for i in range(basis.dim)]))
+
+    basis = oscillator.HermiteBasis(*config)
+    c, d = oscillator.clifford_operator(basis), symmetric_derivative(basis)
+    raw = OscillatorRep(basis, c, d, c + d, oscillator.blade_number_operator(basis), c @ c + d @ d)
+    assert oscillator.volume_pairing_residual(raw) == 0.0
+    assert np.array_equal(d.mat.T, -d.mat) and d.mat.any()
+    oscillator_rep.cache_clear()
+    monkeypatch.setattr(oscillator, "dirac_operator", symmetric_derivative)
+    try:
+        for suite in HALVED_SUITES:
+            with pytest.raises(ValueError, match="requires a symmetric matrix"):
+                run_suite(suite, SweepConfig(dim=config[0], level=config[1]))
+    finally:
+        oscillator_rep.cache_clear()
 
 
 def test_conjugation_by_index_equals_the_signed_swap_product():
