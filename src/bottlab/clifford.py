@@ -154,10 +154,11 @@ def regular_representation(sig: Signature) -> list[np.ndarray]:
 
 
 def matrix_relation_residual(mats: list[np.ndarray], sig: Signature) -> float:
-    """Largest entry of ``g_i g_j + g_j g_i - 2 [i = j] e_i^2`` over matrices g_i of the generators of sig."""
+    """Largest entry, NaN if any is, of ``g_i g_j + g_j g_i - 2 [i = j] e_i^2`` over matrices g_i of the
+    generators of sig."""
     squares = [2.0 * sig.square_sign(i + 1) * np.eye(len(g)) for i, g in enumerate(mats)]
-    return max((float(np.abs(gi @ gj + gj @ gi - (squares[i] if i == j else 0.0)).max())
-                for i, gi in enumerate(mats) for j, gj in enumerate(mats)), default=0.0)
+    return float(np.max([np.abs(gi @ gj + gj @ gi - (squares[i] if i == j else 0.0)).max()
+                         for i, gi in enumerate(mats) for j, gj in enumerate(mats)], initial=0.0))
 
 
 def blade_square_sign(mask: int, sig: Signature) -> int:

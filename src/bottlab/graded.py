@@ -474,22 +474,19 @@ def flip_simple(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     return graded_tensor(-b if (a.degree and b.degree) else b, a)
 
 
-def flip_unitary(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """Signed permutation implementing xi (x) eta -> (-1)^{deg xi deg eta} eta (x) xi.
+def flip_unitary(la: np.ndarray, lb: np.ndarray) -> tuple:
+    """The signed permutation xi (x) eta -> (-1)^{deg xi deg eta} eta (x) xi, as ``(row, sign)``.
 
-    Conjugation by this matrix carries ``graded_tensor(a, b)`` on the (a, b)
-    basis to ``flip_simple(a, b)`` on the (b, a) basis, for factors with labels
-    la and lb, each ordered as :func:`tensor_pairs` orders it: column p, the
-    vector ``xi_i (x) eta_j``, has its one entry in the row of ``eta_j (x) xi_i``.
-    It carries every label of the (a, b) space onto one label of the (b, a)
-    space, of the same parity.
+    For factors with labels la and lb, each tensor space ordered as :func:`tensor_pairs` orders
+    it, basis vector p of the (a, b) space, ``xi_i (x) eta_j``, goes to ``sign[p]`` times basis
+    vector ``row[p]`` of the (b, a) space, ``eta_j (x) xi_i``.  Conjugation by it carries
+    ``graded_tensor(a, b)`` to ``flip_simple(a, b)``, and every label of the (a, b) space onto one
+    label of the (b, a) space, of the same parity.
     """
     la, lb = np.asarray(la, dtype=np.uint16), np.asarray(lb, dtype=np.uint16)
     (i, j), (jb, ib) = tensor_pairs(la, lb), tensor_pairs(lb, la)
-    row = np.argsort(jb * len(la) + ib)[j * len(la) + i]  # the position of eta_j (x) xi_i in the (b, a) basis
-    out = np.zeros((len(i), len(i)))
-    out[row, np.arange(len(i))] = 1.0 - 2.0 * (la[i] & lb[j] & 1)
-    return out
+    row = np.argsort(jb * len(la) + ib)[j * len(la) + i]
+    return row, 1.0 - 2.0 * (la[i] & lb[j] & 1)
 
 
 def tensor_product_witness(sig1: Signature, sig2: Signature):

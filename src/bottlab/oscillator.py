@@ -322,18 +322,18 @@ def volume_pairing_residual(rep: OscillatorRep) -> float:
     ``b omega = sigma(b) (b ^ (2^n - 1))``, so it carries label l onto ``l ^ mask`` (every reflection
     bit, and the parity when n is odd), whose states are the same spatial states in the same order;
     block ``l ^ mask`` of ``rho X rho^-1`` is block l of X times ``sigma`` on its rows and its
-    columns.  Exactly 0 when C commutes with ``rho(omega)`` and D anticommutes with it.
+    columns.  Exactly 0 when C commutes with ``rho(omega)`` and D anticommutes with it; NaN on a NaN.
     """
     basis = rep.basis
     sigma = right_mult_signs(basis.sig, basis.blade_count - 1)
     mask = 2 * basis.blade_count - 2 | basis.dim & 1
     signs = [sigma[i % basis.blade_count] for i in rep.clifford.index]  # C and D share the labels
-    worst = 0.0
+    worst = []
     for op, sign in ((rep.clifford, 1.0), (rep.dirac, -1.0)):
         for r, block in enumerate(op.blocks):
             paired = sign * signs[r][:, None] * block * signs[r ^ op.degree][None, :]
-            worst = max(worst, float(np.abs(op.blocks[r ^ mask] - paired).max(initial=0.0)))
-    return worst
+            worst.append(np.abs(op.blocks[r ^ mask] - paired).max(initial=0.0))
+    return float(np.max(worst, initial=0.0))
 
 
 def context_bytes(dim: int, level: int) -> int:

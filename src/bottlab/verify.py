@@ -210,6 +210,11 @@ def _envelope(curves: dict) -> list:
     return [math.nan if any(map(math.isnan, vals)) else max(vals) for vals in zip(*curves.values())]
 
 
+def _worst(values) -> float:
+    """The largest of 0 and the residuals; NaN when any is, which ``max`` drops unless it comes first."""
+    return float(np.max(list(values), initial=0.0))
+
+
 def _report(suite: str, params: dict, xs: Sequence[float], curves: dict, tol: float,
             gates: list, notes: Sequence[str] = (), fit: tuple | None = None) -> VerificationReport:
     """The report of a suite: envelope datapoints, and a verdict and a note per gate."""
@@ -247,8 +252,8 @@ def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
 
     ``matrices(x)`` yields ``(curve name, GradedMatrix)`` pairs, each the window its gates read,
     normed as it comes; the first curve's matrix at the first, middle and last x is also normed by
-    the largest :func:`svd_norm` of its blocks, which converges when every SVD does, and
-    the two norms must agree to 1e-8 relative, so no matrix outlives its iteration.
+    the largest :func:`svd_norm` of its blocks, which converges when every SVD does, and the two
+    norms must agree to 1e-8 relative (a NaN fails), so no matrix outlives its iteration.
     """
     curves, runs, picks = {}, [], {0, len(xs) // 2, len(xs) - 1}
     for i, x in enumerate(xs):
@@ -256,8 +261,8 @@ def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
             curves.setdefault(name, []).append(m.norm())
             if i in picks and name == next(iter(curves)):
                 norms, converged = zip(*map(svd_norm, m.blocks))
-                runs.append((curves[name][-1], max(norms), all(converged)))
-    worst = max((abs(a - b) / a if a else (math.inf if b else 0.0) for a, b, _ in runs), default=0.0)
+                runs.append((curves[name][-1], _worst(norms), all(converged)))
+    worst = _worst(abs(a - b) / a if a else (math.inf if b else 0.0) for a, b, _ in runs)
     return curves, [Gate(f"norm cross-check (block norm vs SVD, {len(runs)} samples)", worst, 1e-8),
                     Gate("SVD converged on every sample", all(ok for *_, ok in runs))]
 
@@ -389,7 +394,7 @@ def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
     periodicity), and the joined algebra inside a graded tensor square."""
     tol = 1e-10
     sigs = [[Signature(p, n - p) for p in range(n + 1)] for n in range(1, 6)]
-    values = [max(matrix_relation_residual(regular_representation(sig), sig) for sig in row) for row in sigs]
+    values = [_worst(matrix_relation_residual(regular_representation(sig), sig) for sig in row) for row in sigs]
 
     worst8 = blade_relation_residual(EIGHT_IN_FOUR_FOUR, Signature(8, 0), Signature(4, 4))
     worst2, span2 = tensor_product_witness(Signature(1, 0), Signature(1, 0))
@@ -729,47 +734,41 @@ def suite_compactness(cfg: SweepConfig) -> VerificationReport:
 
 
 def _largest_difference(xs, ys) -> float:
-    """The largest absolute entry of x - y over pairs of blocks; a writeable x (a fresh array) is
-    overwritten by the difference and read from its extremes, so no other array is formed."""
-    worst = 0.0
-    for x, y in zip(xs, ys):
-        x = np.subtract(x, y, out=x if x.flags.writeable else None)
-        worst = max(worst, float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
-    return worst
+    """The largest absolute entry of x - y over pairs of blocks, NaN if any is; a writeable x (a fresh
+    array) is overwritten by the difference, so no other array is formed."""
+    return _worst(np.abs(d, out=d).max(initial=0.0)
+                  for d in (np.subtract(x, y, out=x if x.flags.writeable else None) for x, y in zip(xs, ys)))
 
 
-def _conjugator(u: np.ndarray, labels: np.ndarray, index: tuple):
-    """x -> u @ x @ u.T for a signed permutation u between two spaces that hold these labels
-    (``index`` their ``label_index``) and that carries every label onto one label of the same
-    parity, block by block, by indexing; its ``blocks`` gives the fresh blocks of the result.
+def _conjugator(row: np.ndarray, sign: np.ndarray, labels: np.ndarray, index: tuple):
+    """x -> the fresh blocks of ``u x u^T``, for the signed permutation u of :func:`flip_unitary` that
+    sends basis vector p to ``sign[p]`` times basis vector ``row[p]``, between two spaces that hold
+    these labels (``index`` their ``label_index``) and carries every label onto one of the same parity.
 
     Row k of label m has its one entry in column p(k), of label ``l(m)``, so block (m, m ^ d) of the
     product is ``x[l(m), l(m) ^ d]`` at the rows and columns p gives them, times the signs of its
     rows and columns; each entry is one entry of x times two signs, so the result equals the matrix
-    product exactly.  The positions and the signs are read from u once per pair of labels, and a
-    conjugation is one ``take`` and one in-place multiply per block.  A u that is no such
+    product exactly.  The positions and the signs are read once per pair of labels, and a
+    conjugation is one ``take`` and one in-place multiply per block.  A (row, sign) that is no such
     permutation gives a wrong result, not an error, for the gate that reads it to fail on.
     """
     local = np.empty(len(labels), dtype=np.intp)  # every basis index's position in its label
     for i in index:
         local[i] = np.arange(len(i))
-    cols = [np.abs(u[i]).argmax(axis=1) for i in index]
+    column = np.argsort(row)  # p(k) for every row k
+    cols = [column[i] for i in index]
     source = [int(labels[c[0]]) if len(c) else m for m, c in enumerate(cols)]
-    signs = [u[i, c] for i, c in zip(index, cols)]
+    signs = [sign[c] for c in cols]
     gather = {(m, d): local[cols[m]][:, None] * len(index[source[m] ^ d]) + local[cols[m ^ d]][None, :]
               for m, d in np.ndindex(len(index), 2)}
-    sign = {(m, d): signs[m][:, None] * signs[m ^ d][None, :] for m, d in np.ndindex(len(index), 2)}
+    outer = {(m, d): signs[m][:, None] * signs[m ^ d][None, :] for m, d in np.ndindex(len(index), 2)}
 
     def blocks(x: GradedMatrix) -> list:
         out = [np.take(x.blocks[source[m]], gather[m, x.degree], mode="clip") for m in range(len(index))]
         for m, b in enumerate(out):
-            b *= sign[m, x.degree]
+            b *= outer[m, x.degree]
         return out
-
-    def conjugate(x: GradedMatrix) -> GradedMatrix:
-        return GradedMatrix.from_blocks(x.degree, blocks(x), labels, index)
-    conjugate.blocks = blocks
-    return conjugate
+    return blocks
 
 
 def _flip_product_residuals(gens: tuple) -> tuple[float, float]:
@@ -782,17 +781,17 @@ def _flip_product_residuals(gens: tuple) -> tuple[float, float]:
     """
     pairs = [(a, b) for a in gens for b in gens]
     flips = [flip_simple(a, b) for a, b in pairs]
-    mult = max(_largest_difference(flip_simple((-1.0) ** (b.degree * c.degree) * (a @ c), b @ d).blocks,
-                                   (f1 @ f2).blocks)
-               for (a, b), f1 in zip(pairs, flips) for (c, d), f2 in zip(pairs, flips))
-    inv = 0.0
+    mult = _worst(_largest_difference(flip_simple((-1.0) ** (b.degree * c.degree) * (a @ c), b @ d).blocks,
+                                      (f1 @ f2).blocks)
+                  for (a, b), f1 in zip(pairs, flips) for (c, d), f2 in zip(pairs, flips))
+    inv = []
     for (a, b), f in zip(pairs, flips):
         # the tensor's law on a^T and b^T, whose tensor no other check forms
         sign, ta, tb = (-1.0) ** (a.degree * b.degree), involution(a), involution(b)
-        inv = max(inv, _largest_difference(involution(graded_tensor(ta, tb)).blocks,
-                                           graded_tensor(sign * involution(ta), involution(tb)).blocks),
-                  _largest_difference(involution(f).blocks, flip_simple(sign * ta, tb).blocks))
-    return mult, inv
+        inv += [_largest_difference(involution(graded_tensor(ta, tb)).blocks,
+                                    graded_tensor(sign * involution(ta), involution(tb)).blocks),
+                _largest_difference(involution(f).blocks, flip_simple(sign * ta, tb).blocks)]
+    return mult, _worst(inv)
 
 
 def _blade_word_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
@@ -810,9 +809,9 @@ def _blade_word_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
 def _grading_residual(sigs) -> tuple[float, int]:
     """How far the grading automorphism g of ``xy``, with xy read from the Cayley table, is from
     ``g(x) g(y)`` multiplied by their generator words, over every pair of blades x, y of every
-    signature; and the number of pairs.  g negates the generators, so it is diagonal on blades,
-    with the sign of each blade's parity."""
-    worst, count = 0.0, 0
+    signature (NaN when any is); and the number of pairs.  g negates the generators, so it is
+    diagonal on blades, with the sign of each blade's parity."""
+    worst, count = [], 0
     for sig in sigs:
         signs = grading_signs(blade_parities(sig))
         for a in range(sig.blade_count):
@@ -821,9 +820,9 @@ def _grading_residual(sigs) -> tuple[float, int]:
             for b in range(sig.blade_count):
                 sign, blade = _blade_word_product(sig, a, b)
                 products[blade, b] -= signs[a] * signs[b] * sign
-            worst = max(worst, float(np.abs(products).max()))
+            worst.append(np.abs(products).max())
             count += sig.blade_count
-    return worst, count
+    return _worst(worst), count
 
 
 def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
@@ -852,28 +851,29 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
     # the right factors on their four labels; a left factor on its own, the bump's on the parity labels
     # because the bump breaks R_1; per left label count, the swap conjugation and the grading
     uc, vc = (matrix_function(f, rep.clifford) for f in (u, v))
-    lb, squares, ll = uc.labels, {}, 0.0
+    lb, squares, ll = uc.labels, {}, []
     for la in (lb, lb & 1):
-        labels, swap, back = tensor_labels(la, lb), flip_unitary(la, lb), flip_unitary(lb, la)
-        # the (a, b) and (b, a) spaces hold these labels, sorted, so built from an array each swap is a
-        # matrix on their parities, checked to keep them; l o l = id as signed permutations
-        there, home = (GradedMatrix(x, labels & 1) for x in (swap, back))
-        ll = max(ll, _largest_difference([np.eye(len(i)) for i in there.index], (home @ there).blocks))
+        (row, sign), (back, back_sign) = flip_unitary(la, lb), flip_unitary(lb, la)
+        # l o l = id as signed permutations: column p of l o l holds s = back_sign[row[p]] * sign[p] in
+        # row back[row[p]], so its largest entry of l o l - id is |s - 1| on the diagonal, else max(|s|, 1)
+        s, home = back_sign[row] * sign, back[row] == np.arange(len(row))
+        ll.append(np.where(home, np.abs(s - 1.0), np.maximum(np.abs(s), 1.0)).max(initial=0.0))
+        labels = tensor_labels(la, lb)  # the (a, b) and (b, a) spaces hold these labels, sorted
         index = label_index(labels, 1 << _label_bits(labels))
         # the grading operator 1 (x) gamma on the tensor space, as the diagonal of its matrix (the sign
         # of each basis vector's second leg), per label
         second = grading_signs(lb & 1)[tensor_pairs(la, lb)[1]]
-        squares[1 << _label_bits(la)] = _conjugator(swap, labels, index), [second[i] for i in index]
+        squares[1 << _label_bits(la)] = _conjugator(row, sign, labels, index), [second[i] for i in index]
 
     def flip_route_residual(a: GradedMatrix, b: GradedMatrix, conj, gam, grading: bool) -> float:
         """Both routes to the flip of ``a (x) b``; with ``grading`` (for an even second leg,
         on which the grading automorphism is invisible) also how far the grading moves it."""
         ab = graded_tensor(a, b)
-        worst = 0.0
+        worst = [_largest_difference(conj(ab), flip_simple(a, b).blocks)]
         if grading:
             moved = (gam[r][:, None] * x * gam[r ^ ab.degree][None, :] for r, x in enumerate(ab.blocks))
-            worst = _largest_difference(moved, ab.blocks)
-        return max(worst, _largest_difference(conj.blocks(ab), flip_simple(a, b).blocks))
+            worst.append(_largest_difference(moved, ab.blocks))
+        return _worst(worst)
 
     curves: dict[str, list[float]] = {h.name: [] for h in hs}
     for t in cfg.t_grid:
@@ -883,18 +883,15 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
             mh = multiplication_operator(rescale(h, t), rep.basis)
             conj, gam = squares[len(mh.index)]
             a_even, a_odd = (regroup(f, len(mh.index)) @ mh for f in (ud, vd))
-            worst = 0.0
-            for left in (a_even, a_odd):
-                for right in (uc, vc):
-                    worst = max(worst, flip_route_residual(left, right, conj, gam, left is a_even and right is uc))
-            curves[h.name].append(worst)
+            curves[h.name].append(_worst(flip_route_residual(left, right, conj, gam, left is a_even and right is uc)
+                                         for left in (a_even, a_odd) for right in (uc, vc)))
 
     mult_worst, inv_worst = _flip_product_residuals((uc, vc))
     grading_worst, blade_pairs = _grading_residual((Signature(2, 0), Signature(1, 1), Signature(2, 1)))
 
     gates = [
         Gate("two assembly routes agree at every t", [val for c in curves.values() for val in c], tol),
-        Gate("double flip deviation from identity", ll, 1e-14),
+        Gate("double flip deviation from identity", _worst(ll), 1e-14),
         Gate("flip multiplicativity on 16 products of simple tensors", mult_worst, tol),
         Gate("tensor and flip respect the involution on 4 simple tensors", inv_worst, tol),
         Gate(f"grading automorphism multiplicative on all {blade_pairs} blade pairs (generator words)",

@@ -14,6 +14,10 @@ same objects another way:
 - :func:`every_block_norm` eigensolves the Gram matrix of every block, where
   ``block_norm`` certifies most of them by a Cholesky factor instead.
 - :func:`tensor_parity` reads the parity of the tensor basis off its labels.
+- :func:`dense_flip` is the graded flip of a tensor space as a dense signed
+  swap, each row looked up by its pair of factor indices; the package holds
+  it as the permutation and signs of ``flip_unitary``, which
+  :func:`signed_permutation` writes out as a matrix.
 - :func:`clifford_product` multiplies two Clifford elements, given as
   coefficient arrays over the blades, by the dense Cayley-table contraction;
   the package multiplies only blades.
@@ -34,7 +38,7 @@ import numpy as np
 from bottlab import clifford
 from bottlab.clifford import left_mult_operator
 from bottlab.funcalc import GradedFunction, gaussian, scale, x_gaussian
-from bottlab.graded import tensor_labels
+from bottlab.graded import tensor_labels, tensor_pairs
 from bottlab.oscillator import CliffFunction, HermiteBasis, hermite_rows, oscillator_rep, rescale
 
 
@@ -163,6 +167,26 @@ def every_block_norm(blocks) -> float:
 def tensor_parity(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     """Parity vector of the tensor product space, in the order of ``tensor_pairs``."""
     return tensor_labels(la, lb) & 1
+
+
+def dense_flip(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """The matrix of ``xi_i (x) eta_j -> (-1)^{deg xi_i deg eta_j} eta_j (x) xi_i`` from the (a, b) to
+    the (b, a) tensor space of factors with labels la and lb, each ordered as ``tensor_pairs``
+    orders it: column p, the vector ``xi_i (x) eta_j``, has its one entry in the row of
+    ``eta_j (x) xi_i``, found by its pair."""
+    (i, j), (jb, ib) = tensor_pairs(la, lb), tensor_pairs(lb, la)
+    rows = {(int(a), int(b)): r for r, (a, b) in enumerate(zip(ib, jb))}
+    out = np.zeros((len(i), len(i)))
+    for p, (a, b) in enumerate(zip(i, j)):
+        out[rows[int(a), int(b)], p] = -1.0 if la[a] & lb[b] & 1 else 1.0
+    return out
+
+
+def signed_permutation(row: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The matrix whose column p holds ``sign[p]`` in row ``row[p]`` and is zero elsewhere."""
+    out = np.zeros((len(row), len(row)))
+    out[row, np.arange(len(row))] = sign
+    return out
 
 
 def clifford_product(sig, a: np.ndarray, b: np.ndarray) -> np.ndarray:

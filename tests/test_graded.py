@@ -32,8 +32,8 @@ from bottlab.graded import (
     tensor_product_witness,
 )
 from bottlab.oscillator import CliffFunction, multiplication_operator, oscillator_rep
-from bottlab.verify import named_symbols, windowed_norm
-from oracles import clifford_product, every_block_norm, fsum, tensor_parity
+from bottlab.verify import SweepConfig, named_symbols, run_suite, windowed_norm
+from oracles import clifford_product, dense_flip, every_block_norm, fsum, signed_permutation, tensor_parity
 
 
 def random_parity(rng, dim):
@@ -52,6 +52,16 @@ def random_homogeneous(rng, parity, op_parity, integer=False):
     mask = (parity[:, None] ^ parity[None, :]) == op_parity
     draw = rng.integers(-9, 10, (dim, dim)) if integer else rng.standard_normal((dim, dim))
     return GradedMatrix(draw * mask, parity).parity_part(op_parity)
+
+
+def flip_matrix(la, lb):
+    """flip_unitary(la, lb) written out as a matrix, once its rows are checked to be a permutation,
+    its signs to be +-1, and the matrix to be the dense oracle's swap."""
+    row, sign = flip_unitary(la, lb)
+    assert np.array_equal(np.sort(row), np.arange(len(row))) and np.array_equal(np.abs(sign), np.ones(len(row)))
+    u = signed_permutation(row, sign)
+    assert np.array_equal(u, dense_flip(la, lb))
+    return u
 
 
 def tensor_position(pa, pb):
@@ -264,9 +274,9 @@ def test_flip_unitary_carries_the_tensor_to_the_flip_on_labels(counts):
     # and carries every label of the (a, b) space onto one label of the (b, a) space
     rng = np.random.default_rng(10 + sum(counts))
     la, lb = factor_labels(rng, 7, counts[0]), factor_labels(rng, 9, counts[1])
-    u = flip_unitary(la, lb)
+    u = flip_matrix(la, lb)
     assert np.array_equal(np.abs(u).sum(axis=0), np.ones(63)) and np.array_equal(u @ u.T, np.eye(63))
-    assert np.array_equal(flip_unitary(lb, la) @ u, np.eye(63))
+    assert np.array_equal(flip_matrix(lb, la) @ u, np.eye(63))
     source, target = tensor_labels(la, lb), tensor_labels(lb, la)
     rows = np.abs(u).argmax(axis=0)
     for label in np.unique(source):
@@ -308,6 +318,20 @@ def test_graded_tensor_forms_no_dense_matrix_of_the_tensor_space():
         tracemalloc.stop()
     assert len(tp.parity) == 484
     assert peak < 484 * 484 * 8, peak
+
+
+def test_flip_endpoints_forms_no_dense_matrix_of_the_tensor_space():
+    # at level 10 the tensor squares have 484 states; the swap is held as a permutation and every
+    # tensor as label blocks, so the suite's traced peak stays below three dense 484 x 484 arrays
+    cfg = SweepConfig(dim=1, level=10, t_grid=(1.0, 2.0, 4.0))
+    run_suite("flip-endpoints", cfg)  # the context, the layouts and the quadratures are cached
+    tracemalloc.start()
+    try:
+        assert run_suite("flip-endpoints", cfg).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 484 * 484 * 8, peak
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -831,16 +855,18 @@ def test_involution_tensor_sign_law():
 def test_flip_unitary_is_orthogonal_and_involutive():
     rng = np.random.default_rng(8)
     pa, pb = random_parity(rng, 3), random_parity(rng, 4)
-    u = flip_unitary(pa, pb)
+    u = flip_matrix(pa, pb)
     assert np.array_equal(u @ u.T, np.eye(12))
-    # flipping back is the inverse: l o l = id
-    assert np.array_equal(flip_unitary(pb, pa) @ u, np.eye(12))
+    # flipping back is the inverse: l o l = id, as matrices and as composed signed permutations
+    assert np.array_equal(flip_matrix(pb, pa) @ u, np.eye(12))
+    (row, sign), (back, back_sign) = flip_unitary(pa, pb), flip_unitary(pb, pa)
+    assert np.array_equal(back[row], np.arange(12)) and np.array_equal(back_sign[row] * sign, np.ones(12))
 
 
 def test_flip_simple_matches_unitary_conjugation():
     rng = np.random.default_rng(9)
     pa, pb = random_parity(rng, 3), random_parity(rng, 4)
-    u = flip_unitary(pa, pb)
+    u = flip_matrix(pa, pb)
     for p1 in (0, 1):
         for p2 in (0, 1):
             a = random_homogeneous(rng, pa, p1)
@@ -862,7 +888,7 @@ def test_flip_is_multiplicative():
         d = random_homogeneous(rng, pb, int(rng.integers(0, 2)))
         lhs = flip_simple(a, b) @ flip_simple(c, d)
         prod = graded_tensor(a, b) @ graded_tensor(c, d)
-        u = flip_unitary(pa, pb)
+        u = flip_matrix(pa, pb)
         rhs = u @ prod.mat @ u.T
         assert np.allclose(lhs.mat, rhs, atol=1e-12)
 

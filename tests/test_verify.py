@@ -40,8 +40,8 @@ from bottlab.verify import (
     svd_norm,
     windowed_norm,
 )
-from oracles import (bott_map, clifford_product, dense_curve_norms, fmul, fprod, fsum, sup_norm, symbol_values,
-                     tensor_parity)
+from oracles import (bott_map, clifford_product, dense_curve_norms, dense_flip, fmul, fprod, fsum, signed_permutation,
+                     sup_norm, symbol_values, tensor_parity)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +226,94 @@ def test_curve_helpers_read_a_nan_as_a_failure():
     # finite fits are those of before, to the last digit, a dropped underflow included
     assert repr(decay_fit(ts, [5.0, 1.0, 0.9, 0.8, 0.1])) == "(-1.9515647538234078, 0.7944858880895207)"
     assert repr(decay_fit(ts, [1.0, 0.5, 1e-320, 0.2, 0.1])) == "(-1.3645790112070728, 0.9645264838072831)"
+
+
+def _sweep_cross_check(value, monkeypatch):
+    # three samples of a 2 x 2 matrix, the middle one with the value added to an entry
+    par = np.array([0, 1], dtype=np.uint8)
+
+    def matrices(x):
+        yield "c", GradedMatrix(np.array([[x, 0.0], [0.0, 1.0 + value if x == 2.0 else 1.0]]), par)
+    return verify._sweep([1.0, 2.0, 3.0], matrices)[1][0].value
+
+
+def _largest_difference(value, monkeypatch):
+    return verify._largest_difference([np.zeros(2), np.array([0.0, 0.0 + value])], [np.zeros(2), np.zeros(2)])
+
+
+def _relation_residual(value, monkeypatch):
+    # the generators of Cl(2,0), the second with the value added to an entry
+    sig = Signature(2, 0)
+    mats = regular_representation(sig)
+    mats[1][0, 0] += value
+    return clifford.matrix_relation_residual(mats, sig)
+
+
+def _rank_relation_residual(value, monkeypatch):
+    # clifford-iso's relation residual at rank 2, with the value added to that of signature (1,1),
+    # the second of its rank
+    monkeypatch.setattr(verify, "matrix_relation_residual", lambda mats, sig: clifford.matrix_relation_residual(
+        mats, sig) + (value if (sig.p, sig.q) == (1, 1) else 0.0))
+    return run_suite("clifford-iso", SweepConfig()).curves["relation-residual"][1]
+
+
+def _pairing_residual(value, monkeypatch):
+    # D at (2,4) with the value added to an entry of its last block
+    rep = oscillator_rep(2, 4)
+    blocks = [b.copy() for b in rep.dirac.blocks]
+    blocks[-1][0, 0] += value
+    dirac = GradedMatrix.from_blocks(1, blocks, rep.dirac.labels, rep.dirac.index)
+    return oscillator.volume_pairing_residual(OscillatorRep(rep.basis, rep.clifford, dirac, rep.bott, rep.number,
+                                                            rep.harmonic))
+
+
+def _grading_residual(value, monkeypatch):
+    # the Cayley table's products of blade e_1, with the value added to an entry
+    def added(sig, mask):
+        out = left_mult_operator(sig, mask)
+        out[0, 0] += value if mask == 1 else 0.0
+        return out
+    monkeypatch.setattr(verify, "left_mult_operator", added)
+    return verify._grading_residual((Signature(2, 0),))[0]
+
+
+# name: the residual, exactly 0, with a value added to one of the entries it reads after the first
+NAN_RESIDUALS = {
+    "sweep cross-check": _sweep_cross_check,
+    "largest difference": _largest_difference,
+    "matrix relation residual": _relation_residual,
+    "relation residual of a rank": _rank_relation_residual,
+    "volume pairing residual": _pairing_residual,
+    "grading residual": _grading_residual,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_RESIDUALS))
+def test_exact_residuals_read_a_nan_as_a_failure(name, monkeypatch):
+    # max([0.0, nan]) is 0.0: a NaN entry after the first must still reach the residual and fail its
+    # gate, and with 0 added the residual is 0 exactly, as before
+    residual = NAN_RESIDUALS[name]
+    assert math.isnan(residual(math.nan, monkeypatch))
+    assert not Gate(name, residual(math.nan, monkeypatch), 1e-8).ok
+    assert repr(residual(0.0, monkeypatch)) == "0.0"
+
+
+def test_flip_gates_read_a_nan_as_a_failure(monkeypatch):
+    # a NaN in the last block of every flip of simple tensors reaches all three flip residual gates
+    real = graded.flip_simple
+
+    def with_nan(a, b):
+        out = real(a, b)
+        blocks = [x.copy() for x in out.blocks]
+        blocks[-1][...] = math.nan
+        return GradedMatrix.from_blocks(out.degree, blocks, out.labels, out.index)
+    monkeypatch.setattr(verify, "flip_simple", with_nan)
+    rep = run_suite("flip-endpoints", SweepConfig(dim=1, level=4, t_grid=(1.0, 2.0)))
+    failed = {note.split(":")[0] for note in rep.notes if note.endswith("FAIL")}
+    assert failed == {"gate two assembly routes agree at every t",
+                      "gate flip multiplicativity on 16 products of simple tensors",
+                      "gate tensor and flip respect the involution on 4 simple tensors"}
+    assert all(math.isnan(v) for c in rep.curves.values() for v in c)
 
 
 def test_a_nan_curve_norm_fails_the_commutator_suite(monkeypatch):
@@ -528,7 +616,11 @@ def test_double_flip_gate_fails_for_a_non_involutive_swap(monkeypatch):
         even = np.flatnonzero(tensor_parity(pa, pb) == 0)
         perm = np.arange(len(pa) * len(pb))
         perm[even] = np.roll(even, 1)
-        return np.eye(len(perm))[perm]
+        row, sign = perm, np.ones(len(perm))
+        # as a matrix it is orthogonal, but not its own inverse
+        u = signed_permutation(row, sign)
+        assert np.array_equal(u @ u.T, np.eye(len(perm))) and not np.array_equal(u @ u, np.eye(len(perm)))
+        return row, sign
 
     monkeypatch.setattr(verify, "flip_unitary", cycled)
     rep = run_suite("flip-endpoints", SweepConfig(dim=1, level=4, t_grid=(1.0, 2.0)))
@@ -553,12 +645,21 @@ def _koszul_sign_on_even_legs(tensor):
     return lambda a, b: -tensor(a, b) if b.degree else tensor(a, b)
 
 
+def _swap_sign_dropped(unitary):
+    """flip_unitary with every sign +1."""
+    def mutant(la, lb):
+        row, sign = unitary(la, lb)
+        return row, np.abs(sign)
+    return mutant
+
+
 def _even_even_swap(unitary):
     """flip_unitary with its sign on the pairs of even vectors instead of the pairs of odd ones."""
     def mutant(la, lb):
         i, j = graded.tensor_pairs(la, lb)
         both_even = (1 - (np.asarray(la)[i] & 1)) & (1 - (np.asarray(lb)[j] & 1))
-        return np.abs(unitary(la, lb)) * (1.0 - 2.0 * both_even)
+        row, sign = unitary(la, lb)
+        return row, np.abs(sign) * (1.0 - 2.0 * both_even)
     return mutant
 
 
@@ -571,7 +672,7 @@ SIGN_MUTANTS = {
                            {"two assembly routes", "flip multiplicativity"}),
     "flip, sign negated": ("flip_simple", lambda f: lambda a, b: -f(a, b),
                            {"two assembly routes", "flip multiplicativity"}),
-    "swap, sign dropped": ("flip_unitary", lambda u: lambda la, lb: np.abs(u(la, lb)), {"two assembly routes"}),
+    "swap, sign dropped": ("flip_unitary", _swap_sign_dropped, {"two assembly routes"}),
     "swap, sign on even pairs": ("flip_unitary", _even_even_swap, {"two assembly routes"}),
 }
 
@@ -582,6 +683,11 @@ def test_flip_endpoints_gates_fail_on_a_wrong_sign(name, monkeypatch):
     # the product gates are stated on simple tensors, so they see the signs of the tensor and the flip
     attr, mutate, expected = SIGN_MUTANTS[name]
     mutant = mutate(getattr(graded, attr))
+    if attr == "flip_unitary":
+        # a swap mutant moves signs only: as a matrix it is the oracle's swap up to the sign of its entries
+        la, lb = np.array([0, 1, 3, 2, 1]), np.array([1, 0, 2, 3])
+        u, swap = signed_permutation(*mutant(la, lb)), dense_flip(la, lb)
+        assert np.array_equal(np.abs(u), np.abs(swap)) and not np.array_equal(u, swap)
     monkeypatch.setattr(graded, attr, mutant)
     monkeypatch.setattr(verify, attr, mutant)
     rep = run_suite("flip-endpoints", SweepConfig(dim=1, level=4, t_grid=(1.0, 2.0, 4.0)))
@@ -894,15 +1000,15 @@ def test_conjugation_by_index_equals_the_signed_swap_product():
     for la, lb in cases:
         labels = graded.tensor_labels(la, lb)
         assert np.array_equal(graded.tensor_labels(lb, la), labels)
-        u = flip_unitary(np.array(la), np.array(lb))
+        u = dense_flip(np.array(la), np.array(lb))
         index = graded.label_index(labels, 1 << graded._label_bits(labels))
-        conjugate = verify._conjugator(u, labels, index)
+        conjugate = verify._conjugator(*flip_unitary(np.array(la), np.array(lb)), labels, index)
         for degree in (0, 1):
             blocks = [rng.standard_normal((len(i), len(index[r ^ degree]))) for r, i in enumerate(index)]
             x = GradedMatrix.from_blocks(degree, blocks, labels, index)
             got = conjugate(x)
-            assert got.degree == degree
-            assert np.array_equal(got.mat, u @ x.mat @ u.T)
+            assert all(b.flags.writeable for b in got)
+            assert np.array_equal(GradedMatrix.from_blocks(degree, got, labels, index).mat, u @ x.mat @ u.T)
 
 
 # ---------------------------------------------------------------------------
