@@ -15,6 +15,10 @@ sends its reports, or its exception, back through a second pipe and always
 leaves by ``os._exit``; the calling process kills it if its own suite
 raised, reaps it, gets its CPU set back, and writes every report.  With one
 suite or one CPU the same loop runs in the calling process alone.
+
+Before the fork, so that the worker inherits them, the CLI raises glibc's mmap
+and trim thresholds, so that what a sweep frees at one grid point stays in the
+heap for the next; ``run_suite`` leaves a library caller's allocator alone.
 """
 
 from __future__ import annotations
@@ -106,6 +110,19 @@ def _pin_blas_threads() -> bool:
         set_threads(1)
         return True
     return False
+
+
+def _keep_freed_heap() -> bool:
+    """Set glibc's mmap threshold (``M_MMAP_THRESHOLD``, -3) to 4 MiB and its trim threshold
+    (``M_TRIM_THRESHOLD``, -1) to 8 MiB, so that the 117-187 KB blocks a sweep frees are neither
+    unmapped nor trimmed; both, since setting one stops glibc from raising the other.  False where
+    ``mallopt`` is missing or refuses them."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(-3, 4 << 20) == 1, mallopt(-1, 8 << 20) == 1])  # a list: both are set
 
 
 def _atomic_write(path: str, data: str):
@@ -210,6 +227,7 @@ def run(command: str, args) -> int:
     if not _pin_blas_threads():
         print("note: no bundled OpenBLAS to set to one thread; reports can differ in the last "
               "digits between BLAS thread counts", file=sys.stderr)
+    _keep_freed_heap()  # before the fork, so the worker keeps its freed heap too
     reports = _run_suites(suite_ids, cfg)
 
     outputs = {}

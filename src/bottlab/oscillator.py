@@ -79,6 +79,12 @@ def _gh_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(x), _frozen(w)
 
 
+@lru_cache(maxsize=16)
+def _gh_rows(kmax: int, count: int) -> np.ndarray:
+    """:func:`hermite_rows` through ``kmax`` at the ``count`` Gauss-Hermite nodes, read-only."""
+    return _frozen(hermite_rows(kmax, _gh_nodes(count)[0]))
+
+
 def hermite_rows(kmax: int, x: np.ndarray) -> np.ndarray:
     """Values of the Gaussian-stripped normalized Hermite functions.
 
@@ -124,8 +130,8 @@ class HermiteBasis:
     2^dim + blade_mask, with multi-indices sorted by total level then
     lexicographically.  The half (dim >= 2) is the sub-basis of the states
     whose ``R_2`` sign bit, label bit 1, is clear, in the same order; its
-    labels are theirs without that bit, and ``size``, ``states``, ``parity``,
-    ``labels`` and ``interior_mask`` describe its states only.
+    labels are theirs without that bit, and ``size``, ``states``, ``parity``
+    and ``labels`` describe its states only.
     """
 
     dim: int
@@ -178,10 +184,6 @@ class HermiteBasis:
         on axis i + 1, and bit n its R_1 sign bit; in the half, bit 1 (clear) is dropped."""
         labels = _full_labels(self.dim, self.level)[self.states()]
         return labels & 1 | labels >> 2 << 1 if self.half else labels
-
-    def interior_mask(self, depth: int = 2) -> np.ndarray:
-        """Boolean mask of the states with total level <= level - depth."""
-        return np.repeat([sum(m) <= self.level - depth for m in self.mindices], self.blade_count)[self.states()]
 
 
 def _full_labels(dim: int, level: int) -> np.ndarray:
@@ -237,20 +239,27 @@ class OscillatorRep:
         """
         if not 0 <= depth <= self.basis.level:
             raise ValueError(f"window depth must lie in 0..{self.basis.level}, got {depth}")
-        mask = self.basis.interior_mask(depth)
-        fine = [int(np.count_nonzero(mask[i])) for i in self.bott.index]
-        count = count or len(fine)
-        return tuple(sum(fine[c::count]) for c in range(count))
+        return _window(self.basis, depth, count or self.basis.label_count)
+
+
+@lru_cache(maxsize=64)
+def _window(basis: HermiteBasis, depth: int, count: int) -> tuple:
+    """:meth:`OscillatorRep.window`, from the total level of every state of each label."""
+    return tuple(int(np.count_nonzero(sum(ks) <= basis.level - depth)) for ks in _label_layout(basis, count)[4])
 
 
 @lru_cache(maxsize=16)
 def _label_layout(basis: HermiteBasis, count: int) -> tuple:
-    """The labels ``basis.labels() & (count - 1)``, their ``label_index``, and the spatial state and
-    the blade of every state of each label, read-only and shared by every operator held on them."""
+    """The labels ``basis.labels() & (count - 1)``, their ``label_index``, and per label the bytes of
+    its spatial states, the blade of every state, and the Hermite index on each axis of every state,
+    all read-only and shared by every operator held on them."""
     labels = _frozen((basis.labels() & (count - 1)).astype(np.uint16))
     index = label_index(labels, count)
     states, blades = zip(*(map(_frozen, np.divmod(basis.states()[i], basis.blade_count)) for i in index))
-    return labels, index, states, blades
+    k = np.array(basis.mindices)
+    sets = tuple(m.tobytes() for m in states)
+    axes = tuple(tuple(_frozen(k[m, i]) for i in range(basis.dim)) for m in states)
+    return labels, index, sets, blades, axes
 
 
 def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int = 0) -> GradedMatrix:
@@ -265,18 +274,17 @@ def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int 
     formed, so every term must commute with the reflections the labels hold.
     """
     count = count or basis.label_count
-    labels, index, states, blades = _label_layout(basis, count)
-    k = np.array(basis.mindices)
+    labels, index, sets, blades, axes = _label_layout(basis, count)
     # the labels share few sets of states (one level parity each, or all of them), and each term's
     # spatial block between two sets is formed once
-    sets, spatial = [m.tobytes() for m in states], {}
+    spatial = {}
 
-    def block(r: int, t: int, axes, blade_op) -> np.ndarray:
-        rows, cols = states[r], states[r ^ degree]
-        key = t, sets[r], sets[r ^ degree]
+    def block(r: int, t: int, ops, blade_op) -> np.ndarray:
+        c = r ^ degree
+        key = t, sets[r], sets[c]
         if key not in spatial:
-            spatial[key] = reduce(np.multiply, [a[k[rows, i][:, None], k[cols, i]] for i, a in enumerate(axes)])
-        return spatial[key] * blade_op[blades[r][:, None], blades[r ^ degree]]
+            spatial[key] = reduce(np.multiply, [a.take(axes[r][i], 0).take(axes[c][i], 1) for i, a in enumerate(ops)])
+        return spatial[key] * blade_op.take(blades[r], 0).take(blades[c], 1)
 
     blocks = [sum(block(r, t, *term) for t, term in enumerate(terms)) for r in range(count)]
     return GradedMatrix.from_blocks(degree, blocks, labels, index)
@@ -333,6 +341,18 @@ def volume_pairing_residual(rep: OscillatorRep) -> float:
         for r, block in enumerate(op.blocks):
             paired = sign * signs[r][:, None] * block * signs[r ^ op.degree][None, :]
             worst.append(np.abs(op.blocks[r ^ mask] - paired).max(initial=0.0))
+    return float(np.max(worst, initial=0.0))
+
+
+def fourier_gauge_residual(rep: OscillatorRep) -> float:
+    """The largest entry of ``S C S - D`` over the blocks of C and D, for the diagonal Fourier gauge
+    ``S = prod_i (-1)^floor((k_i + b_i) / 2)`` on the state of Hermite indices k and blade b, the
+    rotation by pi/2 in every (x_i, d/dx_i) plane.  Exactly 0 when D has its sign; NaN on a NaN."""
+    basis = rep.basis
+    _, _, _, blades, axes = _label_layout(basis, basis.label_count)  # the labels C and D are held on
+    signs = [1.0 - 2.0 * (sum((k + (b >> i & 1)) >> 1 for i, k in enumerate(ks)) & 1) for b, ks in zip(blades, axes)]
+    worst = [np.abs(signs[r][:, None] * c * signs[r ^ 1][None, :] - d).max(initial=0.0)
+             for r, (c, d) in enumerate(zip(rep.clifford.blocks, rep.dirac.blocks))]
     return float(np.max(worst, initial=0.0))
 
 
@@ -516,8 +536,8 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     """
     if h.dim != basis.dim:
         raise ValueError(f"function dimension {h.dim} != basis dimension {basis.dim}")
-    x, w = _gh_nodes(nodes if nodes is not None else 2 * basis.level + 16)
-    rows = hermite_rows(basis.level, x)
+    count = nodes if nodes is not None else 2 * basis.level + 16
+    (x, w), rows = _gh_nodes(count), _gh_rows(basis.level, count)
     terms = [(tuple((rows * (w * g(x))) @ rows.T for g in axis_fns),
               left_mult_operator(basis.sig, c)) for c, axis_fns in h.terms]
     r1 = all(axis_fns[0].parity == c & 1 for c, axis_fns in h.terms)

@@ -63,6 +63,7 @@ from .oscillator import (
     b_squared_identity_check,
     compactness_profile,
     context_bytes,
+    fourier_gauge_residual,
     level_multiplicity,
     multiplication_operator,
     oscillator_rep,
@@ -410,8 +411,9 @@ def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
                    {"relation-residual": values}, tol, gates, notes)
 
 
-def _paired_half(cfg: SweepConfig) -> tuple[OscillatorRep, Gate]:
-    """The context the C/D curve suites norm on, and the gate that licenses it.
+def _paired_half(cfg: SweepConfig) -> tuple[OscillatorRep, list[Gate]]:
+    """The context the C/D curve suites norm on, the gate that licenses it, and the gate that fixes
+    the sign of D.
 
     Every curve matrix of these suites is built from C, D and multiplication
     operators, all of which commute with ``R_2``, and ``rho(omega)``, right
@@ -420,14 +422,16 @@ def _paired_half(cfg: SweepConfig) -> tuple[OscillatorRep, Gate]:
     swapping the ``R_2 = +1`` and ``-1`` halves.  So at dim >= 2 its norm is
     its norm on the ``R_2 = +1`` half, :attr:`OscillatorRep.half`; at dim 1
     the labels hold no ``R_2`` and the suites run on the whole space.  The
-    gate reads :func:`volume_pairing_residual` at every dim, bound 0.
+    gate reads :func:`volume_pairing_residual` at every dim, bound 0; it holds
+    for -D too, and :func:`fourier_gauge_residual`, bound 0, reads the sign.
     """
     rep = oscillator_rep(cfg.dim, cfg.level)
-    gate = Gate("volume-element pairing", volume_pairing_residual(rep), 0.0)
-    return (rep if rep.half is None else rep.half), gate
+    return (rep if rep.half is None else rep.half), [
+        Gate("volume-element pairing", volume_pairing_residual(rep), 0.0),
+        Gate("Fourier gauge S·C·S = D", fourier_gauge_residual(rep), 0.0)]
 
 
-def _commutator_suite(cfg: SweepConfig, suite_id: str, matrices, pairing: Gate) -> VerificationReport:
+def _commutator_suite(cfg: SweepConfig, suite_id: str, matrices, symmetries: list[Gate]) -> VerificationReport:
     """Decay of the commutator curves ``matrices(t)`` yields, on the envelope and on each curve."""
     rel = 0.25
     ts = cfg.t_grid
@@ -440,14 +444,14 @@ def _commutator_suite(cfg: SweepConfig, suite_id: str, matrices, pairing: Gate) 
         Gate("envelope final", envelope[-1], tol_abs),
         Gate("envelope non-increasing after t=2", monotone_after(ts, envelope)),
         *crosscheck,
-        pairing,
+        *symmetries,
     ]
     return _report(suite_id, cfg.params_dict(), ts, curves, tol_abs, gates, ["norms on interior window"], fit)
 
 
 def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
     """Decay of [f(t^{-1}D), M_{h_t}] for the generators against each symbol."""
-    rep, pairing = _paired_half(cfg)
+    rep, symmetries = _paired_half(cfg)
     gens = (("u", gaussian()), ("v", x_gaussian()))
     hs = named_symbols(cfg.dim)
 
@@ -460,12 +464,12 @@ def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
             for a, fa in fd.items():
                 yield f"[{a}(D/t),M_{h.name}]", graded_commutator(regroup(fa, count), mh, rep.window(2, count))
 
-    return _commutator_suite(cfg, "dirac-commutator", matrices, pairing)
+    return _commutator_suite(cfg, "dirac-commutator", matrices, symmetries)
 
 
 def suite_cd_commutator(cfg: SweepConfig) -> VerificationReport:
     """Decay of [f(t^{-1}C), g(t^{-1}D)] for all four generator pairs."""
-    rep, pairing = _paired_half(cfg)
+    rep, symmetries = _paired_half(cfg)
     gens = (("u", gaussian()), ("v", x_gaussian()))
 
     w = rep.window()
@@ -477,7 +481,7 @@ def suite_cd_commutator(cfg: SweepConfig) -> VerificationReport:
             for b, gb in fd.items():
                 yield f"[{a}(C/t),{b}(D/t)]", graded_commutator(fc, gb, w)
 
-    return _commutator_suite(cfg, "cd-commutator", matrices, pairing)
+    return _commutator_suite(cfg, "cd-commutator", matrices, symmetries)
 
 
 def mehler_coefficients(s: float) -> tuple[float, float]:
@@ -500,7 +504,7 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
     the cut, so it is measured on a deep observation window (total level
     <= max(2, level//3)) and the tolerance scales with the level.
     """
-    rep, pairing = _paired_half(cfg)
+    rep, symmetries = _paired_half(cfg)
     window_cap = max(2, cfg.level // 3)
     depth = cfg.level - window_cap
     tol = _mehler_tol(cfg.level)
@@ -526,7 +530,7 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
         Gate("residual non-increasing as s falls",
              monotone_after(range(len(envelope)), envelope, start=0.0)),
         *crosscheck,
-        pairing,
+        *symmetries,
     ]
     s1_top, s2_top = mehler_coefficients(MEHLER_S[0])
     notes = [
@@ -543,7 +547,7 @@ def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
     For X in {C, D} and both coefficients: plain and t^{-1}X-weighted norms
     of exp(-coef/2 X^2) - exp(-t^{-2}/2 X^2) along the t-grid.
     """
-    rep, pairing = _paired_half(cfg)
+    rep, symmetries = _paired_half(cfg)
     tol = 1e-3
     w = rep.window()
 
@@ -568,7 +572,7 @@ def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
         Gate(f"coefficient defect |s1 - t^-2| at t={t_ref:g} (bound t^-6)",
              abs(mehler_coefficients(t_ref ** -2)[0] - t_ref ** -2), t_ref ** -6),
         *crosscheck,
-        pairing,
+        *symmetries,
     ]
     return _report("s1s2-asymptotics", cfg.params_dict(), ts, curves, tol, gates,
                    ["t=1 datapoint recorded without any claim"], decay_fit(ts, envelope))

@@ -204,6 +204,11 @@ def _dense_function(f, x: np.ndarray) -> np.ndarray:
     return (q * f(w)) @ q.T
 
 
+def interior_mask(basis: HermiteBasis, depth: int = 2) -> np.ndarray:
+    """Boolean mask of the basis states with total level <= level - depth."""
+    return np.repeat([sum(m) <= basis.level - depth for m in basis.mindices], basis.blade_count)[basis.states()]
+
+
 def dense_curve_norms(suite: str, dim: int, level: int, xs) -> dict:
     """The curves of ``dirac-commutator``, ``cd-commutator``, ``s1s2-asymptotics`` or ``mehler`` at
     the grid points xs (the t-grid, or mehler's s-grid), each the spectral norm of its window of a
@@ -216,7 +221,7 @@ def dense_curve_norms(suite: str, dim: int, level: int, xs) -> dict:
     gens = {"u": gaussian(), "v": x_gaussian()}
 
     def norm(m: np.ndarray, depth: int) -> float:
-        mask = basis.interior_mask(depth)
+        mask = interior_mask(basis, depth)
         return float(np.linalg.norm(m[np.ix_(mask, mask)], 2))
 
     def commutator(a, pa, b, pb):

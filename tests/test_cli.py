@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -538,6 +539,42 @@ def test_the_worker_inherits_the_blas_pin(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert {line.split()[0] for line in log.read_text().splitlines()} == {"caller", "worker"}
     assert (tmp_path / "threads.log").read_text().split() == ["1"] * 4
+
+
+def test_the_heap_thresholds_are_set_where_glibc_has_mallopt():
+    # in a child, so that the test process keeps its own allocator settings
+    code = "from bottlab.cli import _keep_freed_heap; print(_keep_freed_heap())"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    glibc = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+    assert proc.stdout.strip() == str(glibc)
+
+
+@pytest.mark.parametrize("missing", [AttributeError, OSError, TypeError])
+def test_the_heap_thresholds_are_skipped_without_mallopt(missing, monkeypatch):
+    # no mallopt in the C library (AttributeError), no C library to load (OSError), or no handle to
+    # the running program (TypeError)
+    def no_mallopt(name):
+        if missing is AttributeError:
+            return object()
+        raise missing("no C library")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_mallopt)
+    assert cli._keep_freed_heap() is False
+
+
+def test_run_sets_the_heap_thresholds_before_the_suites_and_run_suite_never_does(tmp_path, capsys, monkeypatch):
+    calls = []
+    run_suites = cli._run_suites
+    monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append("heap") or True)
+    monkeypatch.setattr(cli, "_run_suites", lambda *args: calls.append("suites") or run_suites(*args))
+    assert run_cli(["spectrum", "--levels", "6", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == ["heap", "suites"]
+    calls.clear()
+    run_suite("spectrum", SweepConfig(level=6))
+    assert calls == []
 
 
 def test_no_timestamps_inside_reports(tmp_path, capsys):

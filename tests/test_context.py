@@ -1,6 +1,7 @@
 """Tests for the cached operator context: immutability, spectral reuse, threads."""
 
 import dataclasses
+import json
 import sys
 import threading
 import time
@@ -14,6 +15,7 @@ from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, scale, x_
 from bottlab.graded import GradedMatrix
 from bottlab.oscillator import context_bytes, oscillator_rep
 from bottlab.verify import SUITES, SweepConfig, run_suite
+from oracles import interior_mask
 
 
 def _context_arrays(rep) -> dict:
@@ -26,6 +28,28 @@ def _context_arrays(rep) -> dict:
     for name in ("C", "D", "B", "H"):
         eig = ops[name].eig  # (w, Q) per label when even, (U, s, V) per even label when odd
         arrays.update({f"eig{name}{i}": a for i, a in enumerate(a for part in eig for a in part)})
+    return arrays
+
+
+# the t-invariant plans of operator assembly, shared by every grid point
+PLAN_CACHES = {"window": oscillator._window, "label layout": oscillator._label_layout,
+               "Hermite rows": oscillator._gh_rows}
+
+
+def _plan_arrays(rep) -> dict:
+    """Every array of the cached plans a sweep on the context reads: the label layouts of its labels
+    and of the coarser labels without ``R_1``, and the default Hermite rows."""
+    def leaves(x, path):
+        if isinstance(x, np.ndarray):
+            yield path, x
+        elif isinstance(x, tuple):
+            for i, y in enumerate(x):
+                yield from leaves(y, f"{path}[{i}]")
+
+    basis, arrays = rep.basis, {}
+    for count in (basis.label_count, basis.label_count >> 1):
+        arrays.update(leaves(oscillator._label_layout(basis, count), f"layout{count}"))
+    arrays["Hermite rows"] = oscillator._gh_rows(basis.level, 2 * basis.level + 16)
     return arrays
 
 
@@ -56,10 +80,33 @@ def test_context_arrays_are_read_only(dim, level):
     rep = oscillator_rep(dim, level)
     assert (rep.half is None) == (dim == 1)
     for ctx in (rep, rep.half) if dim > 1 else (rep,):
-        for name, a in _context_arrays(ctx).items():
+        for name, a in {**_context_arrays(ctx), **_plan_arrays(ctx)}.items():
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
             assert not a.flags.writeable, name
+        window = ctx.window(2, 2)
+        assert isinstance(window, tuple) and window is ctx.window(2, 2)
+
+
+def test_each_assembly_plan_is_built_once_per_key():
+    # from cold caches: the sweeps of two suites at (2,6) build every plan they read once per key (no
+    # key is dropped and rebuilt), a second run builds none, and the reports of the cold run and the
+    # warm one are byte-identical
+    oscillator_rep.cache_clear()
+    for cache in PLAN_CACHES.values():
+        cache.cache_clear()
+    cfg = SweepConfig(dim=2, level=6, t_grid=(1.0, 2.0, 4.0))
+    suites = ("dirac-commutator", "flip-endpoints")
+    cold = [run_suite(suite, cfg) for suite in suites]
+    built = {name: cache.cache_info() for name, cache in PLAN_CACHES.items()}
+    warm = [run_suite(suite, cfg) for suite in suites]
+    for name, cache in PLAN_CACHES.items():
+        info = cache.cache_info()
+        assert info.misses == built[name].misses == info.currsize > 0, (name, info)
+        assert info.hits > built[name].hits, name
+    for a, b in zip(cold, warm):
+        assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+        assert a.csv_rows() == b.csv_rows()
 
 
 def test_context_fields_cannot_be_rebound():
@@ -104,7 +151,7 @@ def test_window_is_a_leading_segment(dim, level):
     full = np.arange(rep.basis.size)
     m = np.add.outer(full, 1000 * full).astype(float)
     for depth in range(level + 1):
-        mask = rep.basis.interior_mask(depth)
+        mask = interior_mask(rep.basis, depth)
         window = rep.window(depth)
         size = sum(window)
         assert np.array_equal(m[:size, :size], m[np.ix_(mask, mask)])

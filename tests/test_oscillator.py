@@ -37,7 +37,7 @@ from bottlab.oscillator import (
     spectrum,
 )
 from bottlab.verify import _gaussian_bott_map, named_symbols
-from oracles import bott_map, bump_coeffs, fsum, grid_multiplication_operator, symbol_values
+from oracles import bott_map, bump_coeffs, fsum, grid_multiplication_operator, interior_mask, symbol_values
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_basis_parity_and_levels():
     # complete and never truncated
     idx = basis.mindices.index((1, 2)) * basis.blade_count + 0b11
     assert tot[idx] == 3
-    interior = basis.interior_mask()
+    interior = interior_mask(basis)
     assert np.array_equal(interior, tot <= basis.level - 2)
 
 

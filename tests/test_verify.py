@@ -40,8 +40,8 @@ from bottlab.verify import (
     svd_norm,
     windowed_norm,
 )
-from oracles import (bott_map, clifford_product, dense_curve_norms, dense_flip, fmul, fprod, fsum, signed_permutation,
-                     sup_norm, symbol_values, tensor_parity)
+from oracles import (bott_map, clifford_product, dense_curve_norms, dense_flip, fmul, fprod, fsum, interior_mask,
+                     signed_permutation, sup_norm, symbol_values, tensor_parity)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_norm_cross_check_catches_a_forged_norm_certificate(suite, config, monke
 def test_windowed_norm_matches_manual_restriction():
     rep = oscillator_rep(1, 8)
     m = (rep.bott @ rep.bott).mat
-    mask = rep.basis.interior_mask()
+    mask = interior_mask(rep.basis)
     manual = np.linalg.norm(m[np.ix_(mask, mask)], 2)
     assert windowed_norm(GradedMatrix(m, rep.basis.parity()), rep) == manual
     assert windowed_norm(rep.bott @ rep.bott, rep) == manual
@@ -156,7 +156,7 @@ def test_windowed_norm_matches_dense_window_norm(seed, config, depth, degree):
     depth = rep.basis.level if depth == "level" else depth
     rng = np.random.default_rng(seed)
     par = rep.basis.parity()
-    mask = rep.basis.interior_mask(depth)
+    mask = interior_mask(rep.basis, depth)
     m = rng.standard_normal((rep.basis.size, rep.basis.size))
     mix = par[:, None] ^ par[None, :]
     if degree in (0, 1):
@@ -257,14 +257,15 @@ def _rank_relation_residual(value, monkeypatch):
     return run_suite("clifford-iso", SweepConfig()).curves["relation-residual"][1]
 
 
-def _pairing_residual(value, monkeypatch):
-    # D at (2,4) with the value added to an entry of its last block
-    rep = oscillator_rep(2, 4)
-    blocks = [b.copy() for b in rep.dirac.blocks]
-    blocks[-1][0, 0] += value
-    dirac = GradedMatrix.from_blocks(1, blocks, rep.dirac.labels, rep.dirac.index)
-    return oscillator.volume_pairing_residual(OscillatorRep(rep.basis, rep.clifford, dirac, rep.bott, rep.number,
-                                                            rep.harmonic))
+def _dirac_residual(residual):
+    def read(value, monkeypatch):
+        # D at (2,4) with the value added to an entry of its last block
+        rep = oscillator_rep(2, 4)
+        blocks = [b.copy() for b in rep.dirac.blocks]
+        blocks[-1][0, 0] += value
+        dirac = GradedMatrix.from_blocks(1, blocks, rep.dirac.labels, rep.dirac.index)
+        return residual(OscillatorRep(rep.basis, rep.clifford, dirac, rep.bott, rep.number, rep.harmonic))
+    return read
 
 
 def _grading_residual(value, monkeypatch):
@@ -283,7 +284,8 @@ NAN_RESIDUALS = {
     "largest difference": _largest_difference,
     "matrix relation residual": _relation_residual,
     "relation residual of a rank": _rank_relation_residual,
-    "volume pairing residual": _pairing_residual,
+    "volume pairing residual": _dirac_residual(oscillator.volume_pairing_residual),
+    "Fourier gauge residual": _dirac_residual(oscillator.fourier_gauge_residual),
     "grading residual": _grading_residual,
 }
 
@@ -776,6 +778,7 @@ def test_verdict_is_the_conjunction_of_the_gate_notes(suite, config):
 # relative to the report.  A looser bound is a change to this table, never a silent one
 CROSS_CHECK = (r"norm cross-check \(block norm vs SVD, 3 samples\)", 1e-8)
 PAIRING = (r"volume-element pairing", 0.0)
+GAUGE = (r"Fourier gauge S·C·S = D", 0.0)
 GATE_BOUNDS = {
     "clifford-iso": [(r"relation residual for every signature of rank <= 5", 1e-10),
                      (r"rank-8 embedding residual", 1e-10),
@@ -783,13 +786,13 @@ GATE_BOUNDS = {
     "spectrum": [(r"cluster deviation from the even-integer ladder", 1e-8),
                  (r"squared-supercharge identity residual on interior", 1e-12)],
     "dirac-commutator": [(r"\[[uv]\(D/t\),M_(uP|vP|bump)\] final/initial", 0.25),
-                         (r"envelope final", lambda rep: 0.25 * rep.datapoints[0][1]), CROSS_CHECK, PAIRING],
+                         (r"envelope final", lambda rep: 0.25 * rep.datapoints[0][1]), CROSS_CHECK, PAIRING, GAUGE],
     "cd-commutator": [(r"\[[uv]\(C/t\),[uv]\(D/t\)\] final/initial", 0.25),
-                      (r"envelope final", lambda rep: 0.25 * rep.datapoints[0][1]), CROSS_CHECK, PAIRING],
-    "mehler": [(r"factorization residual at every s", 1e-3), CROSS_CHECK, PAIRING],  # the level-8 bound
+                      (r"envelope final", lambda rep: 0.25 * rep.datapoints[0][1]), CROSS_CHECK, PAIRING, GAUGE],
+    "mehler": [(r"factorization residual at every s", 1e-3), CROSS_CHECK, PAIRING, GAUGE],  # the level-8 bound
     "s1s2-asymptotics": [(r"final value of every curve", 1e-3),
                          (r"coefficient defect \|s1 - t\^-2\| at t=16 \(bound t\^-6\)", 16.0 ** -6),
-                         CROSS_CHECK, PAIRING],
+                         CROSS_CHECK, PAIRING, GAUGE],
     "composition-gamma": [(r"gamma-[uv] final/initial", 1e-2),
                           (r"multiplication = position calculus \(9 nodes\)", 1e-6), CROSS_CHECK],
     "homotopy-projection": [(r"envelope at the smallest s", 1e-6),
@@ -867,6 +870,7 @@ def test_verdict_grid(suite, config):
     assert rep.passed == (suite not in VERDICT_FAILURES[config]), rep.notes
     if suite in HALVED_SUITES:
         assert "gate volume-element pairing: 0.000e+00 <= 0.000e+00 ok" in rep.notes
+        assert "gate Fourier gauge S·C·S = D: 0.000e+00 <= 0.000e+00 ok" in rep.notes
 
 
 @pytest.mark.parametrize("config", [(1, 8), (2, 6)])
@@ -962,6 +966,26 @@ def test_pairing_gate_fails_on_a_sign_flipped_in_the_twisted_right_multiplicatio
         for suite in HALVED_SUITES:
             rep = run_suite(suite, cfg)
             assert _pairing_note(rep).endswith(" FAIL") and not rep.passed, rep.notes
+    finally:
+        oscillator_rep.cache_clear()
+
+
+@pytest.mark.parametrize("config", [(2, 6), (3, 4)])
+def test_gauge_gate_fails_on_a_negated_dirac_operator(config, monkeypatch):
+    # rho(omega) anticommutes with -D as with D, so the pairing cannot see the sign of D; S C S = D can
+    real = oscillator.dirac_operator
+    cfg = SweepConfig(dim=config[0], level=config[1], t_grid=(1.0, 2.0, 4.0))
+    gauge = "gate Fourier gauge S·C·S = D: "
+    for suite in HALVED_SUITES:
+        assert f"{gauge}0.000e+00 <= 0.000e+00 ok" in run_suite(suite, cfg).notes
+    oscillator_rep.cache_clear()
+    monkeypatch.setattr(oscillator, "dirac_operator", lambda basis: -real(basis))
+    try:
+        for suite in HALVED_SUITES:
+            rep = run_suite(suite, cfg)
+            (note,) = [n for n in rep.notes if n.startswith(gauge)]
+            assert note.endswith(" FAIL") and not rep.passed, rep.notes
+            assert _pairing_note(rep).endswith(" ok")
     finally:
         oscillator_rep.cache_clear()
 
