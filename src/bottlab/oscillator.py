@@ -10,9 +10,10 @@ degree provides the grading.  On it live the odd operators
     B = C + D                                 (the supercharge)
 
 where lambda is left multiplication and rho~ the grading-twisted right
-multiplication.  The square B^2 = C^2 + D^2 + N holds exactly on the
-interior window (total level <= level - 2); outside it, truncation edge
-effects appear, which is why every spectral statement here is windowed.
+multiplication; the Fourier gauge S swaps C and D
+(:meth:`OscillatorRep.gauge`).  The square B^2 = C^2 + D^2 + N holds exactly
+on the interior window (total level <= level - 2); outside it, truncation
+edge effects appear, which is why every spectral statement here is windowed.
 
 The reflection ``R_i = (-1)^{k_i} (x) lambda(e_i) rho~(e_i)``, the sign
 ``(-1)^(k_i + b_i)`` of Hermite index k_i and blade bit b_i on axis i,
@@ -48,7 +49,6 @@ import numpy as np
 
 from .clifford import (
     Signature,
-    blade_parities,
     blade_parity,
     blade_square_sign,
     left_mult_operator,
@@ -57,7 +57,7 @@ from .clifford import (
     twisted_right_mult_operator,
 )
 from .funcalc import GradedFunction, SpectralMatrix, matrix_function, scale
-from .graded import GradedMatrix, _as_symmetric, _frozen, label_index, regroup, window_product
+from .graded import GradedMatrix, _as_symmetric, _check_symmetric, _frozen, label_index, regroup, window_product
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +130,8 @@ class HermiteBasis:
     2^dim + blade_mask, with multi-indices sorted by total level then
     lexicographically.  The half (dim >= 2) is the sub-basis of the states
     whose ``R_2`` sign bit, label bit 1, is clear, in the same order; its
-    labels are theirs without that bit, and ``size``, ``states``, ``parity``
-    and ``labels`` describe its states only.
+    labels are theirs without that bit, and ``size``, ``states`` and
+    ``labels`` describe its states only.
     """
 
     dim: int
@@ -175,10 +175,6 @@ class HermiteBasis:
         """The full basis index of every state, read-only."""
         return _states(self.dim, self.level, self.half)
 
-    def parity(self) -> np.ndarray:
-        """Blade parity of every state."""
-        return np.tile(blade_parities(self.sig), self.spatial_size)[self.states()]
-
     def labels(self) -> np.ndarray:
         """Label of every state: bit 0 its parity, bit i in 1..n-1 its R_(i+1) sign bit k + b mod 2
         on axis i + 1, and bit n its R_1 sign bit; in the half, bit 1 (clear) is dropped."""
@@ -211,19 +207,19 @@ def _states(dim: int, level: int, half: bool) -> np.ndarray:
 class OscillatorRep:
     """Immutable operator context on one truncated basis.
 
-    C, D, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: one
-    read-only block per label each, diagonalised per block at most once, on
-    first use, for every caller and thread that shares the context.  At
-    dim >= 2, ``half`` is the context of the ``R_2 = +1`` half: the same
-    operators on the labels with bit 1 clear, holding the same block objects
-    and sharing their eigensystems, so that no block is diagonalised twice
-    whether the whole operator or its half asks for it; it is None at dim 1
-    and in the half itself.
+    C, B and H = C^2 + D^2 are :class:`SpectralMatrix` objects: one read-only
+    block per label each, diagonalised per block at most once, on first use,
+    for every caller and thread that shares the context; D is read-only and
+    symmetric, and has no eigensystem (:meth:`gauge`).  At dim >= 2, ``half``
+    is the context of the ``R_2 = +1`` half: the same operators on the labels
+    with bit 1 clear, holding the very blocks and eigensystems of the whole
+    ones, so that no block is diagonalised twice, whichever asks first; it is
+    None at dim 1 and in the half itself.
     """
 
     basis: HermiteBasis
     clifford: SpectralMatrix  # position part C
-    dirac: SpectralMatrix     # derivative part D
+    dirac: GradedMatrix       # derivative part D = S C S
     bott: SpectralMatrix      # supercharge B = C + D
     number: GradedMatrix      # blade number operator N
     harmonic: SpectralMatrix  # H = C^2 + D^2
@@ -241,6 +237,21 @@ class OscillatorRep:
             raise ValueError(f"window depth must lie in 0..{self.basis.level}, got {depth}")
         return _window(self.basis, depth, count or self.basis.label_count)
 
+    def gauge(self, x: GradedMatrix) -> GradedMatrix:
+        """``S x S`` for the Fourier gauge ``S = prod_i (-1)^floor((k_i + b_i) / 2)``, the rotation by pi/2 in
+        every (x_i, d/dx_i) plane: ``S C S = D``, so ``f(D) = S f(C) S``.  x is on the labels of C, coarser
+        ones or a window, and keeps its ``mirrored`` flag and symmetry verdict; of a symmetric mirrored x only
+        the even labels are signed, and the odd ones transposed."""
+        signs, d = _label_layout(self.basis, len(x.index))[5], x.degree
+        mirror = bool(x.mirrored and x._symmetric)
+        blocks = list(x.blocks)
+        for r in range(0, len(blocks), 1 + mirror):
+            blocks[r] = signs[r][:len(blocks[r]), None] * blocks[r] * signs[r ^ d][:blocks[r].shape[1]]
+            if mirror:
+                blocks[r ^ 1] = blocks[r].T
+        out = GradedMatrix.from_blocks(d, blocks, x.labels, x.index, x.mirrored)
+        return _as_symmetric(out) if x._symmetric else out
+
 
 @lru_cache(maxsize=64)
 def _window(basis: HermiteBasis, depth: int, count: int) -> tuple:
@@ -251,15 +262,17 @@ def _window(basis: HermiteBasis, depth: int, count: int) -> tuple:
 @lru_cache(maxsize=16)
 def _label_layout(basis: HermiteBasis, count: int) -> tuple:
     """The labels ``basis.labels() & (count - 1)``, their ``label_index``, and per label the bytes of
-    its spatial states, the blade of every state, and the Hermite index on each axis of every state,
-    all read-only and shared by every operator held on them."""
+    its spatial states, the blade, the Hermite index on each axis and the Fourier gauge's sign of every
+    state, all read-only and shared by every operator held on them."""
     labels = _frozen((basis.labels() & (count - 1)).astype(np.uint16))
     index = label_index(labels, count)
     states, blades = zip(*(map(_frozen, np.divmod(basis.states()[i], basis.blade_count)) for i in index))
     k = np.array(basis.mindices)
     sets = tuple(m.tobytes() for m in states)
     axes = tuple(tuple(_frozen(k[m, i]) for i in range(basis.dim)) for m in states)
-    return labels, index, sets, blades, axes
+    signs = tuple(_frozen((-1.0) ** sum((k + (b >> i & 1)) >> 1 for i, k in enumerate(ks)))
+                  for b, ks in zip(blades, axes))
+    return labels, index, sets, blades, axes, signs
 
 
 def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int = 0) -> GradedMatrix:
@@ -274,7 +287,7 @@ def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int 
     formed, so every term must commute with the reflections the labels hold.
     """
     count = count or basis.label_count
-    labels, index, sets, blades, axes = _label_layout(basis, count)
+    labels, index, sets, blades, axes, _ = _label_layout(basis, count)
     # the labels share few sets of states (one level parity each, or all of them), and each term's
     # spatial block between two sets is formed once
     spatial = {}
@@ -345,23 +358,16 @@ def volume_pairing_residual(rep: OscillatorRep) -> float:
 
 
 def fourier_gauge_residual(rep: OscillatorRep) -> float:
-    """The largest entry of ``S C S - D`` over the blocks of C and D, for the diagonal Fourier gauge
-    ``S = prod_i (-1)^floor((k_i + b_i) / 2)`` on the state of Hermite indices k and blade b, the
-    rotation by pi/2 in every (x_i, d/dx_i) plane.  Exactly 0 when D has its sign; NaN on a NaN."""
-    basis = rep.basis
-    _, _, _, blades, axes = _label_layout(basis, basis.label_count)  # the labels C and D are held on
-    signs = [1.0 - 2.0 * (sum((k + (b >> i & 1)) >> 1 for i, k in enumerate(ks)) & 1) for b, ks in zip(blades, axes)]
-    worst = [np.abs(signs[r][:, None] * c * signs[r ^ 1][None, :] - d).max(initial=0.0)
-             for r, (c, d) in enumerate(zip(rep.clifford.blocks, rep.dirac.blocks))]
-    return float(np.max(worst, initial=0.0))
+    """The largest entry of ``S C S - D`` (:meth:`OscillatorRep.gauge`): exactly 0 when D has its sign, NaN on a NaN."""
+    return float(np.max([abs(b).max(initial=0.0) for b in (rep.gauge(rep.clifford) - rep.dirac).blocks], initial=0.0))
 
 
 def context_bytes(dim: int, level: int) -> int:
     """An upper bound on the bytes of the context at (dim, level), from binomials: per pair of labels
     l, l ^ 1 (2^dim pairs, of ``S = C(level + dim, dim)`` states together), nine S x S arrays of
-    doubles, more than the blocks of C, D, B, N and H and the eigensystems of C, D, B (U and V per
-    even label) and H (w and Q per label) take on the pair's a + b = S states:
-    ``6ab + 6(a^2 + b^2) + 4S <= 9 S^2``."""
+    doubles, more than the blocks of C, D, B, N and H and the eigensystems of C, B (U and V per
+    even label) and H (w and Q per label) take on the pair's a + b = S states, ``6ab + 5(a^2 + b^2) + 3S
+    < 9 S^2``; kept from when D had U and V too, so that no configuration refused then is accepted."""
     return 8 * 9 * (1 << dim) * math.comb(level + dim, dim) ** 2
 
 
@@ -370,8 +376,8 @@ def _context(dim: int, level: int) -> OscillatorRep:
     basis = HermiteBasis(dim, level)
     c = clifford_operator(basis)
     d = dirac_operator(basis)
-    ops = (SpectralMatrix(c), SpectralMatrix(d), SpectralMatrix(c + d), blade_number_operator(basis),
-           SpectralMatrix(c @ c + d @ d))
+    _check_symmetric(d, "the Dirac operator")
+    ops = (SpectralMatrix(c), d, SpectralMatrix(c + d), blade_number_operator(basis), SpectralMatrix(c @ c + d @ d))
     if dim == 1:
         return OscillatorRep(basis, *ops)
     # the labels with bit 1, the R_2 sign, clear, in order: label j of the half is keep[j]

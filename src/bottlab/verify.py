@@ -412,18 +412,20 @@ def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
 
 
 def _paired_half(cfg: SweepConfig) -> tuple[OscillatorRep, list[Gate]]:
-    """The context the C/D curve suites norm on, the gate that licenses it, and the gate that fixes
-    the sign of D.
+    """The context the C/D curve suites norm on, and the gates that license it and every
+    ``f(D) = S f(C) S`` (:meth:`OscillatorRep.gauge`).
 
-    Every curve matrix of these suites is built from C, D and multiplication
-    operators, all of which commute with ``R_2``, and ``rho(omega)``, right
-    multiplication by the volume element, carries it to plus or minus itself
-    (it commutes with C and every ``M_h`` and anticommutes with D), while
-    swapping the ``R_2 = +1`` and ``-1`` halves.  So at dim >= 2 its norm is
-    its norm on the ``R_2 = +1`` half, :attr:`OscillatorRep.half`; at dim 1
-    the labels hold no ``R_2`` and the suites run on the whole space.  The
-    gate reads :func:`volume_pairing_residual` at every dim, bound 0; it holds
-    for -D too, and :func:`fourier_gauge_residual`, bound 0, reads the sign.
+    Every curve matrix is built from C, D and multiplication operators, which
+    commute with ``R_2``; ``rho(omega)``, right multiplication by the volume
+    element, commutes with C and every ``M_h``, anticommutes with D, and swaps
+    the ``R_2 = +1`` and ``-1`` halves, so at dim >= 2 a curve's norm is its
+    norm on the half, :attr:`OscillatorRep.half` (dim 1 holds no ``R_2``).
+    :func:`volume_pairing_residual` reads the pairing, which holds for -D too;
+    :func:`fourier_gauge_residual` reads ``S C S = D``, and so the sign.  The
+    gauge swaps C and D, fixes H and keeps every window and norm, so no curve
+    it carries to another is computed: ``s1s2-asymptotics`` has no D curves,
+    ``cd-commutator`` no ``[v(C/t),u(D/t)]`` (``S [u(C),v(D)] S =
+    -[v(C),u(D)]``) and ``mehler`` no ``d-outside`` (``S c-outside S``).
     """
     rep = oscillator_rep(cfg.dim, cfg.level)
     return (rep if rep.half is None else rep.half), [
@@ -456,7 +458,7 @@ def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
     hs = named_symbols(cfg.dim)
 
     def matrices(t):
-        fd = {a: matrix_function(scale(f, t), rep.dirac) for a, f in gens}
+        fd = {a: rep.gauge(matrix_function(scale(f, t), rep.clifford)) for a, f in gens}
         for h in hs:
             # the bump breaks R_1: f(D/t) joins it on its coarser labels
             mh = multiplication_operator(rescale(h, t), rep.basis)
@@ -468,18 +470,15 @@ def suite_dirac_commutator(cfg: SweepConfig) -> VerificationReport:
 
 
 def suite_cd_commutator(cfg: SweepConfig) -> VerificationReport:
-    """Decay of [f(t^{-1}C), g(t^{-1}D)] for all four generator pairs."""
+    """Decay of [f(t^{-1}C), g(t^{-1}D)] for the generator pairs but (v, u) (:func:`_paired_half`)."""
     rep, symmetries = _paired_half(cfg)
     gens = (("u", gaussian()), ("v", x_gaussian()))
 
-    w = rep.window()
-
     def matrices(t):
-        fd = {b: matrix_function(scale(g, t), rep.dirac) for b, g in gens}
-        for a, f in gens:
-            fc = matrix_function(scale(f, t), rep.clifford)
-            for b, gb in fd.items():
-                yield f"[{a}(C/t),{b}(D/t)]", graded_commutator(fc, gb, w)
+        fc = {a: matrix_function(scale(f, t), rep.clifford) for a, f in gens}
+        fd = {b: rep.gauge(x) for b, x in fc.items()}
+        for a, b in (("u", "u"), ("u", "v"), ("v", "v")):
+            yield f"[{a}(C/t),{b}(D/t)]", graded_commutator(fc[a], fd[b], rep.window())
 
     return _commutator_suite(cfg, "cd-commutator", matrices, symmetries)
 
@@ -498,11 +497,11 @@ def mehler_coefficients(s: float) -> tuple[float, float]:
 def suite_mehler(cfg: SweepConfig) -> VerificationReport:
     """Sandwich factorization of the harmonic semigroup at small s.
 
-    Compares exp(-s(C^2+D^2)) with exp(-s1/2 C^2) exp(-s2 D^2) exp(-s1/2 C^2)
-    and the variant with the roles of C and D exchanged.  The identity is
-    exact in the untruncated model; at finite level the residual lives near
-    the cut, so it is measured on a deep observation window (total level
-    <= max(2, level//3)) and the tolerance scales with the level.
+    Compares exp(-s(C^2+D^2)) with exp(-s1/2 C^2) exp(-s2 D^2) exp(-s1/2 C^2),
+    and so the variant with C and D exchanged (:func:`_paired_half`).  The
+    identity is exact in the untruncated model; at finite level the residual
+    lives near the cut, so it is measured on a deep observation window (total
+    level <= max(2, level//3)) and the tolerance scales with the level.
     """
     rep, symmetries = _paired_half(cfg)
     window_cap = max(2, cfg.level // 3)
@@ -518,9 +517,8 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
     def matrices(s):
         s1, s2 = mehler_coefficients(s)
         direct = matrix_function(GradedFunction(lambda x: np.exp(-s * x), None, "exp(-s x)"), rep.harmonic, w)
-        ec, ed = heat(s1 / 2.0, rep.clifford), heat(s1 / 2.0, rep.dirac)
-        yield "c-outside", direct - window_product(w, ec, heat(s2, rep.dirac), ec)
-        yield "d-outside", direct - window_product(w, ed, heat(s2, rep.clifford), ed)
+        ec = heat(s1 / 2.0, rep.clifford)
+        yield "c-outside", direct - window_product(w, ec, rep.gauge(heat(s2, rep.clifford)), ec)
 
     curves, crosscheck = _sweep(MEHLER_S, matrices)
     envelope = _envelope(curves)
@@ -544,22 +542,20 @@ def suite_mehler(cfg: SweepConfig) -> VerificationReport:
 def suite_s1s2_asymptotics(cfg: SweepConfig) -> VerificationReport:
     """Replacing the factorization coefficients by t^{-2} is harmless as t grows.
 
-    For X in {C, D} and both coefficients: plain and t^{-1}X-weighted norms
-    of exp(-coef/2 X^2) - exp(-t^{-2}/2 X^2) along the t-grid.
+    For both coefficients: plain and t^{-1}C-weighted norms of exp(-coef/2 C^2) -
+    exp(-t^{-2}/2 C^2) along the t-grid, which are also those of D (:func:`_paired_half`).
     """
     rep, symmetries = _paired_half(cfg)
     tol = 1e-3
     w = rep.window()
 
     def matrices(t):
-        for xname, op in (("C", rep.clifford), ("D", rep.dirac)):
-            for cname, coef in zip(("s1", "s2"), mehler_coefficients(t ** -2)):
-                defect = GradedFunction(
-                    lambda x: np.exp(-coef / 2.0 * x * x) - np.exp(-(t ** -2) / 2.0 * x * x),
-                    0, "exp(-coef/2 x^2) - exp(-t^-2/2 x^2)")
-                yield f"{xname}:{cname}", matrix_function(defect, op, w)
-                yield (f"{xname}:{cname}:weighted",
-                       matrix_function(GradedFunction(lambda x: x / t * defect(x), 1, "x/t defect"), op, w))
+        for cname, coef in zip(("s1", "s2"), mehler_coefficients(t ** -2)):
+            defect = GradedFunction(lambda x: np.exp(-coef / 2.0 * x * x) - np.exp(-(t ** -2) / 2.0 * x * x), 0,
+                                    "exp(-coef/2 x^2) - exp(-t^-2/2 x^2)")
+            yield f"C:{cname}", matrix_function(defect, rep.clifford, w)
+            yield (f"C:{cname}:weighted",
+                   matrix_function(GradedFunction(lambda x: x / t * defect(x), 1, "x/t defect"), rep.clifford, w))
 
     ts = cfg.t_grid
     curves, crosscheck = _sweep(ts, matrices)
@@ -599,7 +595,8 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
 
     def matrices(t):
         # (u(C) u(D))_W = u(C)[W, :] u(D)[:, W], and (B u(C) u(D))_W = B[W, :] u(C) u(D)[:, W]
-        uc, ud = (matrix_function(scale(u, t), x) for x in (rep.clifford, rep.dirac))
+        uc = matrix_function(scale(u, t), rep.clifford)
+        ud = rep.gauge(uc)
         yield "gamma-u", matrix_function(scale(u, t), rep.bott, w) - window_product(w, uc, ud)
         yield "gamma-v", (matrix_function(scale(v, t), rep.bott, w)
                           - (1 / t) * window_product(w, rep.bott, uc, ud))
@@ -628,6 +625,7 @@ def suite_composition_gamma(cfg: SweepConfig) -> VerificationReport:
         *_decay_gates(ts, curves, rel, fit),
         Gate(f"multiplication = position calculus ({cfg.level + 1} nodes)", m_identity, 1e-6),
         *crosscheck,
+        Gate("Fourier gauge S·C·S = D", fourier_gauge_residual(rep), 0.0),
     ]
     notes = [
         f"matched nodes against u(C): {m_cut:.3e} (the simplex cut truncates C; rounding only at n=1)",
@@ -881,7 +879,7 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
 
     curves: dict[str, list[float]] = {h.name: [] for h in hs}
     for t in cfg.t_grid:
-        ud, vd = (matrix_function(scale(f, t), rep.dirac) for f in (u, v))
+        ud, vd = (rep.gauge(matrix_function(scale(f, t), rep.clifford)) for f in (u, v))
         for h in hs:
             # the morphism images u(D/t) M_{h_t} and v(D/t) M_{h_t}, sharing one M_{h_t}, on its labels
             mh = multiplication_operator(rescale(h, t), rep.basis)
@@ -900,6 +898,7 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
         Gate("tensor and flip respect the involution on 4 simple tensors", inv_worst, tol),
         Gate(f"grading automorphism multiplicative on all {blade_pairs} blade pairs (generator words)",
              grading_worst, tol),
+        Gate("Fourier gauge S·C·S = D", fourier_gauge_residual(rep), 0.0),
     ]
     # params describe what was actually computed; the notes record coercion
     return _report("flip-endpoints", sub.params_dict(), cfg.t_grid, curves, tol, gates, notes)

@@ -23,8 +23,12 @@ same objects another way:
   the package multiplies only blades.
 - :func:`dense_curve_norms` forms every curve matrix of the C/D curve suites
   on the whole space as a dense array, by ``eigh`` of the dense operators and
-  the grid route, and takes its spectral norm; the suites norm label blocks,
-  at dim >= 2 on the ``R_2 = +1`` half only.
+  the grid route, and takes its spectral norm, also for the curves of D that
+  the suites read off those of C through the Fourier gauge; the suites norm
+  label blocks, at dim >= 2 on the ``R_2 = +1`` half only.
+- :func:`basis_parity` and :func:`interior_mask` read the parity and the
+  window of every state off its multi-index and blade; the package holds
+  them per label.
 
 The package builds every scalar function directly; the combinators
 :func:`fsum`, :func:`fprod` and :func:`fmul` compose them here, keeping the
@@ -36,7 +40,7 @@ import math
 import numpy as np
 
 from bottlab import clifford
-from bottlab.clifford import left_mult_operator
+from bottlab.clifford import blade_parities, left_mult_operator
 from bottlab.funcalc import GradedFunction, gaussian, scale, x_gaussian
 from bottlab.graded import tensor_labels, tensor_pairs
 from bottlab.oscillator import CliffFunction, HermiteBasis, hermite_rows, oscillator_rep, rescale
@@ -202,6 +206,11 @@ def _dense_function(f, x: np.ndarray) -> np.ndarray:
     """f(X) of a dense symmetric matrix, from its eigh."""
     w, q = np.linalg.eigh(x)
     return (q * f(w)) @ q.T
+
+
+def basis_parity(basis: HermiteBasis) -> np.ndarray:
+    """Blade parity of every state of the basis."""
+    return np.tile(blade_parities(basis.sig), basis.spatial_size)[basis.states()]
 
 
 def interior_mask(basis: HermiteBasis, depth: int = 2) -> np.ndarray:

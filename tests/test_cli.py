@@ -258,14 +258,15 @@ def test_json_report_schema(tmp_path, capsys):
 
 def test_csv_row_counts(tmp_path, capsys):
     # 9 grid points per curve: 2 generators x 3 symbols for the first
-    # suite, 2 x 2 generator pairs for the second
+    # suite, 3 generator pairs for the second (the pair (v, u) is the
+    # pair (u, v) under the Fourier gauge)
     assert run_cli(["commutators", "--levels", "8", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     dirac = (tmp_path / "dirac-commutator.csv").read_text().splitlines()
     cd = (tmp_path / "cd-commutator.csv").read_text().splitlines()
     assert dirac[0] == "suite,curve,t,value"
     assert len(dirac) == 1 + 9 * 6
-    assert len(cd) == 1 + 9 * 4
+    assert len(cd) == 1 + 9 * 3
 
 
 def test_format_flag_selects_outputs(tmp_path, capsys):

@@ -11,10 +11,10 @@ import pytest
 
 import bottlab.graded as graded
 import bottlab.oscillator as oscillator
-from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, scale, x_gaussian
-from bottlab.graded import GradedMatrix
+from bottlab.funcalc import GradedFunction, SpectralMatrix, gaussian, matrix_function, scale, x_gaussian
+from bottlab.graded import WHOLE, GradedMatrix, regroup
 from bottlab.oscillator import context_bytes, oscillator_rep
-from bottlab.verify import SUITES, SweepConfig, run_suite
+from bottlab.verify import SUITES, SweepConfig, mehler_coefficients, run_suite
 from oracles import interior_mask
 
 
@@ -25,7 +25,9 @@ def _context_arrays(rep) -> dict:
         arrays.update({f"{name}.blocks{r}": b for r, b in enumerate(op.blocks)})
         arrays[f"{name}.labels"] = op.labels
         arrays[f"{name}.parity"] = op.parity
-    for name in ("C", "D", "B", "H"):
+    # D has no eigensystem: its functions are those of C under the Fourier gauge
+    assert not isinstance(rep.dirac, SpectralMatrix) and not hasattr(rep.dirac, "eig")
+    for name in ("C", "B", "H"):
         eig = ops[name].eig  # (w, Q) per label when even, (U, s, V) per even label when odd
         arrays.update({f"eig{name}{i}": a for i, a in enumerate(a for part in eig for a in part)})
     return arrays
@@ -55,15 +57,15 @@ def _plan_arrays(rep) -> dict:
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Fresh contexts, and (caller module, shape, id of the array) of every numpy eigh, eigvalsh and
-    svd call."""
+    """Fresh contexts, and (caller module, shape, id of the array, the array) of every numpy eigh,
+    eigvalsh and svd call."""
     oscillator_rep.cache_clear()
     calls = []
     for name in ("eigh", "eigvalsh", "svd"):
         real = getattr(np.linalg, name)
 
         def counting(a, *args, real=real, **kwargs):
-            calls.append((sys._getframe(1).f_globals.get("__name__"), np.shape(a), id(a)))
+            calls.append((sys._getframe(1).f_globals.get("__name__"), np.shape(a), id(a), a))
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
@@ -189,26 +191,34 @@ def test_window_depth_is_range_checked():
 # spectral reuse
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("suite,expected", [("cd-commutator", 2), ("dirac-commutator", 1)])
-def test_commutator_suites_diagonalise_each_operator_once(eigensolves, suite, expected):
-    # ``expected`` odd operators, C and D: one SVD per even label of the R_2 = +1 half each, 2 of the
-    # 2^n = 4 even labels at n = 2; the whole operator then diagonalises only the other half's
+def _solves_of_d(eigensolves, rep) -> list:
+    """The eigensolves and SVDs whose array holds a block of D, or a copy of one."""
+    return [shape for _, shape, _, a in eigensolves
+            if any(np.shape(a) == b.shape and np.array_equal(a, b) for b in rep.dirac.blocks)]
+
+
+@pytest.mark.parametrize("suite,read", [("cd-commutator", 2), ("dirac-commutator", 1)])
+def test_commutator_suites_diagonalise_each_operator_once(eigensolves, suite, read):
+    # the suite reads functions of ``read`` odd operators, C and D, but diagonalises C alone: one SVD
+    # per even label of the R_2 = +1 half, 2 of the 2^n = 4 even labels at n = 2, and f(D) is
+    # S f(C) S; the whole operator then diagonalises only the other half's
     cfg = SweepConfig(dim=2, level=8, t_grid=tuple(np.geomspace(1.0, 16.0, 5)))
 
     def funcalc_solves():
-        return [shape for caller, shape, _ in eigensolves if caller == "bottlab.funcalc"]
+        return [shape for caller, shape, *_ in eigensolves if caller == "bottlab.funcalc"]
 
-    run_suite(suite, cfg)
-    assert len(funcalc_solves()) == 2 * expected
+    report = run_suite(suite, cfg)
+    assert len(funcalc_solves()) == 2
+    assert all(name.count("/t)") == read for name in report.curves), report.curves
     run_suite(suite, cfg)  # a second run reuses the context's spectra
-    assert len(funcalc_solves()) == 2 * expected
+    assert len(funcalc_solves()) == 2
     rep = oscillator_rep(2, 8)
-    for op, half in ((rep.clifford, rep.half.clifford), (rep.dirac, rep.half.dirac))[2 - expected:]:
-        whole = op.eig
-        # the half's eigensystems are the whole operator's at the even labels 0 and 4
-        assert [e[0] for e in half.eig] == [whole[0][0], whole[2][0]]
-        assert all(a is b for eh, ew in zip(half.eig, whole[::2]) for a, b in zip(eh, ew))
-    assert len(funcalc_solves()) == 4 * expected
+    whole = rep.clifford.eig
+    # the half's eigensystems are the whole operator's at the even labels 0 and 4
+    assert [e[0] for e in rep.half.clifford.eig] == [whole[0][0], whole[2][0]]
+    assert all(a is b for eh, ew in zip(rep.half.clifford.eig, whole[::2]) for a, b in zip(eh, ew))
+    assert len(funcalc_solves()) == 4
+    assert _solves_of_d(eigensolves, rep) == []
 
 
 def test_suites_keep_the_context_on_parity_blocks(eigensolves):
@@ -216,28 +226,30 @@ def test_suites_keep_the_context_on_parity_blocks(eigensolves):
     # blocks of one level parity, 16 (levels 0, 2, 4, 6) and 12 of the S = C(K + n, n) = 28 rows,
     # and only the bump's compactness profile, which breaks R_1, sees blocks of S rows.  The half
     # holds the whole context's blocks at the labels with bit 1 clear, the very arrays, and no
-    # block is diagonalised twice, whether the whole operator or its half asked first
+    # block is diagonalised twice, whether the whole operator or its half asked first; no block of
+    # D, nor a copy of one, is diagonalised at all
     cfg = SweepConfig(dim=2, level=6)
     for suite in SUITES:
         run_suite(suite, cfg)
     basis = oscillator_rep(2, 6).basis
     size, s = basis.size, basis.spatial_size
-    assert [c for c in eigensolves if c[1][-2:] in ((size, size), (size // 2, size // 2))] == []
+    assert [c[:3] for c in eigensolves if c[1][-2:] in ((size, size), (size // 2, size // 2))] == []
     rep = oscillator_rep(2, 6)
     ops = (rep.clifford, rep.dirac, rep.bott, rep.harmonic)
     context = {b.shape for op in ops for b in op.blocks}
     assert context == {(16, 12), (12, 16), (16, 16), (12, 12)}
-    assert {(16, 12), (16, 16), (12, 12)} <= {shape for caller, shape, _ in eigensolves if caller == "bottlab.funcalc"}
-    bump = [shape for caller, shape, _ in eigensolves if caller == "bottlab.oscillator" and shape == (s, s)]
+    assert {(16, 12), (16, 16), (12, 12)} <= {shape for caller, shape, *_ in eigensolves if caller == "bottlab.funcalc"}
+    bump = [shape for caller, shape, *_ in eigensolves if caller == "bottlab.oscillator" and shape == (s, s)]
     assert bump == [(s, s)] * 4
     halves = (rep.half.clifford, rep.half.dirac, rep.half.bott, rep.half.harmonic)
     for op, half in zip(ops, halves):
         assert [id(b) for b in half.blocks] == [id(op.blocks[r]) for r in (0, 1, 4, 5)]
+    assert _solves_of_d(eigensolves, rep) == []
     blocks = {id(b) for op in ops for b in op.blocks}
-    solved = [i for caller, _, i in eigensolves if caller == "bottlab.funcalc" and i in blocks]
-    # C, D and B: one SVD per even label, 4 each; H: one eigh per label of the half only, 4 of 8,
+    solved = [i for caller, _, i, _ in eigensolves if caller == "bottlab.funcalc" and i in blocks]
+    # C and B: one SVD per even label, 4 each; H: one eigh per label of the half only, 4 of 8,
     # because mehler, its one user, norms there
-    assert len(solved) == len(set(solved)) == 4 + 4 + 4 + 4
+    assert len(solved) == len(set(solved)) == 4 + 4 + 4
     assert {i for i in solved if i in {id(b) for b in rep.harmonic.blocks}} == {id(b) for b in halves[3].blocks}
 
 
@@ -263,13 +275,50 @@ def test_no_suite_assembles_a_matrix_of_the_oscillator_space(monkeypatch):
 
 @pytest.mark.parametrize("name", ["clifford", "dirac", "bott"])
 def test_context_route_matches_plain_route(name):
-    op = getattr(oscillator_rep(2, 6), name)
+    # the context's route to f(D) is S f(C) S, through the eigensystem of C
+    rep = oscillator_rep(2, 6)
+    op = getattr(rep, name)
     plain = GradedMatrix(op.mat.copy(), op.parity.copy())
     for f in (gaussian(), x_gaussian()):
         for t in (1.0, 2.5, 8.0, 32.0):
-            cached = matrix_function(scale(f, t), op).mat
+            if name == "dirac":
+                cached = rep.gauge(matrix_function(scale(f, t), rep.clifford)).mat
+            else:
+                cached = matrix_function(scale(f, t), op).mat
             direct = matrix_function(scale(f, t), plain).mat
             assert np.abs(cached - direct).max() <= 1e-13, (name, f.name, t)
+
+
+def _defects(t: float) -> tuple:
+    """s1s2-asymptotics' defect at t, for its first coefficient, and its weighted defect."""
+    s1 = mehler_coefficients(t ** -2)[0]
+    defect = GradedFunction(lambda x: np.exp(-s1 / 2.0 * x * x) - np.exp(-(t ** -2) / 2.0 * x * x), 0, "defect")
+    return defect, GradedFunction(lambda x: x / t * defect(x), 1, "weighted defect")
+
+
+@pytest.mark.parametrize("dim,level", [(1, 8), (2, 6), (3, 4), (2, 16)])
+def test_gauge_route_matches_the_eigen_route(dim, level):
+    # f(D) as S f(C) S against f of a plain copy of D through its own eigensystem, on the whole
+    # context and on its half, on the whole space, the interior window and mehler's deep window
+    heat = GradedFunction(lambda x: np.exp(-0.3 * x * x), 0, "exp(-0.3 x^2)")
+    whole = oscillator_rep(dim, level)
+    for rep in (whole, whole.half) if dim > 1 else (whole,):
+        assert not isinstance(rep.dirac, SpectralMatrix)
+        d = GradedMatrix.from_blocks(1, [b.copy() for b in rep.dirac.blocks], rep.dirac.labels, rep.dirac.index)
+        d = SpectralMatrix(d)  # its eigensystem, computed once for every function below
+        windows = (WHOLE, rep.window(2), rep.window(level - max(2, level // 3)))
+        for t in (1.0, 4.0, 32.0):
+            for f in (*(scale(g, t) for g in (gaussian(), x_gaussian(), heat)), *_defects(t)):
+                for w in windows:
+                    got, want = rep.gauge(matrix_function(f, rep.clifford, w)), matrix_function(f, d, w)
+                    assert (got.degree, got.mirrored, got._symmetric) == (want.degree, want.mirrored, True)
+                    assert np.array_equal(got.labels, want.labels)
+                    for a, b in zip(got.blocks, want.blocks, strict=True):
+                        assert a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= 1e-13, (f.name, t)
+        # on the coarser labels without R_1, where the bump's operator lives, the gauge reads its own signs
+        count = rep.basis.label_count >> 1
+        for fc in (matrix_function(f, rep.clifford) for f in (gaussian(), x_gaussian())):
+            assert np.array_equal(rep.gauge(regroup(fc, count)).mat, regroup(rep.gauge(fc), count).mat)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from bottlab.funcalc import (
 )
 from bottlab.graded import GradedMatrix
 from bottlab.oscillator import oscillator_rep
-from oracles import even_part, fmul, fprod, fsum, interior_mask, odd_part, sup_norm
+from oracles import basis_parity, even_part, fmul, fprod, fsum, interior_mask, odd_part, sup_norm
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_matrix_function_on_a_window_is_the_window_of_the_full_route(name, f):
     x, w = getattr(rep, name), rep.window()
     got = matrix_function(scale(f, 2.0), x, w)
     want = matrix_function(scale(f, 2.0), x).window(w).blocks
-    assert np.array_equal(got.parity, rep.basis.parity()[interior_mask(rep.basis)])
+    assert np.array_equal(got.parity, basis_parity(rep.basis)[interior_mask(rep.basis)])
     for a, b in zip(got.blocks, want):
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max())

@@ -33,8 +33,8 @@ from bottlab.graded import (
 )
 from bottlab.oscillator import CliffFunction, multiplication_operator, oscillator_rep
 from bottlab.verify import SweepConfig, named_symbols, run_suite, windowed_norm
-from oracles import (clifford_product, dense_flip, every_block_norm, fsum, interior_mask, signed_permutation,
-                     tensor_parity)
+from oracles import (basis_parity, clifford_product, dense_flip, every_block_norm, fsum, interior_mask,
+                     signed_permutation, tensor_parity)
 
 
 def random_parity(rng, dim):
@@ -680,8 +680,8 @@ def test_window_commutator_checks_each_operand_once(monkeypatch):
     graded_commutator(a, a, w)
     assert not calls
     # functions of a checked symmetric matrix are symmetric by construction, and so are their
-    # regroupings
-    fd, fc = matrix_function(x_gaussian(), rep.dirac), matrix_function(gaussian(), rep.clifford)
+    # regroupings and their Fourier gauges, f(D) = S f(C) S
+    fd, fc = rep.gauge(matrix_function(x_gaussian(), rep.clifford)), matrix_function(gaussian(), rep.clifford)
     graded_commutator(fc, fd, w)
     graded_commutator(regroup(fc, 4), regroup(fd, 4), rep.window(2, 4))
     assert not calls
@@ -734,7 +734,7 @@ def assert_close(got, want, scale):
 @pytest.mark.parametrize("deg_b", [0, 1, None], ids=["b-even", "b-odd", "b-mixed"])
 def test_block_held_arithmetic_matches_dense(config, deg_a, deg_b):
     rep = oscillator_rep(*config)
-    par = rep.basis.parity()
+    par = basis_parity(rep.basis)
     rng = np.random.default_rng([config[0], 3 if deg_a is None else deg_a, 3 if deg_b is None else deg_b])
     if deg_a is None or deg_b is None:
         # a mixed operand is rejected when it is built, from an array or as a sum of its parts

@@ -37,7 +37,8 @@ from bottlab.oscillator import (
     spectrum,
 )
 from bottlab.verify import _gaussian_bott_map, named_symbols
-from oracles import bott_map, bump_coeffs, fsum, grid_multiplication_operator, interior_mask, symbol_values
+from oracles import (basis_parity, bott_map, bump_coeffs, fsum, grid_multiplication_operator, interior_mask,
+                     symbol_values)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +120,9 @@ def test_basis_ordering_and_lookup():
 
 def test_basis_parity_and_levels():
     basis = HermiteBasis(2, 4)
-    par = basis.parity()
+    par = basis_parity(basis)
     assert len(par) == basis.size
+    assert np.array_equal(par, basis.labels() & 1)
     assert np.array_equal(par[: basis.blade_count], blade_parities(basis.sig))
     tot = np.repeat([sum(m) for m in basis.mindices], basis.blade_count)
     # the truncation variable is the spatial level; the blade factor is
@@ -319,7 +321,7 @@ def test_reflections_are_exact_symmetries_of_the_operators(dim, level):
     # whether two states share their signs under every R_i, or under R_2 .. R_n
     same_sector = {fine: (s[:, None, :] == s[None, :, :]).all(axis=2) for fine, s in ((True, sector),
                                                                                         (False, sector[:, 1:]))}
-    par = basis.parity()
+    par = basis_parity(basis)
     # the dense operators from their Kronecker sums, apart from the package's label blocks
     ops = {
         "C": (rep.clifford, sum(np.kron(axis_matrix(basis, i, position_matrix(level)), left_mult_operator(basis.sig, e))
