@@ -25,6 +25,7 @@ from .funcalc import (
     delta_via_xr_check,
     gaussian,
     matrix_function,
+    position_matrix,
     scale,
     x_gaussian,
 )
@@ -39,7 +40,6 @@ from .graded import (
 )
 from .oscillator import (
     CliffFunction,
-    CompactnessProfile,
     HermiteBasis,
     OscillatorRep,
     SpectrumResult,
@@ -50,7 +50,6 @@ from .oscillator import (
     level_multiplicity,
     multiplication_operator,
     oscillator_rep,
-    position_matrix,
     rescale,
     spectrum,
 )

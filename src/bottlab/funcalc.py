@@ -136,6 +136,14 @@ def matrix_function(f: GradedFunction, a: GradedMatrix, window: tuple = WHOLE) -
     return _as_symmetric(_on_window(a, window, f.parity, blocks, mirrored=f.parity == 1))
 
 
+def position_matrix(level: int) -> np.ndarray:
+    """Multiplication by x on Hermite functions 0..level (tridiagonal)."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    off = np.sqrt((np.arange(level) + 1) / 2.0)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
 @dataclass
 class DeltaCheck:
     """The residuals of both comultiplication formulas at one truncation level.
@@ -168,8 +176,6 @@ def delta_via_xr_check(level: int) -> DeltaCheck:
     """
     if level < 4:
         raise ValueError("truncation level must be at least 4")
-    from .oscillator import position_matrix  # lazy: oscillator imports this module
-
     x = position_matrix(level)
     xg = SpectralMatrix(GradedMatrix(x, np.arange(level + 1) & 1))
     ig = identity_like(xg)

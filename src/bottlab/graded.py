@@ -47,14 +47,14 @@ class GradedMatrix:
     _symmetric = None  # the verdict of _check_symmetric, once taken
 
     def __init__(self, mat, parity):
-        mat = np.asarray(mat, dtype=float)
-        parity = np.array(parity, dtype=np.uint8)
+        mat, raw = np.asarray(mat, dtype=float), np.asarray(parity)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"graded matrix must be square, got shape {mat.shape}")
-        if parity.shape != (mat.shape[0],):
+        if raw.shape != (mat.shape[0],):
             raise ValueError("parity vector length must match matrix dimension")
-        if np.any(parity > 1):
+        if not np.isin(raw, (0, 1)).all():  # before the cast, which reads 0.5 as 0 and -1 as an overflow
             raise ValueError("parities must be 0 or 1")
+        parity = raw.astype(np.uint8)
         index = label_index(parity, 2)
         split = [_split(mat, index, d) for d in (0, 1)]
         present = [d for d in (0, 1) if any(b.any() for b in split[d])]
@@ -285,6 +285,29 @@ def _bounded(gram: np.ndarray, c: float) -> bool:
         np.fill_diagonal(gram, diagonal)
         return False
     return True
+
+
+def signed(x: GradedMatrix, signs, shift: int = 0) -> GradedMatrix:
+    """``T x T^-1`` for the map T that multiplies the basis vectors of label l by the +-1 vector
+    ``signs[l]`` and carries them, in order, to label ``l ^ shift``.
+
+    Block ``l ^ shift`` of a degree-d x is block l times ``signs[l]`` on its rows and ``signs[l ^ d]``
+    on its columns, each cut to the block, so that a window of x fits, as do coarser labels when
+    ``signs`` is given on them.  T is orthogonal, so x's ``mirrored`` flag and symmetry verdict hold
+    for the result too.  Every entry is one entry of x times two signs: exact, and NaN on a NaN.
+    """
+    d, blocks = x.degree, [None] * len(x.blocks)
+    for r, b in enumerate(x.blocks):
+        blocks[r ^ shift] = signs[r][:len(b), None] * b * signs[r ^ d][:b.shape[1]]
+    out = GradedMatrix.from_blocks(d, blocks, x.labels, x.index, x.mirrored)
+    out._symmetric = x._symmetric
+    return out
+
+
+def largest_entry(values) -> float:
+    """The largest absolute entry over arrays or numbers, 0 for none; NaN when any entry is NaN,
+    which Python's ``max`` would drop unless it came first."""
+    return float(np.max([np.abs(v).max(initial=0.0) for v in values], initial=0.0))
 
 
 def identity_like(g: GradedMatrix) -> GradedMatrix:

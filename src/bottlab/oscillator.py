@@ -56,20 +56,13 @@ from .clifford import (
     right_mult_signs,
     twisted_right_mult_operator,
 )
-from .funcalc import GradedFunction, SpectralMatrix, matrix_function, scale
-from .graded import GradedMatrix, _as_symmetric, _check_symmetric, _frozen, label_index, regroup, window_product
+from .funcalc import GradedFunction, SpectralMatrix, matrix_function, position_matrix, scale
+from .graded import (GradedMatrix, _as_symmetric, _check_symmetric, _frozen, label_index, largest_entry, regroup,
+                     signed, window_product)
 
 
 # ---------------------------------------------------------------------------
 # one-dimensional building blocks
-
-
-def position_matrix(level: int) -> np.ndarray:
-    """Multiplication by x on Hermite functions 0..level (tridiagonal)."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    off = np.sqrt((np.arange(level) + 1) / 2.0)
-    return np.diag(off, 1) + np.diag(off, -1)
 
 
 @lru_cache(maxsize=64)
@@ -239,18 +232,9 @@ class OscillatorRep:
 
     def gauge(self, x: GradedMatrix) -> GradedMatrix:
         """``S x S`` for the Fourier gauge ``S = prod_i (-1)^floor((k_i + b_i) / 2)``, the rotation by pi/2 in
-        every (x_i, d/dx_i) plane: ``S C S = D``, so ``f(D) = S f(C) S``.  x is on the labels of C, coarser
-        ones or a window, and keeps its ``mirrored`` flag and symmetry verdict; of a symmetric mirrored x only
-        the even labels are signed, and the odd ones transposed."""
-        signs, d = _label_layout(self.basis, len(x.index))[5], x.degree
-        mirror = bool(x.mirrored and x._symmetric)
-        blocks = list(x.blocks)
-        for r in range(0, len(blocks), 1 + mirror):
-            blocks[r] = signs[r][:len(blocks[r]), None] * blocks[r] * signs[r ^ d][:blocks[r].shape[1]]
-            if mirror:
-                blocks[r ^ 1] = blocks[r].T
-        out = GradedMatrix.from_blocks(d, blocks, x.labels, x.index, x.mirrored)
-        return _as_symmetric(out) if x._symmetric else out
+        every (x_i, d/dx_i) plane: ``S C S = D``, so ``f(D) = S f(C) S``: :func:`~bottlab.graded.signed` with
+        the signs of x's labels, those of C, coarser ones or a window; x keeps ``mirrored`` and its symmetry."""
+        return signed(x, _label_layout(self.basis, len(x.index))[5])
 
 
 @lru_cache(maxsize=64)
@@ -341,25 +325,23 @@ def volume_pairing_residual(rep: OscillatorRep) -> float:
 
     ``rho(omega)`` sends the state (m, b) to ``sigma(b)`` times (m, b ^ (2^n - 1)), with
     ``b omega = sigma(b) (b ^ (2^n - 1))``, so it carries label l onto ``l ^ mask`` (every reflection
-    bit, and the parity when n is odd), whose states are the same spatial states in the same order;
-    block ``l ^ mask`` of ``rho X rho^-1`` is block l of X times ``sigma`` on its rows and its
-    columns.  Exactly 0 when C commutes with ``rho(omega)`` and D anticommutes with it; NaN on a NaN.
+    bit, and the parity when n is odd), whose states are the same spatial states in the same order:
+    ``rho X rho^-1`` is :func:`~bottlab.graded.signed` with the signs ``sigma`` of every label and
+    ``shift = mask``.  Exactly 0 when C commutes with ``rho(omega)`` and D anticommutes with it; NaN
+    on a NaN (:func:`~bottlab.graded.largest_entry`).
     """
     basis = rep.basis
     sigma = right_mult_signs(basis.sig, basis.blade_count - 1)
     mask = 2 * basis.blade_count - 2 | basis.dim & 1
     signs = [sigma[i % basis.blade_count] for i in rep.clifford.index]  # C and D share the labels
-    worst = []
-    for op, sign in ((rep.clifford, 1.0), (rep.dirac, -1.0)):
-        for r, block in enumerate(op.blocks):
-            paired = sign * signs[r][:, None] * block * signs[r ^ op.degree][None, :]
-            worst.append(np.abs(op.blocks[r ^ mask] - paired).max(initial=0.0))
-    return float(np.max(worst, initial=0.0))
+    paired = (signed(rep.clifford, signs, mask) - rep.clifford, signed(rep.dirac, signs, mask) + rep.dirac)
+    return largest_entry(b for g in paired for b in g.blocks)
 
 
 def fourier_gauge_residual(rep: OscillatorRep) -> float:
-    """The largest entry of ``S C S - D`` (:meth:`OscillatorRep.gauge`): exactly 0 when D has its sign, NaN on a NaN."""
-    return float(np.max([abs(b).max(initial=0.0) for b in (rep.gauge(rep.clifford) - rep.dirac).blocks], initial=0.0))
+    """The largest entry of ``S C S - D`` (:meth:`OscillatorRep.gauge`), by
+    :func:`~bottlab.graded.largest_entry`: exactly 0 when D has its sign, NaN on a NaN."""
+    return largest_entry((rep.gauge(rep.clifford) - rep.dirac).blocks)
 
 
 def context_bytes(dim: int, level: int) -> int:
@@ -551,22 +533,7 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     return _as_symmetric(mh) if all(blade_square_sign(c, basis.sig) == 1 for c, _ in h.terms) else mh
 
 
-@dataclass
-class CompactnessProfile:
-    """Singular-value decay of f(B) M_h."""
-
-    singular_values: np.ndarray
-    tol: float
-
-    @property
-    def tail_start(self) -> int:
-        """Index of the first singular value below tol (len if none is)."""
-        below = np.nonzero(self.singular_values < self.tol)[0]
-        return int(below[0]) if len(below) else len(self.singular_values)
-
-
-def compactness_profile(f: GradedFunction, h: CliffFunction, rep: OscillatorRep,
-                        tol: float = 1e-8) -> CompactnessProfile:
+def compactness_profile(f: GradedFunction, h: CliffFunction, rep: OscillatorRep) -> np.ndarray:
     """Singular values of f(B) M_h, sorted descending.
 
     For vanishing-at-infinity symbols this product is a compact operator in
@@ -579,5 +546,4 @@ def compactness_profile(f: GradedFunction, h: CliffFunction, rep: OscillatorRep,
     mh = multiplication_operator(h, rep.basis)
     blocks = (regroup(matrix_function(f, rep.bott), len(mh.index)) @ mh).blocks
     svals = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
-    svals = np.concatenate([svals, np.zeros(rep.basis.size - len(svals))])
-    return CompactnessProfile(np.sort(svals)[::-1], tol)
+    return np.sort(np.concatenate([svals, np.zeros(rep.basis.size - len(svals))]))[::-1]

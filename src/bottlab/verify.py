@@ -37,6 +37,7 @@ from .funcalc import (
     delta_via_xr_check,
     gaussian,
     matrix_function,
+    position_matrix,
     scale,
     x_gaussian,
 )
@@ -50,7 +51,9 @@ from .graded import (
     grading_signs,
     involution,
     label_index,
+    largest_entry,
     regroup,
+    signed,
     tensor_labels,
     tensor_pairs,
     tensor_product_witness,
@@ -67,7 +70,6 @@ from .oscillator import (
     level_multiplicity,
     multiplication_operator,
     oscillator_rep,
-    position_matrix,
     rescale,
     spectrum,
     volume_pairing_residual,
@@ -211,11 +213,6 @@ def _envelope(curves: dict) -> list:
     return [math.nan if any(map(math.isnan, vals)) else max(vals) for vals in zip(*curves.values())]
 
 
-def _worst(values) -> float:
-    """The largest of 0 and the residuals; NaN when any is, which ``max`` drops unless it comes first."""
-    return float(np.max(list(values), initial=0.0))
-
-
 def _report(suite: str, params: dict, xs: Sequence[float], curves: dict, tol: float,
             gates: list, notes: Sequence[str] = (), fit: tuple | None = None) -> VerificationReport:
     """The report of a suite: envelope datapoints, and a verdict and a note per gate."""
@@ -262,8 +259,8 @@ def _sweep(xs: Sequence[float], matrices) -> tuple[dict, list[Gate]]:
             curves.setdefault(name, []).append(m.norm())
             if i in picks and name == next(iter(curves)):
                 norms, converged = zip(*map(svd_norm, m.blocks))
-                runs.append((curves[name][-1], _worst(norms), all(converged)))
-    worst = _worst(abs(a - b) / a if a else (math.inf if b else 0.0) for a, b, _ in runs)
+                runs.append((curves[name][-1], largest_entry(norms), all(converged)))
+    worst = largest_entry(abs(a - b) / a if a else (math.inf if b else 0.0) for a, b, _ in runs)
     return curves, [Gate(f"norm cross-check (block norm vs SVD, {len(runs)} samples)", worst, 1e-8),
                     Gate("SVD converged on every sample", all(ok for *_, ok in runs))]
 
@@ -395,7 +392,7 @@ def suite_clifford_iso(cfg: SweepConfig) -> VerificationReport:
     periodicity), and the joined algebra inside a graded tensor square."""
     tol = 1e-10
     sigs = [[Signature(p, n - p) for p in range(n + 1)] for n in range(1, 6)]
-    values = [_worst(matrix_relation_residual(regular_representation(sig), sig) for sig in row) for row in sigs]
+    values = [largest_entry(matrix_relation_residual(regular_representation(sig), sig) for sig in row) for row in sigs]
 
     worst8 = blade_relation_residual(EIGHT_IN_FOUR_FOUR, Signature(8, 0), Signature(4, 4))
     worst2, span2 = tensor_product_witness(Signature(1, 0), Signature(1, 0))
@@ -717,9 +714,8 @@ def suite_compactness(cfg: SweepConfig) -> VerificationReport:
     curves = {}
     tails = {}
     for h in hs:
-        prof = compactness_profile(u, h, rep, tol=tol)
-        curves[f"sv:{h.name}"] = [float(s) for s in prof.singular_values]
-        tails[h.name] = prof.tail_start
+        values = curves[f"sv:{h.name}"] = [float(s) for s in compactness_profile(u, h, rep)]
+        tails[h.name] = next((i for i, s in enumerate(values) if s < tol), len(values))
 
     count = len(next(iter(curves.values())))
     gates = [
@@ -738,8 +734,8 @@ def suite_compactness(cfg: SweepConfig) -> VerificationReport:
 def _largest_difference(xs, ys) -> float:
     """The largest absolute entry of x - y over pairs of blocks, NaN if any is; a writeable x (a fresh
     array) is overwritten by the difference, so no other array is formed."""
-    return _worst(np.abs(d, out=d).max(initial=0.0)
-                  for d in (np.subtract(x, y, out=x if x.flags.writeable else None) for x, y in zip(xs, ys)))
+    return largest_entry(np.abs(d, out=d).max(initial=0.0)
+                         for d in (np.subtract(x, y, out=x if x.flags.writeable else None) for x, y in zip(xs, ys)))
 
 
 def _conjugator(row: np.ndarray, sign: np.ndarray, labels: np.ndarray, index: tuple):
@@ -783,9 +779,9 @@ def _flip_product_residuals(gens: tuple) -> tuple[float, float]:
     """
     pairs = [(a, b) for a in gens for b in gens]
     flips = [flip_simple(a, b) for a, b in pairs]
-    mult = _worst(_largest_difference(flip_simple((-1.0) ** (b.degree * c.degree) * (a @ c), b @ d).blocks,
-                                      (f1 @ f2).blocks)
-                  for (a, b), f1 in zip(pairs, flips) for (c, d), f2 in zip(pairs, flips))
+    mult = largest_entry(_largest_difference(flip_simple((-1.0) ** (b.degree * c.degree) * (a @ c), b @ d).blocks,
+                                             (f1 @ f2).blocks)
+                         for (a, b), f1 in zip(pairs, flips) for (c, d), f2 in zip(pairs, flips))
     inv = []
     for (a, b), f in zip(pairs, flips):
         # the tensor's law on a^T and b^T, whose tensor no other check forms
@@ -793,7 +789,7 @@ def _flip_product_residuals(gens: tuple) -> tuple[float, float]:
         inv += [_largest_difference(involution(graded_tensor(ta, tb)).blocks,
                                     graded_tensor(sign * involution(ta), involution(tb)).blocks),
                 _largest_difference(involution(f).blocks, flip_simple(sign * ta, tb).blocks)]
-    return mult, _worst(inv)
+    return mult, largest_entry(inv)
 
 
 def _blade_word_product(sig: Signature, a: int, b: int) -> tuple[int, int]:
@@ -822,9 +818,9 @@ def _grading_residual(sigs) -> tuple[float, int]:
             for b in range(sig.blade_count):
                 sign, blade = _blade_word_product(sig, a, b)
                 products[blade, b] -= signs[a] * signs[b] * sign
-            worst.append(np.abs(products).max())
+            worst.append(products)
             count += sig.blade_count
-    return _worst(worst), count
+    return largest_entry(worst), count
 
 
 def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
@@ -873,9 +869,8 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
         ab = graded_tensor(a, b)
         worst = [_largest_difference(conj(ab), flip_simple(a, b).blocks)]
         if grading:
-            moved = (gam[r][:, None] * x * gam[r ^ ab.degree][None, :] for r, x in enumerate(ab.blocks))
-            worst.append(_largest_difference(moved, ab.blocks))
-        return _worst(worst)
+            worst.append(_largest_difference(signed(ab, gam).blocks, ab.blocks))
+        return largest_entry(worst)
 
     curves: dict[str, list[float]] = {h.name: [] for h in hs}
     for t in cfg.t_grid:
@@ -885,15 +880,16 @@ def suite_flip_endpoints(cfg: SweepConfig) -> VerificationReport:
             mh = multiplication_operator(rescale(h, t), rep.basis)
             conj, gam = squares[len(mh.index)]
             a_even, a_odd = (regroup(f, len(mh.index)) @ mh for f in (ud, vd))
-            curves[h.name].append(_worst(flip_route_residual(left, right, conj, gam, left is a_even and right is uc)
-                                         for left in (a_even, a_odd) for right in (uc, vc)))
+            curves[h.name].append(largest_entry(flip_route_residual(left, right, conj, gam,
+                                                                    left is a_even and right is uc)
+                                                for left in (a_even, a_odd) for right in (uc, vc)))
 
     mult_worst, inv_worst = _flip_product_residuals((uc, vc))
     grading_worst, blade_pairs = _grading_residual((Signature(2, 0), Signature(1, 1), Signature(2, 1)))
 
     gates = [
         Gate("two assembly routes agree at every t", [val for c in curves.values() for val in c], tol),
-        Gate("double flip deviation from identity", _worst(ll), 1e-14),
+        Gate("double flip deviation from identity", largest_entry(ll), 1e-14),
         Gate("flip multiplicativity on 16 products of simple tensors", mult_worst, tol),
         Gate("tensor and flip respect the involution on 4 simple tensors", inv_worst, tol),
         Gate(f"grading automorphism multiplicative on all {blade_pairs} blade pairs (generator words)",

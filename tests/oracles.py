@@ -193,6 +193,15 @@ def signed_permutation(row: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return out
 
 
+def dense_signed_map(labels: np.ndarray, index, signs, shift: int = 0) -> np.ndarray:
+    """The dense matrix T that sends the k-th basis vector of label l to ``signs[l][k]`` times the
+    k-th basis vector of label ``l ^ shift``."""
+    out = np.zeros((len(labels), len(labels)))
+    for r, i in enumerate(index):
+        out[index[r ^ shift], i] = signs[r]
+    return out
+
+
 def clifford_product(sig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The Clifford product of the elements with blade coefficients a and b: every product of a
     coefficient of a with one of b, zeros included, summed onto its blade in row-major order."""

@@ -26,15 +26,17 @@ from bottlab.graded import (
     identity_like,
     involution,
     label_index,
+    largest_entry,
     regroup,
+    signed,
     tensor_labels,
     tensor_pairs,
     tensor_product_witness,
 )
 from bottlab.oscillator import CliffFunction, multiplication_operator, oscillator_rep
 from bottlab.verify import SweepConfig, named_symbols, run_suite, windowed_norm
-from oracles import (basis_parity, clifford_product, dense_flip, every_block_norm, fsum, interior_mask,
-                     signed_permutation, tensor_parity)
+from oracles import (basis_parity, clifford_product, dense_flip, dense_signed_map, every_block_norm, fsum,
+                     interior_mask, signed_permutation, tensor_parity)
 
 
 def random_parity(rng, dim):
@@ -142,6 +144,69 @@ def test_graded_matrix_validation():
         GradedMatrix(np.zeros((2, 3)), np.array([0, 1]))
     with pytest.raises(ValueError):
         GradedMatrix(np.zeros((2, 2)), np.array([0, 1, 0]))
+
+
+@pytest.mark.parametrize("parity", [[0.5, 1], [0, 1.7], [0, -1], [0, 256], [0, math.nan]])
+def test_graded_matrix_refuses_a_parity_that_is_not_0_or_1(parity):
+    # checked on the raw values: the uint8 cast would read 0.5 and 1.7 as 0 and 1, and overflow on -1 and 256
+    with pytest.raises(ValueError, match="parities must be 0 or 1"):
+        GradedMatrix(np.zeros((2, 2)), parity)
+
+
+def _random_on_labels(rng, sizes, degree):
+    """A random degree-d graded matrix with ``sizes[l]`` basis vectors of label l, in shuffled order,
+    and its dense form."""
+    labels = rng.permutation(np.repeat(np.arange(len(sizes), dtype=np.uint16), sizes))
+    dense = rng.standard_normal((len(labels), len(labels)))
+    dense[(labels[:, None] ^ labels[None, :]) != degree] = 0.0
+    index = label_index(labels, len(sizes))
+    blocks = [dense[np.ix_(i, index[r ^ degree])] for r, i in enumerate(index)]
+    return GradedMatrix.from_blocks(degree, blocks, labels, index), dense
+
+
+@pytest.mark.parametrize("count", [2, 4, 8])
+@pytest.mark.parametrize("degree", [0, 1])
+def test_signed_is_the_dense_conjugation(count, degree):
+    # T X T^T, without a shift and with the shift onto label l ^ (count - 1), whose size is made to
+    # match; then on a window, whose blocks cut the signs to their leading states
+    rng = np.random.default_rng(10 * count + degree)
+    half = rng.integers(1, 6, count)
+    sizes = [half[min(r, r ^ (count - 1))] for r in range(count)]
+    x, dense = _random_on_labels(rng, sizes, degree)
+    signs = [rng.choice([-1.0, 1.0], n) for n in sizes]
+    for shift in (0, count - 1):
+        t = dense_signed_map(x.labels, x.index, signs, shift)
+        got = signed(x, signs, shift)
+        assert got.degree == degree and np.array_equal(got.mat, t @ dense @ t.T)
+    keep = tuple(max(1, n - 2) for n in sizes)
+    states = np.sort(np.concatenate([i[:k] for i, k in zip(x.index, keep)]))
+    t = dense_signed_map(x.labels, x.index, signs)
+    assert np.array_equal(signed(x.window(keep), signs).mat, (t @ dense @ t.T)[np.ix_(states, states)])
+
+
+def test_signed_reads_coarser_labels_and_keeps_mirrored_and_symmetry():
+    # an odd function of C is mirrored and symmetric; signed on C's labels, and on the two parity
+    # labels with signs given on those, it is the dense conjugation and stays both
+    rng = np.random.default_rng(3)
+    fx = matrix_function(x_gaussian(), oscillator_rep(2, 4).clifford)
+    assert fx.mirrored and fx._symmetric
+    for g in (fx, regroup(fx, 2)):
+        signs = [rng.choice([-1.0, 1.0], len(i)) for i in g.index]
+        t = dense_signed_map(g.labels, g.index, signs)
+        got = signed(g, signs)
+        assert np.array_equal(got.mat, t @ g.mat @ t.T)
+        assert got.mirrored and got._symmetric
+
+
+def test_largest_entry_carries_every_nan():
+    assert largest_entry([]) == 0.0 and largest_entry(iter(())) == 0.0
+    assert largest_entry([1.5, np.array([[-3.0, 2.0]]), -0.5]) == 3.0
+    assert largest_entry([np.array([1.0, -math.inf]), 2.0]) == math.inf
+    assert largest_entry([-math.inf]) == math.inf
+    for values in ([math.nan, 1.0, 2.0], [1.0, np.array([0.0, math.nan]), 2.0], [1.0, 2.0, np.array([math.nan])],
+                   [np.zeros(3), np.array([[math.nan]]), 4.0]):
+        assert math.isnan(largest_entry(values))
+        assert math.isnan(largest_entry(iter(values)))
 
 
 # ---------------------------------------------------------------------------
