@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graded import (WHOLE, GradedMatrix, _as_symmetric, _check_symmetric, _frozen, _on_window, block_norm,
-                     graded_tensor, identity_like, tensor_pairs)
+from .graded import (WHOLE, GradedMatrix, _check_symmetric, _frozen, _on_window, block_norm, graded_tensor,
+                     identity_like, tensor_pairs)
 
 
 @dataclass
@@ -58,15 +58,15 @@ def scale(f: GradedFunction, t: float) -> GradedFunction:
 class SpectralMatrix(GradedMatrix):
     """A read-only symmetric graded matrix of one degree, each block diagonalised at most once.
 
-    It copies and checks the blocks of the matrix it is built from; threads
-    sharing it share one eigensolve per block, computed on first use.  A
-    matrix of :meth:`on_labels` shares its blocks, its eigensystems and its
-    lock with this one.
+    It checks and copies the blocks of the matrix it is built from, and its
+    transpose law is +1; threads sharing it share one eigensolve per block,
+    computed on first use.  A matrix of :meth:`on_labels` shares its blocks,
+    its eigensystems and its lock with this one.
     """
 
     def __init__(self, g: GradedMatrix):
-        self._set_blocks(g.degree, tuple(np.array(b, dtype=float) for b in g.blocks), g.labels, g.index)
-        _check_symmetric(self, "matrix functional calculus")
+        _check_symmetric(g, "matrix functional calculus")
+        self._set_blocks(g.degree, tuple(np.array(b, dtype=float) for b in g.blocks), g.labels, g.index, 1)
         # one eigensystem per label, or per even label when odd, in a list shared with on_labels
         count = len(self.blocks) >> self.degree
         self._lock, self._eigs, self._slots, self._eig = threading.Lock(), [None] * count, range(count), None
@@ -107,17 +107,15 @@ def matrix_function(f: GradedFunction, a: GradedMatrix, window: tuple = WHOLE) -
     ``Q_l f(w_l) Q_l^T`` per block, for any f.  Odd, with
     ``X[l, l ^ 1] = U diag(s) V^T`` for each even label l: an even f gives
     ``U f(s) U^T`` and ``V f(s) V^T`` (s padded with zeros) as blocks l and
-    ``l ^ 1``, an odd f gives ``U f(s) V^T`` and its transpose, mirrored; f of
-    no declared parity raises ``ValueError``.  With ``window`` sizes only
-    ``P_W f(X) P_W`` is formed (:meth:`GradedMatrix.window`): every Q, U and V
-    above keeps the leading ``window[l]`` rows of its label l.
+    ``l ^ 1``, an odd f gives ``U f(s) V^T`` and its transpose; f of no declared
+    parity raises ``ValueError``.  f(X) has transpose law +1.  With ``window``
+    sizes only ``P_W f(X) P_W`` is formed (:meth:`GradedMatrix.window`): every
+    Q, U and V above keeps the leading ``window[l]`` rows of its label l.
     """
     if not isinstance(a, SpectralMatrix):
         a = SpectralMatrix(a)
-    # a is checked symmetric, and so is every f(a) formed here, by construction
     if a.degree == 0:
-        return _as_symmetric(_on_window(a, window, 0, [(q[:window[r]] * f(w)) @ q[:window[r]].T
-                                                       for r, (w, q) in enumerate(a.eig)]))
+        return _on_window(a, window, 0, [(q[:window[r]] * f(w)) @ q[:window[r]].T for r, (w, q) in enumerate(a.eig)], 1)
     if f.parity is None:
         raise ValueError(f"{f.name} has no declared parity, so of an odd matrix it has both degrees; "
                          "apply its even part and its odd part separately")
@@ -133,7 +131,7 @@ def matrix_function(f: GradedFunction, a: GradedMatrix, window: tuple = WHOLE) -
         else:
             blocks[r] = (u[:, :m] * (fx - fm)[:m] / 2.0) @ v[:, :m].T
             blocks[r ^ 1] = blocks[r].T
-    return _as_symmetric(_on_window(a, window, f.parity, blocks, mirrored=f.parity == 1))
+    return _on_window(a, window, f.parity, blocks, 1)
 
 
 def position_matrix(level: int) -> np.ndarray:

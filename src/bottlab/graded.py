@@ -39,12 +39,11 @@ class GradedMatrix:
     array does not reach it, and raises ``ValueError`` when both degrees have
     a nonzero entry (the zero matrix is even).  ``mat`` assembles a new
     read-only dense array on each access, for oracles and small inputs.  Every
-    array held is read-only and no field can be rebound.  ``mirrored`` marks a
-    matrix of degree 1 whose blocks at odd labels are formed as plus or minus
-    the transposes of their partners; its norm skips them.
+    array held is read-only and no field can be rebound.  ``transpose`` is the
+    law ``X^T = transpose * X`` (+1 or -1) that its construction fixes, or None;
+    so block ``l ^ 1`` of a degree-1 matrix with a law is plus or minus the
+    transpose of block l, and its norm reads the even labels' blocks only.
     """
-
-    _symmetric = None  # the verdict of _check_symmetric, once taken
 
     def __init__(self, mat, parity):
         mat, raw = np.asarray(mat, dtype=float), np.asarray(parity)
@@ -65,26 +64,28 @@ class GradedMatrix:
         self._set_blocks(degree, split[degree], parity, index)
 
     @staticmethod
-    def from_blocks(degree: int, blocks, labels, index=None, mirrored: bool = False) -> "GradedMatrix":
-        """The degree-d matrix with ``blocks[l] = X[l, l ^ d]``; ``index`` is
-        ``label_index(labels, len(blocks))``, passed on by callers that hold it."""
+    def from_blocks(degree: int, blocks, labels, index=None, transpose: int | None = None) -> "GradedMatrix":
+        """The degree-d matrix with ``blocks[l] = X[l, l ^ d]`` and the transpose law its builder
+        fixes; ``index`` is ``label_index(labels, len(blocks))``, passed on by callers that hold it."""
         out = object.__new__(GradedMatrix)
-        out._set_blocks(degree, blocks, labels, index, mirrored)
+        out._set_blocks(degree, blocks, labels, index, transpose)
         return out
 
-    def _set_blocks(self, degree: int, blocks, labels, index=None, mirrored: bool = False):
+    def _set_blocks(self, degree: int, blocks, labels, index=None, transpose: int | None = None):
         """Make this the matrix of :meth:`from_blocks`; the blocks are frozen, not copied."""
         labels = _frozen(np.asarray(labels, dtype=np.uint16))
+        if index is None and np.any(labels >= len(blocks)):
+            raise ValueError(f"a label has no block: {len(blocks)} blocks hold labels 0 .. {len(blocks) - 1} only")
         index = label_index(labels, len(blocks)) if index is None else index
         for r, block in enumerate(blocks):
             if block.shape != (len(index[r]), len(index[r ^ degree])):
                 raise ValueError(f"block {r} has shape {block.shape}, which does not fit the labels")
-        self.degree, self.labels, self.index, self.mirrored = degree, labels, index, mirrored
+        self.degree, self.labels, self.index, self.transpose = degree, labels, index, transpose
         self.parity = _frozen((labels & 1).astype(np.uint8))
         self.blocks = tuple(_frozen(b) for b in blocks)
 
     def __setattr__(self, name, value):
-        if name in ("degree", "labels", "parity", "index", "blocks", "mirrored") and name in self.__dict__:
+        if name in ("degree", "labels", "parity", "index", "blocks", "transpose") and name in self.__dict__:
             raise AttributeError(f"{name} of a graded matrix is set once, at construction")
         super().__setattr__(name, value)
 
@@ -109,8 +110,7 @@ class GradedMatrix:
         closed under ``l -> l ^ 1``: label j of the result, given by ``labels`` and ``index``, is
         ``keep[j]``, and its blocks are this matrix's blocks at ``keep``, not copies."""
         out = object.__new__(type(self))
-        out._set_blocks(self.degree, [self.blocks[r] for r in keep], labels, index, self.mirrored)
-        out._symmetric = self._symmetric
+        out._set_blocks(self.degree, [self.blocks[r] for r in keep], labels, index, self.transpose)
         return out
 
     def _check_compatible(self, other: "GradedMatrix"):
@@ -149,11 +149,11 @@ class GradedMatrix:
         """``P_W X P_W`` as a matrix of the window W of the first ``sizes[l]`` basis vectors of
         every label l; its blocks are the leading parts of this matrix's blocks."""
         blocks = [b[:sizes[r], :sizes[r ^ self.degree]] for r, b in enumerate(self.blocks)]
-        return _on_window(self, sizes, self.degree, blocks)
+        return _on_window(self, sizes, self.degree, blocks, self.transpose)
 
     def norm(self) -> float:
-        """Spectral norm: :func:`block_norm` of the blocks, less the mirrored ones."""
-        return block_norm(self.blocks[::2] if self.mirrored else self.blocks)
+        """Spectral norm: :func:`block_norm` of the blocks, the even labels' only at degree 1 with a law."""
+        return block_norm(self.blocks[::2] if self.degree and self.transpose else self.blocks)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -191,12 +191,12 @@ class _Whole:
 WHOLE = _Whole()
 
 
-def _on_window(g: GradedMatrix, sizes, degree: int, blocks, mirrored: bool = False) -> GradedMatrix:
-    """The degree-d matrix with ``blocks`` on the window of g's space that holds the first
-    ``sizes[l]`` basis vectors of every label l, in basis order."""
+def _on_window(g: GradedMatrix, sizes, degree: int, blocks, transpose: int | None = None) -> GradedMatrix:
+    """The degree-d matrix with ``blocks`` and transpose law ``transpose`` on the window of g's space
+    that holds the first ``sizes[l]`` basis vectors of every label l, in basis order."""
     if all(sizes[r] in (None, len(i)) for r, i in enumerate(g.index)):
-        return GradedMatrix.from_blocks(degree, blocks, g.labels, g.index, mirrored)
-    return GradedMatrix.from_blocks(degree, blocks, *_window_layout(g.labels.tobytes(), tuple(sizes)), mirrored)
+        return GradedMatrix.from_blocks(degree, blocks, g.labels, g.index, transpose)
+    return GradedMatrix.from_blocks(degree, blocks, *_window_layout(g.labels.tobytes(), tuple(sizes)), transpose)
 
 
 @lru_cache(maxsize=64)
@@ -209,26 +209,18 @@ def _window_layout(labels: bytes, sizes: tuple) -> tuple:
     return labels, label_index(labels, len(sizes))
 
 
-def _check_symmetric(g: GradedMatrix, what: str):
-    """Raise ``ValueError`` unless g is symmetric to 1e-10 of its largest entry (at least 1).
-
-    g's blocks are read-only, so the verdict is kept on g and each matrix is checked once.
-    """
-    if g._symmetric is None:
-        scale_ref = max(1.0, *(np.abs(b).max(initial=0.0) for b in g.blocks))
-        # the transpose of block l is block l ^ d; for d = 1 an odd label repeats its even partner
-        asym = max(np.abs(b - g.blocks[r ^ g.degree].T).max(initial=0.0)
-                   for r, b in enumerate(g.blocks) if not r & g.degree)
-        g._symmetric = not asym > 1e-10 * scale_ref
-    if not g._symmetric:
+def _check_symmetric(g: GradedMatrix, what: str) -> GradedMatrix:
+    """g, when its transpose law is +1; else g's blocks under law +1 when g is symmetric to 1e-10
+    of its largest entry (at least 1), checked on every call, or ``ValueError``."""
+    if g.transpose == 1:
+        return g
+    scale_ref = max(1.0, *(np.abs(b).max(initial=0.0) for b in g.blocks))
+    # the transpose of block l is block l ^ d; for d = 1 an odd label repeats its even partner
+    asym = max(np.abs(b - g.blocks[r ^ g.degree].T).max(initial=0.0)
+               for r, b in enumerate(g.blocks) if not r & g.degree)
+    if asym > 1e-10 * scale_ref:
         raise ValueError(f"{what} requires a symmetric matrix")
-
-
-def _as_symmetric(g: GradedMatrix) -> GradedMatrix:
-    """g, with the verdict of :func:`_check_symmetric` recorded as symmetric without a check: for
-    matrices symmetric by construction, such as a function of a checked symmetric matrix."""
-    g._symmetric = True
-    return g
+    return GradedMatrix.from_blocks(g.degree, g.blocks, g.labels, g.index, 1)
 
 
 # the relative slack of the certificate by which block_norm skips a block: label blocks come in pairs
@@ -293,15 +285,13 @@ def signed(x: GradedMatrix, signs, shift: int = 0) -> GradedMatrix:
 
     Block ``l ^ shift`` of a degree-d x is block l times ``signs[l]`` on its rows and ``signs[l ^ d]``
     on its columns, each cut to the block, so that a window of x fits, as do coarser labels when
-    ``signs`` is given on them.  T is orthogonal, so x's ``mirrored`` flag and symmetry verdict hold
-    for the result too.  Every entry is one entry of x times two signs: exact, and NaN on a NaN.
+    ``signs`` is given on them.  T is orthogonal, so x's transpose law holds for the result too.
+    Every entry is one entry of x times two signs: exact, and NaN on a NaN.
     """
     d, blocks = x.degree, [None] * len(x.blocks)
     for r, b in enumerate(x.blocks):
         blocks[r ^ shift] = signs[r][:len(b), None] * b * signs[r ^ d][:b.shape[1]]
-    out = GradedMatrix.from_blocks(d, blocks, x.labels, x.index, x.mirrored)
-    out._symmetric = x._symmetric
-    return out
+    return GradedMatrix.from_blocks(d, blocks, x.labels, x.index, x.transpose)
 
 
 def largest_entry(values) -> float:
@@ -420,7 +410,7 @@ def graded_tensor(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 def regroup(g: GradedMatrix, count: int) -> GradedMatrix:
     """g on the coarser labels ``g.labels & (count - 1)``, for a power of two ``count`` (g itself
     when it has ``count`` labels): block c holds g's blocks f with ``f & (count - 1) == c``, each
-    scattered into the rows and columns of its labels, and zeros between them."""
+    scattered into the rows and columns of its labels, and zeros between them; g's transpose law holds."""
     if len(g.index) == count:
         return g
     labels = g.labels & (count - 1)
@@ -430,8 +420,7 @@ def regroup(g: GradedMatrix, count: int) -> GradedMatrix:
         c = f & (count - 1)
         rows, cols = (np.searchsorted(index[k], g.index[j]) for k, j in ((c, f), (c ^ g.degree, f ^ g.degree)))
         blocks[c][rows[:, None], cols] = b
-    out = GradedMatrix.from_blocks(g.degree, blocks, labels, index, g.mirrored)
-    return _as_symmetric(out) if g._symmetric else out
+    return GradedMatrix.from_blocks(g.degree, blocks, labels, index, g.transpose)
 
 
 def window_product(sizes: tuple, *factors: GradedMatrix) -> GradedMatrix:
@@ -459,25 +448,25 @@ def graded_commutator(a: GradedMatrix, b: GradedMatrix, sizes: tuple = WHOLE) ->
 
     Odd-odd pairs get the anticommutator; everything else the plain
     commutator, block by block from :func:`window_product`'s slabs.  A window
-    takes symmetric operands, checked once per matrix, and then
-    ``ba = (ab)^T``: block l of an even window is ``P - sign P^T`` with
-    ``P = (ab)[l, l]``, one slab product per label, and a window of degree 1,
-    for which ``[a, b]^T = -sign [a, b]``, forms the blocks of the even labels
-    only and is mirrored.
+    takes symmetric operands (one whose transpose law is not +1 is checked on
+    every call), so ``ba = (ab)^T`` and ``[a, b]^T = -sign [a, b]``, its law:
+    block l of an even window is ``P - sign P^T`` with ``P = (ab)[l, l]``, one
+    slab product per label, and a window of degree 1 forms the blocks of the
+    even labels only.
     """
     sign = -1.0 if (a.degree and b.degree) else 1.0
     a._check_compatible(b)
     degree, count, windowed = a.degree ^ b.degree, len(a.index), sizes is not WHOLE
-    for g in (a, b) if windowed else ():
-        _check_symmetric(g, "a windowed commutator")
+    if windowed:
+        a, b = (_check_symmetric(g, "a windowed commutator") for g in (a, b))
     if windowed and not degree:
         products = (_window_block((a, b), sizes, r) for r in range(count))
-        return _on_window(a, sizes, degree, [p - sign * p.T for p in products])
+        return _on_window(a, sizes, degree, [p - sign * p.T for p in products], int(-sign))
     formed = range(0, count, 1 + windowed)
     blocks = {r: _window_block((a, b), sizes, r) - sign * _window_block((b, a), sizes, r) for r in formed}
     if windowed:
         blocks.update({r ^ 1: -sign * blocks[r].T for r in formed})
-    return _on_window(a, sizes, degree, [blocks[r] for r in range(count)], windowed)
+    return _on_window(a, sizes, degree, [blocks[r] for r in range(count)], int(-sign) if windowed else None)
 
 
 def involution(a: GradedMatrix) -> GradedMatrix:

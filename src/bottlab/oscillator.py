@@ -57,8 +57,8 @@ from .clifford import (
     twisted_right_mult_operator,
 )
 from .funcalc import GradedFunction, SpectralMatrix, matrix_function, position_matrix, scale
-from .graded import (GradedMatrix, _as_symmetric, _check_symmetric, _frozen, label_index, largest_entry, regroup,
-                     signed, window_product)
+from .graded import (GradedMatrix, _check_symmetric, _frozen, label_index, largest_entry, regroup, signed,
+                     window_product)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ class OscillatorRep:
     def gauge(self, x: GradedMatrix) -> GradedMatrix:
         """``S x S`` for the Fourier gauge ``S = prod_i (-1)^floor((k_i + b_i) / 2)``, the rotation by pi/2 in
         every (x_i, d/dx_i) plane: ``S C S = D``, so ``f(D) = S f(C) S``: :func:`~bottlab.graded.signed` with
-        the signs of x's labels, those of C, coarser ones or a window; x keeps ``mirrored`` and its symmetry."""
+        the signs of x's labels, those of C, coarser ones or a window; x's transpose law holds for the result."""
         return signed(x, _label_layout(self.basis, len(x.index))[5])
 
 
@@ -259,11 +259,12 @@ def _label_layout(basis: HermiteBasis, count: int) -> tuple:
     return labels, index, sets, blades, axes, signs
 
 
-def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int = 0) -> GradedMatrix:
+def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int = 0,
+                            transpose: int | None = None) -> GradedMatrix:
     """The sum of ``(A_1 (x) .. (x) A_n) (x) L`` over ``terms = [((A_1, .., A_n), L), ..]`` on the
     truncated basis, every A_i a matrix on the Hermite indices 0..level of axis i and every L of the
     given degree d, held on the labels ``basis.labels() & (count - 1)``, all of them by default;
-    on a half basis, on its states only.
+    on a half basis, on its states only.  ``transpose`` is the transpose law the caller's terms fix.
 
     Entry ``((m, b), (m', b'))`` of a term is ``A_1[m_1, m'_1] .. A_n[m_n, m'_n] L[b, b']``, and label
     l holds one blade ``b_l(m)`` per spatial state m of its states ``m_l``, so block l is
@@ -284,7 +285,7 @@ def _spatial_blade_operator(basis: HermiteBasis, degree: int, terms, count: int 
         return spatial[key] * blade_op.take(blades[r], 0).take(blades[c], 1)
 
     blocks = [sum(block(r, t, *term) for t, term in enumerate(terms)) for r in range(count)]
-    return GradedMatrix.from_blocks(degree, blocks, labels, index)
+    return GradedMatrix.from_blocks(degree, blocks, labels, index, transpose)
 
 
 def _axis_terms(basis: HermiteBasis, one_d: np.ndarray, blade_ops) -> list:
@@ -353,12 +354,32 @@ def context_bytes(dim: int, level: int) -> int:
     return 8 * 9 * (1 << dim) * math.comb(level + dim, dim) ** 2
 
 
+# the largest context_bytes a configuration may need: report-all's peak RSS with two suites at once was
+# 76, 133, 542 and 932 MiB at (3,8), (4,6), (4,8) and (5,6), whose contexts take 15, 48, 269 and 469 MiB,
+# so about 60 MiB plus 1.9 times the context; a run within this bound peaked near 2 GiB.  The CLI runs
+# at most two suites at once, one in each of two processes; they share the pages of the context built
+# before the fork, but each computes the eigensystems it first uses after the fork
+MEMORY_BUDGET = 1 << 30
+
+
+def check_memory_budget(basis: HermiteBasis):
+    """Raise ``ValueError``, naming the largest level that fits, when the context on the basis would
+    need more than ``MEMORY_BUDGET`` bytes by :func:`context_bytes`; nothing is allocated."""
+    dim, need = basis.dim, context_bytes(basis.dim, basis.level)
+    if need > MEMORY_BUDGET:
+        fits = 3
+        while context_bytes(dim, fits + 1) <= MEMORY_BUDGET:
+            fits += 1
+        hint = f"the largest level that fits at dim {dim} is {fits}" if fits >= 4 else "no level fits"
+        raise ValueError(f"dim {dim}, levels {basis.level} needs {need / 2**20:,.0f} MiB of operators, "
+                         f"over the memory budget of {MEMORY_BUDGET / 2**20:,.0f} MiB; {hint}")
+
+
 @lru_cache(maxsize=8)
 def _context(dim: int, level: int) -> OscillatorRep:
     basis = HermiteBasis(dim, level)
     c = clifford_operator(basis)
-    d = dirac_operator(basis)
-    _check_symmetric(d, "the Dirac operator")
+    d = _check_symmetric(dirac_operator(basis), "the Dirac operator")
     ops = (SpectralMatrix(c), d, SpectralMatrix(c + d), blade_number_operator(basis), SpectralMatrix(c @ c + d @ d))
     if dim == 1:
         return OscillatorRep(basis, *ops)
@@ -375,9 +396,12 @@ _CONTEXT_LOCK = threading.Lock()
 def oscillator_rep(dim: int, level: int) -> OscillatorRep:
     """The shared operator context for (dim, level), built once.
 
-    The lock makes concurrent first calls share one context, and with it
-    one eigendecomposition per operator; the LRU bounds the number kept.
+    A configuration over the memory budget raises ``ValueError`` before
+    anything is allocated (:func:`check_memory_budget`).  The lock makes
+    concurrent first calls share one context, and with it one
+    eigendecomposition per operator; the LRU bounds the number kept.
     """
+    check_memory_budget(HermiteBasis(dim, level))
     with _CONTEXT_LOCK:
         return _context(dim, level)
 
@@ -520,7 +544,7 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     basis, else on the first half of them.  On a half basis it is built on
     the half's states only.  The Grams are symmetric, and lambda(c) is symmetric
     exactly when ``c^2 = +1``, so when every blade of h squares to +1 the
-    operator is recorded as symmetric without a check.
+    operator is built with transpose law +1, and no check reads it.
     """
     if h.dim != basis.dim:
         raise ValueError(f"function dimension {h.dim} != basis dimension {basis.dim}")
@@ -529,8 +553,8 @@ def multiplication_operator(h: CliffFunction, basis: HermiteBasis,
     terms = [(tuple((rows * (w * g(x))) @ rows.T for g in axis_fns),
               left_mult_operator(basis.sig, c)) for c, axis_fns in h.terms]
     r1 = all(axis_fns[0].parity == c & 1 for c, axis_fns in h.terms)
-    mh = _spatial_blade_operator(basis, h.parity, terms, basis.label_count >> (not r1))
-    return _as_symmetric(mh) if all(blade_square_sign(c, basis.sig) == 1 for c, _ in h.terms) else mh
+    symmetric = all(blade_square_sign(c, basis.sig) == 1 for c, _ in h.terms)
+    return _spatial_blade_operator(basis, h.parity, terms, basis.label_count >> (not r1), 1 if symmetric else None)
 
 
 def compactness_profile(f: GradedFunction, h: CliffFunction, rep: OscillatorRep) -> np.ndarray:

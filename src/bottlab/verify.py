@@ -60,12 +60,14 @@ from .graded import (
     window_product,
 )
 from .oscillator import (
+    MEMORY_BUDGET,  # re-exported: callers read the budget as bottlab.verify.MEMORY_BUDGET too
     CliffFunction,
+    HermiteBasis,
     OscillatorRep,
     _spatial_blade_operator,
     b_squared_identity_check,
+    check_memory_budget,
     compactness_profile,
-    context_bytes,
     fourier_gauge_residual,
     level_multiplicity,
     multiplication_operator,
@@ -90,12 +92,6 @@ DELTA_LEVELS = (12, 18, 24)
 # four triple products of e5 .. e8 (squares -1 * -1 * -1 times the reordering sign -1, so +1)
 EIGHT_IN_FOUR_FOUR = (0x1, 0x2, 0x4, 0x8, 0x70, 0xB0, 0xD0, 0xE0)
 
-# the largest context_bytes a configuration may need: report-all's peak RSS with two suites at once was
-# 76, 133, 542 and 932 MiB at (3,8), (4,6), (4,8) and (5,6), whose contexts take 15, 48, 269 and 469 MiB,
-# so about 60 MiB plus 1.9 times the context; a run within this bound peaked near 2 GiB.  The CLI runs
-# at most two suites at once, one in each of two processes; they share the pages of the context built
-# before the fork, but each computes the eigensystems it first uses after the fork
-MEMORY_BUDGET = 1 << 30
 # the largest level whose default 2 * level + 16 Gauss-Hermite nodes have finite weights: hermgauss's
 # weights are all 0 at 371 nodes and NaN from 372 on, where every multiplication operator reads NaN
 MAX_QUADRATURE_LEVEL = 177
@@ -120,14 +116,7 @@ class SweepConfig:
         if self.level > MAX_QUADRATURE_LEVEL:
             raise ValueError(f"levels {self.level} needs {2 * self.level + 16} Gauss-Hermite nodes, whose weights "
                              f"overflow; the largest level that works is {MAX_QUADRATURE_LEVEL}")
-        need = context_bytes(self.dim, self.level)
-        if need > MEMORY_BUDGET:
-            fits = 3
-            while context_bytes(self.dim, fits + 1) <= MEMORY_BUDGET:
-                fits += 1
-            hint = f"the largest level that fits at dim {self.dim} is {fits}" if fits >= 4 else "no level fits"
-            raise ValueError(f"dim {self.dim}, levels {self.level} needs {need / 2**20:,.0f} MiB of operators, "
-                             f"over the memory budget of {MEMORY_BUDGET / 2**20:,.0f} MiB; {hint}")
+        check_memory_budget(HermiteBasis(self.dim, self.level))
         ts = tuple(float(t) for t in self.t_grid)
         if not all(math.isfinite(t) for t in ts):
             raise ValueError("t_grid values must be finite")

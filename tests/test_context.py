@@ -14,7 +14,7 @@ import bottlab.oscillator as oscillator
 from bottlab.funcalc import GradedFunction, SpectralMatrix, gaussian, matrix_function, scale, x_gaussian
 from bottlab.graded import WHOLE, GradedMatrix, regroup
 from bottlab.oscillator import context_bytes, oscillator_rep
-from bottlab.verify import SUITES, SweepConfig, mehler_coefficients, run_suite
+from bottlab.verify import MEMORY_BUDGET, SUITES, SweepConfig, mehler_coefficients, run_suite
 from oracles import interior_mask
 
 
@@ -116,7 +116,7 @@ def test_context_fields_cannot_be_rebound():
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.clifford = rep.dirac
     # nor can the fields of an operator
-    for field in ("degree", "labels", "parity", "index", "blocks", "mirrored"):
+    for field in ("degree", "labels", "parity", "index", "blocks", "transpose"):
         with pytest.raises(AttributeError, match="set once"):
             setattr(rep.clifford, field, getattr(rep.number, field))
 
@@ -176,6 +176,18 @@ def test_context_bytes_bounds_the_context_built(dim, level):
     arrays = _context_arrays(oscillator_rep(dim, level))
     built = sum(a.nbytes for name, a in arrays.items() if not name.endswith(("labels", "parity")))
     assert built <= context_bytes(dim, level)
+
+
+def test_the_context_refuses_a_configuration_over_the_memory_budget(monkeypatch):
+    # the library entry point reads the budget too, not only SweepConfig, and refuses before the cache:
+    # with the budget at the bytes of (3,6), (3,8) is refused whether or not its context was built
+    oscillator_rep(3, 8)
+    monkeypatch.setattr(oscillator, "MEMORY_BUDGET", context_bytes(3, 6))
+    for build in (lambda: oscillator_rep(3, 8), lambda: SweepConfig(dim=3, level=8)):
+        with pytest.raises(ValueError, match="dim 3, levels 8 needs .* the largest level that fits at dim 3 is 6$"):
+            build()
+    assert oscillator_rep(3, 6).basis.level == 6
+    assert MEMORY_BUDGET == 1 << 30  # still importable from the suites' layer
 
 
 def test_window_depth_is_range_checked():
@@ -311,7 +323,7 @@ def test_gauge_route_matches_the_eigen_route(dim, level):
             for f in (*(scale(g, t) for g in (gaussian(), x_gaussian(), heat)), *_defects(t)):
                 for w in windows:
                     got, want = rep.gauge(matrix_function(f, rep.clifford, w)), matrix_function(f, d, w)
-                    assert (got.degree, got.mirrored, got._symmetric) == (want.degree, want.mirrored, True)
+                    assert (got.degree, got.transpose, want.transpose) == (want.degree, 1, 1)
                     assert np.array_equal(got.labels, want.labels)
                     for a, b in zip(got.blocks, want.blocks, strict=True):
                         assert a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= 1e-13, (f.name, t)

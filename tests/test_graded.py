@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bottlab.graded as graded
 from bottlab.clifford import Signature, blade_parities
 from bottlab.funcalc import SpectralMatrix, gaussian, matrix_function, scale, x_gaussian
 from bottlab.graded import (
@@ -153,6 +154,15 @@ def test_graded_matrix_refuses_a_parity_that_is_not_0_or_1(parity):
         GradedMatrix(np.zeros((2, 2)), parity)
 
 
+def test_from_blocks_refuses_a_label_that_has_no_block():
+    # label_index would drop basis vector 2, leaving a 2 x 2 matrix on three labels
+    with pytest.raises(ValueError, match="no block"):
+        GradedMatrix.from_blocks(0, [np.eye(2)], [0, 0, 1])
+    with pytest.raises(ValueError, match="no block"):
+        GradedMatrix.from_blocks(1, [np.ones((1, 1)), np.ones((1, 1))], [0, 1, 2])
+    assert GradedMatrix.from_blocks(0, [np.eye(2), np.eye(1)], [0, 0, 1]).mat.shape == (3, 3)
+
+
 def _random_on_labels(rng, sizes, degree):
     """A random degree-d graded matrix with ``sizes[l]`` basis vectors of label l, in shuffled order,
     and its dense form."""
@@ -184,18 +194,21 @@ def test_signed_is_the_dense_conjugation(count, degree):
     assert np.array_equal(signed(x.window(keep), signs).mat, (t @ dense @ t.T)[np.ix_(states, states)])
 
 
-def test_signed_reads_coarser_labels_and_keeps_mirrored_and_symmetry():
-    # an odd function of C is mirrored and symmetric; signed on C's labels, and on the two parity
-    # labels with signs given on those, it is the dense conjugation and stays both
+def test_signed_reads_coarser_labels_and_keeps_the_transpose_law():
+    # an odd function of C has transpose law +1, and a window commutator of an even and an odd
+    # symmetric matrix law -1; signed on C's labels, and on the two parity labels with signs given
+    # on those, each is the dense conjugation and keeps its law
     rng = np.random.default_rng(3)
-    fx = matrix_function(x_gaussian(), oscillator_rep(2, 4).clifford)
-    assert fx.mirrored and fx._symmetric
-    for g in (fx, regroup(fx, 2)):
+    rep = oscillator_rep(2, 4)
+    fx = matrix_function(x_gaussian(), rep.clifford)
+    comm = graded_commutator(matrix_function(gaussian(), rep.clifford), rep.clifford, rep.window())
+    assert (fx.transpose, comm.transpose, comm.degree) == (1, -1, 1)
+    for g in (fx, regroup(fx, 2), comm, regroup(comm, 2)):
         signs = [rng.choice([-1.0, 1.0], len(i)) for i in g.index]
         t = dense_signed_map(g.labels, g.index, signs)
         got = signed(g, signs)
         assert np.array_equal(got.mat, t @ g.mat @ t.T)
-        assert got.mirrored and got._symmetric
+        assert got.transpose == g.transpose and np.array_equal(got.mat.T, got.transpose * got.mat)
 
 
 def test_largest_entry_carries_every_nan():
@@ -534,24 +547,23 @@ def test_window_commutator_is_the_window_of_the_commutator(deg_a, deg_b, monkeyp
         for x, y in zip(got.blocks, want.blocks):
             assert x.shape == y.shape
             assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
+        # [a, b]^T = -sign [a, b] for symmetric a and b, the window's transpose law
+        sign = -1.0 if deg_a and deg_b else 1.0
+        assert got.transpose == -sign and want.transpose is None
         if deg_a ^ deg_b:
-            # [a, b]^T = -[a, b] for symmetric a and b of opposite degrees: the blocks of the odd
-            # labels are not formed
-            assert got.mirrored
+            # the blocks of the odd labels are not formed
             for r in range(1, len(w), 2):
                 assert np.array_equal(got.blocks[r], -got.blocks[r ^ 1].T)
         else:
             # ba = (ab)^T: each block is formed from one product P as P - sign P^T
-            sign = -1.0 if deg_a else 1.0
-            assert not got.mirrored
             for x in got.blocks:
                 assert np.array_equal(x, -sign * x.T)
         norm = np.linalg.norm(want.mat, 2)
         # only a block that raises the running maximum is eigensolved, once; the others are
-        # certified not to raise it, and the mirrored blocks are not read
+        # certified not to raise it, and at degree 1 the odd labels' blocks are not read
         calls.clear()
         assert abs(got.norm() - norm) <= 1e-13 * norm
-        read = got.blocks[::2] if got.mirrored else got.blocks
+        read = got.blocks[::2] if got.degree else got.blocks
         assert records(read, 1e-10) <= len(calls) <= records(read, -1e-10), config
         calls.clear()
         assert abs(block_norm(want.blocks) - norm) <= 1e-13 * norm
@@ -683,13 +695,14 @@ def test_certified_norm_matches_every_block_norm(seed, count, scale_):
 def test_regroup_onto_coarser_labels_keeps_the_matrix(dim, level):
     # onto the parity labels and onto the labels of R_2 .. R_n, block by block, with nothing dense
     rep = oscillator_rep(dim, level)
-    ops = (rep.clifford, rep.dirac, matrix_function(scale(gaussian(), 2.0), rep.dirac),
+    ops = (rep.clifford, rep.dirac, rep.number, matrix_function(scale(gaussian(), 2.0), rep.dirac),
            matrix_function(scale(x_gaussian(), 2.0), rep.dirac))
+    assert [g.transpose for g in ops] == [1, 1, None, 1, 1]
     for g in ops:
         assert len(g.index) == 2 ** (dim + 1) and regroup(g, len(g.index)) is g
         for count in (2, 2 ** dim):
             coarse = regroup(g, count)
-            assert (len(coarse.index), coarse.degree, coarse.mirrored) == (count, g.degree, g.mirrored)
+            assert (len(coarse.index), coarse.degree, coarse.transpose) == (count, g.degree, g.transpose)
             assert np.array_equal(coarse.labels, g.labels & (count - 1))
             assert np.array_equal(coarse.mat, g.mat)
 
@@ -723,7 +736,7 @@ def test_even_window_commutator_rejects_a_non_symmetric_operand():
     mh = multiplication_operator(CliffFunction(2, "e12", ((0b11, (v, v)),)), rep.basis)
     fd = matrix_function(gaussian(), rep.dirac)
     assert (mh.degree, fd.degree) == (0, 0)
-    for _ in range(2):  # the verdict is kept, and raises again
+    for _ in range(2):  # nothing is recorded on the operand: checked again, it raises again
         with pytest.raises(ValueError, match="symmetric"):
             graded_commutator(fd, mh, rep.window())
     # the whole commutator takes any operands
@@ -731,25 +744,57 @@ def test_even_window_commutator_rejects_a_non_symmetric_operand():
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_window_commutator_checks_each_operand_once(monkeypatch):
+def test_window_commutator_checks_only_operands_of_unknown_law(monkeypatch):
     calls, absolute = [], np.abs
     monkeypatch.setattr(np, "abs", lambda x: calls.append(x.shape) or absolute(x))
     rep = oscillator_rep(2, 6)
     labels, w = rep.basis.labels(), rep.window()
     rng = np.random.default_rng(5)
     a, b = (symmetric_operand(rng, labels, d, from_blocks=True, count=len(w)) for d in (0, 1))
-    graded_commutator(a, b, w)
-    assert calls  # both operands are checked
-    calls.clear()
-    graded_commutator(b, a, w)
-    graded_commutator(a, a, w)
-    assert not calls
-    # functions of a checked symmetric matrix are symmetric by construction, and so are their
+    # the check writes nothing onto its operand, so one of unknown law is checked on every call
+    for _ in range(2):
+        graded_commutator(a, b, w)
+        assert calls and (a.transpose, b.transpose) == (None, None)
+        calls.clear()
+    # functions of a checked symmetric matrix have law +1 by construction, and so have their
     # regroupings and their Fourier gauges, f(D) = S f(C) S
     fd, fc = rep.gauge(matrix_function(x_gaussian(), rep.clifford)), matrix_function(gaussian(), rep.clifford)
     graded_commutator(fc, fd, w)
     graded_commutator(regroup(fc, 4), regroup(fd, 4), rep.window(2, 4))
     assert not calls
+
+
+def test_window_commutator_and_functional_calculus_refuse_a_matrix_that_is_not_symmetric():
+    rep = oscillator_rep(2, 6)
+    w = rep.window()
+    fc = matrix_function(gaussian(), rep.clifford)
+    # [f(C), D] of two symmetric matrices is antisymmetric: of unknown law whole, of law -1 windowed
+    whole, window = graded_commutator(fc, rep.dirac), graded_commutator(fc, rep.dirac, w)
+    assert (whole.transpose, window.transpose) == (None, -1)
+    for g in (whole, window):
+        assert np.abs(g.mat + g.mat.T).max() <= 1e-12 * np.abs(g.mat).max() and np.abs(g.mat).max() > 0.1
+    # C with every entry of its even labels' blocks raised by 1/2 is neither
+    skew = GradedMatrix.from_blocks(1, [b + 0.5 * (1 - r % 2) for r, b in enumerate(rep.clifford.blocks)],
+                                    rep.clifford.labels, rep.clifford.index)
+    for g, other in ((whole, fc), (window, fc.window(w)), (skew, fc)):
+        with pytest.raises(ValueError, match="symmetric"):
+            SpectralMatrix(g)
+        with pytest.raises(ValueError, match="symmetric"):
+            graded_commutator(other, g, w)
+
+
+def test_odd_spectral_matrix_norm_reads_the_even_labels_only(monkeypatch):
+    # C's transpose law is +1, so block l ^ 1 is the transpose of block l and its norm reads half
+    read, block_norm_of = [], graded.block_norm
+    monkeypatch.setattr(graded, "block_norm", lambda blocks: read.extend(blocks) or block_norm_of(blocks))
+    for config in ((1, 8), (2, 6)):
+        c = oscillator_rep(*config).clifford
+        assert isinstance(c, SpectralMatrix) and (c.degree, c.transpose) == (1, 1)
+        read.clear()
+        norm = c.norm()
+        assert [id(b) for b in read] == [id(b) for b in c.blocks[::2]]
+        want = np.linalg.norm(c.mat, 2)
+        assert abs(norm - want) <= 1e-13 * want
 
 
 def test_multiplication_operators_of_blades_squaring_to_one_are_recorded_symmetric(monkeypatch):
@@ -760,11 +805,11 @@ def test_multiplication_operators_of_blades_squaring_to_one_are_recorded_symmetr
     v = x_gaussian()
     bivector = multiplication_operator(CliffFunction(2, "e12", ((0b11, (v, v)),)), rep.basis)
     symbols = [multiplication_operator(h, rep.basis) for h in named_symbols(2)]
-    assert bivector._symmetric is None
+    assert bivector.transpose is None
     calls, absolute = [], np.abs
     monkeypatch.setattr(np, "abs", lambda x: calls.append(x.shape) or absolute(x))
     for mh in symbols:
-        assert mh._symmetric is True
+        assert mh.transpose == 1
         count = len(mh.index)
         graded_commutator(regroup(fd, count), mh, rep.window(2, count))
     assert not calls

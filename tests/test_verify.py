@@ -868,6 +868,12 @@ VERDICT_FAILURES = {
     (1, 8): set(),
     (1, 12): set(),
     (2, 6): {"mehler"},
+    # n = 3 and 4 at K = 7, where the commutator ratios pass again, and (4,5), (4,6) and (5,5) below it
+    (3, 7): {"composition-gamma"},
+    (4, 5): {"cd-commutator", "composition-gamma", "dirac-commutator", "mehler"},
+    (4, 6): {"cd-commutator", "composition-gamma", "dirac-commutator", "mehler"},
+    (4, 7): {"composition-gamma"},
+    (5, 5): {"cd-commutator", "composition-gamma", "dirac-commutator", "mehler"},
 }
 
 
